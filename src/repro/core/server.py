@@ -113,6 +113,10 @@ class PandaServer:
         #: ``slo`` policy, shard masters only: this shard's per-tenant
         #: latency bookkeeping.  Set by :meth:`_run_scheduled`.
         self._slo_tracker: Optional[SLOTracker] = None
+        #: the paper's fixed server buffer: every sub-chunk is assembled
+        #: here before its one sequential file write.  Allocated by the
+        #: first real write, never at construction.
+        self._staging: Optional[np.ndarray] = None
         # per-op accounting for the trace/results
         self.bytes_written = 0
         self.bytes_read = 0
@@ -240,6 +244,18 @@ class PandaServer:
             for chunk, overlap in spec.memory_schema.chunks_intersecting(item.region)
         ]
 
+    def _stage(self, spec: ArraySpec, item: SubchunkPlan) -> np.ndarray:
+        """The staging buffer, shaped as ``item``'s sub-chunk.  Its
+        bytes are whatever the last sub-chunk left: the pieces of
+        :meth:`_pieces_of` tile ``item.region`` exactly, so every byte
+        is overwritten before the file write reads it, and the store has
+        copied the previous sub-chunk out by then (one server process
+        runs one sub-chunk at a time, scheduled or not)."""
+        if self._staging is None or self._staging.nbytes < item.nbytes:
+            self._staging = np.empty(item.nbytes, dtype=np.uint8)
+        return self._staging[:item.nbytes].view(spec.np_dtype).reshape(
+            item.region.shape)
+
     # -- write path ------------------------------------------------------------
     def _execute_write(self, op: CollectiveOp, plan: ServerPlan):
         fh = self.fs.open(plan.file_name, "w")
@@ -266,7 +282,7 @@ class PandaServer:
         t0 = self.comm.sim.now if trace is not None else 0.0
         spec = op.arrays[item.array_index]
         pieces = self._pieces_of(op, spec, item)
-        buf = np.zeros(item.region.shape, dtype=spec.np_dtype) if real else None
+        buf = self._stage(spec, item) if real else None
         total_runs = 0
         # data-plane replies are matched on (op_id, subchunk_seq) so a
         # piece of a concurrently scheduled op can never be absorbed here

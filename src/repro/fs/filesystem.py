@@ -100,8 +100,6 @@ class FileHandle:
             raise ValueError(f"I/O on closed file {self.path!r}")
         if write and self.mode == "r":
             raise ValueError(f"file {self.path!r} opened read-only")
-        if not write and self.mode == "w" and False:  # reads after write allowed
-            pass
 
     def seek(self, offset: int) -> None:
         """Reposition; costs nothing now, but a following request that
@@ -145,7 +143,8 @@ class FileHandle:
         """Write ``block`` at the current offset (timed).  The block's
         bytes are handed to the store as a read-only view (no
         intermediate copy); the store itself performs the one real copy
-        into the file buffer."""
+        into the file buffer, and only once the disk request has
+        succeeded -- the block's memory must stay untouched until then."""
         self._check_open(write=True)
         data = block.to_buffer() if (block.is_real and self.fs.real) else None
         if self.fs.real and data is None and block.nbytes > 0:

@@ -48,8 +48,7 @@ class DataBlock:
 
     @classmethod
     def real(cls, array: np.ndarray) -> "DataBlock":
-        array = np.ascontiguousarray(array)
-        return cls(array.nbytes, array)
+        return cls(array.nbytes, array)  # __post_init__ makes it contiguous
 
     @classmethod
     def virtual(cls, nbytes: int) -> "DataBlock":

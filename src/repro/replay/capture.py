@@ -27,7 +27,10 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.protocol import ArraySpec, CollectiveOp
+from repro.core.scheduler import estimate_op
 from repro.replay.fingerprint import digest_stored, run_strings
 from repro.replay.trace import (
     TRACE_VERSION,
@@ -131,8 +134,6 @@ class TraceRecorder:
         if rt.config.scheduler is not None:
             # informational: the cost-model estimate the scheduler's SJF
             # key will compute from the same op (derived, not a stimulus)
-            from repro.core.scheduler import estimate_op
-
             event["estimate"] = estimate_op(
                 op, rt.n_io, rt.spec, rt.config
             ).hex()
@@ -142,10 +143,10 @@ class TraceRecorder:
                 data = client._state["data"].get(spec.name)
                 if data is None:
                     continue
-                raw = data.tobytes()
+                raw = np.ascontiguousarray(data)  # hashed and encoded in place
                 sha = hashlib.sha256(raw).hexdigest()
                 if sha not in self._payloads:
-                    self._payloads[sha] = encode_payload(data)
+                    self._payloads[sha] = encode_payload(raw)
                 payload[spec.name] = sha
             if payload:
                 event["payload"] = payload

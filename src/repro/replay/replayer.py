@@ -33,10 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
+import numpy as np
+
 from repro.core.protocol import OpRejected
 from repro.core.runtime import PandaRuntime, RunResult
 from repro.replay.fingerprint import digest_stored, run_strings
-from repro.replay.trace import WorkloadTrace, decode_payload
+from repro.replay.trace import WorkloadTrace
 
 __all__ = ["ReplayDivergence", "ReplayOutcome", "build_runtime", "replay",
            "diff_lines"]
@@ -102,8 +104,7 @@ def build_runtime(trace: WorkloadTrace,
 
 
 def _rank_events(trace: WorkloadTrace, run_doc: Dict[str, Any],
-                 payloads: Dict[str, str], strict: bool,
-                 violations: List[str]):
+                 strict: bool, violations: List[str]):
     """The per-rank replay driver (an SPMD app generator function).
 
     Parity violations are *collected*, not raised: an exception inside
@@ -129,7 +130,8 @@ def _rank_events(trace: WorkloadTrace, run_doc: Dict[str, Any],
             specs = tuple(trace.array_spec(k) for k in ev["arrays"])
             for name, sha in ev.get("payload", {}).items():
                 buf = ctx.panda.local(name)
-                buf[...] = decode_payload(payloads[sha], buf)
+                buf[...] = np.frombuffer(
+                    trace.payload(sha), dtype=buf.dtype).reshape(buf.shape)
             try:
                 yield from ctx.panda.collective(
                     ev["kind"], specs, ev["dataset"],
@@ -168,7 +170,6 @@ def replay(trace: WorkloadTrace, policy_override: Optional[str] = None,
         from repro.replay.capture import TraceRecorder
 
         recorder = TraceRecorder(rt, name=trace.name, meta=trace.meta)
-    payloads = trace.doc["payloads"]
     results: List[RunResult] = []
     fingerprints: List[List[str]] = []
     run_stats: List[Optional[Any]] = []
@@ -189,7 +190,7 @@ def replay(trace: WorkloadTrace, policy_override: Optional[str] = None,
         rt._replay_crashes_abs = crashes
         violations: List[str] = []
         try:
-            app = _rank_events(trace, run_doc, payloads, strict, violations)
+            app = _rank_events(trace, run_doc, strict, violations)
             assignments = [(app, tuple(g)) for g in run_doc["groups"]]
             result = rt.run_partitioned(assignments)
         finally:

@@ -30,9 +30,7 @@ import base64
 import json
 import zlib
 from dataclasses import asdict
-from typing import Any, Dict, Optional
-
-import numpy as np
+from typing import Any, Dict, Tuple
 
 from repro.core.config import PandaConfig
 from repro.core.protocol import ArraySpec
@@ -123,15 +121,11 @@ def config_from_doc(doc: Dict[str, Any]) -> PandaConfig:
 
 # -- payload pool -------------------------------------------------------------
 
-def encode_payload(data: np.ndarray) -> str:
-    """zlib+base64 of the array's raw bytes (checkpoint payloads are
-    often sparse or repetitive; compression keeps traces committable)."""
-    return base64.b64encode(zlib.compress(data.tobytes(), 6)).decode("ascii")
-
-
-def decode_payload(blob: str, like: np.ndarray) -> np.ndarray:
-    raw = zlib.decompress(base64.b64decode(blob.encode("ascii")))
-    return np.frombuffer(raw, dtype=like.dtype).reshape(like.shape)
+def encode_payload(raw) -> str:
+    """zlib+base64 of a C-contiguous buffer's bytes (checkpoint payloads
+    are often sparse or repetitive; compression keeps traces
+    committable)."""
+    return base64.b64encode(zlib.compress(raw, 6)).decode("ascii")
 
 
 class WorkloadTrace:
@@ -153,6 +147,8 @@ class WorkloadTrace:
             if key not in doc:
                 raise TraceFormatError(f"trace document missing {key!r}")
         self.doc = doc
+        #: sha -> (encoded blob, its bytes): see :meth:`payload`
+        self._inflated: Dict[str, Tuple[str, bytes]] = {}
 
     # -- identity ---------------------------------------------------------
     def __eq__(self, other: object) -> bool:
@@ -196,6 +192,18 @@ class WorkloadTrace:
 
     def array_spec(self, key: str) -> ArraySpec:
         return spec_from_doc(self.doc["arrays"][key])
+
+    def payload(self, sha: str) -> bytes:
+        """The bytes of pooled payload ``sha``, inflated once per trace
+        however many ops and replays ship it.  The memo remembers which
+        encoded string it inflated, so an edited ``doc`` is decoded
+        afresh."""
+        blob = self.doc["payloads"][sha]
+        hit = self._inflated.get(sha)
+        if hit is None or hit[0] is not blob:
+            hit = self._inflated[sha] = (
+                blob, zlib.decompress(base64.b64decode(blob)))
+        return hit[1]
 
     # -- (de)serialization ------------------------------------------------
     def dumps(self) -> str:

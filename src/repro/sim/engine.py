@@ -891,6 +891,8 @@ class Simulator:
         With ``_perturb`` unset this dispatches in exactly the normal
         global (time, seq) order -- candidate 0 below *is* the entry the
         fast loop would pop -- so a logged baseline run stays
+        bit-identical to an unlogged one.
+
         With a controller installed (:meth:`enable_controller`) the
         controller picks the dispatch at *every* state -- including
         single-candidate frontiers, which it may veto as redundant by

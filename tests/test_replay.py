@@ -29,6 +29,7 @@ from repro.replay import (
     replay,
 )
 from repro.replay.scenarios import record_scenario, scenario_names
+from repro.replay.trace import encode_payload
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRACES = REPO_ROOT / "tests" / "traces"
@@ -181,6 +182,39 @@ def test_differential_replay_sjf_reorders_fair_degenerates(herd):
     fair = replay(trace, policy_override="fair")
     assert fair.stored == trace.expect["stored"]
     assert fair.run_stats[0].turnaround_spread() == spread0
+
+
+def test_each_pooled_payload_is_inflated_once_per_trace(herd, monkeypatch):
+    """Copy budget, trace pool -> client chunk: the zlib/base64 inflate
+    runs once per content-addressed payload of a loaded trace, however
+    many ops ship it and however many replays re-drive it."""
+    import zlib
+
+    trace = WorkloadTrace.loads(herd[0].dumps())  # a fresh, cold pool memo
+    pool = trace.doc["payloads"]
+    shipped = [sha for run in trace.doc["runs"]
+               for events in run["events"].values() for ev in events
+               for sha in ev.get("payload", {}).values()]
+    assert set(shipped) == set(pool) and len(shipped) >= len(pool) > 1
+
+    inflated = []
+    real_decompress = zlib.decompress
+    monkeypatch.setattr(
+        zlib, "decompress",
+        lambda blob, *a, **kw: inflated.append(1) or real_decompress(blob, *a, **kw))
+    base = replay(trace)
+    assert base.ok
+    assert len(inflated) == len(pool)
+    for policy in ("sjf", "fair"):
+        assert replay(trace, policy_override=policy).stored \
+            == trace.expect["stored"]
+    assert len(inflated) == len(pool)
+
+    # the memo follows the document: an edited pool entry is re-inflated
+    flipped = bytearray(trace.payload(shipped[0]))
+    flipped[0] ^= 0x01
+    pool[shipped[0]] = encode_payload(flipped)
+    assert trace.payload(shipped[0]) == flipped
 
 
 # -- capture guards -----------------------------------------------------------
