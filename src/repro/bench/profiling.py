@@ -40,19 +40,25 @@ def reset() -> None:
 
 
 def clear_caches() -> None:
-    """Empty every process-wide pure-function memo (plan items, chunk
-    lists, region intersections, contiguous-run decompositions).
+    """Empty every process-wide pure-function memo (per-shape plan
+    items and participants, the cost model's per-server walk, the
+    ``.schema`` descriptor template, chunk lists, region intersections,
+    contiguous-run decompositions).
 
-    The caches are correctness-neutral -- they memoise pure geometry --
-    but they bleed across suites: a second run of the same figure hits
-    where the first missed.  The benchmark harness calls this (plus
-    :func:`reset`) before each suite so published counter values are
-    exact and independent of suite order."""
+    The caches are correctness-neutral -- they memoise pure functions
+    of an op's shape -- but they bleed across suites: a second run of
+    the same figure hits where the first missed.  The benchmark harness
+    calls this (plus :func:`reset`) before each suite so published
+    counter values are exact and independent of suite order."""
+    from repro.core.costmodel import clear_walk_cache
     from repro.core.plan import clear_plan_cache
+    from repro.core.runtime import clear_schema_cache
     from repro.schema.chunking import clear_geometry_caches
     from repro.schema.regions import clear_runs_cache
 
     clear_plan_cache()
+    clear_walk_cache()
+    clear_schema_cache()
     clear_geometry_caches()
     clear_runs_cache()
 

@@ -37,7 +37,8 @@ from repro.core.protocol import CollectiveOp
 from repro.machine import MachineSpec
 from repro.mpi.message import CONTROL_MESSAGE_BYTES, MESSAGE_HEADER_BYTES
 
-__all__ = ["CostBreakdown", "predict", "predict_arrays", "best_disk_schema"]
+__all__ = ["CostBreakdown", "predict", "predict_arrays", "best_disk_schema",
+           "estimate_op"]
 
 
 @dataclass(frozen=True)
@@ -99,15 +100,32 @@ def _completion_time(spec: MachineSpec, n_clients: int, n_servers: int) -> float
     return t
 
 
-def predict(
-    op: CollectiveOp,
-    n_clients: int,
-    n_servers: int,
-    spec: MachineSpec,
-    config: Optional[PandaConfig] = None,
-) -> CostBreakdown:
-    """Predict the elapsed time of ``op`` on the given deployment."""
-    config = config or PandaConfig()
+#: what the per-server walk yields: every server's busy time and the
+#: slowest server's (disk, net, copy) split.
+_Walk = Tuple[Tuple[float, ...], float, float, float]
+
+#: memo of the walk, keyed by everything it reads -- the array specs and
+#: op kind, the striping width, the machine constants and the
+#: library-wide sub-chunk size (per-array overrides are part of the
+#: spec).  Dataset, op id, client group and priority never enter it.
+_WALK_CACHE: Dict[tuple, _Walk] = {}
+_WALK_CACHE_MAX = 1024
+
+
+def clear_walk_cache() -> None:
+    """Empty the per-server walk memo (see
+    ``repro.bench.profiling.clear_caches``)."""
+    _WALK_CACHE.clear()
+
+
+def _server_walk(op: CollectiveOp, n_servers: int, spec: MachineSpec,
+                 config: PandaConfig) -> _Walk:
+    """Walk every server's plan for ``op`` -- once per op *shape*: ops
+    that differ only in dataset, id or client group share the result."""
+    key = (op.arrays, op.kind, n_servers, spec, config.sub_chunk_bytes)
+    walk = _WALK_CACHE.get(key)
+    if walk is not None:
+        return walk
     write = op.kind == "write"
     busy: List[float] = []
     worst = (0.0, 0.0, 0.0)  # disk, net, copy of the slowest server
@@ -146,16 +164,40 @@ def predict(
         busy.append(disk + net + copy)
         if busy[-1] >= sum(worst):
             worst = (disk, net, copy)
+    walk = (tuple(busy), *worst)
+    if len(_WALK_CACHE) >= _WALK_CACHE_MAX:
+        _WALK_CACHE.clear()
+    _WALK_CACHE[key] = walk
+    return walk
+
+
+def predict(
+    op: CollectiveOp,
+    n_clients: int,
+    n_servers: int,
+    spec: MachineSpec,
+    config: Optional[PandaConfig] = None,
+) -> CostBreakdown:
+    """Predict the elapsed time of ``op`` on the given deployment."""
+    server_busy, disk, net, copy = _server_walk(
+        op, n_servers, spec, config or PandaConfig())
     return CostBreakdown(
         kind=op.kind,
         n_servers=n_servers,
         startup=_startup_time(spec, n_clients, n_servers),
         completion=_completion_time(spec, n_clients, n_servers),
-        server_busy=tuple(busy),
-        disk_time=worst[0],
-        network_time=worst[1],
-        copy_time=worst[2],
+        server_busy=server_busy,
+        disk_time=disk,
+        network_time=net,
+        copy_time=copy,
     )
+
+
+def estimate_op(op: CollectiveOp, n_io: int, spec: MachineSpec,
+                config: PandaConfig) -> float:
+    """The elapsed-time prediction for one REQUEST: the scheduler's SJF
+    admission/service key."""
+    return predict(op, len(op.client_ranks), n_io, spec, config).elapsed
 
 
 def predict_arrays(

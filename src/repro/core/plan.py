@@ -29,8 +29,8 @@ tooling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import PandaConfig
 from repro.core.protocol import CollectiveOp
@@ -78,7 +78,7 @@ class ServerPlan:
     op: CollectiveOp
     server_index: int
     n_servers: int
-    items: List[SubchunkPlan] = field(default_factory=list)
+    items: Tuple[SubchunkPlan, ...] = ()
 
     @property
     def total_bytes(self) -> int:
@@ -98,25 +98,51 @@ class ServerPlan:
         return seen
 
 
-#: memo of plan items keyed by the plan's true inputs.  An op's id,
-#: dataset name and kind never influence the item list -- only the
-#: array specs and the server/striping geometry do -- so a timestep
-#: loop (fresh dataset per step, same arrays) computes its plan once.
-_PLAN_CACHE: Dict[tuple, Tuple[SubchunkPlan, ...]] = {}
+class _ShapePlans:
+    """Everything the plan layer memoises about one op shape: the
+    per-server item tuples, filled lazily (a server asks only for its
+    own; the cost model's cold walk asks for all), and the participant
+    tuple."""
+
+    __slots__ = ("items", "participants")
+
+    def __init__(self, n_servers: int) -> None:
+        self.items: List[Optional[Tuple[SubchunkPlan, ...]]] = \
+            [None] * n_servers
+        self.participants: Optional[Tuple[int, ...]] = None
+
+
+#: memo of plans keyed by the plan's true inputs.  An op's id, dataset
+#: name and kind never influence the item list -- only the array specs
+#: and the striping geometry do -- so a timestep loop (fresh dataset per
+#: step, same arrays) computes its plan once.  One entry per *shape*,
+#: whatever the server count: a 1024-I/O-node run with two array shapes
+#: holds two entries, not 2048.
+_PLAN_CACHE: Dict[tuple, _ShapePlans] = {}
 _PLAN_CACHE_MAX = 1024
 
 
 def clear_plan_cache() -> None:
-    """Empty the plan memos (see ``repro.bench.profiling.clear_caches``)."""
+    """Empty the plan memo (see ``repro.bench.profiling.clear_caches``)."""
     _PLAN_CACHE.clear()
-    _PARTICIPANTS_CACHE.clear()
+
+
+def _shape_plans(op: CollectiveOp, n_servers: int,
+                 config: PandaConfig) -> _ShapePlans:
+    key = (op.arrays, n_servers, config.sub_chunk_bytes)
+    entry = _PLAN_CACHE.get(key)
+    if entry is None:
+        if len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
+            _PLAN_CACHE.clear()
+        entry = _PLAN_CACHE[key] = _ShapePlans(n_servers)
+    return entry
 
 
 def _plan_items(
     op: CollectiveOp, server_index: int, n_servers: int, config: PandaConfig
 ) -> Tuple[SubchunkPlan, ...]:
-    key = (op.arrays, server_index, n_servers, config.sub_chunk_bytes)
-    hit = _PLAN_CACHE.get(key)
+    per_server = _shape_plans(op, n_servers, config).items
+    hit = per_server[server_index]
     if hit is not None:
         COUNTERS.plan_cache_hits += 1
         return hit
@@ -144,34 +170,24 @@ def _plan_items(
                 )
                 offset += nbytes
                 seq += 1
-    frozen = tuple(items)
-    if len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
-        _PLAN_CACHE.clear()
-    _PLAN_CACHE[key] = frozen
+    frozen = per_server[server_index] = tuple(items)
     return frozen
 
 
-#: memo of participant tuples.  Keyed like the plan memo but without
-#: the per-server dimension, so sharded admission at 1024 servers does
-#: not have to form (or cache) 1024 per-server plans per op shape just
-#: to learn who has work.
-_PARTICIPANTS_CACHE: Dict[tuple, Tuple[int, ...]] = {}
-_PARTICIPANTS_CACHE_MAX = 1024
-
-
-def op_participants(op: CollectiveOp, n_servers: int) -> Tuple[int, ...]:
+def op_participants(op: CollectiveOp, n_servers: int,
+                    config: PandaConfig) -> Tuple[int, ...]:
     """Server indices with at least one sub-chunk of work for ``op``:
     exactly the servers whose :func:`build_server_plan` is non-empty.
 
     Server *i* participates iff some non-empty disk chunk has index
     ``i mod n_servers`` (an empty chunk region splits into zero
-    sub-chunks, so it contributes no plan items).  Sub-chunking never
-    changes participation -- any non-empty region yields >= 1 piece --
-    so the memo key is just the array specs and the server count."""
-    key = (op.arrays, n_servers)
-    hit = _PARTICIPANTS_CACHE.get(key)
-    if hit is not None:
-        return hit
+    sub-chunks, so it contributes no plan items).  Computed from the
+    chunk list alone, so sharded admission at 1024 servers does not
+    have to form 1024 per-server plans per op shape just to learn who
+    has work."""
+    entry = _shape_plans(op, n_servers, config)
+    if entry.participants is not None:
+        return entry.participants
     have_work = [False] * n_servers
     remaining = n_servers
     for spec in op.arrays:
@@ -182,11 +198,8 @@ def op_participants(op: CollectiveOp, n_servers: int) -> Tuple[int, ...]:
                 remaining -= 1
         if not remaining:
             break
-    frozen = tuple(i for i, w in enumerate(have_work) if w)
-    if len(_PARTICIPANTS_CACHE) >= _PARTICIPANTS_CACHE_MAX:
-        _PARTICIPANTS_CACHE.clear()
-    _PARTICIPANTS_CACHE[key] = frozen
-    return frozen
+    entry.participants = tuple(i for i, w in enumerate(have_work) if w)
+    return entry.participants
 
 
 def build_server_plan(
@@ -195,7 +208,10 @@ def build_server_plan(
     n_servers: int,
     config: PandaConfig,
 ) -> ServerPlan:
-    """Form the deterministic plan for ``server_index`` of ``n_servers``."""
+    """Form the deterministic plan for ``server_index`` of ``n_servers``.
+
+    ``items`` is the memoised tuple itself, shared by every plan of the
+    same shape."""
     if n_servers < 1:
         raise ValueError("need at least one server")
     if not 0 <= server_index < n_servers:
@@ -204,7 +220,7 @@ def build_server_plan(
         op=op,
         server_index=server_index,
         n_servers=n_servers,
-        items=list(_plan_items(op, server_index, n_servers, config)),
+        items=_plan_items(op, server_index, n_servers, config),
     )
 
 

@@ -130,6 +130,14 @@ class ArraySpec:
                 f"disk schema shape {self.disk_schema.shape} != array "
                 f"shape {self.shape}"
             )
+        # specs key the plan, cost-walk and .schema memos once per op
+        object.__setattr__(self, "_hash", hash((
+            self.name, self.shape, self.itemsize, self.dtype,
+            self.memory_schema, self.disk_schema, self.sub_chunk_bytes,
+        )))
+
+    def __hash__(self) -> int:  # cached; dataclass keeps explicit hashes
+        return self._hash
 
     @property
     def nbytes(self) -> int:

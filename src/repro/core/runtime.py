@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:
     from repro.obs.slo import SLOTracker
@@ -29,7 +29,7 @@ if TYPE_CHECKING:
 from repro.core.client import PandaClient
 from repro.core.config import PandaConfig
 from repro.counters import COUNTERS
-from repro.core.protocol import CollectiveOp, Tags
+from repro.core.protocol import ArraySpec, CollectiveOp, Tags
 from repro.faults import FaultInjector, NodeCrash
 from repro.fs.filesystem import FileSystem
 from repro.machine import NAS_SP2, MachineSpec
@@ -237,6 +237,48 @@ class RunResult:
                     f"{c['recoveries']} plan recoveries"
                 )
         return "\n".join(lines)
+
+
+#: memo of the shape part of a ``.schema`` descriptor (see
+#: :func:`_schema_tail`), keyed by everything it serialises.
+_SCHEMA_TAILS: Dict[tuple, str] = {}
+_SCHEMA_TAILS_MAX = 1024
+
+
+def clear_schema_cache() -> None:
+    """Empty the ``.schema`` template memo (see
+    ``repro.bench.profiling.clear_caches``)."""
+    _SCHEMA_TAILS.clear()
+
+
+def _schema_tail(arrays: Tuple[ArraySpec, ...], n_servers: int,
+                 sub_chunk_bytes: int) -> str:
+    """Everything of a dataset's ``.schema`` text after the leading
+    ``"dataset"`` member: ``json.dumps(desc, indent=1)`` of the members
+    that depend only on the op's shape, minus the opening brace.  The
+    pure-Python ``indent=`` encoder runs once per shape; a commit
+    splices the dataset name in front."""
+    key = (arrays, n_servers, sub_chunk_bytes)
+    tail = _SCHEMA_TAILS.get(key)
+    if tail is None:
+        tail = json.dumps({
+            "n_servers": n_servers,
+            "sub_chunk_bytes": sub_chunk_bytes,
+            "arrays": [
+                {
+                    "name": a.name,
+                    "shape": list(a.shape),
+                    "itemsize": a.itemsize,
+                    "dtype": a.dtype,
+                    "disk_schema": a.disk_schema.describe(),
+                }
+                for a in arrays
+            ],
+        }, indent=1)[1:]
+        if len(_SCHEMA_TAILS) >= _SCHEMA_TAILS_MAX:
+            _SCHEMA_TAILS.clear()
+        _SCHEMA_TAILS[key] = tail
+    return tail
 
 
 class PandaRuntime:
@@ -472,32 +514,24 @@ class PandaRuntime:
         master just before commit) are written into the .schema file so
         the on-disk metadata names where every chunk actually lives."""
         self.catalog[op.dataset] = op
-        desc = {
-            "dataset": op.dataset,
-            "n_servers": self.n_io,
-            "sub_chunk_bytes": self.config.sub_chunk_bytes,
-            "arrays": [
-                {
-                    "name": a.name,
-                    "shape": list(a.shape),
-                    "itemsize": a.itemsize,
-                    "dtype": a.dtype,
-                    "disk_schema": a.disk_schema.describe(),
-                }
-                for a in op.arrays
-            ],
-        }
+        text = ('{\n "dataset": ' + json.dumps(op.dataset) + ","
+                + _schema_tail(op.arrays, self.n_io,
+                               self.config.sub_chunk_bytes))
         relocated = self.relocations.get(op.dataset)
         if relocated:
-            desc["relocations"] = {
+            reloc = json.dumps({
                 str(crashed): [
                     {"survivor": a.survivor_index, "file": a.file_name,
                      "nbytes": a.nbytes}
                     for a in assignments
                 ]
                 for crashed, assignments in sorted(relocated.items())
-            }
-        blob = json.dumps(desc, indent=1).encode()
+            }, indent=1)
+            # one level down: every line of the nested value gains the
+            # enclosing object's indent (string newlines are escaped)
+            text = (text[:-2] + ',\n "relocations": '
+                    + reloc.replace("\n", "\n ") + "\n}")
+        blob = text.encode()
         store = self.filesystems[0].store
         path = f"{op.dataset}.schema"
         store.create(path, truncate=True)

@@ -88,7 +88,6 @@ __all__ = [
     "ServerScheduler",
     "ShardMap",
     "ShardedSchedStats",
-    "estimate_op",
 ]
 
 POLICIES = ("fifo", "sjf", "fair", "slo")
@@ -188,16 +187,6 @@ class SchedOp:
     #: priority" -- the historical behaviour of every other policy,
     #: kept as the wire default so their payloads are unchanged.
     weight: int = 0
-
-
-def estimate_op(op: "CollectiveOp", n_io: int, spec: Any,
-                config: Any) -> float:
-    """The cost model's elapsed-time prediction for one op -- the SJF
-    admission/service key.  Imported lazily to keep this module free of
-    core imports."""
-    from repro.core.costmodel import predict
-
-    return predict(op, len(op.client_ranks), n_io, spec, config).elapsed
 
 
 # -- dataset -> shard-master routing -----------------------------------------
@@ -349,7 +338,9 @@ class _Policy:
     def charged(self, p: OpProgress, nbytes: int) -> None:
         pass
 
-    def select(self, active: List[OpProgress]) -> OpProgress:
+    def select(self, active: Dict[int, OpProgress]) -> OpProgress:
+        """The op to service next, out of the scheduler's non-empty
+        ``admit_seq -> progress`` map (read in place, never copied)."""
         raise NotImplementedError
 
 
@@ -358,8 +349,8 @@ class FifoPolicy(_Policy):
 
     name = "fifo"
 
-    def select(self, active: List[OpProgress]) -> OpProgress:
-        return min(active, key=lambda p: p.sched.admit_seq)
+    def select(self, active: Dict[int, OpProgress]) -> OpProgress:
+        return active[min(active)]
 
 
 class SJFPolicy(_Policy):
@@ -373,9 +364,9 @@ class SJFPolicy(_Policy):
     def admission_key(self, entry: "_Arrival") -> tuple:
         return (entry.estimate, entry.seq)
 
-    def select(self, active: List[OpProgress]) -> OpProgress:
-        return min(active, key=lambda p: (p.sched.estimate,
-                                          p.sched.admit_seq))
+    def select(self, active: Dict[int, OpProgress]) -> OpProgress:
+        return min(active.values(), key=lambda p: (p.sched.estimate,
+                                                   p.sched.admit_seq))
 
 
 class FairSharePolicy(_Policy):
@@ -401,10 +392,9 @@ class FairSharePolicy(_Policy):
     def charged(self, p: OpProgress, nbytes: int) -> None:
         p.deficit -= nbytes
 
-    def select(self, active: List[OpProgress]) -> OpProgress:
-        by_seq = {p.sched.admit_seq: p for p in active}
+    def select(self, active: Dict[int, OpProgress]) -> OpProgress:
         while True:
-            p = by_seq[self._ring[0]]
+            p = active[self._ring[0]]
             if p.deficit >= p.next_nbytes:
                 return p
             p.deficit += self.quantum * p.weight
@@ -484,11 +474,12 @@ class ServerScheduler:
 
     def pick(self) -> Optional[OpProgress]:
         """The op whose next sub-chunk this server should issue, or
-        None when no admitted op has work left."""
-        runnable = [p for p in self.active.values() if not p.done]
-        if not runnable:
+        None when no admitted op has work left.  ``active`` never holds
+        a finished op: the server calls :meth:`finish` in the same step
+        that exhausts an op's last segment."""
+        if not self.active:
             return None
-        return self.policy.select(runnable)
+        return self.policy.select(self.active)
 
     def finish(self, p: OpProgress) -> None:
         del self.active[p.sched.admit_seq]

@@ -52,6 +52,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.core.costmodel import estimate_op
 from repro.core.plan import (
     ServerPlan,
     SubchunkPlan,
@@ -80,7 +81,6 @@ from repro.core.scheduler import (
     SchedOp,
     SchedStats,
     ServerScheduler,
-    estimate_op,
 )
 from repro.faults import FaultRecoveryError
 from repro.fs.filesystem import FileSystem
@@ -737,6 +737,7 @@ class PandaServer:
         #: shard master only: admit_seq -> _OpCompletion for in-flight
         #: ops this shard admitted
         self._completions: Dict[int, _OpCompletion] = {}
+        max_in_flight = cfg.max_in_flight
         abort_orphans = sharded and self._reliable
         shutdown = False
         while True:
@@ -751,7 +752,9 @@ class PandaServer:
                     break
                 progressed = True
                 shutdown |= yield from self._sched_control(msg, sched, queue)
-            if queue is not None:
+            # an idle turn (nothing queued, or every slot taken) costs
+            # two length checks: no generator, no in-flight list
+            if queue and len(self._completions) < max_in_flight:
                 progressed |= yield from self._sched_admit(sched, queue)
             p = sched.pick()
             if p is not None:
@@ -857,10 +860,10 @@ class PandaServer:
         """Shard master: admit eligible queued ops while in-flight
         slots are free.  Returns True when anything was admitted."""
         rt = self.runtime
-        cfg = rt.config.scheduler
         sharded = rt.n_shards > 1
+        max_in_flight = rt.config.scheduler.max_in_flight
         admitted = False
-        while len(self._completions) < cfg.max_in_flight:
+        while queue and len(self._completions) < max_in_flight:
             in_flight = [c.sched.op for c in self._completions.values()]
             entry = queue.admissible(in_flight)
             if entry is None:
@@ -891,10 +894,15 @@ class PandaServer:
             # owner's disk (and creates no empty files there).
             assigned = {a.survivor_index for a in recoveries}
             if sharded:
-                workers = set(op_participants(op, rt.n_io))
-                participants = [i for i in rt.live_servers()
-                                if (i in workers and i not in skip)
-                                or i in assigned]
+                # from the shape's memoised worker tuple (ascending),
+                # so the cost follows the op's width, not the cluster's
+                crashed = rt.crashed_servers
+                participants = [
+                    i for i in op_participants(op, rt.n_io, rt.config)
+                    if i not in crashed and i not in skip]
+                if assigned:
+                    participants = sorted(
+                        set(participants) | (assigned - crashed))
             else:
                 participants = [i for i in rt.live_servers()
                                 if i == self.server_index or i not in skip
@@ -1015,7 +1023,7 @@ class PandaServer:
     def _sched_maybe_complete(self, admit_seq: int, comp: "_OpCompletion"):
         """Shard master: when the last expected server has reported,
         commit the op and notify its master client."""
-        if comp.expected - comp.done:
+        if not comp.expected <= comp.done:  # O(1) while any is owed
             return
         rt = self.runtime
         op = comp.sched.op

@@ -107,6 +107,12 @@ class MachineSpec:
             raise ValueError("fs_write_peak cannot exceed the raw disk rate")
         if self.network_latency < 0 or self.network_bandwidth <= 0:
             raise ValueError("network parameters must be positive")
+        # a spec is part of the cost-walk memo key of every REQUEST
+        object.__setattr__(
+            self, "_hash", hash(dataclasses.astuple(self)))
+
+    def __hash__(self) -> int:  # cached; dataclass keeps explicit hashes
+        return self._hash
 
     def evolve(self, **changes: object) -> "MachineSpec":
         """Return a copy of this spec with ``changes`` applied."""

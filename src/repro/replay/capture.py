@@ -29,8 +29,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.costmodel import estimate_op
 from repro.core.protocol import ArraySpec, CollectiveOp
-from repro.core.scheduler import estimate_op
 from repro.replay.fingerprint import digest_stored, run_strings
 from repro.replay.trace import (
     TRACE_VERSION,

@@ -219,9 +219,10 @@ def test_api_array_subchunk_override_marshals():
 
 
 def test_plan_items_cached_across_ops_with_same_geometry():
-    """The plan memo keys on (arrays, server, n_servers, sub-chunk
-    bytes) -- not on op id, dataset, or kind -- so a timestep loop
-    (fresh dataset per step) computes its plan once."""
+    """The plan memo keys on (arrays, n_servers, sub-chunk bytes), with
+    one lazily filled slot per server -- not on op id, dataset, or kind
+    -- so a timestep loop (fresh dataset per step) computes its plan
+    once."""
     from repro.counters import COUNTERS
 
     spec = make_spec(name="plan-cache-probe")  # unique: no cross-test hits
@@ -235,9 +236,28 @@ def test_plan_items_cached_across_ops_with_same_geometry():
     assert after["plan_cache_hits"] == before["plan_cache_hits"] + 1
     assert after["plan_cache_misses"] == before["plan_cache_misses"]
     assert a.items == b.items
-    assert a.items is not b.items  # plans stay independently mutable
+    assert a.items is b.items  # the memoised tuple itself, immutable
     # a different striping width misses
     c = build_server_plan(make_op(spec, dataset="step.0"), 0, 3, cfg)
     assert COUNTERS.snapshot()["plan_cache_misses"] == \
         after["plan_cache_misses"] + 1
     assert c.n_servers == 3
+
+
+def test_plan_memo_capacity_counts_shapes_not_servers():
+    """One memo entry per op shape whatever the striping width: a run
+    wider than the memo's capacity still hits on its second op."""
+    from repro.core import plan as plan_module
+    from repro.counters import COUNTERS
+
+    n_servers = plan_module._PLAN_CACHE_MAX + 76
+    op = make_op(make_spec(name="wide-cluster-probe"))
+    cfg = PandaConfig()
+    for s in range(n_servers):
+        build_server_plan(op, s, n_servers, cfg)
+    before = COUNTERS.snapshot()
+    for s in range(n_servers):
+        build_server_plan(op, s, n_servers, cfg)
+    after = COUNTERS.snapshot()
+    assert after["plan_cache_misses"] == before["plan_cache_misses"]
+    assert after["plan_cache_hits"] == before["plan_cache_hits"] + n_servers
