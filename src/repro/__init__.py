@@ -21,7 +21,7 @@ Subsystems (importable individually):
 - :mod:`repro.fs` -- per-I/O-node file-system model
 - :mod:`repro.baselines` -- two-phase, traditional-caching,
   naive-striping and client-directed comparison strategies
-- :mod:`repro.bench` -- experiment harness, statistics, timelines
+- :mod:`repro.bench` -- experiment harness, statistics
 - :mod:`repro.machine` -- the NAS SP2 machine specification
 """
 

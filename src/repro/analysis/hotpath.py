@@ -1,8 +1,7 @@
 """PL007: per-event lookups inside the engine's batched dispatch loop.
 
 The engine's throughput contract (DESIGN.md section 9) is that the
-drain loops in :meth:`Simulator.run` and :meth:`Simulator._run_until`
-touch only locals per event: every attribute read (``self._heap``,
+drain loop in :meth:`Simulator.run` touches only locals per event: every attribute read (``self._heap``,
 ``heapq.heappop``, bound methods) is hoisted to a local before the
 ``while``.  A Python-level attribute or dict lookup inside the loop is
 paid once per dispatched event -- at ~400k events for a fig8 sweep,
@@ -23,7 +22,7 @@ attribute load.
 (perturbation + dispatch logging) and trades per-event cost for
 observability by design.  ``step()`` is not scanned either -- the
 public single-step API pays its per-call lookups by nature; the drain
-loops exist precisely so ``run()`` does not go through it.
+loop exists precisely so ``run()`` does not go through it.
 
 Sanctioned lookups (the allowlist) carry their reasons inline in
 ``SANCTIONED``.  Anything new either gets hoisted or gets an entry
@@ -46,9 +45,9 @@ ENGINE_PATH = "src/repro/sim/engine.py"
 
 #: Simulator methods whose inner while-loop is held to the
 #: locals-only contract.
-SCANNED_METHODS = ("run", "_run_until")
+SCANNED_METHODS = ("run",)
 
-#: dotted attribute loads that are allowed inside the drain loops,
+#: dotted attribute loads that are allowed inside the drain loop,
 #: each with the reason it is exempt from hoisting.
 SANCTIONED = {
     # observability hook: the guard (`obs is not None`) tests a local;
@@ -56,11 +55,9 @@ SANCTIONED = {
     # and attached runs opt into the cost
     "obs.on_event",
     # unhandled-failure branch: reached at most once, then raises
-    "unhandled.pop",
-    # failure diagnostics inside the raise -- same branch as above
-    "proc.name",
-    # _run_until put-back of the first not-yet-due entry: executed once
-    # per run() call, on the stop branch, never per event
+    "self._raise_unhandled",
+    # run(until=...) put-back of the first not-yet-due entry: executed
+    # once per run() call, on the stop branch, never per event
     "heapq.heappush",
 }
 
@@ -98,7 +95,7 @@ def _scan_method(fn: ast.FunctionDef) -> List[Finding]:
 
 
 def check_engine(root: Path) -> List[Finding]:
-    """Lint the engine's drain loops; returns PL007 findings."""
+    """Lint the engine's drain loop; returns PL007 findings."""
     path = root / ENGINE_PATH
     if not path.exists():
         return []

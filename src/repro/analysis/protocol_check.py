@@ -33,8 +33,12 @@ A light intraprocedural dataflow resolves the repo's tag-set variables
 (``listen = {...} ; listen.add(Tags.RECOVER)``, the set-union growth
 forms ``listen |= {Tags.SCHED}`` / ``listen.update(...)`` /
 ``listen = base | {...}`` that the sharded server loop uses to build
-per-role listen sets) and tag aliases (``done_tag = Tags.OP_DONE if
-master else Tags.CLIENT_DONE``).  The dataflow is branch-insensitive
+per-role listen sets), tag aliases (``done_tag = Tags.OP_DONE if
+master else Tags.CLIENT_DONE``) and tag-valued fields: a bare-name
+constructor call with ``wire_tag=Tags.SCHED`` anywhere in the module
+makes every ``<expr>.wire_tag`` read resolve to the union of the tags
+that field was ever built with (the server's loop discipline carries
+its admission-broadcast tag this way).  The dataflow is branch-insensitive
 -- growth in an ``if`` arm counts unconditionally -- which
 over-approximates listen sets, exactly right for PL101 coverage.  A
 variable mutated in a way the dataflow cannot resolve is dropped from
@@ -131,6 +135,8 @@ def _resolve_tags(node: ast.AST,
         return frozenset({node.attr})
     if isinstance(node, ast.Name):
         return env.get(node.id)
+    if isinstance(node, ast.Attribute):
+        return env.get("." + node.attr)  # a tag-valued field, see scan()
     if isinstance(node, (ast.Set, ast.Tuple, ast.List)):
         out: FrozenSet[str] = frozenset()
         for elt in node.elts:
@@ -171,16 +177,28 @@ class _SiteScanner:
         #: per-function source-ordered event streams, for guard edges:
         #: [("recv", tags) | ("send", tags, line)]
         self.streams: Dict[str, List[Tuple[str, FrozenSet[str], int]]] = {}
+        #: ".field" -> tags it is constructed with, see :meth:`scan`
+        self.fields: Dict[str, FrozenSet[str]] = {}
 
     def scan(self, tree: ast.Module) -> None:
+        # tag-valued fields, module-wide: ``Foo(field=Tags.X)`` binds
+        # ".field"; every function's environment starts from them
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                for kw in node.keywords:
+                    got = _resolve_tags(kw.value, {}) if kw.arg else None
+                    if got:
+                        key = "." + kw.arg
+                        self.fields[key] = self.fields.get(
+                            key, frozenset()) | got
         for node in tree.body:
-            self._scan_stmt(node, "<module>", {})
+            self._scan_stmt(node, "<module>", dict(self.fields))
 
     def _scan_stmt(self, node: ast.AST, func: str,
                    env: Dict[str, FrozenSet[str]]) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = f"{func}.{node.name}" if func != "<module>" else node.name
-            inner_env: Dict[str, FrozenSet[str]] = {}
+            inner_env: Dict[str, FrozenSet[str]] = dict(self.fields)
             for stmt in node.body:
                 self._scan_stmt(stmt, inner, inner_env)
             return

@@ -4,7 +4,8 @@ One runner shared by ``python -m repro sched``,
 ``benchmarks/bench_scheduler.py`` and the scheduler test suite: split
 the compute nodes into ``n_apps`` disjoint client groups, each writing
 its own array to the shared I/O nodes, scheduled by the policy under
-test (or by the paper's one-op-at-a-time loop when ``policy`` is None).
+test (or under the paper's one-op-at-a-time discipline when ``policy`` is
+None).
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ def run_concurrent_writes(
     """Run ``n_apps`` concurrent collective writes (one per disjoint
     client group, each ``size_mb`` MB) over shared I/O nodes.
 
-    ``policy`` of None runs the paper's unscheduled head-of-line loop
-    as the baseline; otherwise the named scheduling policy with
+    ``policy`` of None runs the paper's head-of-line discipline
+    (``scheduler=None``) as the baseline; otherwise the named scheduling policy with
     ``max_in_flight`` slots (default: enough for every app).  Returns
     the run result and the master's :class:`SchedStats` (None for the
     baseline).  ``stagger`` seconds of per-group startup computation

@@ -218,10 +218,7 @@ class PandaClient:
             yield from self.comm.send(
                 self._op_owner_rank, Tags.REQUEST, op
             )
-        if kind == "write":
-            rejection = yield from self._serve_write(op)
-        else:
-            rejection = yield from self._serve_read(op)
+        rejection = yield from self._serve(op)
         # master tells the others in its group; everyone leaves.  A
         # rejection rides the same CLIENT_DONE broadcast, so every rank
         # of the group raises OpRejected at the same collective point.
@@ -300,19 +297,27 @@ class PandaClient:
         self._op_owner_rank = owner_rank
         yield from self.comm.send(owner_rank, Tags.REQUEST, op)
 
-    # -- write path: answer fetch requests ------------------------------------
-    def _serve_write(self, op: CollectiveOp):
+    # -- the serve loop: answer fetches (write) / absorb pieces (read) ---------
+    def _serve(self, op: CollectiveOp):
+        """Service server-directed traffic for ``op`` until told it is
+        complete: a write op's FETCH requests (answered with DATA), a
+        read op's PIECEs (acknowledged with PIECE_ACK in fault mode).
+        Returns the load-shed :class:`OpRejection`, or None."""
+        write = op.kind == "write"
+        data_tag = Tags.FETCH if write else Tags.PIECE
+        reply_tag = Tags.DATA if write else Tags.PIECE_ACK
+        on_message = self._answer_fetch if write else self._absorb_piece
         done_tag = Tags.OP_DONE if self.is_master else Tags.CLIENT_DONE
         trace = self.runtime.trace
         # loop-invariant hoists: the predicate, and this rank's chunk
         # region per array -- both otherwise rebuilt per message
-        tags = {Tags.FETCH, done_tag}
+        tags = {data_tag, done_tag}
         if self.is_master:
             tags.add(Tags.OP_REJECTED)  # slo policy: load-shed reply
         pred = self.comm.match_pred(tags=tags)
         failover = self._owner_failover
         if failover:
-            pred = self._owner_pred(op, Tags.FETCH)
+            pred = self._owner_pred(op, data_tag)
             detect = self.runtime.injector.spec.detect_timeout
         my_regions = [self._my_chunk_region(spec) for spec in op.arrays]
         while True:
@@ -330,93 +335,61 @@ class PandaClient:
                 # a non-master rank learns of a rejection from the
                 # master's CLIENT_DONE re-broadcast
                 return payload if isinstance(payload, OpRejection) else None
-            req: FetchRequest = msg.payload
-            if req.op_id != op.op_id:
-                if self._reliable and req.op_id < op.op_id:
+            body = msg.payload  # FetchRequest or PieceData
+            if body.op_id != op.op_id:
+                if self._reliable and body.op_id < op.op_id:
                     # late duplicate from a retried exchange of an op
                     # that already completed: no server waits for it
                     continue
                 raise RuntimeError(
-                    f"rank {self.rank}: fetch for op {req.op_id} during op "
-                    f"{op.op_id}"
+                    f"rank {self.rank}: {'fetch' if write else 'piece'} for "
+                    f"op {body.op_id} during op {op.op_id}"
                 )
             t0 = self.comm.sim.now if trace is not None else 0.0
             yield self.comm.handle_ev()
-            spec = op.arrays[req.array_index]
-            chunk_region = my_regions[req.array_index]
-            nbytes = req.region.size * spec.itemsize
-            runs, _ = runs_within(req.region, chunk_region)
+            spec = op.arrays[body.array_index]
+            chunk_region = my_regions[body.array_index]
+            nbytes = body.region.size * spec.itemsize
+            runs, _ = runs_within(body.region, chunk_region)
             if runs > 1:
-                # strided gather into a send buffer
+                # strided gather into a send buffer / scatter out of
+                # the receive buffer
                 yield self.comm.copy_ev(nbytes, runs)
-            if self.runtime.real_payloads:
-                local = self.local(spec.name)
-                data = extract_region(local, chunk_region.lo, req.region)
-                block = DataBlock.real(data)
-            else:
-                block = DataBlock.virtual(nbytes)
-            piece = PieceData(op.op_id, req.array_index, req.region, block,
-                              req.subchunk_seq)
-            yield from self.comm.send(msg.src, Tags.DATA, piece, nbytes=nbytes)
+            reply = on_message(op, spec, body, chunk_region, nbytes)
+            if reply is not None:
+                yield from self.comm.send(msg.src, reply_tag, reply,
+                                          nbytes=nbytes if write else None)
             if trace is not None:
-                self._mark("cli_serve", op_id=op.op_id, kind="fetch",
+                self._mark("cli_serve", op_id=op.op_id,
+                           kind="fetch" if write else "piece",
                            nbytes=nbytes, service=self.comm.sim.now - t0)
 
-    # -- read path: absorb scattered pieces -------------------------------------
-    def _serve_read(self, op: CollectiveOp):
-        done_tag = Tags.OP_DONE if self.is_master else Tags.CLIENT_DONE
-        trace = self.runtime.trace
-        tags = {Tags.PIECE, done_tag}
-        if self.is_master:
-            tags.add(Tags.OP_REJECTED)  # slo policy: load-shed reply
-        pred = self.comm.match_pred(tags=tags)
-        failover = self._owner_failover
-        if failover:
-            pred = self._owner_pred(op, Tags.PIECE)
-            detect = self.runtime.injector.spec.detect_timeout
-        my_regions = [self._my_chunk_region(spec) for spec in op.arrays]
-        while True:
-            if failover:
-                msg = yield from self.comm.recv(match=pred, timeout=detect)
-                if msg is None:
-                    yield from self._reroute_request(op)
-                    continue
-            else:
-                msg = yield self.comm.recv_ev(pred)
-            if msg.tag == Tags.OP_REJECTED:
-                return msg.payload
-            if msg.tag == done_tag:
-                payload = msg.payload
-                return payload if isinstance(payload, OpRejection) else None
-            piece: PieceData = msg.payload
-            if piece.op_id != op.op_id:
-                if self._reliable and piece.op_id < op.op_id:
-                    # late duplicate from a retried exchange of an op
-                    # that already completed: no server waits for it
-                    continue
-                raise RuntimeError(
-                    f"rank {self.rank}: piece for op {piece.op_id} during op "
-                    f"{op.op_id}"
-                )
-            t0 = self.comm.sim.now if trace is not None else 0.0
-            yield self.comm.handle_ev()
-            spec = op.arrays[piece.array_index]
-            chunk_region = my_regions[piece.array_index]
-            runs, _ = runs_within(piece.region, chunk_region)
-            if runs > 1:
-                # strided scatter out of the receive buffer
-                yield self.comm.copy_ev(piece.block.nbytes, runs)
-            if self.runtime.real_payloads:
-                local = self.local(spec.name)
-                data = piece.block.array.view(spec.np_dtype).reshape(
-                    piece.region.shape
-                )
-                inject_region(local, chunk_region.lo, piece.region, data)
-            if self._reliable:
-                ack = PieceAck(op.op_id, piece.array_index, piece.region,
-                               piece.subchunk_seq)
-                yield from self.comm.send(msg.src, Tags.PIECE_ACK, ack)
-            if trace is not None:
-                self._mark("cli_serve", op_id=op.op_id, kind="piece",
-                           nbytes=piece.block.nbytes,
-                           service=self.comm.sim.now - t0)
+    def _answer_fetch(self, op: CollectiveOp, spec: ArraySpec,
+                      req: FetchRequest, chunk_region: Region,
+                      nbytes: int) -> PieceData:
+        """Write path: the requested piece, gathered out of the local
+        chunk, as the DATA reply."""
+        if self.runtime.real_payloads:
+            local = self.local(spec.name)
+            data = extract_region(local, chunk_region.lo, req.region)
+            block = DataBlock.real(data)
+        else:
+            block = DataBlock.virtual(nbytes)
+        return PieceData(op.op_id, req.array_index, req.region, block,
+                         req.subchunk_seq)
+
+    def _absorb_piece(self, op: CollectiveOp, spec: ArraySpec,
+                      piece: PieceData, chunk_region: Region,
+                      nbytes: int) -> Optional[PieceAck]:
+        """Read path: scatter an arriving piece into the local chunk;
+        in fault mode, the PIECE_ACK reply."""
+        if self.runtime.real_payloads:
+            local = self.local(spec.name)
+            data = piece.block.array.view(spec.np_dtype).reshape(
+                piece.region.shape
+            )
+            inject_region(local, chunk_region.lo, piece.region, data)
+        if self._reliable:
+            return PieceAck(op.op_id, piece.array_index, piece.region,
+                            piece.subchunk_seq)
+        return None

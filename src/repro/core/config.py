@@ -46,8 +46,9 @@ class PandaConfig:
     faults: Optional[FaultSpec] = None
     #: inter-op admission control + scheduling (see
     #: :class:`repro.core.scheduler.SchedulerConfig`).  ``None`` (the
-    #: default) keeps the paper's one-op-at-a-time server loop and its
-    #: simulated timings bit-identical.  ``SchedulerConfig.n_shards > 1``
+    #: default) is the paper's one-op-at-a-time server: the one server
+    #: loop under its one-slot discipline, simulated timings
+    #: bit-identical to the paper path.  ``SchedulerConfig.n_shards > 1``
     #: partitions the admission plane across several shard masters by
     #: consistent-hashing of dataset names (requires ``n_shards`` <=
     #: the runtime's I/O node count).

@@ -6,7 +6,7 @@ The paper's protocol, stated as message types:
 message                direction                                tag
 =====================  =======================================  ==========
 CollectiveOp           master client -> master server           REQUEST
-CollectiveOp           master server -> other servers           SCHEMA
+SchedOp                master server -> other servers           SCHEMA [1]_
 FetchRequest           server -> client            (write)      FETCH
 PieceData              client -> server            (write)      DATA
 PieceData              server -> client            (read)       PIECE
@@ -14,9 +14,15 @@ server completion      server -> master server                  SERVER_DONE
 op completion          master server -> master client           OP_DONE
 op completion          master client -> other clients           CLIENT_DONE
 shutdown               runtime -> servers                       SHUTDOWN
-SchedOp                master server -> other servers           SCHED
+SchedOp                (shard) master -> participant servers    SCHED [1]_
 OpRejection            master server -> master client           OP_REJECTED
 =====================  =======================================  ==========
+
+.. [1] One admission broadcast, two tags: the server loop's discipline
+   picks SCHEMA for the paper's one-op-at-a-time path
+   (``config.scheduler is None``) and SCHED under an inter-op
+   scheduler.  The payload is the same :class:`~repro.core.scheduler.
+   SchedOp` either way.
 
 Everything except PieceData is control-plane (256-byte wire size);
 PieceData charges its payload bytes.
@@ -272,10 +278,11 @@ class ServerDone:
     server_index: int
     bytes_moved: int
     recovery: bool = False
-    #: scheduled mode only: the scheduler's globally unique admission
-    #: sequence number.  Per-group ``op_id`` counters all start at 0, so
-    #: with several client groups in flight this is what routes a
-    #: completion to the right op.  -1 on the unscheduled path.
+    #: the admitting master's globally unique admission sequence
+    #: number.  Per-group ``op_id`` counters all start at 0, so with
+    #: several client groups in flight this is what routes a completion
+    #: to the right op.  -1 only on a mid-op recovery completion, which
+    #: is matched by ``op_id`` inside the recovery's own gather.
     admit_seq: int = -1
 
 

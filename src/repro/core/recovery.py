@@ -19,10 +19,11 @@ Mechanics
   (:func:`recovery_file`) on the survivor's own file system.
 - The resulting :class:`RecoveryAssignment` tuples travel either
   mid-op (tag RECOVER, wrapped in :class:`RecoverMsg`, after the
-  master's failure detector fires during the completion gather) or
-  up-front inside the :class:`SchemaMsg` broadcast (for ops that start
-  after a crash, and for reads of datasets that were recovered at
-  write time).
+  master's failure detector fires while completions are outstanding)
+  or up-front in the admission broadcast, as
+  :attr:`SchedOp.recoveries <repro.core.scheduler.SchedOp>` next to the
+  ``skip`` list (for ops that start after a crash, and for reads of
+  datasets that were recovered at write time).
 - At commit the master records the assignments in the runtime's
   relocation table: reads of a recovered dataset route the crashed
   index's sub-chunks to the recovery files, and the crashed node's own
@@ -48,7 +49,6 @@ from repro.core.protocol import CollectiveOp
 __all__ = [
     "RecoverMsg",
     "RecoveryAssignment",
-    "SchemaMsg",
     "partition_recovery",
     "recovery_file",
 ]
@@ -98,25 +98,6 @@ class RecoverMsg:
     op: CollectiveOp
     assignment: RecoveryAssignment
     reply_to: int = -1
-
-
-@dataclass(frozen=True)
-class SchemaMsg:
-    """Master server -> other servers in fault mode (tag SCHEMA): the
-    op plus degraded-mode directives.
-
-    ``skip`` lists server indices whose normal plan portion must not be
-    executed: currently-crashed nodes, and (for reads) indices whose
-    data was relocated at write time.  ``recoveries`` carries the
-    relocated work, each assignment addressed to one survivor."""
-
-    op: CollectiveOp
-    skip: Tuple[int, ...] = ()
-    recoveries: Tuple[RecoveryAssignment, ...] = ()
-
-    def mine(self, server_index: int) -> Tuple[RecoveryAssignment, ...]:
-        return tuple(a for a in self.recoveries
-                     if a.survivor_index == server_index)
 
 
 def partition_recovery(

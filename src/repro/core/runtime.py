@@ -365,7 +365,8 @@ class PandaRuntime:
         #: scheduled mode (``config.scheduler`` set): the master
         #: server's per-op queue-wait/turnaround observations
         #: (:class:`repro.core.scheduler.SchedStats`); replaced at the
-        #: start of each run, ``None`` on the unscheduled path.
+        #: start of each run.  ``None`` with ``scheduler=None``: the
+        #: paper discipline keeps no admission accounting.
         self.sched_stats = None
         #: ``slo`` policy: shard index -> that master's per-tenant
         #: :class:`repro.obs.slo.SLOTracker`; replaced at the start of

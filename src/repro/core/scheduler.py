@@ -3,10 +3,13 @@
 The paper's Panda serves one collective operation at a time: the master
 server takes the next REQUEST only after the previous op completed, so
 concurrent client groups queue head-of-line (see
-``benchmarks/bench_io_sharing.py``).  This module adds the layer a
-production deployment needs once many applications share the I/O
-nodes: multiple collective operations in flight on the same servers,
-interleaved at **sub-chunk granularity** under a pluggable policy.
+``benchmarks/bench_io_sharing.py``).  That is admission control with one
+in-flight slot, and it is how :mod:`repro.core.server` runs it: the one
+server loop under a fifo, one-slot discipline.  This module is the
+layer a production deployment needs once many applications share the
+I/O nodes: multiple collective operations in flight on the same
+servers, interleaved at **sub-chunk granularity** under a pluggable
+policy.
 
 Architecture (all messaging stays in :mod:`repro.core.server`; this
 module is pure scheduling state):
@@ -114,8 +117,11 @@ class SchedulerConfig:
     """Turns on the inter-op scheduler.
 
     Attach via ``PandaConfig(scheduler=SchedulerConfig(policy="fair"))``.
-    ``scheduler=None`` (the default) keeps the paper's one-op-at-a-time
-    server loop -- and every simulated timing -- bit-identical.
+    ``scheduler=None`` (the default) runs the same server loop under
+    the paper's one-op-at-a-time discipline (fifo, one in-flight slot,
+    no per-completion charge, REQUESTs read only when idle, no
+    admission accounting -- see ``repro.core.server._Discipline``), with
+    every simulated timing of the paper path bit-identical.
     """
 
     #: service policy: "fifo", "sjf" or "fair" (see module docstring).
@@ -162,10 +168,16 @@ class SchedulerConfig:
 
 @dataclass(frozen=True)
 class SchedOp:
-    """Wire payload, master server -> other servers (tag SCHED): one
+    """Wire payload of the admission broadcast, (shard) master ->
+    participant servers (tag SCHED; SCHEMA on the paper path): one
     admitted op plus the scheduling metadata every server's policy needs
-    to make identical decisions, and (fault mode) the same degraded-mode
-    directives a :class:`~repro.core.recovery.SchemaMsg` carries."""
+    to make identical decisions, and (fault mode) the degraded-mode
+    directives.
+
+    ``skip`` lists server indices whose normal plan portion must not be
+    executed: currently-crashed nodes, and (for reads) indices whose
+    data was relocated at write time.  ``recoveries`` carries the
+    relocated work, each assignment addressed to one survivor."""
 
     op: "CollectiveOp"
     #: arrival sequence number at the master -- unique across groups for

@@ -16,6 +16,12 @@ One server process per I/O node.  Lifecycle (paper, section 2):
   are scattered to the owning clients;
 - completion flows server -> master server -> master client.
 
+Every mode runs the one loop in :meth:`PandaServer.run`: admission at
+the (shard) master, then plan -> execute one sub-chunk -> credit ->
+commit -> detect.  The paper's one-op-at-a-time server is that loop
+under the one-slot :class:`_Discipline` (``config.scheduler is None``);
+see :mod:`repro.core.scheduler` for the multi-tenant architecture.
+
 Cost model at the server: per-message handling; one staging pass over
 every sub-chunk (``copy_time(nbytes, total_piece_runs)``) -- the
 assembly/disassembly memcpy between message buffers and the I/O buffer;
@@ -27,18 +33,19 @@ the paper's blocking request/reply pairs to posting all requests first
 
 Fault mode (``config.faults`` set -- see :mod:`repro.faults`):
 
-- the SCHEMA broadcast carries a :class:`~repro.core.recovery.
-  SchemaMsg` with degraded-mode directives: server indices whose normal
-  plan portion must be skipped, plus relocated plan portions
+- the admission broadcast's :class:`~repro.core.scheduler.SchedOp`
+  carries degraded-mode directives: server indices whose normal plan
+  portion must be skipped, plus relocated plan portions
   (:class:`~repro.core.recovery.RecoveryAssignment`) for the survivors
   to execute;
 - piece exchanges become *reliable*: blocking request/reply pairs with
   a per-exchange timeout, content-matched replies and bounded
   exponential-backoff retries (``nonblocking`` is ignored -- a reliable
   exchange keeps one outstanding request to match its reply against);
-- the master's completion gather doubles as the failure detector: it
-  polls with ``spec.detect_timeout`` and, when an I/O node crashes
-  mid-write, re-partitions the dead server's plan over the survivors
+- a (shard) master with completions outstanding blocks with
+  ``spec.detect_timeout``; each timeout runs the one failure detector
+  (:meth:`PandaServer._sched_detect`).  When an I/O node crashed
+  mid-write it re-partitions the dead server's plan over the survivors
   (:func:`~repro.core.recovery.partition_recovery`), hands the shares
   out as RECOVER messages, executes its own share, and records the
   relocations before committing the dataset.  A mid-*read* crash loses
@@ -48,17 +55,13 @@ Fault mode (``config.faults`` set -- see :mod:`repro.faults`):
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.costmodel import estimate_op
-from repro.core.plan import (
-    ServerPlan,
-    SubchunkPlan,
-    build_server_plan,
-    op_participants,
-)
+from repro.core.plan import SubchunkPlan, build_server_plan, op_participants
 from repro.core.protocol import (
     ArraySpec,
     CollectiveOp,
@@ -71,7 +74,6 @@ from repro.core.protocol import (
 from repro.core.recovery import (
     RecoverMsg,
     RecoveryAssignment,
-    SchemaMsg,
     partition_recovery,
 )
 from repro.core.scheduler import (
@@ -80,6 +82,7 @@ from repro.core.scheduler import (
     OpSchedRecord,
     SchedOp,
     SchedStats,
+    SchedulerConfig,
     ServerScheduler,
 )
 from repro.faults import FaultRecoveryError
@@ -93,6 +96,53 @@ from repro.schema.reorganize import extract_region, inject_region
 __all__ = ["PandaServer"]
 
 
+@dataclass(frozen=True)
+class _Discipline:
+    """How the one server loop admits and accounts for ops.  Chosen once
+    at :meth:`PandaServer.run` entry from ``config.scheduler`` and never
+    a user setting: ``None`` selects :data:`_PAPER`, anything else the
+    scheduled discipline with all three rules on.
+
+    The paper's master "takes the next REQUEST only after the previous
+    op completes" -- admission control with one in-flight slot.  Run as
+    ``SchedulerConfig("fifo", max_in_flight=1)`` the loop already moves
+    the same bytes in the same order; the paper's *timings* differ from
+    that scheduled configuration in exactly three rules at the master
+    (``tests/test_scheduler_equivalence.py`` checks the relation: equal
+    at one I/O node, one ``request_handling_overhead`` per op beyond)."""
+
+    #: policy, in-flight slots and shards the loop runs under.
+    config: SchedulerConfig
+    #: tag of the admission broadcast, (shard) master -> servers.
+    wire_tag: int
+    #: rule 1: every control message costs one
+    #: ``request_handling_overhead`` as it is taken off the mailbox.
+    #: The paper's server charges only an op's arrival (REQUEST /
+    #: SCHEMA): its completion gather is free, and serving a RECOVER
+    #: costs what the service itself charges.
+    charge_control: bool
+    #: rule 2: new work is read whenever it can be held -- a REQUEST
+    #: while the admission queue has room, a RECOVER at once -- even
+    #: between the sub-chunks of a running op.  The paper's server reads
+    #: its next REQUEST or RECOVER only when nothing is queued, in
+    #: flight or executing.
+    eager_requests: bool
+    #: rule 3: admission is accounted -- a cost-model estimate per
+    #: REQUEST, ``SchedStats`` / ``OpSchedRecord`` bookkeeping,
+    #: ``sched_*`` trace records, phase marks keyed by the globally
+    #: unique ``admit_seq`` and ``srv_op_start`` stamped when the plan
+    #: is formed.  The paper path keeps none of it: marks are keyed by
+    #: the group's ``op_id`` and ``srv_op_start`` is stamped when the
+    #: REQUEST / SCHEMA message is read.
+    accounted: bool
+
+
+#: the paper's one-op-at-a-time server (``config.scheduler is None``).
+_PAPER = _Discipline(SchedulerConfig("fifo", max_in_flight=1),
+                     wire_tag=Tags.SCHEMA, charge_control=False,
+                     eager_requests=False, accounted=False)
+
+
 class PandaServer:
     """One I/O node's Panda server."""
 
@@ -103,16 +153,25 @@ class PandaServer:
         self.comm = comm
         self.fs = fs
         #: fault mode: harden piece exchanges with timeout/retry and run
-        #: the master's gather as a failure detector.
+        #: the (shard) master's blocking wait as a failure detector.
         self._reliable = runtime.injector is not None
         self._src = f"server{server_index}"
-        #: scheduled mode: this server's admission-shard index (it is a
-        #: shard master), or None.  Single-master mode: the master is
-        #: shard 0.  Set by :meth:`_run_scheduled`.
+        #: the loop's discipline; set by :meth:`run`.
+        self._discipline = _PAPER
+        #: this server's admission-shard index (it is a shard master),
+        #: or None.  Single-master mode: the master is shard 0.  Set by
+        #: :meth:`run`.
         self._shard: Optional[int] = None
+        self._sharded = False
+        #: accounted disciplines, shard masters only: this shard's
+        #: per-op bookkeeping.  Set by :meth:`run`.
+        self._sched_stats: Optional[SchedStats] = None
         #: ``slo`` policy, shard masters only: this shard's per-tenant
-        #: latency bookkeeping.  Set by :meth:`_run_scheduled`.
+        #: latency bookkeeping.  Set by :meth:`run`.
         self._slo_tracker: Optional[SLOTracker] = None
+        #: shard master only: admit_seq -> _OpCompletion for in-flight
+        #: ops this shard admitted
+        self._completions: Dict[int, _OpCompletion] = {}
         #: the paper's fixed server buffer: every sub-chunk is assembled
         #: here before its one sequential file write.  Allocated by the
         #: first real write, never at construction.
@@ -130,108 +189,160 @@ class PandaServer:
         if trace is not None:
             trace.emit(self.comm.sim.now, self._src, kind, **detail)
 
-    @property
-    def is_master(self) -> bool:
-        return self.server_index == 0
+    def _mark_op(self, kind: str, sop: SchedOp, /, **detail) -> None:
+        """A phase mark of one admitted op.  Accounted disciplines key
+        it by the globally unique ``admit_seq``: per-group op_id
+        counters all start at 0, and the observability layer pairs
+        phase marks per (source, op_id).  The paper path runs one op at
+        a time and keeps the group's own ``op_id`` (rule 3)."""
+        self._mark(kind, op_id=(sop.admit_seq if self._discipline.accounted
+                                else sop.op.op_id), **detail)
+
+    def _sched_trace(self, kind: str, /, *, demoted: bool = False,
+                     **detail) -> None:
+        """Emit one ``sched_*`` admission record.  Sharded mode tags it
+        with the shard, so the obs layer can break queue depth and
+        admission latency out per shard; single-master records stay
+        byte-identical."""
+        trace = self.runtime.trace
+        if trace is not None:
+            if self._sharded:
+                detail["shard"] = self._shard
+            if demoted:
+                detail["demoted"] = True
+            trace.emit(self.comm.sim.now, "sched", kind, **detail)
 
     @property
     def rank(self) -> int:
         return self.runtime.server_rank(self.server_index)
 
-    # -- main loop ----------------------------------------------------------
+    # -- the loop ---------------------------------------------------------------
     def run(self):
-        """The server process: handle collective ops until shutdown.
+        """The server process: admission control at the shard
+        master(s), policy-driven sub-chunk interleaving everywhere,
+        until shutdown.
 
-        With an inter-op scheduler configured, dispatches to
-        :meth:`_run_scheduled` instead; the one-op-at-a-time loop below
-        is otherwise untouched (the golden determinism test pins its
-        timings bit-for-bit)."""
-        if self.runtime.config.scheduler is not None:
-            yield from self._run_scheduled()
-            return
-        listen = {Tags.REQUEST, Tags.SHUTDOWN} if self.is_master else \
-                 {Tags.SCHEMA, Tags.SHUTDOWN}
-        if self._reliable and not self.is_master:
-            listen.add(Tags.RECOVER)
+        The loop alternates three activities, never blocking while any
+        admitted op has work: (1) drain control messages (REQUEST /
+        SCHEMA or SCHED / SERVER_DONE / RECOVER / SHUTDOWN) without
+        consuming simulated time beyond their handling charge; (2) shard
+        masters only: admit eligible queued ops into free in-flight
+        slots; (3) execute exactly one sub-chunk of the op the policy
+        picks.  Only when none of these make progress does it block on
+        the next control message (with the failure-detector timeout in
+        fault mode).
+
+        ``config.scheduler is None`` runs the loop under :data:`_PAPER`:
+        fifo, one slot, so the policy always picks the one admitted op
+        and step (3) walks its sub-chunks in plan order -- the paper's
+        server, with its timings bit-for-bit (the golden determinism
+        test pins them).
+
+        With ``n_shards > 1`` the first ``n_shards`` servers each run
+        the admission side for their consistent-hash slice of the
+        datasets (see :class:`~repro.core.scheduler.ShardMap`); every
+        server, shard master or not, executes whatever mix of shards'
+        ops lands on it."""
+        rt = self.runtime
+        cfg = rt.config.scheduler
+        d = self._discipline = _PAPER if cfg is None else _Discipline(
+            cfg, wire_tag=Tags.SCHED, charge_control=True,
+            eager_requests=True, accounted=True)
+        cfg = d.config
+        n_shards = cfg.n_shards
+        sharded = self._sharded = n_shards > 1
+        self._shard = self.server_index if self.server_index < n_shards \
+            else None
+        sched = ServerScheduler(cfg, self.server_index)
+        wire_tag = d.wire_tag
+        listen = {Tags.SHUTDOWN}
+        if self._shard is not None:
+            listen |= {Tags.REQUEST, Tags.SERVER_DONE}
+        if self._shard is None or sharded:
+            # execution side; shard masters also execute peer shards'
+            # ops and (fault mode) serve peer owners' mid-op recovery
+            # assignments
+            listen |= {wire_tag}
+            if self._reliable:
+                listen |= {Tags.RECOVER}
+        completions = self._completions
+        queue = None
+        if self._shard is not None:
+            # interleaved numbering keeps admit_seq globally unique with
+            # zero coordination and self-describing: the issuing shard
+            # is admit_seq % n_shards
+            queue = AdmissionQueue(cfg.queue_limit, sched.policy,
+                                   seq_start=self._shard, seq_step=n_shards)
+            if d.accounted:
+                self._sched_stats = SchedStats(policy=cfg.policy)
+                if sharded:
+                    rt.sched_stats.shards[self._shard] = self._sched_stats
+                else:
+                    rt.sched_stats = self._sched_stats
+            if cfg.policy == "slo":
+                # per-shard tracker, deliberately un-gossiped: every
+                # demote/shed decision is local to this master's loop,
+                # so it is deterministic under dispatch perturbation
+                self._slo_tracker = SLOTracker(cfg.slo, shard=self._shard)
+                rt.slo_trackers[self._shard] = self._slo_tracker
+        gate = None
+        if not d.eager_requests:
+            new_work = (Tags.REQUEST, Tags.RECOVER)
+            executing = sched.active
+
+            def gate(m):
+                # rule 2: new work waits in the mailbox until this
+                # server has nothing queued, in flight or executing
+                return m.tag not in new_work or not (
+                    queue or completions or executing)
+        elif queue is not None:
+            def gate(m, _queue=queue):
+                # backpressure: while the admission queue is full,
+                # REQUESTs stay in the mailbox unread, so the queue
+                # (and the memory it pins) never exceeds its bound
+                return m.tag != Tags.REQUEST or not _queue.full
+
+        # one predicate for every receive of the loop, built once
+        pred = self.comm.match_pred(tags=listen, match=gate)
+        detect = (rt.injector.spec.detect_timeout
+                  if self._reliable and self._shard is not None else None)
+        max_in_flight = cfg.max_in_flight
+        abort_orphans = sharded and self._reliable
+        shutdown = False
         while True:
-            msg = yield from self.comm.recv(tags=listen)
-            if msg.tag == Tags.SHUTDOWN:
-                return
-            if msg.tag == Tags.RECOVER:
-                yield from self._serve_recover(msg.payload)
+            if abort_orphans and rt.crashed_servers:
+                # before draining (possibly re-issued) SCHEDs: drop
+                # active work admitted by a now-crashed shard master
+                self._sched_abort_orphans(sched)
+            progressed = False
+            while True:
+                msg = self.comm.try_recv(match=pred)
+                if msg is None:
+                    break
+                progressed = True
+                shutdown |= yield from self._sched_control(msg, sched, queue)
+            # an idle turn (nothing queued, or every slot taken) costs
+            # two length checks: no generator, no in-flight list
+            while queue and len(completions) < max_in_flight:
+                if not (yield from self._sched_admit(sched, queue)):
+                    break
+                progressed = True
+            p = sched.pick()
+            if p is not None:
+                yield from self._sched_step(p, sched)
                 continue
-            payload = msg.payload
-            skip: Tuple[int, ...] = ()
-            recoveries: Tuple[RecoveryAssignment, ...] = ()
-            pending_reloc: Dict[int, Tuple[RecoveryAssignment, ...]] = {}
-            handled_crashes: Set[int] = set()
-            if isinstance(payload, SchemaMsg):
-                op = payload.op
-                skip = payload.skip
-                recoveries = payload.recoveries
+            if progressed:
+                continue
+            if shutdown and sched.idle and not completions and not queue:
+                return
+            if detect is not None and completions:
+                msg = yield from self.comm.recv(match=pred, timeout=detect)
+                if msg is None:
+                    yield from self._sched_detect()
+                    continue
             else:
-                op: CollectiveOp = payload
-            self._mark("srv_op_start", op_id=op.op_id, kind=op.kind)
-            yield self.comm.handle_ev()
-            if self.is_master:
-                self.runtime.catalog_check(op)
-                if self._reliable:
-                    skip, recoveries, pending_reloc, handled_crashes = \
-                        self._fault_directives(op)
-                    targets = [self.runtime.server_rank(i)
-                               for i in self.runtime.live_servers()]
-                    yield from self.comm.bcast_send(
-                        targets, Tags.SCHEMA, SchemaMsg(op, skip, recoveries)
-                    )
-                else:
-                    yield from self.comm.bcast_send(
-                        self.runtime.server_ranks, Tags.SCHEMA, op
-                    )
-            # independent plan formation
-            yield self.comm.compute_ev(self.comm.spec.plan_formation_overhead)
-            self._mark("srv_plan_ready", op_id=op.op_id)
-            moved = 0
-            if self.server_index not in skip:
-                plan = build_server_plan(
-                    op, self.server_index, self.runtime.n_io,
-                    self.runtime.config,
-                )
-                if op.kind == "write":
-                    moved += yield from self._execute_write(op, plan)
-                else:
-                    moved += yield from self._execute_read(op, plan)
-            # relocated plan portions addressed to this server (crashes
-            # known before the op started, or read-back of a dataset
-            # that was recovered at write time)
-            for a in recoveries:
-                if a.survivor_index == self.server_index:
-                    moved += yield from self._execute_assignment(op, a)
-            self._mark("srv_io_done", op_id=op.op_id, moved=moved)
-            done = ServerDone(op.op_id, self.server_index, moved)
-            if self.is_master:
-                if self.runtime.n_io > 1:
-                    if self._reliable:
-                        midop = yield from self._gather_with_detection(
-                            op, handled_crashes
-                        )
-                        pending_reloc.update(midop)
-                    else:
-                        yield from self.comm.gather_recv(
-                            self.runtime.server_ranks, Tags.SERVER_DONE
-                        )
-                if op.kind == "write":
-                    if self._reliable:
-                        self.runtime.record_relocations(op.dataset,
-                                                        pending_reloc)
-                    self.runtime.catalog_commit(op)
-                yield from self.comm.send(
-                    op.master_client, Tags.OP_DONE, done
-                )
-            else:
-                yield from self.comm.send(
-                    self.runtime.master_server_rank, Tags.SERVER_DONE, done
-                )
-            self._mark("srv_op_done", op_id=op.op_id)
+                msg = yield self.comm.recv_ev(pred)
+            shutdown |= yield from self._sched_control(msg, sched, queue)
 
     # -- helpers ---------------------------------------------------------------
     def _pieces_of(self, op: CollectiveOp, spec: ArraySpec,
@@ -257,23 +368,6 @@ class PandaServer:
             item.region.shape)
 
     # -- write path ------------------------------------------------------------
-    def _execute_write(self, op: CollectiveOp, plan: ServerPlan):
-        fh = self.fs.open(plan.file_name, "w")
-        moved = yield from self._write_items(op, fh, plan.items)
-        yield from fh.fsync()
-        fh.close()
-        self.bytes_written += moved
-        return moved
-
-    def _write_items(self, op: CollectiveOp, fh, items: Tuple[SubchunkPlan, ...]):
-        """Gather-and-write the given sub-chunks into ``fh`` (the items'
-        file offsets are contiguous from wherever ``fh`` points, both
-        for a normal plan and for a recovery assignment)."""
-        moved = 0
-        for item in items:
-            moved += yield from self._write_one(op, fh, item)
-        return moved
-
     def _write_one(self, op: CollectiveOp, fh, item: SubchunkPlan):
         """Gather and write one sub-chunk -- the unit the inter-op
         scheduler interleaves at."""
@@ -289,7 +383,11 @@ class PandaServer:
         is_mine = (lambda m: m.payload.op_id == op.op_id
                    and m.payload.subchunk_seq == item.seq)
         if self._reliable:
-            replies = yield from self._fetch_reliable(op, item, pieces)
+            replies = []
+            for client_rank, region in pieces:
+                req = FetchRequest(op.op_id, item.array_index, region, item.seq)
+                replies.append((yield from self._exchange(
+                    op, item, client_rank, region, req)))
         elif self.runtime.config.nonblocking:
             # post every request, then take replies in arrival order
             for client_rank, region in pieces:
@@ -338,68 +436,53 @@ class PandaServer:
         self.subchunks_processed += 1
         return item.nbytes
 
-    def _fetch_reliable(self, op: CollectiveOp, item: SubchunkPlan,
-                        pieces: List[Tuple[int, Region]]):
-        """Fault-mode piece collection: blocking pairs, each hardened
-        with a timeout and bounded exponential-backoff retries.  The
-        reply must match the outstanding request exactly (op, sub-chunk,
-        region), so a late duplicate from an earlier retry can never be
-        taken for the current piece; duplicates the *client* sees are
-        idempotent and simply re-answered."""
+    def _exchange(self, op: CollectiveOp, item: SubchunkPlan,
+                  client_rank: int, region: Region, payload,
+                  nbytes: Optional[int] = None):
+        """Fault-mode piece exchange, one blocking pair hardened with a
+        timeout and bounded exponential-backoff retries: a write op's
+        FETCH until its DATA arrives, a read op's PIECE until its
+        PIECE_ACK does.  Returns the reply.
+
+        The reply must match the outstanding request exactly (op,
+        sub-chunk, region), so a late duplicate from an earlier retry
+        can never be taken for the current piece; duplicates the
+        *client* sees are idempotent -- a FETCH is simply re-answered, a
+        PIECE re-injects the same bytes at the same place and is
+        re-acknowledged."""
         injector = self.runtime.injector
-        spec = injector.spec
-        replies = []
-        for client_rank, region in pieces:
-            req = FetchRequest(op.op_id, item.array_index, region, item.seq)
-            attempt = 0
-            while True:
-                yield from self.comm.send(client_rank, Tags.FETCH, req)
-                msg = yield from self.comm.recv(
-                    src=client_rank, tag=Tags.DATA,
-                    match=lambda m, _r=region: (
-                        m.payload.op_id == op.op_id
-                        and m.payload.subchunk_seq == item.seq
-                        and m.payload.region == _r
-                    ),
-                    timeout=injector.backoff_timeout(attempt),
+        max_retries = injector.spec.max_retries
+        write = op.kind == "write"
+        tag = Tags.FETCH if write else Tags.PIECE
+        reply_tag = Tags.DATA if write else Tags.PIECE_ACK
+        attempt = 0
+        while True:
+            yield from self.comm.send(client_rank, tag, payload, nbytes=nbytes)
+            reply = yield from self.comm.recv(
+                src=client_rank, tag=reply_tag,
+                match=lambda m: (
+                    m.payload.op_id == op.op_id
+                    and m.payload.subchunk_seq == item.seq
+                    and m.payload.region == region
+                ),
+                timeout=injector.backoff_timeout(attempt),
+            )
+            if reply is not None:
+                return reply
+            attempt += 1
+            if attempt > max_retries:
+                raise FaultRecoveryError(
+                    f"server {self.server_index}: no "
+                    f"{'data' if write else 'ack'} from rank "
+                    f"{client_rank} for sub-chunk {item.seq} after "
+                    f"{max_retries} retries"
                 )
-                if msg is not None:
-                    replies.append(msg)
-                    break
-                attempt += 1
-                if attempt > spec.max_retries:
-                    raise FaultRecoveryError(
-                        f"server {self.server_index}: no data from rank "
-                        f"{client_rank} for sub-chunk {item.seq} after "
-                        f"{spec.max_retries} retries"
-                    )
-                injector.note_retry(
-                    "fetch", server=self.server_index, client=client_rank,
-                    seq=item.seq, attempt=attempt,
-                )
-        return replies
+            injector.note_retry(
+                "fetch" if write else "piece", server=self.server_index,
+                client=client_rank, seq=item.seq, attempt=attempt,
+            )
 
     # -- read path ---------------------------------------------------------------
-    def _execute_read(self, op: CollectiveOp, plan: ServerPlan):
-        if not self.fs.exists(plan.file_name):
-            raise FileNotFoundError(
-                f"server {self.server_index}: dataset file "
-                f"{plan.file_name!r} does not exist (dataset "
-                f"{op.dataset!r} was never written?)"
-            )
-        fh = self.fs.open(plan.file_name, "r")
-        moved = yield from self._read_items(op, fh, plan.items)
-        fh.close()
-        self.bytes_read += moved
-        return moved
-
-    def _read_items(self, op: CollectiveOp, fh, items: Tuple[SubchunkPlan, ...]):
-        """Read-and-scatter the given sub-chunks out of ``fh``."""
-        moved = 0
-        for item in items:
-            moved += yield from self._read_one(op, fh, item)
-        return moved
-
     def _read_one(self, op: CollectiveOp, fh, item: SubchunkPlan):
         """Read and scatter one sub-chunk -- the unit the inter-op
         scheduler interleaves at."""
@@ -429,8 +512,8 @@ class PandaServer:
             piece = PieceData(op.op_id, item.array_index, region, pblock,
                               item.seq)
             if self._reliable:
-                yield from self._scatter_reliable(op, item, client_rank,
-                                                  region, piece, nbytes)
+                yield from self._exchange(op, item, client_rank, region,
+                                          piece, nbytes)
             else:
                 yield from self.comm.send(client_rank, Tags.PIECE, piece,
                                           nbytes=nbytes)
@@ -442,58 +525,24 @@ class PandaServer:
         self.subchunks_processed += 1
         return item.nbytes
 
-    def _scatter_reliable(self, op: CollectiveOp, item: SubchunkPlan,
-                          client_rank: int, region: Region,
-                          piece: PieceData, nbytes: int):
-        """Fault-mode piece delivery: resend until the client's
-        PIECE_ACK for this exact piece arrives.  A duplicate delivery
-        re-injects the same bytes at the same place -- idempotent -- and
-        is re-acknowledged."""
-        injector = self.runtime.injector
-        spec = injector.spec
-        attempt = 0
-        while True:
-            yield from self.comm.send(client_rank, Tags.PIECE, piece,
-                                      nbytes=nbytes)
-            ack = yield from self.comm.recv(
-                src=client_rank, tag=Tags.PIECE_ACK,
-                match=lambda m, _r=region: (
-                    m.payload.op_id == op.op_id
-                    and m.payload.subchunk_seq == item.seq
-                    and m.payload.region == _r
-                ),
-                timeout=injector.backoff_timeout(attempt),
-            )
-            if ack is not None:
-                return
-            attempt += 1
-            if attempt > spec.max_retries:
-                raise FaultRecoveryError(
-                    f"server {self.server_index}: no ack from rank "
-                    f"{client_rank} for sub-chunk {item.seq} after "
-                    f"{spec.max_retries} retries"
-                )
-            injector.note_retry(
-                "piece", server=self.server_index, client=client_rank,
-                seq=item.seq, attempt=attempt,
-            )
-
     # -- recovery ---------------------------------------------------------------
     def _execute_assignment(self, op: CollectiveOp, a: RecoveryAssignment):
         """Execute one relocated plan portion against this server's
         recovery file for it (write: gather from the clients and write;
-        read: read and scatter)."""
-        if op.kind == "write":
-            fh = self.fs.open(a.file_name, "w")
-            moved = yield from self._write_items(op, fh, a.items)
+        read: read and scatter).  The items' file offsets are contiguous
+        from zero, like an ordinary plan's."""
+        write = op.kind == "write"
+        one = self._write_one if write else self._read_one
+        fh = self.fs.open(a.file_name, "w" if write else "r")
+        moved = 0
+        for item in a.items:
+            moved += yield from one(op, fh, item)
+        if write:
             yield from fh.fsync()
-            fh.close()
             self.bytes_written += moved
         else:
-            fh = self.fs.open(a.file_name, "r")
-            moved = yield from self._read_items(op, fh, a.items)
-            fh.close()
             self.bytes_read += moved
+        fh.close()
         return moved
 
     def _serve_recover(self, rmsg: RecoverMsg):
@@ -521,7 +570,7 @@ class PandaServer:
         relocated at write time to the recovery files that hold them;
         data whose only copy is on a crashed node is unreachable.
 
-        Returns ``(skip, recoveries, pending_relocations, crashed)``.
+        Returns ``(skip, recoveries, pending_relocations)``.
         """
         rt = self.runtime
         crashed = set(rt.crashed_servers)
@@ -541,7 +590,7 @@ class PandaServer:
                     tuple(a.survivor_index for a in assignments),
                     sum(a.nbytes for a in assignments),
                 )
-            return tuple(sorted(crashed)), tuple(recoveries), pending, crashed
+            return tuple(sorted(crashed)), tuple(recoveries), pending
         stored = rt.relocations.get(op.dataset, {})
         for k in sorted(crashed):
             if k in stored:
@@ -564,46 +613,7 @@ class PandaServer:
                     )
             recoveries.extend(assignments)
         skip = tuple(sorted(set(stored) | crashed))
-        return skip, tuple(recoveries), {}, crashed
-
-    def _gather_with_detection(self, op: CollectiveOp, handled: Set[int]):
-        """Master-only: gather ordinary completions, polling the failure
-        detector every ``detect_timeout``.  The simulation grants a
-        perfect detector (``runtime.crashed_servers``), so a slow server
-        is never declared dead -- a timeout alone proves nothing.
-        Returns the mid-op relocations {crashed index: assignments}."""
-        rt = self.runtime
-        spec = rt.injector.spec
-        handled = set(handled)
-        expected = {i for i in range(1, rt.n_io) if i not in handled}
-        done: Set[int] = set()
-        pending: Dict[int, Tuple[RecoveryAssignment, ...]] = {}
-        while expected - done:
-            msg = yield from self.comm.recv(
-                tag=Tags.SERVER_DONE,
-                match=lambda m: (m.payload.op_id == op.op_id
-                                 and not m.payload.recovery),
-                timeout=spec.detect_timeout,
-            )
-            if msg is not None:
-                done.add(msg.payload.server_index)
-                continue
-            for k in sorted(rt.crashed_servers - handled):
-                handled.add(k)
-                expected.discard(k)
-                if k in done:
-                    # finished before dying: its file is complete but
-                    # unreachable until the node is repaired (next run)
-                    continue
-                if op.kind == "read":
-                    raise FaultRecoveryError(
-                        f"server {k} crashed while scattering dataset "
-                        f"{op.dataset!r}; its unsent pieces are unreachable"
-                    )
-                assignments = yield from self._recover_midop(op, k)
-                if assignments:
-                    pending[k] = assignments
-        return pending
+        return skip, tuple(recoveries), {}
 
     def _recover_midop(self, op: CollectiveOp, k: int):
         """Failure-detecting master (the single master, or any shard
@@ -658,137 +668,30 @@ class PandaServer:
             rmsg = self.comm.try_recv(tag=Tags.RECOVER)
             if rmsg is not None:
                 yield from self._serve_recover(rmsg.payload)
-            # other crashes are left for the outer gather to handle
+            # other crashes are left for the detector's next scan
         return assignments
 
-    # -- scheduled mode (config.scheduler set) -------------------------------
-    #
-    # Several admitted ops interleave on every server at sub-chunk
-    # granularity under the configured policy; see
-    # :mod:`repro.core.scheduler` for the architecture.  Phase marks in
-    # this mode use the globally unique ``admit_seq`` as their op_id
-    # detail, because per-group op_id counters all start at 0 and the
-    # observability layer pairs phase marks per (source, op_id).
-
-    def _run_scheduled(self):
-        """Multi-tenant server loop: admission control at the shard
-        master(s), policy-driven sub-chunk interleaving everywhere.
-
-        The loop alternates three activities, never blocking while any
-        admitted op has work: (1) drain control messages (REQUEST /
-        SCHED / SERVER_DONE / RECOVER / SHUTDOWN) without consuming
-        simulated time; (2) shard masters only: admit eligible queued
-        ops into free in-flight slots; (3) execute exactly one sub-chunk
-        of the op the policy picks.  Only when none of these make
-        progress does it block on the next control message (with the
-        failure-detector timeout in fault mode).
-
-        With ``n_shards > 1`` the first ``n_shards`` servers each run
-        the admission side for their consistent-hash slice of the
-        datasets (see :class:`~repro.core.scheduler.ShardMap`); every
-        server, shard master or not, executes whatever mix of shards'
-        ops lands on it.  ``n_shards == 1`` is the historical
-        single-master loop, bit-for-bit."""
-        rt = self.runtime
-        cfg = rt.config.scheduler
-        n_shards = cfg.n_shards
-        sharded = n_shards > 1
-        self._shard = self.server_index if self.server_index < n_shards \
-            else None
-        sched = ServerScheduler(cfg, self.server_index)
-        if self._shard is not None:
-            listen = {Tags.REQUEST, Tags.SERVER_DONE, Tags.SHUTDOWN}
-            if sharded:
-                # shard masters also execute peer shards' ops and (fault
-                # mode) serve peer owners' mid-op recovery assignments
-                listen |= {Tags.SCHED}
-                if self._reliable:
-                    listen |= {Tags.RECOVER}
-        else:
-            listen = {Tags.SCHED, Tags.SHUTDOWN}
-            if self._reliable:
-                listen.add(Tags.RECOVER)
-        queue = None
-        gate = None
-        if self._shard is not None:
-            # interleaved numbering keeps admit_seq globally unique with
-            # zero coordination and self-describing: the issuing shard
-            # is admit_seq % n_shards
-            queue = AdmissionQueue(cfg.queue_limit, sched.policy,
-                                   seq_start=self._shard, seq_step=n_shards)
-            self._sched_stats = SchedStats(policy=cfg.policy)
-            if sharded:
-                rt.sched_stats.shards[self._shard] = self._sched_stats
-            else:
-                rt.sched_stats = self._sched_stats
-            if cfg.policy == "slo":
-                # per-shard tracker, deliberately un-gossiped: every
-                # demote/shed decision is local to this master's loop,
-                # so it is deterministic under dispatch perturbation
-                self._slo_tracker = SLOTracker(cfg.slo, shard=self._shard)
-                rt.slo_trackers[self._shard] = self._slo_tracker
-
-            def gate(m, _queue=queue):
-                # backpressure: while the admission queue is full,
-                # REQUESTs stay in the mailbox unread, so the queue
-                # (and the memory it pins) never exceeds its bound
-                return m.tag != Tags.REQUEST or not _queue.full
-
-        #: shard master only: admit_seq -> _OpCompletion for in-flight
-        #: ops this shard admitted
-        self._completions: Dict[int, _OpCompletion] = {}
-        max_in_flight = cfg.max_in_flight
-        abort_orphans = sharded and self._reliable
-        shutdown = False
-        while True:
-            if abort_orphans and rt.crashed_servers:
-                # before draining (possibly re-issued) SCHEDs: drop
-                # active work admitted by a now-crashed shard master
-                self._sched_abort_orphans(sched)
-            progressed = False
-            while True:
-                msg = self.comm.try_recv(tags=listen, match=gate)
-                if msg is None:
-                    break
-                progressed = True
-                shutdown |= yield from self._sched_control(msg, sched, queue)
-            # an idle turn (nothing queued, or every slot taken) costs
-            # two length checks: no generator, no in-flight list
-            if queue and len(self._completions) < max_in_flight:
-                progressed |= yield from self._sched_admit(sched, queue)
-            p = sched.pick()
-            if p is not None:
-                yield from self._sched_step(p, sched)
-                continue
-            if progressed:
-                continue
-            if shutdown and sched.idle and not self._completions \
-                    and (queue is None or not len(queue)):
-                return
-            if self._reliable and self._shard is not None \
-                    and self._completions:
-                msg = yield from self.comm.recv(
-                    tags=listen, match=gate,
-                    timeout=rt.injector.spec.detect_timeout,
-                )
-                if msg is None:
-                    yield from self._sched_detect(sched)
-                    continue
-            else:
-                msg = yield from self.comm.recv(tags=listen, match=gate)
-            shutdown |= yield from self._sched_control(msg, sched, queue)
+    # -- the loop's phases ---------------------------------------------------
 
     def _sched_control(self, msg, sched: ServerScheduler, queue):
         """Handle one control-plane message; returns True on SHUTDOWN."""
-        if msg.tag == Tags.SHUTDOWN:
+        tag = msg.tag
+        if tag == Tags.SHUTDOWN:
             return True
-        yield self.comm.handle_ev()
-        if msg.tag == Tags.REQUEST:
-            yield from self._sched_enqueue(msg.payload, queue)
-        elif msg.tag == Tags.SCHED:
-            yield from self._sched_start(msg.payload, sched)
-        elif msg.tag == Tags.SERVER_DONE:
-            done: ServerDone = msg.payload
+        d = self._discipline
+        payload = msg.payload
+        arrival = tag == Tags.REQUEST or tag == d.wire_tag
+        if arrival and not d.accounted:  # rule 3
+            op = payload if tag == Tags.REQUEST else payload.op
+            self._mark("srv_op_start", op_id=op.op_id, kind=op.kind)
+        if arrival or d.charge_control:  # rule 1
+            yield self.comm.handle_ev()
+        if tag == Tags.REQUEST:
+            yield from self._sched_enqueue(payload, queue)
+        elif tag == d.wire_tag:
+            yield from self._sched_start(payload, sched)
+        elif tag == Tags.SERVER_DONE:
+            done: ServerDone = payload
             if done.recovery:
                 # recovery completions are consumed inside
                 # _recover_midop's own matched gather; one here is a bug
@@ -799,14 +702,12 @@ class PandaServer:
             yield from self._sched_credit(done.admit_seq, done.server_index,
                                           done.bytes_moved)
         else:  # RECOVER (fault mode; sent by a failure-detecting owner)
-            yield from self._serve_recover(msg.payload)
+            yield from self._serve_recover(payload)
         return False
 
     def _sched_enqueue(self, op: CollectiveOp, queue: AdmissionQueue):
         """Shard master: one REQUEST enters the bounded admission
-        queue.  Sharded mode tags the trace records with the shard, so
-        the obs layer can break queue depth and admission latency out
-        per shard; single-master records stay byte-identical.
+        queue.
 
         Under the ``slo`` policy the tenant's budget is consulted
         exactly once, here: a tenant beyond the shed threshold gets an
@@ -827,14 +728,14 @@ class PandaServer:
                 budget=tracker.budget.turnaround_p99,
                 shard=self._shard,
             )
-            if rt.trace is not None:
-                extra = {"shard": self._shard} if rt.n_shards > 1 else {}
-                rt.trace.emit(now, "sched", "sched_reject", op_id=op.op_id,
+            self._sched_trace("sched_reject", op_id=op.op_id,
                               dataset=op.dataset, tenant=tenant,
-                              p99=rejection.p99, budget=rejection.budget,
-                              **extra)
+                              p99=rejection.p99, budget=rejection.budget)
             yield from self.comm.send(op.master_client, Tags.OP_REJECTED,
                                       rejection)
+            return
+        if not self._discipline.accounted:  # rule 3: no cost walk, no record
+            queue.push(op, 0.0, now)
             return
         demoted = tracker is not None and tracker.exhausted(tenant, now)
         est = estimate_op(op, rt.n_io, self.comm.spec, rt.config)
@@ -848,106 +749,92 @@ class PandaServer:
             estimate=est, arrived=now,
         )
         stats.queue_peak = max(stats.queue_peak, queue.peak)
-        if rt.trace is not None:
-            extra = {"shard": self._shard} if rt.n_shards > 1 else {}
-            if demoted:
-                extra["demoted"] = True
-            rt.trace.emit(now, "sched", "sched_enqueue", admit_seq=entry.seq,
+        self._sched_trace("sched_enqueue", admit_seq=entry.seq,
                           op_id=op.op_id, dataset=op.dataset, kind=op.kind,
-                          qlen=len(queue), **extra)
+                          qlen=len(queue), demoted=demoted)
 
     def _sched_admit(self, sched: ServerScheduler, queue: AdmissionQueue):
-        """Shard master: admit eligible queued ops while in-flight
-        slots are free.  Returns True when anything was admitted."""
+        """Shard master, with a free in-flight slot: admit the next
+        eligible queued op.  Returns False when none is eligible."""
         rt = self.runtime
-        sharded = rt.n_shards > 1
-        max_in_flight = rt.config.scheduler.max_in_flight
-        admitted = False
-        while queue and len(self._completions) < max_in_flight:
-            in_flight = [c.sched.op for c in self._completions.values()]
-            entry = queue.admissible(in_flight)
-            if entry is None:
-                break
-            queue.remove(entry)
-            op = entry.op
-            rt.catalog_check(op)
-            skip: Tuple[int, ...] = ()
-            recoveries: Tuple[RecoveryAssignment, ...] = ()
-            pending_reloc: Dict[int, Tuple[RecoveryAssignment, ...]] = {}
-            if self._reliable:
-                skip, recoveries, pending_reloc, _crashed = \
-                    self._fault_directives(op)
-            sop = SchedOp(op=op, admit_seq=entry.seq, priority=op.priority,
-                          estimate=entry.estimate, skip=skip,
-                          recoveries=recoveries, shard=self._shard,
-                          weight=queue.policy.drr_weight(op.priority,
-                                                         entry.demoted))
-            # a live server participates unless it is skip-listed with
-            # no recovery assignment routed to it: a fully skipped
-            # server has nothing to execute and must not be contacted
-            # (it may be a repaired node about to be re-crashed by the
-            # injector, and its stale on-disk portion is superseded by
-            # the survivors' recovery files).  The single master always
-            # participates: it runs the completion bookkeeping.  Shard
-            # masters join only when the plan gives them work, so an op
-            # whose chunks live elsewhere never serializes behind its
-            # owner's disk (and creates no empty files there).
-            assigned = {a.survivor_index for a in recoveries}
-            if sharded:
-                # from the shape's memoised worker tuple (ascending),
-                # so the cost follows the op's width, not the cluster's
-                crashed = rt.crashed_servers
-                participants = [
-                    i for i in op_participants(op, rt.n_io, rt.config)
-                    if i not in crashed and i not in skip]
-                if assigned:
-                    participants = sorted(
-                        set(participants) | (assigned - crashed))
-            else:
-                participants = [i for i in rt.live_servers()
-                                if i == self.server_index or i not in skip
-                                or i in assigned]
-            comp = _OpCompletion(sop, participants, pending_reloc)
-            self._completions[entry.seq] = comp
+        completions = self._completions
+        entry = queue.admissible([c.sched.op for c in completions.values()])
+        if entry is None:
+            return False
+        queue.remove(entry)
+        op = entry.op
+        rt.catalog_check(op)
+        skip: Tuple[int, ...] = ()
+        recoveries: Tuple[RecoveryAssignment, ...] = ()
+        pending_reloc: Dict[int, Tuple[RecoveryAssignment, ...]] = {}
+        if self._reliable:
+            skip, recoveries, pending_reloc = self._fault_directives(op)
+        sop = SchedOp(op=op, admit_seq=entry.seq, priority=op.priority,
+                      estimate=entry.estimate, skip=skip,
+                      recoveries=recoveries, shard=self._shard,
+                      weight=queue.policy.drr_weight(op.priority,
+                                                     entry.demoted))
+        # a live server participates unless it is skip-listed with
+        # no recovery assignment routed to it: a fully skipped
+        # server has nothing to execute and must not be contacted
+        # (it may be a repaired node about to be re-crashed by the
+        # injector, and its stale on-disk portion is superseded by
+        # the survivors' recovery files).  The single master always
+        # participates: it runs the completion bookkeeping.  Shard
+        # masters join only when the plan gives them work, so an op
+        # whose chunks live elsewhere never serializes behind its
+        # owner's disk (and creates no empty files there).
+        assigned = {a.survivor_index for a in recoveries}
+        if self._sharded:
+            # from the shape's memoised worker tuple (ascending),
+            # so the cost follows the op's width, not the cluster's
+            crashed = rt.crashed_servers
+            participants = [
+                i for i in op_participants(op, rt.n_io, rt.config)
+                if i not in crashed and i not in skip]
+            if assigned:
+                participants = sorted(
+                    set(participants) | (assigned - crashed))
+        else:
+            participants = [i for i in rt.live_servers()
+                            if i == self.server_index or i not in skip
+                            or i in assigned]
+        comp = _OpCompletion(sop, participants, pending_reloc)
+        completions[entry.seq] = comp
+        if self._discipline.accounted:  # rule 3
             stats = self._sched_stats
             rec = stats.records[entry.seq]
             rec.admitted = self.comm.sim.now
-            stats.in_flight_peak = max(stats.in_flight_peak,
-                                       len(self._completions))
-            if rt.trace is not None:
-                extra = {"shard": self._shard} if sharded else {}
-                rt.trace.emit(rec.admitted, "sched", "sched_admit",
-                              admit_seq=entry.seq, op_id=op.op_id,
-                              dataset=op.dataset, wait=rec.queue_wait,
-                              in_flight=len(self._completions), **extra)
-            if sharded or self._reliable:
-                targets = [rt.server_rank(i) for i in participants
-                           if i != self.server_index]
-                yield from self.comm.bcast_send(targets, Tags.SCHED, sop)
-            else:
-                yield from self.comm.bcast_send(rt.server_ranks, Tags.SCHED,
-                                                sop)
-            if self.server_index in participants:
-                yield from self._sched_start(sop, sched)
-            else:
-                # this owner has no execution share; with an empty
-                # participant set the op may already be completable
-                yield from self._sched_maybe_complete(entry.seq, comp)
-            admitted = True
-        return admitted
+            stats.in_flight_peak = max(stats.in_flight_peak, len(completions))
+            self._sched_trace("sched_admit", admit_seq=entry.seq,
+                              op_id=op.op_id, dataset=op.dataset,
+                              wait=rec.queue_wait,
+                              in_flight=len(completions))
+        # bcast_send skips this server's own rank
+        yield from self.comm.bcast_send(
+            [rt.server_rank(i) for i in participants],
+            self._discipline.wire_tag, sop)
+        if self.server_index in participants:
+            yield from self._sched_start(sop, sched)
+        else:
+            # this owner has no execution share; with an empty
+            # participant set the op may already be completable
+            yield from self._sched_maybe_complete(entry.seq, comp)
+        return True
 
     def _sched_start(self, sop: SchedOp, sched: ServerScheduler):
         """Form this server's plan for a newly admitted op and hand it
         to the service policy."""
         op = sop.op
-        self._mark("srv_op_start", op_id=sop.admit_seq, kind=op.kind)
+        if self._discipline.accounted:  # rule 3: else stamped on receipt
+            self._mark_op("srv_op_start", sop, kind=op.kind)
         yield self.comm.compute_ev(self.comm.spec.plan_formation_overhead)
         plan = build_server_plan(op, self.server_index, self.runtime.n_io,
                                  self.runtime.config)
         assignments = tuple(a for a in sop.recoveries
                             if a.survivor_index == self.server_index)
         p = sched.start(sop, plan, assignments)
-        self._mark("srv_plan_ready", op_id=sop.admit_seq)
+        self._mark_op("srv_plan_ready", sop)
         if p.done:
             # nothing to execute here (directed to skip, no recovery
             # assignments): report completion immediately
@@ -994,7 +881,7 @@ class PandaServer:
         """This server's share of one op is complete: report it to the
         shard master that admitted it (locally, when that is us)."""
         sched.finish(p)
-        self._mark("srv_io_done", op_id=p.sched.admit_seq, moved=p.moved)
+        self._mark_op("srv_io_done", p.sched, moved=p.moved)
         if self._shard is not None and p.sched.shard == self._shard:
             yield from self._sched_credit(p.sched.admit_seq,
                                           self.server_index, p.moved)
@@ -1005,7 +892,7 @@ class PandaServer:
                 self.runtime.server_rank(p.sched.shard),
                 Tags.SERVER_DONE, done,
             )
-            self._mark("srv_op_done", op_id=p.sched.admit_seq)
+            self._mark_op("srv_op_done", p.sched)
 
     def _sched_credit(self, admit_seq: int, server_index: int, moved: int):
         """Shard master: record one server's completion of an op this
@@ -1035,22 +922,22 @@ class PandaServer:
         done = ServerDone(op.op_id, self.server_index, comp.moved,
                           admit_seq=admit_seq)
         yield from self.comm.send(op.master_client, Tags.OP_DONE, done)
-        now = self.comm.sim.now
-        rec = self._sched_stats.records[admit_seq]
-        rec.completed = now
-        rec.moved = comp.moved
-        if self._slo_tracker is not None:
-            # samples arrive in this shard master's deterministic
-            # completion order; the tenant key is the op's master client
-            self._slo_tracker.record(op.master_client, rec.queue_wait,
-                                     rec.turnaround, now)
-        if rt.trace is not None:
-            extra = {"shard": self._shard} if rt.n_shards > 1 else {}
-            rt.trace.emit(now, "sched", "sched_done", admit_seq=admit_seq,
-                          op_id=op.op_id, dataset=op.dataset, moved=comp.moved,
-                          service=now - rec.admitted,
-                          turnaround=rec.turnaround, **extra)
-        self._mark("srv_op_done", op_id=admit_seq)
+        if self._discipline.accounted:  # rule 3
+            now = self.comm.sim.now
+            rec = self._sched_stats.records[admit_seq]
+            rec.completed = now
+            rec.moved = comp.moved
+            if self._slo_tracker is not None:
+                # samples arrive in this shard master's deterministic
+                # completion order; the tenant key is the op's master
+                # client
+                self._slo_tracker.record(op.master_client, rec.queue_wait,
+                                         rec.turnaround, now)
+            self._sched_trace("sched_done", admit_seq=admit_seq,
+                              op_id=op.op_id, dataset=op.dataset,
+                              moved=comp.moved, service=now - rec.admitted,
+                              turnaround=rec.turnaround)
+        self._mark_op("srv_op_done", comp.sched)
 
     def _sched_abort_orphans(self, sched: ServerScheduler) -> None:
         """Sharded fault mode: drop active work admitted by a shard
@@ -1075,14 +962,15 @@ class PandaServer:
                 p.fh.close()
                 p.fh = None
             sched.finish(p)
-            self._mark("srv_op_aborted", op_id=p.sched.admit_seq,
-                       shard=p.sched.shard)
+            self._mark_op("srv_op_aborted", p.sched, shard=p.sched.shard)
 
-    def _sched_detect(self, sched: ServerScheduler):
+    def _sched_detect(self):
         """Shard master, fault mode: the blocking receive timed out.
-        Scan the (perfect) failure detector for crashes affecting any
-        in-flight op this shard admitted and run the same mid-op write
-        recovery the unscheduled gather performs."""
+        Scan the failure detector for crashes affecting any in-flight
+        op this shard admitted and recover a mid-write crash.  The
+        simulation grants a perfect detector
+        (``runtime.crashed_servers``), so a slow server is never
+        declared dead -- a timeout alone proves nothing."""
         rt = self.runtime
         for admit_seq in sorted(self._completions):
             comp = self._completions.get(admit_seq)

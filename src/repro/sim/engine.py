@@ -752,9 +752,18 @@ class Simulator:
             return ready[0]
         return heap[0] if heap else None
 
+    def _raise_unhandled(self) -> None:
+        """The post-dispatch check every drain shares: a process that
+        raised with no joiner aborts the run."""
+        proc, exc = self._unhandled.pop(0)
+        raise SimulationError(
+            f"unhandled failure in process {proc.name!r}"
+        ) from exc
+
     def step(self) -> bool:
         """Execute the next queued event.  Returns False when the queue
-        is empty."""
+        is empty.  Raises an unhandled process failure exactly as
+        :meth:`run` does."""
         ready = self._ready
         if ready:
             heap = self._heap
@@ -779,20 +788,24 @@ class Simulator:
         if self.obs is not None:
             self.obs.on_event(t)
         self._flush_counters()
+        if self._unhandled:
+            self._raise_unhandled()
         return True
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the event queue drains (or simulated time passes
         ``until``).  Raises the first unhandled process exception, and
-        raises :class:`SimulationError` on deadlock (live processes but
-        no queued events).  Returns the final simulation time."""
+        -- when unbounded -- raises :class:`SimulationError` on deadlock
+        (live processes but no queued events).  Returns the final
+        simulation time."""
         if self._instrumented:
             return self._run_instrumented(until)
-        if until is not None:
-            return self._run_until(until)
         # The batched drain: everything loop-invariant lives in locals,
         # entries cycle through the slab, and each iteration is one
         # merged (time, seq) pop -- identical dispatch order to step().
+        # An unbounded run stops at infinity: one float compare per
+        # event.
+        limit = float("inf") if until is None else until
         ready, heap = self._ready, self._heap
         unhandled = self._unhandled
         obs = self.obs
@@ -812,57 +825,12 @@ class Simulator:
                 else:
                     break
                 t = e[0]
-                if t > now:
-                    self._now = now = t
-                elif t < now - 1e-15:
-                    raise SimulationError("time went backwards")
-                cb = e[2]
-                arg = e[3]
-                e[2] = e[3] = None
-                free_append(e)
-                cb(arg)
-                if obs is not None:
-                    obs.on_event(t)
-                if unhandled:
-                    proc, exc = unhandled.pop(0)
-                    raise SimulationError(
-                        f"unhandled failure in process {proc.name!r}"
-                    ) from exc
-        finally:
-            self._flush_counters()
-        if self._live_processes > 0:
-            raise SimulationError(
-                f"deadlock: {self._live_processes} live process(es) but no "
-                "pending events"
-            )
-        return now
-
-    def _run_until(self, until: float) -> float:
-        """:meth:`run` with a stop time: per-entry due check, otherwise
-        the same merged (time, seq) dispatch."""
-        ready, heap = self._ready, self._heap
-        unhandled = self._unhandled
-        obs = self.obs
-        pop = heapq.heappop
-        popleft = ready.popleft
-        free_append = self._free.append
-        now = self._now
-        try:
-            while heap or ready:
-                if ready:
-                    if heap and heap[0] < ready[0]:
-                        e = pop(heap)
-                    else:
-                        e = popleft()
-                else:
-                    e = pop(heap)
-                t = e[0]
-                if t > until:
+                if t > limit:
                     # not due yet: put it back (the heap orders by the
                     # same (time, seq) key wherever the entry came
-                    # from) and stop
+                    # from) and stop the clock at the limit
                     heapq.heappush(heap, e)
-                    self._now = until
+                    self._now = now = limit
                     break
                 if t > now:
                     self._now = now = t
@@ -876,13 +844,15 @@ class Simulator:
                 if obs is not None:
                     obs.on_event(t)
                 if unhandled:
-                    proc, exc = unhandled.pop(0)
-                    raise SimulationError(
-                        f"unhandled failure in process {proc.name!r}"
-                    ) from exc
+                    self._raise_unhandled()
         finally:
             self._flush_counters()
-        return self._now
+        if until is None and self._live_processes > 0:
+            raise SimulationError(
+                f"deadlock: {self._live_processes} live process(es) but no "
+                "pending events"
+            )
+        return now
 
     def _run_instrumented(self, until: Optional[float] = None) -> float:
         """The slow twin of :meth:`run`: optional same-timestamp random
@@ -949,10 +919,7 @@ class Simulator:
                 if self.obs is not None:
                     self.obs.on_event(t)
                 if self._unhandled:
-                    proc, exc = self._unhandled.pop(0)
-                    raise SimulationError(
-                        f"unhandled failure in process {proc.name!r}"
-                    ) from exc
+                    self._raise_unhandled()
         finally:
             self._flush_counters()
         if until is None and self._live_processes > 0:

@@ -304,3 +304,66 @@ def test_sharded_run_is_byte_identical_to_serial(policy, n_shards, seed):
     # admit_seq carries the admitting shard in its residue
     for shard, per in stats.shards.items():
         assert all(seq % n_shards == shard for seq in per.records)
+
+
+# -- the paper path is the one-slot discipline --------------------------------
+#
+# ``scheduler=None`` and ``SchedulerConfig("fifo", max_in_flight=1)`` run
+# the same server loop and move the same bytes in the same order.  Their
+# simulated timings differ only through the three rules of the paper
+# discipline (``repro.core.server._Discipline``); with one client group
+# the one that shows is rule 1, the scheduled master's handling charge
+# per SERVER_DONE.  With one I/O node there is no SERVER_DONE message at
+# all and the two are the same run.  Beyond that only the charges the op
+# has to wait for count: one -- the completing SERVER_DONE's -- when the
+# servers finish more than a charge apart (the paper's BLOCK,*,* disk
+# layout, whose shares differ), and at most ``n_io - 1`` when symmetric
+# servers (natural chunking) report inside one another's handling window.
+
+@pytest.mark.parametrize("traditional", (False, True))
+@pytest.mark.parametrize("n_io", (1, 2, 3, 4))
+def test_one_slot_fifo_is_the_paper_path_plus_one_handling_charge(
+        n_io, traditional):
+    shape = (64, 64, 64)
+    mem = ArrayLayout("mem", (2, 2, 2))
+    if traditional:
+        arr = Array("a", shape, np.float64, mem, [BLOCK] * 3,
+                    ArrayLayout("disk", (n_io,)), [BLOCK, NONE, NONE])
+    else:
+        arr = Array("a", shape, np.float64, mem, [BLOCK] * 3)
+    group = ArrayGroup("g")
+    group.include(arr)
+    data = distribute(make_global_array(shape, seed=7), arr.memory_schema)
+
+    def app(ctx):
+        ctx.bind(arr, data[ctx.group_index].copy())
+        yield from group.write(ctx, "ds")
+        ctx.local(arr)[...] = 0
+        yield from group.read(ctx, "ds")
+
+    def run(scheduler):
+        rt = PandaRuntime(n_compute=N_COMPUTE, n_io=n_io,
+                          config=PandaConfig(scheduler=scheduler))
+        result = rt.run(app)
+        return rt, [(op.kind, op.elapsed) for op in result.ops]
+
+    paper_rt, paper = run(None)
+    fifo_rt, fifo = run(SchedulerConfig("fifo", max_in_flight=1))
+
+    assert [kind for kind, _ in paper] == ["write", "read"]
+    if n_io == 1:
+        assert fifo == paper  # bit for bit
+    else:
+        charge = paper_rt.spec.request_handling_overhead
+        for (kind, t_paper), (_kind, t_fifo) in zip(paper, fifo):
+            later = t_fifo - t_paper
+            if traditional:
+                assert later == pytest.approx(charge, abs=1e-12), kind
+            else:
+                assert charge - 1e-12 <= later <= (n_io - 1) * charge + 1e-12, kind
+    assert file_state(fifo_rt) == file_state(paper_rt)
+    for key, want in client_state(paper_rt).items():
+        np.testing.assert_array_equal(client_state(fifo_rt)[key], want)
+    # the paper path keeps no admission accounting (rule 3)
+    assert paper_rt.sched_stats is None
+    assert len(fifo_rt.sched_stats.ops) == 2

@@ -143,6 +143,29 @@ def test_step_returns_false_on_empty_queue():
     assert sim.step() is False
 
 
+def test_step_raises_unhandled_process_failure_like_run():
+    """A process that raises with no joiner aborts the simulation
+    however it is drained: ``step()`` must not leave the failure parked
+    in the engine and return as if the run were clean."""
+    def boom(sim):
+        yield sim.timeout(1.0)
+        raise ValueError("nobody joins me")
+
+    ran = Simulator()
+    ran.spawn(boom(ran), name="boom")
+    with pytest.raises(SimulationError, match="unhandled failure.*boom") as by_run:
+        ran.run()
+
+    stepped = Simulator()
+    stepped.spawn(boom(stepped), name="boom")
+    with pytest.raises(SimulationError, match="unhandled failure.*boom") as by_step:
+        while stepped.step():
+            pass
+    assert isinstance(by_run.value.__cause__, ValueError)
+    assert isinstance(by_step.value.__cause__, ValueError)
+    assert stepped.now == ran.now == 1.0
+
+
 def test_immediate_process_completion():
     sim = Simulator()
 
