@@ -195,8 +195,12 @@ class PandaServer:
         counters all start at 0, and the observability layer pairs
         phase marks per (source, op_id).  The paper path runs one op at
         a time and keeps the group's own ``op_id`` (rule 3)."""
-        self._mark(kind, op_id=(sop.admit_seq if self._discipline.accounted
-                                else sop.op.op_id), **detail)
+        trace = self.runtime.trace
+        if trace is not None:
+            key = (sop.admit_seq if self._discipline.accounted
+                   else sop.op.op_id)
+            trace.emit(self.comm.sim.now, self._src, kind, op_id=key,
+                       **detail)
 
     def _sched_trace(self, kind: str, /, *, demoted: bool = False,
                      **detail) -> None:
@@ -254,7 +258,6 @@ class PandaServer:
         self._shard = self.server_index if self.server_index < n_shards \
             else None
         sched = ServerScheduler(cfg, self.server_index)
-        wire_tag = d.wire_tag
         listen = {Tags.SHUTDOWN}
         if self._shard is not None:
             listen |= {Tags.REQUEST, Tags.SERVER_DONE}
@@ -262,7 +265,7 @@ class PandaServer:
             # execution side; shard masters also execute peer shards'
             # ops and (fault mode) serve peer owners' mid-op recovery
             # assignments
-            listen |= {wire_tag}
+            listen |= {d.wire_tag}
             if self._reliable:
                 listen |= {Tags.RECOVER}
         completions = self._completions
