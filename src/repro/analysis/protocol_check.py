@@ -22,8 +22,8 @@ Sites are recognised syntactically from the repo's communicator idiom:
 
 - sends: ``comm.send(dst, Tags.X, ...)`` and
   ``comm.bcast_send(ranks, Tags.X, ...)`` (tag is argument #2);
-- recvs: ``comm.recv(tag=Tags.X)``, ``comm.recv(tags={...})``,
-  ``comm.gather_recv(ranks, Tags.X)``, the hoisted-predicate form
+- recvs: ``comm.recv(tag=Tags.X)``, ``comm.recv(tags={...})``, the
+  hoisted-predicate form
   ``comm.match_pred(tags={...})`` (consumed by a blocking
   ``recv_ev`` loop) and the non-blocking
   ``comm.try_recv(tags=...)`` (a recv site for coverage, but *not* a
@@ -305,15 +305,6 @@ class _SiteScanner:
                 # match_pred names the tags of a blocking recv_ev loop,
                 # so it is a recv site for both purposes.
                 stream.append(("recv", tags, call.lineno))
-        elif method == "gather_recv":
-            if len(call.args) < 2:
-                return
-            tags = _resolve_tags(call.args[1], env)
-            if tags is None:
-                return
-            site = _Site(tags, self.rel_path, call.lineno, func)
-            self.recvs.append(site)
-            stream.append(("recv", tags, call.lineno))
 
 
 def _guard_edges(

@@ -41,9 +41,8 @@ def reset() -> None:
 
 def clear_caches() -> None:
     """Empty every process-wide pure-function memo (per-shape plan
-    items and participants, the cost model's per-server walk, the
-    ``.schema`` descriptor template, chunk lists, region intersections,
-    contiguous-run decompositions).
+    items with their piece rows, and participants; the cost model's
+    per-server walk; the ``.schema`` descriptor template; chunk lists).
 
     The caches are correctness-neutral -- they memoise pure functions
     of an op's shape -- but they bleed across suites: a second run of
@@ -54,13 +53,11 @@ def clear_caches() -> None:
     from repro.core.plan import clear_plan_cache
     from repro.core.runtime import clear_schema_cache
     from repro.schema.chunking import clear_geometry_caches
-    from repro.schema.regions import clear_runs_cache
 
     clear_plan_cache()
     clear_walk_cache()
     clear_schema_cache()
     clear_geometry_caches()
-    clear_runs_cache()
 
 
 def snapshot() -> dict:

@@ -42,7 +42,7 @@ from repro.core.scheduler import NoLiveShardError
 from repro.faults import FaultRecoveryError
 from repro.mpi.comm import Communicator
 from repro.mpi.datatypes import DataBlock
-from repro.schema.regions import Region, runs_within
+from repro.schema.regions import Region
 from repro.schema.reorganize import extract_region, inject_region
 
 __all__ = ["PandaClient"]
@@ -319,7 +319,6 @@ class PandaClient:
         if failover:
             pred = self._owner_pred(op, data_tag)
             detect = self.runtime.injector.spec.detect_timeout
-        my_regions = [self._my_chunk_region(spec) for spec in op.arrays]
         while True:
             if failover:
                 msg = yield from self.comm.recv(match=pred, timeout=detect)
@@ -348,14 +347,13 @@ class PandaClient:
             t0 = self.comm.sim.now if trace is not None else 0.0
             yield self.comm.handle_ev()
             spec = op.arrays[body.array_index]
-            chunk_region = my_regions[body.array_index]
-            nbytes = body.region.size * spec.itemsize
-            runs, _ = runs_within(body.region, chunk_region)
-            if runs > 1:
+            row = body.row
+            nbytes = row.nbytes
+            if row.runs_chunk > 1:
                 # strided gather into a send buffer / scatter out of
                 # the receive buffer
-                yield self.comm.copy_ev(nbytes, runs)
-            reply = on_message(op, spec, body, chunk_region, nbytes)
+                yield self.comm.copy_ev(nbytes, row.runs_chunk)
+            reply = on_message(op, spec, body, nbytes)
             if reply is not None:
                 yield from self.comm.send(msg.src, reply_tag, reply,
                                           nbytes=nbytes if write else None)
@@ -365,30 +363,29 @@ class PandaClient:
                            nbytes=nbytes, service=self.comm.sim.now - t0)
 
     def _answer_fetch(self, op: CollectiveOp, spec: ArraySpec,
-                      req: FetchRequest, chunk_region: Region,
-                      nbytes: int) -> PieceData:
+                      req: FetchRequest, nbytes: int) -> PieceData:
         """Write path: the requested piece, gathered out of the local
         chunk, as the DATA reply."""
+        row = req.row
         if self.runtime.real_payloads:
             local = self.local(spec.name)
-            data = extract_region(local, chunk_region.lo, req.region)
+            data = extract_region(local, None, row.region,
+                                  slices=row.chunk_slices)
             block = DataBlock.real(data)
         else:
             block = DataBlock.virtual(nbytes)
-        return PieceData(op.op_id, req.array_index, req.region, block,
+        return PieceData(op.op_id, req.array_index, row, block,
                          req.subchunk_seq)
 
     def _absorb_piece(self, op: CollectiveOp, spec: ArraySpec,
-                      piece: PieceData, chunk_region: Region,
-                      nbytes: int) -> Optional[PieceAck]:
+                      piece: PieceData, nbytes: int) -> Optional[PieceAck]:
         """Read path: scatter an arriving piece into the local chunk;
         in fault mode, the PIECE_ACK reply."""
         if self.runtime.real_payloads:
-            local = self.local(spec.name)
-            data = piece.block.array.view(spec.np_dtype).reshape(
-                piece.region.shape
-            )
-            inject_region(local, chunk_region.lo, piece.region, data)
+            row = piece.row
+            inject_region(self.local(spec.name), None, row.region,
+                          piece.block.array.view(spec.np_dtype),
+                          slices=row.chunk_slices)
         if self._reliable:
             return PieceAck(op.op_id, piece.array_index, piece.region,
                             piece.subchunk_seq)

@@ -134,14 +134,13 @@ def _server_walk(op: CollectiveOp, n_servers: int, spec: MachineSpec,
         disk = net = copy = 0.0
         first_request = True
         for item in plan.items:
-            arr = op.arrays[item.array_index]
-            pieces = arr.memory_schema.chunks_intersecting(item.region)
+            # a fold over the item's piece rows: the same geometry the
+            # simulated server and clients read
             total_runs = 0
-            for chunk, overlap in pieces:
-                piece_bytes = overlap.size * arr.itemsize
-                runs_sub, _ = overlap.contiguous_runs_within(item.region)
-                total_runs += runs_sub
-                runs_chunk, _ = overlap.contiguous_runs_within(chunk.region)
+            for row in item.pieces:
+                piece_bytes = row.nbytes
+                total_runs += row.runs_sub
+                runs_chunk = row.runs_chunk
                 if write:
                     # request + reply, blocking: both on the critical path
                     net += CONTROL_MESSAGE_BYTES / spec.network_bandwidth

@@ -25,20 +25,33 @@ Plan rules (paper, section 2):
 :func:`locate_chunk` exposes the inverse mapping (array, chunk) ->
 (server, file region) used by tests, examples, and external-consumer
 tooling.
+
+Every sub-chunk also carries its **piece rows** (:class:`PieceRow`):
+which client holds which piece of it, in how many contiguous runs on
+each side and, for real payloads, where the piece sits in the server's
+staging buffer and in the client's chunk.  That is the geometry of the
+whole collective, flattened once per server and op shape -- the access
+list Thakur, Gropp and Lusk build once per noncontiguous MPI-IO access
+-- and the server, the client and the cost model all read it instead of
+re-deriving it per sub-chunk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from itertools import repeat
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.config import PandaConfig
-from repro.core.protocol import CollectiveOp
+from repro.core.protocol import ArraySpec, CollectiveOp
 from repro.counters import COUNTERS
 from repro.schema.regions import Region
 from repro.schema.split import split_row_major
 
 __all__ = [
+    "PieceRow",
     "SubchunkPlan",
     "ServerPlan",
     "build_server_plan",
@@ -56,6 +69,30 @@ def dataset_file(dataset: str, server_index: int) -> str:
     return f"{dataset}.s{server_index}.panda"
 
 
+class PieceRow(NamedTuple):
+    """One client's piece of one sub-chunk: a row of the flattened
+    piece table.  Rows depend on the op's shape alone, never on its
+    client group: the rank holding the piece is
+    ``op.client_ranks[row.mesh_index]``."""
+
+    #: memory-mesh position of the client whose chunk holds the piece.
+    mesh_index: int
+    #: the piece: the sub-chunk's overlap with that client's chunk, in
+    #: global coordinates.
+    region: Region
+    #: contiguous runs of the piece in the sub-chunk's row-major
+    #: layout (the server's staging pass) ...
+    runs_sub: int
+    #: ... and in the client chunk's (> 1: the client packs or unpacks).
+    runs_chunk: int
+    nbytes: int
+    #: real-payload plans only (None otherwise): the piece's local
+    #: slices in the sub-chunk buffer ...
+    sub_slices: Optional[Tuple[slice, ...]]
+    #: ... and in the client's chunk array.
+    chunk_slices: Optional[Tuple[slice, ...]]
+
+
 @dataclass(frozen=True)
 class SubchunkPlan:
     """One sub-chunk: the unit of disk I/O and of client gathering."""
@@ -69,6 +106,11 @@ class SubchunkPlan:
     nbytes: int
     #: sequence number within the server's plan (diagnostics).
     seq: int
+    #: the pieces tiling ``region``, in canonical memory-chunk order.
+    #: Recovery re-offsets items with ``dataclasses.replace``, which
+    #: carries the rows over unchanged.
+    pieces: Tuple[PieceRow, ...] = field(default=(), compare=False,
+                                         repr=False)
 
 
 @dataclass
@@ -102,12 +144,17 @@ class _ShapePlans:
     """Everything the plan layer memoises about one op shape: the
     per-server item tuples, filled lazily (a server asks only for its
     own; the cost model's cold walk asks for all), and the participant
-    tuple."""
+    tuple.  Items come in two flavours: plain, and for real-payload
+    runs with the piece rows' local slices -- the slices are most of a
+    row's memory and garbage-collector load, and only the real data
+    plane copies through them."""
 
-    __slots__ = ("items", "participants")
+    __slots__ = ("items", "real_items", "participants")
 
     def __init__(self, n_servers: int) -> None:
         self.items: List[Optional[Tuple[SubchunkPlan, ...]]] = \
+            [None] * n_servers
+        self.real_items: List[Optional[Tuple[SubchunkPlan, ...]]] = \
             [None] * n_servers
         self.participants: Optional[Tuple[int, ...]] = None
 
@@ -139,9 +186,11 @@ def _shape_plans(op: CollectiveOp, n_servers: int,
 
 
 def _plan_items(
-    op: CollectiveOp, server_index: int, n_servers: int, config: PandaConfig
+    op: CollectiveOp, server_index: int, n_servers: int, config: PandaConfig,
+    real: bool,
 ) -> Tuple[SubchunkPlan, ...]:
-    per_server = _shape_plans(op, n_servers, config).items
+    entry = _shape_plans(op, n_servers, config)
+    per_server = entry.real_items if real else entry.items
     hit = per_server[server_index]
     if hit is not None:
         COUNTERS.plan_cache_hits += 1
@@ -149,29 +198,94 @@ def _plan_items(
     COUNTERS.plan_cache_misses += 1
     items: List[SubchunkPlan] = []
     offset = 0
-    seq = 0
     for ai, spec in enumerate(op.arrays):
         sub_bytes = spec.sub_chunk_bytes or config.sub_chunk_bytes
         max_elems = max(1, sub_bytes // spec.itemsize)
-        for chunk in spec.disk_schema.chunks():
-            if chunk.index % n_servers != server_index:
-                continue
-            for sub in split_row_major(chunk.region, max_elems):
-                nbytes = sub.size * spec.itemsize
-                items.append(
-                    SubchunkPlan(
-                        array_index=ai,
-                        chunk_index=chunk.index,
-                        region=sub,
-                        file_offset=offset,
-                        nbytes=nbytes,
-                        seq=seq,
-                    )
-                )
-                offset += nbytes
-                seq += 1
+        subs: List[Tuple[int, Region]] = [
+            (chunk.index, sub)
+            for chunk in spec.disk_schema.chunks()
+            if chunk.index % n_servers == server_index
+            for sub in split_row_major(chunk.region, max_elems)
+        ]
+        rows = _piece_rows(spec, [sub for _, sub in subs], real)
+        for (chunk_index, sub), pieces in zip(subs, rows):
+            nbytes = sub.size * spec.itemsize
+            items.append(SubchunkPlan(
+                array_index=ai, chunk_index=chunk_index, region=sub,
+                file_offset=offset, nbytes=nbytes, seq=len(items),
+                pieces=pieces,
+            ))
+            offset += nbytes
     frozen = per_server[server_index] = tuple(items)
     return frozen
+
+
+def _piece_rows(spec: ArraySpec, subs: Sequence[Region],
+                real: bool) -> List[Tuple[PieceRow, ...]]:
+    """The piece rows of every sub-chunk in ``subs`` (one array's share
+    of one server's plan), in one vectorised pass: one
+    :meth:`~repro.schema.chunking.DataSchema.overlaps` batch for all of
+    them, then the run counts (and, when ``real``, the local slices) as
+    array arithmetic."""
+    if not subs:
+        return []
+    lo = np.array([s.lo for s in subs], dtype=np.int64)
+    hi = np.array([s.hi for s in subs], dtype=np.int64)
+    query, mesh, o_lo, o_hi, c_lo, c_hi = spec.memory_schema.overlaps(lo, hi)
+    s_lo = lo[query]
+    runs_sub = _runs_within(o_lo, o_hi, s_lo, hi[query])
+    runs_chunk = _runs_within(o_lo, o_hi, c_lo, c_hi)
+    # every int of the rows comes out of one object array, so equal
+    # coordinates, run counts and byte counts share one Python int
+    n = lo.shape[1]
+    ints = _shared_ints(np.column_stack((
+        o_lo, o_hi, runs_sub, runs_chunk,
+        (o_hi - o_lo).prod(axis=1) * spec.itemsize)))
+    regions = list(map(Region._trusted, map(tuple, ints[:, :n].tolist()),
+                       map(tuple, ints[:, n:2 * n].tolist())))
+    if real:
+        sub_slices = _local_slices(o_lo - s_lo, o_hi - s_lo)
+        chunk_slices = _local_slices(o_lo - c_lo, o_hi - c_lo)
+    else:
+        sub_slices = chunk_slices = repeat(None)
+    rows = list(map(PieceRow._make, zip(
+        mesh.tolist(), regions, *ints[:, 2 * n:].T.tolist(),
+        sub_slices, chunk_slices)))
+    COUNTERS.piece_rows_built += len(rows)
+    out: List[Tuple[PieceRow, ...]] = []
+    start = 0
+    for end in np.cumsum(np.bincount(query, minlength=len(subs))).tolist():
+        out.append(tuple(rows[start:end]))
+        start = end
+    return out
+
+
+def _runs_within(lo: np.ndarray, hi: np.ndarray, c_lo: np.ndarray,
+                 c_hi: np.ndarray) -> np.ndarray:
+    """:meth:`Region.contiguous_runs_within` for whole arrays of boxes:
+    the run count of ``[lo, hi)`` in the row-major layout of its
+    container ``[c_lo, c_hi)``, row by row.  Dimension ``d`` multiplies
+    the count unless every dimension after it is spanned fully (the
+    fully spanned suffix and the first partial dimension before it
+    merge into single runs)."""
+    full = (lo == c_lo) & (hi == c_hi)
+    # suffix[:, d]: every dimension from d on is spanned fully
+    suffix = np.logical_and.accumulate(full[:, ::-1], axis=1)[:, ::-1]
+    extent = hi - lo
+    return np.where(suffix[:, 1:], 1, extent[:, :-1]).prod(axis=1)
+
+
+def _shared_ints(a: np.ndarray) -> np.ndarray:
+    """``a`` as an object array of Python ints in which equal values
+    are one shared object."""
+    values, inverse = np.unique(a, return_inverse=True)
+    return np.array(values.tolist(), dtype=object)[inverse.reshape(a.shape)]
+
+
+def _local_slices(lo: np.ndarray, hi: np.ndarray) -> List[Tuple[slice, ...]]:
+    """One tuple of basic-indexing slices per row of ``[lo, hi)``."""
+    return list(zip(*(map(slice, lo[:, d].tolist(), hi[:, d].tolist())
+                      for d in range(lo.shape[1]))))
 
 
 def op_participants(op: CollectiveOp, n_servers: int,
@@ -207,11 +321,14 @@ def build_server_plan(
     server_index: int,
     n_servers: int,
     config: PandaConfig,
+    real: bool = False,
 ) -> ServerPlan:
     """Form the deterministic plan for ``server_index`` of ``n_servers``.
+    ``real`` asks for the flavour whose piece rows carry their local
+    slices, for a runtime that moves real payloads.
 
     ``items`` is the memoised tuple itself, shared by every plan of the
-    same shape."""
+    same shape and flavour."""
     if n_servers < 1:
         raise ValueError("need at least one server")
     if not 0 <= server_index < n_servers:
@@ -220,7 +337,7 @@ def build_server_plan(
         op=op,
         server_index=server_index,
         n_servers=n_servers,
-        items=_plan_items(op, server_index, n_servers, config),
+        items=_plan_items(op, server_index, n_servers, config, real),
     )
 
 

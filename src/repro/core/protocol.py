@@ -52,13 +52,16 @@ run a mid-op recovery).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
 from repro.mpi.datatypes import DataBlock
 from repro.schema.chunking import DataSchema
 from repro.schema.regions import Region
+
+if TYPE_CHECKING:  # plan.py imports this module
+    from repro.core.plan import PieceRow
 
 __all__ = [
     "ArraySpec",
@@ -226,31 +229,47 @@ class FetchRequest:
     """Server asks a client for a logical piece of a sub-chunk (write
     path).  Regions are global, so the request is meaningful regardless
     of how the client stores its chunk -- the paper's "logical sub-chunk"
-    requests."""
+    requests.
+
+    ``row`` is the piece's row of the server's piece table: the region
+    plus what the client would otherwise re-derive from it (its run
+    count and local slices in the client's chunk).  The row is not on
+    the wire -- the message is charged as a control message -- so it
+    moves no simulated time."""
 
     op_id: int
     array_index: int
-    region: Region
+    row: "PieceRow"
     #: identifies the requesting server's sub-chunk (diagnostics only;
     #: the protocol needs no reply routing beyond MPI source matching).
     subchunk_seq: int
 
+    @property
+    def region(self) -> Region:
+        return self.row.region
+
 
 @dataclass(frozen=True)
 class PieceData:
-    """A region-shaped piece of array data in flight (both directions)."""
+    """A region-shaped piece of array data in flight (both directions).
+    ``row`` is the piece's piece-table row, as in :class:`FetchRequest`;
+    only the payload bytes are charged on the wire."""
 
     op_id: int
     array_index: int
-    region: Region
+    row: "PieceRow"
     block: DataBlock
     subchunk_seq: int = -1
 
+    @property
+    def region(self) -> Region:
+        return self.row.region
+
     def __post_init__(self) -> None:
-        if self.block.nbytes % max(1, self.region.size) != 0 and self.region.size > 0:
+        if self.block.nbytes != self.row.nbytes:
             raise ValueError(
-                f"block of {self.block.nbytes}B is not a whole number of "
-                f"elements for region {self.region}"
+                f"block of {self.block.nbytes}B does not match the "
+                f"{self.row.nbytes}B piece {self.region}"
             )
 
 

@@ -106,6 +106,7 @@ def partition_recovery(
     survivors: Sequence[int],
     n_servers: int,
     config: PandaConfig,
+    real: bool = False,
 ) -> Tuple[RecoveryAssignment, ...]:
     """Re-partition the crashed server's plan over ``survivors``.
 
@@ -113,14 +114,17 @@ def partition_recovery(
     crashed plan) are dealt round-robin to the sorted survivors; each
     survivor's share is re-offset contiguously so its recovery file is
     written with one strictly sequential stream, exactly like an
-    ordinary server file.
+    ordinary server file.  The items keep the crashed plan's piece
+    rows (of the flavour ``real`` selects, as for
+    :func:`~repro.core.plan.build_server_plan`), so a survivor executes
+    them without re-deriving any geometry.
     """
     if crashed_index in survivors:
         raise ValueError(f"server {crashed_index} cannot survive its own crash")
     order = sorted(survivors)
     if not order:
         raise ValueError("no survivors to re-plan onto")
-    plan = build_server_plan(op, crashed_index, n_servers, config)
+    plan = build_server_plan(op, crashed_index, n_servers, config, real)
     # group consecutive sub-chunks by (array, chunk)
     groups: List[List[SubchunkPlan]] = []
     last_key = None

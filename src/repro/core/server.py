@@ -90,7 +90,7 @@ from repro.fs.filesystem import FileSystem
 from repro.obs.slo import SLOTracker
 from repro.mpi.comm import Communicator
 from repro.mpi.datatypes import DataBlock
-from repro.schema.regions import Region, runs_within
+from repro.schema.regions import Region
 from repro.schema.reorganize import extract_region, inject_region
 
 __all__ = ["PandaServer"]
@@ -348,20 +348,10 @@ class PandaServer:
             shutdown |= yield from self._sched_control(msg, sched, queue)
 
     # -- helpers ---------------------------------------------------------------
-    def _pieces_of(self, op: CollectiveOp, spec: ArraySpec,
-                   item: SubchunkPlan) -> List[Tuple[int, Region]]:
-        """(client_rank, piece_region) for everything intersecting a
-        sub-chunk, in canonical mesh order.  Memory-mesh position *i*
-        belongs to ``op.client_ranks[i]``."""
-        return [
-            (op.client_ranks[chunk.index], overlap)
-            for chunk, overlap in spec.memory_schema.chunks_intersecting(item.region)
-        ]
-
     def _stage(self, spec: ArraySpec, item: SubchunkPlan) -> np.ndarray:
         """The staging buffer, shaped as ``item``'s sub-chunk.  Its
-        bytes are whatever the last sub-chunk left: the pieces of
-        :meth:`_pieces_of` tile ``item.region`` exactly, so every byte
+        bytes are whatever the last sub-chunk left: ``item.pieces``
+        tile ``item.region`` exactly, so every byte
         is overwritten before the file write reads it, and the store has
         copied the previous sub-chunk out by then (one server process
         runs one sub-chunk at a time, scheduled or not)."""
@@ -378,7 +368,8 @@ class PandaServer:
         trace = self.runtime.trace
         t0 = self.comm.sim.now if trace is not None else 0.0
         spec = op.arrays[item.array_index]
-        pieces = self._pieces_of(op, spec, item)
+        pieces = item.pieces
+        ranks = op.client_ranks
         buf = self._stage(spec, item) if real else None
         total_runs = 0
         # data-plane replies are matched on (op_id, subchunk_seq) so a
@@ -387,15 +378,16 @@ class PandaServer:
                    and m.payload.subchunk_seq == item.seq)
         if self._reliable:
             replies = []
-            for client_rank, region in pieces:
-                req = FetchRequest(op.op_id, item.array_index, region, item.seq)
+            for row in pieces:
+                req = FetchRequest(op.op_id, item.array_index, row, item.seq)
                 replies.append((yield from self._exchange(
-                    op, item, client_rank, region, req)))
+                    op, item, ranks[row.mesh_index], row.region, req)))
         elif self.runtime.config.nonblocking:
             # post every request, then take replies in arrival order
-            for client_rank, region in pieces:
-                req = FetchRequest(op.op_id, item.array_index, region, item.seq)
-                yield from self.comm.send(client_rank, Tags.FETCH, req)
+            for row in pieces:
+                req = FetchRequest(op.op_id, item.array_index, row, item.seq)
+                yield from self.comm.send(ranks[row.mesh_index], Tags.FETCH,
+                                          req)
             pred = self.comm.match_pred(tag=Tags.DATA, match=is_mine)
             replies = []
             for _ in pieces:
@@ -404,8 +396,9 @@ class PandaServer:
         else:
             # the paper's blocking request/reply pairs, client order
             replies = []
-            for client_rank, region in pieces:
-                req = FetchRequest(op.op_id, item.array_index, region, item.seq)
+            for row in pieces:
+                client_rank = ranks[row.mesh_index]
+                req = FetchRequest(op.op_id, item.array_index, row, item.seq)
                 yield from self.comm.send(client_rank, Tags.FETCH, req)
                 msg = yield self.comm.recv_ev(
                     self.comm.match_pred(src=client_rank, tag=Tags.DATA,
@@ -420,13 +413,12 @@ class PandaServer:
                     f"{piece.subchunk_seq} during sub-chunk {item.seq}"
                 )
             yield self.comm.handle_ev()
-            runs, _ = runs_within(piece.region, item.region)
-            total_runs += runs
+            row = piece.row
+            total_runs += row.runs_sub
             if real:
-                data = piece.block.array.view(spec.np_dtype).reshape(
-                    piece.region.shape
-                )
-                inject_region(buf, item.region.lo, piece.region, data)
+                inject_region(buf, None, row.region,
+                              piece.block.array.view(spec.np_dtype),
+                              slices=row.sub_slices)
         # staging pass: assemble the sub-chunk in traditional order
         yield self.comm.copy_ev(item.nbytes, max(total_runs, 1))
         if trace is not None:
@@ -498,28 +490,29 @@ class PandaServer:
         t0 = self.comm.sim.now if trace is not None else 0.0
         if real:
             buf = block.array.view(spec.np_dtype).reshape(item.region.shape)
-        pieces = self._pieces_of(op, spec, item)
+        pieces = item.pieces
+        ranks = op.client_ranks
         total_runs = 0
-        for _, region in pieces:
-            runs, _ = runs_within(region, item.region)
-            total_runs += runs
+        for row in pieces:
+            total_runs += row.runs_sub
         # staging pass: carve the sub-chunk into pieces
         yield self.comm.copy_ev(item.nbytes, max(total_runs, 1))
-        for client_rank, region in pieces:
-            nbytes = region.size * spec.itemsize
+        for row in pieces:
+            nbytes = row.nbytes
             if real:
-                data = extract_region(buf, item.region.lo, region)
+                data = extract_region(buf, None, row.region,
+                                      slices=row.sub_slices)
                 pblock = DataBlock.real(data)
             else:
                 pblock = DataBlock.virtual(nbytes)
-            piece = PieceData(op.op_id, item.array_index, region, pblock,
+            piece = PieceData(op.op_id, item.array_index, row, pblock,
                               item.seq)
             if self._reliable:
-                yield from self._exchange(op, item, client_rank, region,
-                                          piece, nbytes)
+                yield from self._exchange(op, item, ranks[row.mesh_index],
+                                          row.region, piece, nbytes)
             else:
-                yield from self.comm.send(client_rank, Tags.PIECE, piece,
-                                          nbytes=nbytes)
+                yield from self.comm.send(ranks[row.mesh_index], Tags.PIECE,
+                                          piece, nbytes=nbytes)
         if trace is not None:
             now = self.comm.sim.now
             trace.emit(now, self._src, "srv_scatter", op_id=op.op_id,
@@ -583,7 +576,7 @@ class PandaServer:
             survivors = rt.live_servers()
             for k in sorted(crashed):
                 assignments = partition_recovery(op, k, survivors, rt.n_io,
-                                                 rt.config)
+                                                 rt.config, rt.real_payloads)
                 if not assignments:
                     continue  # the crashed server's plan was empty
                 recoveries.extend(assignments)
@@ -626,7 +619,8 @@ class PandaServer:
         rt = self.runtime
         injector = rt.injector
         survivors = rt.live_servers()
-        assignments = partition_recovery(op, k, survivors, rt.n_io, rt.config)
+        assignments = partition_recovery(op, k, survivors, rt.n_io, rt.config,
+                                         rt.real_payloads)
         if not assignments:
             return ()
         injector.note_recovery(
@@ -832,8 +826,9 @@ class PandaServer:
         if self._discipline.accounted:  # rule 3: else stamped on receipt
             self._mark_op("srv_op_start", sop, kind=op.kind)
         yield self.comm.compute_ev(self.comm.spec.plan_formation_overhead)
-        plan = build_server_plan(op, self.server_index, self.runtime.n_io,
-                                 self.runtime.config)
+        rt = self.runtime
+        plan = build_server_plan(op, self.server_index, rt.n_io, rt.config,
+                                 rt.real_payloads)
         assignments = tuple(a for a in sop.recoveries
                             if a.survivor_index == self.server_index)
         p = sched.start(sop, plan, assignments)

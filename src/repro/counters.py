@@ -30,6 +30,7 @@ class PerfCounters:
         "plan_cache_misses",
         "geom_cache_hits",
         "geom_cache_misses",
+        "piece_rows_built",
         "faults_injected",
         "disk_faults",
         "messages_dropped",
@@ -53,10 +54,14 @@ class PerfCounters:
         self.bytes_copied = 0
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
-        #: geometry caches: DataSchema.chunks_intersecting and
-        #: Region.contiguous_runs_within memos
+        #: geometry cache: the process-wide DataSchema chunk-list memo
+        #: (a schema instance's own cached list is not counted)
         self.geom_cache_hits = 0
         self.geom_cache_misses = 0
+        #: piece rows the plan layer built: one per (sub-chunk, client
+        #: piece), once per server and op shape (a plan-memo hit reuses
+        #: the rows with the items)
+        self.piece_rows_built = 0
         #: fault injection (see :mod:`repro.faults`): total injected
         #: faults and the per-kind breakdown, plus the recovery work
         #: (protocol/disk retries, crash recoveries) they triggered.

@@ -217,18 +217,3 @@ class Communicator:
             if r == self.rank:
                 continue
             yield from self.send(r, tag, payload, nbytes)
-
-    def gather_recv(self, ranks: Iterable[int], tag: int):
-        """Root side of a gather: collect one message from each rank,
-        in any arrival order.  Returns {src: message}."""
-        expected = {r for r in ranks if r != self.rank}
-        out = {}
-        while expected:
-            msg = yield from self.recv(tag=tag)
-            if msg.src not in expected:
-                raise RuntimeError(
-                    f"gather on rank {self.rank} got unexpected source {msg.src}"
-                )
-            expected.discard(msg.src)
-            out[msg.src] = msg
-        return out

@@ -22,7 +22,7 @@ Key types:
   are *consecutive, contiguous spans of the region's row-major order*
   (the property Panda's sequential writes rely on).
 - :mod:`repro.schema.reorganize` -- gather/scatter copies between
-  regions and local chunk arrays, plus contiguous-run cost analysis.
+  regions and local chunk arrays.
 """
 
 from repro.schema.chunking import Chunk, DataSchema
@@ -34,7 +34,6 @@ from repro.schema.reorganize import (
     extract_region,
     gather_into,
     inject_region,
-    region_runs,
 )
 
 __all__ = [
@@ -50,6 +49,5 @@ __all__ = [
     "gather_into",
     "inject_region",
     "parse_dist",
-    "region_runs",
     "split_row_major",
 ]

@@ -5,7 +5,8 @@ ask during plan formation:
 
 - which region of the array does mesh position *p* hold?  (`chunk_region`)
 - what are all the chunks, in canonical order?  (`chunks`)
-- which chunks intersect a given region?  (`chunks_intersecting`)
+- which chunks intersect a given region?  (`chunks_intersecting`, or
+  `overlaps` for many regions in one batch)
 
 "Natural chunking" (the paper's default) is simply a disk
 :class:`DataSchema` equal to the memory one.
@@ -25,26 +26,20 @@ from repro.schema.regions import Region
 
 __all__ = ["Chunk", "DataSchema"]
 
-#: process-wide memo of chunks_intersecting, keyed (schema, region).
-#: Schemas are value-hashable, so the fresh-but-equal instances a sweep
-#: builds per point share one entry per distinct geometry instead of
-#: re-missing per instance.  Cleared wholesale when full (the working
-#: set of any one sweep is far smaller); ``clear_geometry_caches``
-#: empties it explicitly for counter-exact benchmarking.
-_INTERSECT_CACHE: dict = {}
-_INTERSECT_CACHE_MAX = 1 << 16
-
-#: process-wide memo of chunk lists, same keying rationale.
+#: process-wide memo of chunk lists, keyed by schema.  Schemas are
+#: value-hashable, so the fresh-but-equal instances a sweep builds per
+#: point share one entry per distinct geometry instead of re-missing per
+#: instance.  Cleared wholesale when full (the working set of any one
+#: sweep is far smaller); ``clear_geometry_caches`` empties it
+#: explicitly for counter-exact benchmarking.
 _CHUNKS_CACHE: dict = {}
 _CHUNKS_CACHE_MAX = 1 << 10
 
 
 def clear_geometry_caches() -> None:
-    """Empty the schema-level geometry memos (chunk lists and
-    intersection queries).  The benchmark harness calls this between
-    suites so cache-hit counters are exact per suite regardless of
-    suite order."""
-    _INTERSECT_CACHE.clear()
+    """Empty the schema-level chunk-list memo.  The benchmark harness
+    calls this between suites so cache-hit counters are exact per suite
+    regardless of suite order."""
     _CHUNKS_CACHE.clear()
 
 
@@ -154,13 +149,10 @@ class DataSchema:
             hi.append(h)
         return Region(tuple(lo), tuple(hi))
 
-    # -- geometry caches ---------------------------------------------------
-    # The schema is immutable, so its chunk list and intersection
-    # queries are pure; both are memoised on the instance (lazily, via
-    # object.__setattr__ -- the attributes are not dataclass fields, so
-    # equality and hashing are unaffected).  Plan formation asks these
-    # questions once per sub-chunk per collective; a timestep loop or a
-    # figure sweep repeats them thousands of times.
+    # -- geometry ----------------------------------------------------------
+    # The schema is immutable, so its chunk list is pure; it is memoised
+    # on the instance (lazily, via object.__setattr__ -- the attribute
+    # is not a dataclass field, so equality and hashing are unaffected).
 
     def _chunk_list(self) -> Tuple[Chunk, ...]:
         """All chunks (including empty ones) by canonical id, cached on
@@ -169,7 +161,10 @@ class DataSchema:
             return self._chunks_cache
         except AttributeError:
             chunks = _CHUNKS_CACHE.get(self)
-            if chunks is None:
+            if chunks is not None:
+                COUNTERS.geom_cache_hits += 1
+            else:
+                COUNTERS.geom_cache_misses += 1
                 chunks = tuple(
                     Chunk(i, coords, self.chunk_region(coords))
                     for i, coords in enumerate(self.mesh.iter_coords())
@@ -197,108 +192,77 @@ class DataSchema:
                 yield c
 
     def chunks_intersecting(self, region: Region) -> Tuple[Tuple[Chunk, Region], ...]:
-        """All (chunk, overlap) pairs whose region meets ``region``,
-        in canonical chunk order.  Memoised process-wide per (schema,
-        region) -- the returned tuple is the cached object itself, so
-        hits cost one dict probe and no copy.
+        """All (chunk, overlap) pairs whose region meets ``region``, in
+        canonical chunk order: :meth:`overlaps` for one query box."""
+        lo = np.array([region.lo], dtype=np.int64)
+        hi = np.array([region.hi], dtype=np.int64)
+        _, ids, o_lo, o_hi, _, _ = self.overlaps(lo, hi)
+        chunks = self._chunk_list()
+        return tuple(
+            (chunks[i], Region(tuple(l), tuple(h)))
+            for i, l, h in zip(ids.tolist(), o_lo.tolist(), o_hi.tolist())
+        )
+
+    def overlaps(self, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Every non-empty overlap of a chunk with one of ``n`` query
+        boxes ``[lo[q], hi[q])`` (int64 arrays of shape ``(n, ndim)``).
+
+        Returns ``(query, chunk_id, o_lo, o_hi, c_lo, c_hi)``, one entry
+        per overlap: the query's row, the chunk's canonical id, the
+        overlap box and the chunk's own box.  Entries are grouped by
+        ascending query and, within a query, listed in ascending chunk
+        id -- exactly the order a per-chunk scan would produce.
 
         Rather than scanning every chunk, the HPF BLOCK rule gives the
         candidate mesh coordinates directly: in each distributed
         dimension, blocks of size ``b = ceil(extent / parts)`` overlap
-        ``[lo, hi)`` exactly for indices ``lo // b .. (hi - 1) // b``.
-        A miss evaluates the whole candidate grid -- coordinates, chunk
-        ids and per-dimension overlap bounds -- as NumPy array
-        arithmetic (one vectorized computation per distinct geometry),
-        flattened in row-major order so the pairs come out in ascending
-        canonical id, exactly as a per-candidate scan would list them.
+        ``[l, h)`` exactly for indices ``l // b .. (h - 1) // b``.  Every
+        query's candidate grid is enumerated at once as one ragged
+        row-major product (the last mesh dimension varies fastest, so
+        candidate order is canonical id order), and empty trailing HPF
+        blocks fall out with every other zero-volume overlap.  The whole
+        batch is a fixed number of array operations, however many
+        queries it holds.
         """
-        key = (self, region)
-        hit = _INTERSECT_CACHE.get(key)
-        if hit is not None:
-            COUNTERS.geom_cache_hits += 1
-            return hit
-        COUNTERS.geom_cache_misses += 1
-        out = self._intersections_of(region)
-        if len(_INTERSECT_CACHE) >= _INTERSECT_CACHE_MAX:
-            _INTERSECT_CACHE.clear()
-        _INTERSECT_CACHE[key] = out
-        return out
-
-    def _intersections_of(self, region: Region) -> Tuple[Tuple[Chunk, Region], ...]:
-        """Uncached body of :meth:`chunks_intersecting`."""
-        if region.empty:
-            return ()
-        chunks = self._chunk_list()
+        n_q, ndim = lo.shape
         dims = self.mesh.dims
-        # per distributed dimension: candidate coords and the overlap
-        # interval of every candidate's block with the query, as arrays
-        coord_axes: List[np.ndarray] = []
-        lo_axes: List[np.ndarray] = []
-        hi_axes: List[np.ndarray] = []
-        # per array dimension: the fixed overlap of non-distributed
-        # dims, or None where a distributed axis will be substituted
-        fixed: List[Tuple[int, int]] = []
-        m = 0
-        for extent, dist, rl, rh in zip(self.shape, self.dists, region.lo, region.hi):
+        # per distributed dimension: array dim, block size, first
+        # candidate coordinate and candidate count of every query
+        axes: List[Tuple[int, int, np.ndarray, np.ndarray]] = []
+        for d, (extent, dist) in enumerate(zip(self.shape, self.dists)):
             if dist.distributed:
-                parts = dims[m]
-                m += 1
+                parts = dims[len(axes)]
                 b = -(-extent // parts)
-                lo_i = max(0, rl // b)
-                hi_i = min(parts - 1, (rh - 1) // b)
-                if lo_i > hi_i:
-                    return ()
-                coords = np.arange(lo_i, hi_i + 1, dtype=np.int64)
-                starts = coords * b
-                # trailing mesh positions may hold a short or empty
-                # block (the HPF rule); clip to the array extent
-                stops = np.minimum(starts + b, extent)
-                coord_axes.append(coords)
-                lo_axes.append(np.maximum(starts, rl))
-                hi_axes.append(np.minimum(stops, rh))
-                fixed.append((-1, -1))  # placeholder, filled per candidate
-            else:
-                l0, h0 = max(rl, 0), min(rh, extent)
-                if h0 <= l0:
-                    return ()
-                fixed.append((l0, h0))
-        if not coord_axes:
-            # no distributed dimensions: the single chunk spans the array
-            chunk = chunks[0]
-            overlap = chunk.region.intersect(region)
-            return ((chunk, overlap),) if overlap is not None else ()
-        # the full candidate grid at once: row-major ('ij') flattening
-        # matches the canonical-id cartesian order
-        coord_g = np.meshgrid(*coord_axes, indexing="ij")
-        lo_g = [g.ravel() for g in np.meshgrid(*lo_axes, indexing="ij")]
-        hi_g = [g.ravel() for g in np.meshgrid(*hi_axes, indexing="ij")]
-        idx = coord_g[0].astype(np.int64)
-        for j in range(1, len(coord_g)):
-            idx = idx * dims[j] + coord_g[j]
-        idx_flat = idx.ravel()
-        # survivors: positive overlap volume in every distributed
-        # dimension (empty trailing blocks fall out here)
-        valid = hi_g[0] > lo_g[0]
-        for j in range(1, len(lo_g)):
-            valid &= hi_g[j] > lo_g[j]
-        out: List[Tuple[Chunk, Region]] = []
-        for flat_pos in np.nonzero(valid)[0].tolist():
-            lo_pt: List[int] = []
-            hi_pt: List[int] = []
-            a = 0
-            for d, (l0, h0) in enumerate(fixed):
-                if self.dists[d].distributed:
-                    lo_pt.append(int(lo_g[a][flat_pos]))
-                    hi_pt.append(int(hi_g[a][flat_pos]))
-                    a += 1
-                else:
-                    lo_pt.append(l0)
-                    hi_pt.append(h0)
-            out.append(
-                (chunks[int(idx_flat[flat_pos])],
-                 Region(tuple(lo_pt), tuple(hi_pt)))
-            )
-        return tuple(out)
+                first = np.maximum(lo[:, d] // b, 0)
+                last = np.minimum((hi[:, d] - 1) // b, parts - 1)
+                axes.append((d, b, first, np.maximum(last - first + 1, 0)))
+        total = np.ones(n_q, dtype=np.int64)
+        for _, _, _, count in axes:
+            total *= count
+        query = np.repeat(np.arange(n_q), total)
+        # position of each candidate within its query's grid, decoded as
+        # mixed-radix digits (every count is >= 1 for a query that has
+        # candidates at all)
+        k = np.arange(len(query)) - np.repeat(np.cumsum(total) - total, total)
+        c_lo = np.zeros((len(query), ndim), dtype=np.int64)
+        c_hi = np.empty_like(c_lo)
+        c_hi[:] = self.shape
+        chunk_id = np.zeros(len(query), dtype=np.int64)
+        stride = 1
+        for m in range(len(axes) - 1, -1, -1):
+            d, b, first, count = axes[m]
+            n = count[query]
+            coord = first[query] + k % n
+            k //= n
+            chunk_id += coord * stride
+            stride *= dims[m]
+            c_lo[:, d] = coord * b
+            c_hi[:, d] = np.minimum(coord * b + b, self.shape[d])
+        o_lo = np.maximum(c_lo, lo[query])
+        o_hi = np.minimum(c_hi, hi[query])
+        keep = (o_hi > o_lo).all(axis=1)
+        return (query[keep], chunk_id[keep], o_lo[keep], o_hi[keep],
+                c_lo[keep], c_hi[keep])
 
     def owner_of_point(self, point: Sequence[int]) -> Chunk:
         """The chunk containing ``point`` (computed directly, not by

@@ -12,15 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
-from repro.counters import COUNTERS
-
-__all__ = ["Region", "clear_runs_cache", "runs_within"]
+__all__ = ["Region"]
 
 
 @dataclass(frozen=True)
 class Region:
     """A half-open hyper-rectangle ``[lo, hi)`` in n-dimensional index
     space.  Immutable and hashable."""
+
+    # slotted: plans hold one region per sub-chunk and per piece row
+    # (``_hash`` and ``_size`` are filled on first use)
+    __slots__ = ("lo", "hi", "_hash", "_size")
 
     lo: Tuple[int, ...]
     hi: Tuple[int, ...]
@@ -30,26 +32,37 @@ class Region:
             raise ValueError(f"rank mismatch: lo={self.lo} hi={self.hi}")
         if not self.lo:
             raise ValueError("regions must have rank >= 1")
-        for l, h in zip(self.lo, self.hi):
-            if h < l:
-                raise ValueError(f"inverted extent in region lo={self.lo} hi={self.hi}")
-        # normalise: tuples, not lists
-        lo = tuple(int(x) for x in self.lo)
-        hi = tuple(int(x) for x in self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        # regions key every geometry memo (runs_within,
-        # chunks_intersecting, the plan cache); precomputing the hash
-        # and size here turns each lookup's rehash into one attribute
-        # load
-        object.__setattr__(self, "_hash", hash((lo, hi)))
-        n = 1
+        # normalise: tuples of ints, not lists or numpy scalars
+        lo = tuple(map(int, self.lo))
+        hi = tuple(map(int, self.hi))
         for l, h in zip(lo, hi):
-            n *= h - l
-        object.__setattr__(self, "_size", n)
+            if h < l:
+                raise ValueError(
+                    f"inverted extent in region lo={self.lo} hi={self.hi}")
+        object.__setattr__(self, "lo", lo)  # the dataclass is frozen
+        object.__setattr__(self, "hi", hi)
+
+    @classmethod
+    def _trusted(cls, lo: Tuple[int, ...], hi: Tuple[int, ...]) -> "Region":
+        """A region from already-valid parts, skipping validation: for
+        bulk builders whose ``lo``/``hi`` are tuples of Python ints with
+        ``hi >= lo`` by construction."""
+        region = object.__new__(cls)
+        object.__setattr__(region, "lo", lo)
+        object.__setattr__(region, "hi", hi)
+        return region
+
+    # Hash and size are computed on first use and kept: the plan memo
+    # holds a region per piece row, most of which are never hashed or
+    # measured, and an unused int per field is memory for nothing.
 
     def __hash__(self) -> int:  # cached; dataclass keeps explicit hashes
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.lo, self.hi))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -69,13 +82,20 @@ class Region:
     @property
     def size(self) -> int:
         """Number of elements (0 if empty)."""
-        return self._size
+        try:
+            return self._size
+        except AttributeError:
+            n = 1
+            for l, h in zip(self.lo, self.hi):
+                n *= h - l
+            object.__setattr__(self, "_size", n)
+            return n
 
     @property
     def empty(self) -> bool:
         # extents are validated non-negative, so zero volume means some
         # extent is zero
-        return self._size == 0
+        return self.size == 0
 
     def nbytes(self, itemsize: int) -> int:
         return self.size * itemsize
@@ -227,35 +247,3 @@ class Region:
     def __repr__(self) -> str:
         spans = ",".join(f"{l}:{h}" for l, h in zip(self.lo, self.hi))
         return f"Region[{spans}]"
-
-
-#: memo for :func:`runs_within`; cleared wholesale when full (the
-#: working set of (piece, sub-chunk) pairs per sweep is far smaller).
-_RUNS_CACHE: dict = {}
-_RUNS_CACHE_MAX = 1 << 16
-
-
-def clear_runs_cache() -> None:
-    """Empty the runs memo (see ``repro.bench.profiling.clear_caches``)."""
-    _RUNS_CACHE.clear()
-
-
-def runs_within(region: Region, container: Region) -> Tuple[int, int]:
-    """Memoised :meth:`Region.contiguous_runs_within`.
-
-    The protocol evaluates the same (piece region, sub-chunk region)
-    pairs once per sub-chunk per collective -- across a timestep loop or
-    a figure sweep the same geometry recurs thousands of times, so the
-    pure result is cached process-wide.
-    """
-    key = (region, container)
-    hit = _RUNS_CACHE.get(key)
-    if hit is not None:
-        COUNTERS.geom_cache_hits += 1
-        return hit
-    COUNTERS.geom_cache_misses += 1
-    result = region.contiguous_runs_within(container)
-    if len(_RUNS_CACHE) >= _RUNS_CACHE_MAX:
-        _RUNS_CACHE.clear()
-    _RUNS_CACHE[key] = result
-    return result

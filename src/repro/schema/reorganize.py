@@ -16,21 +16,23 @@ nothing but region-shaped gather/scatter copies:
 All functions operate on C-contiguous NumPy arrays holding a chunk in
 row-major order, with the chunk's global origin given separately, so
 the same code serves memory chunks, disk chunks and sub-chunk buffers.
-
-``region_runs`` exposes the contiguous-run structure used by the cost
-model (one memcpy per run).
+The protocol's hot path passes a piece row's precomputed local slices
+instead (:class:`repro.core.plan.PieceRow`), so each piece costs one
+slice assignment.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.counters import COUNTERS
-from repro.schema.regions import Region, runs_within
+from repro.schema.regions import Region
 
-__all__ = ["extract_region", "inject_region", "gather_into", "region_runs"]
+__all__ = ["extract_region", "inject_region", "gather_into"]
+
+Slices = Tuple[slice, ...]
 
 
 def _local_slices(region: Region, origin: Sequence[int], shape: Tuple[int, ...]) -> Tuple[slice, ...]:
@@ -46,10 +48,14 @@ def _local_slices(region: Region, origin: Sequence[int], shape: Tuple[int, ...])
 
 
 def extract_region(
-    chunk: np.ndarray, origin: Sequence[int], region: Region
+    chunk: np.ndarray, origin: Optional[Sequence[int]], region: Region,
+    *, slices: Optional[Slices] = None,
 ) -> np.ndarray:
     """Gather global ``region`` out of ``chunk`` (whose global origin is
-    ``origin``) as a C-contiguous array of ``region.shape``.
+    ``origin``) as a C-contiguous array of ``region.shape``.  When the
+    region's local ``slices`` in ``chunk`` are already known they are
+    used as they are, with no translation or bounds check, and
+    ``origin`` may be None.
 
     Zero-copy fast path: when the slice is a single contiguous run of
     the chunk (it spans the trailing dimensions), the returned array is
@@ -57,8 +63,9 @@ def extract_region(
     the result as read-only or copy before mutating.  Strided regions
     are gathered into a fresh buffer as before.
     """
-    sl = _local_slices(region, origin, chunk.shape)
-    view = chunk[sl]
+    if slices is None:
+        slices = _local_slices(region, origin, chunk.shape)
+    view = chunk[slices]
     if view.flags["C_CONTIGUOUS"]:
         return view
     COUNTERS.bytes_copied += view.nbytes
@@ -66,12 +73,15 @@ def extract_region(
 
 
 def inject_region(
-    chunk: np.ndarray, origin: Sequence[int], region: Region, data: np.ndarray
+    chunk: np.ndarray, origin: Optional[Sequence[int]], region: Region,
+    data: np.ndarray, *, slices: Optional[Slices] = None,
 ) -> None:
-    """Scatter ``data`` (shaped like ``region``) into ``chunk`` at the
-    position of global ``region``."""
-    sl = _local_slices(region, origin, chunk.shape)
-    view = chunk[sl]
+    """Scatter ``data`` (shaped like ``region``, or flat) into ``chunk``
+    at the position of global ``region``; ``slices`` as for
+    :func:`extract_region`."""
+    if slices is None:
+        slices = _local_slices(region, origin, chunk.shape)
+    view = chunk[slices]
     data = np.asarray(data)
     if data.shape != view.shape:
         data = data.reshape(view.shape)
@@ -92,15 +102,3 @@ def gather_into(
     src_sl = _local_slices(region, src_origin, src.shape)
     dst_sl = _local_slices(region, dst_origin, dst.shape)
     dst[dst_sl] = src[src_sl]
-
-
-def region_runs(region: Region, chunk_region: Region) -> Tuple[int, int]:
-    """Contiguous-run structure of accessing ``region`` inside a chunk
-    stored row-major over ``chunk_region``: ``(n_runs, run_elems)``.
-
-    The simulation charges ``copy_time(nbytes, n_runs)`` for a gather or
-    scatter; ``n_runs == 1`` means the access is one contiguous span
-    (and, for a piece equal to the whole transfer, can be sent
-    zero-copy).
-    """
-    return runs_within(region, chunk_region)

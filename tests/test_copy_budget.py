@@ -20,7 +20,6 @@ from repro.core import (
 )
 from repro.core.plan import build_server_plan
 from repro.core.protocol import CollectiveOp
-from repro.schema.regions import runs_within
 from repro.workloads import (
     distribute,
     make_global_array,
@@ -45,8 +44,10 @@ def _strided_bytes(array, config):
         for item in build_server_plan(op, index, N_IO, config).items:
             for chunk, piece in spec.memory_schema.chunks_intersecting(item.region):
                 nbytes = piece.size * spec.itemsize
-                client += nbytes * (runs_within(piece, chunk.region)[0] > 1)
-                server += nbytes * (runs_within(piece, item.region)[0] > 1)
+                client += nbytes * (
+                    piece.contiguous_runs_within(chunk.region)[0] > 1)
+                server += nbytes * (
+                    piece.contiguous_runs_within(item.region)[0] > 1)
     return client, server
 
 

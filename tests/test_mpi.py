@@ -304,28 +304,25 @@ def test_network_accounting_and_trace():
     assert msgs[0]["src"] == 0 and msgs[0]["dst"] == 1
 
 
-def test_bcast_send_and_gather_recv():
+def test_bcast_send_reaches_every_other_rank():
     sim, net = make_net(4)
     received = []
 
     def root(sim):
         yield from net.comm(0).bcast_send(range(4), tag=9, payload="go")
-        msgs = yield from net.comm(0).gather_recv(range(4), tag=10)
-        return sorted(msgs)
 
     def worker(rank):
         def proc(sim):
             msg = yield from net.comm(rank).recv(tag=9)
             received.append((rank, msg.payload))
-            yield from net.comm(rank).send(0, tag=10, payload=rank * 10)
         return proc(sim)
 
-    p = sim.spawn(root(sim))
+    sim.spawn(root(sim))
     for r in (1, 2, 3):
         sim.spawn(worker(r))
     sim.run()
+    # the root skips its own rank
     assert sorted(received) == [(1, "go"), (2, "go"), (3, "go")]
-    assert p.value == [1, 2, 3]
 
 
 def test_compute_and_handle_charges():

@@ -106,25 +106,6 @@ def test_compute_zero_is_free():
     assert sim.run_process(proc(sim)) == 0.0
 
 
-def test_gather_recv_rejects_stranger():
-    sim = Simulator()
-    net = Network(sim, NAS_SP2, 4)
-
-    def root(sim):
-        try:
-            yield from net.comm(0).gather_recv([0, 1], tag=9)
-        except RuntimeError as exc:
-            return "unexpected" in str(exc)
-
-    def stranger(sim):
-        yield from net.comm(3).send(0, tag=9, payload="intruder")
-
-    p = sim.spawn(root(sim))
-    sim.spawn(stranger(sim))
-    sim.run()
-    assert p.value is True
-
-
 def test_zero_byte_data_message():
     sim = Simulator()
     net = Network(sim, NAS_SP2, 2)

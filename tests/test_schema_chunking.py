@@ -230,17 +230,6 @@ def test_chunks_intersecting_matches_exhaustive_scan():
             assert list(fast) == slow, (schema, region)
 
 
-def test_chunks_intersecting_is_memoised():
-    schema = DataSchema.build((16, 16), (2, 2), ("BLOCK", "BLOCK"))
-    region = Region((0, 0), (9, 9))
-    first = schema.chunks_intersecting(region)
-    second = schema.chunks_intersecting(region)
-    assert first == second
-    # hits return the cached tuple itself -- immutable, so sharing is safe
-    # and saves a copy per query on the planning hot path
-    assert first is second
-
-
 def test_chunk_list_cached_and_index_checked():
     schema = DataSchema.build((8, 8), (2, 2), ("BLOCK", "BLOCK"))
     assert schema.chunk(3) is schema.chunk(3)

@@ -207,13 +207,3 @@ def test_iter_runs_partial_middle_dim_start_points():
     offs = [container.linear_offset_of(p) for p, _ in runs]
     assert offs == sorted(offs)
     assert sum(n for _, n in runs) == region.size
-
-
-def test_runs_within_memo_matches_direct_computation():
-    from repro.schema.regions import runs_within
-
-    container = Region((0, 0), (8, 8))
-    region = Region((2, 0), (5, 8))
-    direct = region.contiguous_runs_within(container)
-    assert runs_within(region, container) == direct
-    assert runs_within(region, container) == direct  # cached second call

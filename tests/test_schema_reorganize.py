@@ -9,7 +9,6 @@ from repro.schema import (
     extract_region,
     gather_into,
     inject_region,
-    region_runs,
 )
 from repro.schema.distribution import BLOCK, NONE
 
@@ -70,12 +69,6 @@ def test_gather_into_cross_chunk_copy():
     region = Region((2, 4), (4, 8))
     gather_into(dst, (2, 0), src, src_origin, region)
     np.testing.assert_array_equal(dst[0:2, 4:8], g[2:4, 4:8])
-
-
-def test_region_runs_matches_region_method():
-    chunk = Region((0, 0), (8, 8))
-    sub = Region((2, 2), (4, 6))
-    assert region_runs(sub, chunk) == sub.contiguous_runs_within(chunk)
 
 
 def test_full_reorganisation_bbb_to_slabs():
