@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import (BLOCK, NONE, Array, ArrayGroup, ArrayLayout,
-                        PandaConfig, PandaRuntime)
+                        PandaConfig, PandaRuntime, SchedulerConfig)
 from repro.faults import FaultSpec
 from repro.workloads.apps import write_read_roundtrip_app
 
@@ -83,7 +83,9 @@ def test_golden_repeatable_within_process():
 # crash recovery, and several client groups queueing head-of-line at the
 # master.  Captured on the tree whose server still had a separate
 # one-op-at-a-time loop; the paper discipline of the unified loop must
-# reproduce every one of them.
+# reproduce every one of them.  ``nonblocking-trad-3io`` and the
+# scheduled non-blocking pin below were captured on the tree whose
+# server still had a separate per-piece loop for each exchange mode.
 
 _KB = 1024
 _RATES = dict(msg_drop_rate=0.03, msg_delay_rate=0.05, disk_fault_rate=0.02)
@@ -112,10 +114,12 @@ def _single(n_io: int, traditional: bool, **config):
     return _elapsed_hex(rt.run(write_read_roundtrip_app([a], "ds")))
 
 
-def _partitioned(groups: int, faults=None):
+def _partitioned(groups: int, faults=None, **config):
     """``groups`` disjoint client groups on 8 compute / 3 I/O nodes,
     each writing then reading its own dataset; the master serves them
-    one op at a time in REQUEST arrival order."""
+    one op at a time in REQUEST arrival order (unless ``config`` names
+    a scheduler).  Every group numbers its ops from 0, so the groups'
+    op ids collide."""
     per = 8 // groups
     mesh = {4: (2, 2), 2: (2,)}[per]
     assignments = []
@@ -132,13 +136,15 @@ def _partitioned(groups: int, faults=None):
         assignments.append((app, tuple(range(g * per, (g + 1) * per))))
     rt = PandaRuntime(n_compute=8, n_io=3, real_payloads=False,
                       config=PandaConfig(sub_chunk_bytes=16 * _KB,
-                                         faults=faults))
+                                         faults=faults, **config))
     return _elapsed_hex(rt.run_partitioned(assignments))
 
 
 _UNSCHEDULED = {
     "trad-3io": lambda: _single(3, True),
     "nonblocking": lambda: _single(2, False, nonblocking=True),
+    # several pieces per sub-chunk, replies taken out of client order
+    "nonblocking-trad-3io": lambda: _single(3, True, nonblocking=True),
     "faults-seed1": lambda: _single(3, True,
                                     faults=FaultSpec(seed=1, **_RATES)),
     "faults-seed2": lambda: _single(3, True,
@@ -204,6 +210,10 @@ GOLDEN_UNSCHEDULED = {
         ("ds", "write", "0x1.fdb313c84a9d3p-1"),
         ("ds", "read", "0x1.b3ae777c01ddcp-3"),
     ],
+    "nonblocking-trad-3io": [
+        ("ds", "write", "0x1.82284239432f3p-1"),
+        ("ds", "read", "0x1.51c6104b0aef8p-3"),
+    ],
     "trad-3io": [
         ("ds", "write", "0x1.8461a070bb1fbp-1"),
         ("ds", "read", "0x1.51c6104b0aef8p-3"),
@@ -214,6 +224,20 @@ GOLDEN_UNSCHEDULED = {
 @pytest.mark.parametrize("name", sorted(_UNSCHEDULED))
 def test_golden_unscheduled_paths(name):
     assert _UNSCHEDULED[name]() == GOLDEN_UNSCHEDULED[name]
+
+
+def test_golden_nonblocking_scheduled_groups():
+    """``nonblocking`` under a two-slot scheduler: both groups' ops are
+    in flight on the same servers with the same op ids, so the
+    posted requests' replies must be told apart by sub-chunk."""
+    got = _partitioned(2, nonblocking=True,
+                       scheduler=SchedulerConfig("fifo", max_in_flight=2))
+    assert got == [
+        ("g0", "write", "0x1.cbf8daaec6fbcp-1"),
+        ("g0", "read", "0x1.a1ca2d798b9dap-1"),
+        ("g1", "write", "0x1.8d23aae33e172p+0"),
+        ("g1", "read", "0x1.1bd3699624710p-2"),
+    ]
 
 
 def _trace_digest(trace):
