@@ -7,8 +7,8 @@ Three passes, all specific to this repo's load-bearing invariant
   hazards in sim-visible code (PL001-PL006);
 - :mod:`repro.analysis.hotpath` -- locals-only contract for the
   engine's batched dispatch loop (PL007);
-- :mod:`repro.analysis.protocol_check` -- cross-reference of the tag
-  table against every send/recv site (PL101-PL104);
+- :mod:`repro.analysis.protocol_check` -- every send/recv site checked
+  against the protocol table (PL101-PL104);
 - :mod:`repro.analysis.race` -- dynamic schedule-perturbation detector
   for order-dependence the static passes cannot see.
 

@@ -58,9 +58,9 @@ RULES: Dict[str, str] = {
     "PL006": "float accumulation over an unordered iterable",
     "PL007": "per-event attribute/dict lookup in the engine dispatch loop",
     "PL008": "int() truncation of an arithmetic float index into a sequence",
-    "PL101": "protocol: sent tag has no receive site",
-    "PL102": "protocol: received tag has no send site",
-    "PL103": "protocol: dead tag (defined but never sent nor received)",
+    "PL101": "protocol: send site the MESSAGES table does not allow",
+    "PL102": "protocol: receive site the MESSAGES table does not allow",
+    "PL103": "protocol: dead row (never sent, or never taken)",
     "PL104": "protocol: potential deadlock cycle (mutually guarded tags)",
     # dynamic findings from panda-mc (repro.analysis.mc), reported per
     # explored schedule rather than per source line

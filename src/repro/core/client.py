@@ -29,6 +29,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.protocol import (
+    CLIENT,
+    EXCHANGE_TAGS,
+    MASTER_CLIENT,
+    MEMBER_CLIENT,
+    MODES,
     ArraySpec,
     CollectiveOp,
     FetchRequest,
@@ -37,6 +42,7 @@ from repro.core.protocol import (
     PieceAck,
     PieceData,
     Tags,
+    listen_tags,
 )
 from repro.core.scheduler import NoLiveShardError
 from repro.faults import FaultRecoveryError
@@ -46,6 +52,15 @@ from repro.schema.regions import Region
 from repro.schema.reorganize import extract_region, inject_region
 
 __all__ = ["PandaClient"]
+
+#: is master -> the tags that end a client's serve loop: a master
+#: client's OP_DONE or load-shed OP_REJECTED, a member's CLIENT_DONE.
+#: A client does not branch on the servers' discipline, so it listens
+#: for what its role may be sent in any mode.
+_DONE_TAGS = {
+    master: listen_tags((CLIENT, MASTER_CLIENT if master else MEMBER_CLIENT),
+                        MODES)
+    for master in (True, False)}
 
 
 class PandaClient:
@@ -250,7 +265,7 @@ class PandaClient:
         return (self._reliable and self.is_master
                 and self.runtime.n_shards > 1)
 
-    def _owner_pred(self, op: CollectiveOp, data_tag: int):
+    def _owner_pred(self, op: CollectiveOp, data_tag: int, done_tags):
         """Failover-mode predicate: server-directed data traffic is
         taken freely, but a completion counts only if it comes from the
         *current* owner (read dynamically -- it changes on failover) for
@@ -260,7 +275,7 @@ class PandaClient:
         def pred(m) -> bool:
             if m.tag == data_tag:
                 return True
-            return (m.tag in (Tags.OP_DONE, Tags.OP_REJECTED)
+            return (m.tag in done_tags
                     and m.src == self._op_owner_rank
                     and m.payload.op_id == op.op_id)
         return pred
@@ -304,20 +319,16 @@ class PandaClient:
         read op's PIECEs (acknowledged with PIECE_ACK in fault mode).
         Returns the load-shed :class:`OpRejection`, or None."""
         write = op.kind == "write"
-        data_tag = Tags.FETCH if write else Tags.PIECE
-        reply_tag = Tags.DATA if write else Tags.PIECE_ACK
+        data_tag, reply_tag = EXCHANGE_TAGS[op.kind]
         on_message = self._answer_fetch if write else self._absorb_piece
-        done_tag = Tags.OP_DONE if self.is_master else Tags.CLIENT_DONE
+        done_tags = _DONE_TAGS[self.is_master]
         trace = self.runtime.trace
         # loop-invariant hoists: the predicate, and this rank's chunk
         # region per array -- both otherwise rebuilt per message
-        tags = {data_tag, done_tag}
-        if self.is_master:
-            tags.add(Tags.OP_REJECTED)  # slo policy: load-shed reply
-        pred = self.comm.match_pred(tags=tags)
+        pred = self.comm.match_pred(tags=done_tags | {data_tag})
         failover = self._owner_failover
         if failover:
-            pred = self._owner_pred(op, data_tag)
+            pred = self._owner_pred(op, data_tag, done_tags)
             detect = self.runtime.injector.spec.detect_timeout
         while True:
             if failover:
@@ -327,12 +338,10 @@ class PandaClient:
                     continue
             else:
                 msg = yield self.comm.recv_ev(pred)
-            if msg.tag == Tags.OP_REJECTED:
-                return msg.payload
-            if msg.tag == done_tag:
+            if msg.tag != data_tag:
+                # the op is over: a rejection comes as the master's
+                # OP_REJECTED, or as its CLIENT_DONE re-broadcast
                 payload = msg.payload
-                # a non-master rank learns of a rejection from the
-                # master's CLIENT_DONE re-broadcast
                 return payload if isinstance(payload, OpRejection) else None
             body = msg.payload  # FetchRequest or PieceData
             if body.op_id != op.op_id:
@@ -387,6 +396,6 @@ class PandaClient:
                           piece.block.array.view(spec.np_dtype),
                           slices=row.chunk_slices)
         if self._reliable:
-            return PieceAck(op.op_id, piece.array_index, piece.region,
+            return PieceAck(op.op_id, piece.array_index, piece.row,
                             piece.subchunk_seq)
         return None

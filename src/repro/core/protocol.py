@@ -1,42 +1,28 @@
-"""Wire protocol of server-directed I/O: message payloads and tags.
+"""Wire protocol of server-directed I/O: message tags, payloads and the
+one table that states who sends each message to whom.
 
-The paper's protocol, stated as message types:
-
-=====================  =======================================  ==========
-message                direction                                tag
-=====================  =======================================  ==========
-CollectiveOp           master client -> master server           REQUEST
-SchedOp                master server -> other servers           SCHEMA [1]_
-FetchRequest           server -> client            (write)      FETCH
-PieceData              client -> server            (write)      DATA
-PieceData              server -> client            (read)       PIECE
-server completion      server -> master server                  SERVER_DONE
-op completion          master server -> master client           OP_DONE
-op completion          master client -> other clients           CLIENT_DONE
-shutdown               runtime -> servers                       SHUTDOWN
-SchedOp                (shard) master -> participant servers    SCHED [1]_
-OpRejection            master server -> master client           OP_REJECTED
-=====================  =======================================  ==========
-
-.. [1] One admission broadcast, two tags: the server loop's discipline
-   picks SCHEMA for the paper's one-op-at-a-time path
-   (``config.scheduler is None``) and SCHED under an inter-op
-   scheduler.  The payload is the same :class:`~repro.core.scheduler.
-   SchedOp` either way.
+:data:`MESSAGES` is the protocol: one row per tag, naming its payload,
+its sender and receiver roles, when it exists and what answers it.
+The server loop's and the client's listen sets
+(:func:`listen_tags`), the piece exchange's tags
+(:data:`EXCHANGE_TAGS`) and the tags the fault injector may drop
+(:data:`DROPPABLE`) are read off it, and ``python -m repro lint``
+checks every send and receive site in the code against it
+(:mod:`repro.analysis.protocol_check`).
 
 Everything except PieceData is control-plane (256-byte wire size);
 PieceData charges its payload bytes.
 
 Op-id tagging: every data-plane payload (FetchRequest, PieceData,
 PieceAck) carries the originating op's ``op_id`` and the server-side
-``subchunk_seq``, and receivers match on both -- so once the inter-op
-scheduler (SCHED, :mod:`repro.core.scheduler`) puts several collectives
-in flight on the same servers, a piece can never be absorbed into the
-wrong operation.  Because per-group ``op_id`` counters restart at 0 in
-every client group, cross-group completion routing additionally uses
-the scheduler's globally unique ``admit_seq`` (:class:`ServerDone`).
+``subchunk_seq``, so once the inter-op scheduler (SCHED,
+:mod:`repro.core.scheduler`) puts several collectives in flight on the
+same servers, a piece can never be absorbed into the wrong operation.
+Because per-group ``op_id`` counters restart at 0 in every client
+group, cross-group completion routing additionally uses the
+scheduler's globally unique ``admit_seq`` (:class:`ServerDone`).
 
-Shard routing (``SchedulerConfig.n_shards > 1``): "master server" above
+Shard routing (``SchedulerConfig.n_shards > 1``): "master server"
 generalizes to *the dataset's owning shard master* -- the REQUEST goes
 to the server the consistent-hash ring names for ``op.dataset``
 (:class:`~repro.core.scheduler.ShardMap`), that owner broadcasts SCHED
@@ -52,7 +38,7 @@ run a mid-op recovery).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -66,18 +52,23 @@ if TYPE_CHECKING:  # plan.py imports this module
 __all__ = [
     "ArraySpec",
     "CollectiveOp",
+    "DROPPABLE",
+    "EXCHANGE_TAGS",
     "FetchRequest",
+    "MESSAGES",
+    "Message",
     "OpRejected",
     "OpRejection",
     "PieceAck",
     "PieceData",
     "ServerDone",
     "Tags",
+    "listen_tags",
 ]
 
 
 class Tags:
-    """Message tag namespace."""
+    """Message tag namespace; :data:`MESSAGES` says what each one is."""
 
     REQUEST = 10
     SCHEMA = 11
@@ -88,22 +79,9 @@ class Tags:
     OP_DONE = 16
     CLIENT_DONE = 17
     SHUTDOWN = 18
-    #: fault mode only -- client acknowledges a PIECE so the server's
-    #: reliable scatter can retry dropped deliveries.
     PIECE_ACK = 19
-    #: fault mode only -- master server hands a surviving server part of
-    #: a crashed server's plan (see :mod:`repro.core.recovery`).
     RECOVER = 20
-    #: scheduled mode only -- master server broadcasts an admitted op
-    #: plus scheduling metadata (see :mod:`repro.core.scheduler`);
-    #: replaces SCHEMA when an inter-op scheduler is configured.
     SCHED = 21
-    #: ``slo`` policy only -- the owning shard master refuses to enqueue
-    #: a REQUEST from a tenant whose latency budget is shed-exhausted
-    #: and answers the master client with an :class:`OpRejection`
-    #: instead of an eventual OP_DONE.  Client-visible by design: the
-    #: master client re-broadcasts the rejection to its group via
-    #: CLIENT_DONE and every rank raises :class:`OpRejected`.
     OP_REJECTED = 22
 
 
@@ -240,8 +218,8 @@ class FetchRequest:
     op_id: int
     array_index: int
     row: "PieceRow"
-    #: identifies the requesting server's sub-chunk (diagnostics only;
-    #: the protocol needs no reply routing beyond MPI source matching).
+    #: the requesting server's sub-chunk; the DATA reply echoes it and
+    #: is matched on it (see the DATA row of :data:`MESSAGES`).
     subchunk_seq: int
 
     @property
@@ -276,12 +254,13 @@ class PieceData:
 @dataclass(frozen=True)
 class PieceAck:
     """Fault mode: a client acknowledges one delivered PIECE (read
-    path), naming the exact sub-chunk piece so the server's reliable
-    scatter matches the ack to its outstanding delivery."""
+    path), echoing the piece's row so the server matches the ack to its
+    outstanding delivery.  Like every control message it is charged
+    256 bytes on the wire, whatever the row holds."""
 
     op_id: int
     array_index: int
-    region: Region
+    row: "PieceRow"
     subchunk_seq: int
 
 
@@ -343,3 +322,110 @@ class OpRejected(RuntimeError):
             f"p99 turnaround {rejection.p99:.6f}s is beyond the shed "
             f"threshold over its {rejection.budget:.6f}s budget")
         self.rejection = rejection
+
+
+# -- the protocol table -------------------------------------------------------
+
+#: Roles.  The part before the dot is the module that plays the role
+#: (``core/client.py``, ``core/server.py``, ``core/runtime.py``); the
+#: part after it narrows the role to the ranks that send or take the
+#: message: the master client is its group's first rank and the only
+#: one that talks to servers, a *member* is any other rank of the group;
+#: a master server is the single master or a shard master, a *peer* is
+#: a server another master broadcasts to (every server but the single
+#: master, and every shard master when admission is sharded).
+CLIENT, MASTER_CLIENT, MEMBER_CLIENT = "client", "client.master", \
+    "client.member"
+SERVER, MASTER_SERVER, PEER_SERVER = "server", "server.master", \
+    "server.peer"
+RUNTIME = "runtime"
+
+#: When a message exists: always, in fault mode (``config.faults``),
+#: under an inter-op scheduler, or under the paper's one-op-at-a-time
+#: discipline (``config.scheduler is None``).
+ALWAYS, FAULT, SCHEDULED, PAPER = "always", "fault", "scheduled", "paper"
+MODES = frozenset({ALWAYS, FAULT, SCHEDULED, PAPER})
+
+
+@dataclass(frozen=True)
+class Message:
+    """One row of :data:`MESSAGES`: one tag of the wire protocol."""
+
+    tag: int
+    #: payload class name (``None``: the message is a bare signal).
+    payload: Optional[str]
+    sender: str  #: role that sends it
+    receiver: str  #: role that takes it
+    when: str = ALWAYS
+    #: ``"write"`` / ``"read"``: a message of that op kind's piece
+    #: exchange, the data plane -- retried by the server, and droppable,
+    #: in fault mode.  ``None``: control plane.
+    exchange: Optional[str] = None
+    #: the tag that answers it, if any.
+    reply: Optional[int] = None
+
+
+MESSAGES: Tuple[Message, ...] = (
+    # the one request a client originates: the very-high-level op
+    Message(Tags.REQUEST, "CollectiveOp", MASTER_CLIENT, MASTER_SERVER,
+            reply=Tags.OP_DONE),
+    # SCHEMA and SCHED are one admission broadcast under two tags: the
+    # payload is the same SchedOp and the server loop's discipline picks
+    # the tag.  They stay two because net_xfer / message trace records
+    # carry the tag, and one tag would move the paper path's traces.
+    Message(Tags.SCHEMA, "SchedOp", MASTER_SERVER, PEER_SERVER, when=PAPER,
+            reply=Tags.SERVER_DONE),
+    # server-directed request for one logical piece of a sub-chunk
+    Message(Tags.FETCH, "FetchRequest", SERVER, CLIENT, exchange="write",
+            reply=Tags.DATA),
+    # Replies are matched on (op_id, subchunk_seq) -- with several ops
+    # in flight a piece can never be absorbed into the wrong sub-chunk
+    # -- and in fault mode also on the sender and the piece row, so a
+    # late duplicate from an earlier retry is never taken for the
+    # current piece.
+    Message(Tags.DATA, "PieceData", CLIENT, SERVER, exchange="write"),
+    Message(Tags.PIECE, "PieceData", SERVER, CLIENT, exchange="read",
+            reply=Tags.PIECE_ACK),
+    Message(Tags.SERVER_DONE, "ServerDone", PEER_SERVER, MASTER_SERVER),
+    Message(Tags.OP_DONE, "ServerDone", MASTER_SERVER, MASTER_CLIENT),
+    # completion, or the master's re-broadcast of an OP_REJECTED, so
+    # every rank of the group raises OpRejected at the same point
+    Message(Tags.CLIENT_DONE, "int | OpRejection", MASTER_CLIENT,
+            MEMBER_CLIENT),
+    Message(Tags.SHUTDOWN, None, RUNTIME, SERVER),
+    # matched like DATA: the server's reliable scatter retries a PIECE
+    # until its ack arrives
+    Message(Tags.PIECE_ACK, "PieceAck", CLIENT, SERVER, when=FAULT,
+            exchange="read"),
+    # a surviving server's share of a crashed server's plan
+    # (repro.core.recovery); answered by a recovery=True SERVER_DONE
+    Message(Tags.RECOVER, "RecoverMsg", MASTER_SERVER, PEER_SERVER,
+            when=FAULT, reply=Tags.SERVER_DONE),
+    # the admission broadcast under an inter-op scheduler: see SCHEMA
+    Message(Tags.SCHED, "SchedOp", MASTER_SERVER, PEER_SERVER,
+            when=SCHEDULED, reply=Tags.SERVER_DONE),
+    # the slo policy's load shed, instead of an eventual OP_DONE
+    Message(Tags.OP_REJECTED, "OpRejection", MASTER_SERVER, MASTER_CLIENT,
+            when=SCHEDULED),
+)
+
+
+def listen_tags(roles: Iterable[str], modes: Iterable[str]) -> FrozenSet[int]:
+    """The control-plane tags a receive loop playing ``roles`` takes
+    while ``modes`` hold.  Data-plane replies are matched per piece
+    (:data:`EXCHANGE_TAGS`)."""
+    roles, modes = frozenset(roles), frozenset(modes)
+    return frozenset(m.tag for m in MESSAGES if m.exchange is None
+                     and m.receiver in roles and m.when in modes)
+
+
+#: op kind -> ``(request, reply)``: the tag a server sends each piece of
+#: the op's sub-chunks under, and the tag that answers it.
+EXCHANGE_TAGS: Dict[str, Tuple[int, int]] = {
+    m.exchange: (m.tag, m.reply) for m in MESSAGES
+    if m.exchange is not None and m.reply is not None}
+
+#: the data plane: the only tags the fault injector may drop, since the
+#: server's reliable exchange retries them.
+DROPPABLE: FrozenSet[int] = frozenset(
+    m.tag for m in MESSAGES if m.exchange is not None)

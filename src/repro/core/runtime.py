@@ -29,7 +29,7 @@ if TYPE_CHECKING:
 from repro.core.client import PandaClient
 from repro.core.config import PandaConfig
 from repro.counters import COUNTERS
-from repro.core.protocol import ArraySpec, CollectiveOp, Tags
+from repro.core.protocol import DROPPABLE, ArraySpec, CollectiveOp, Tags
 from repro.faults import FaultInjector, NodeCrash
 from repro.fs.filesystem import FileSystem
 from repro.machine import NAS_SP2, MachineSpec
@@ -337,9 +337,7 @@ class PandaRuntime:
                     )
             self.injector = FaultInjector(self.config.faults, self.sim,
                                           trace=self.trace)
-            self.injector.droppable_tags = frozenset(
-                {Tags.FETCH, Tags.DATA, Tags.PIECE, Tags.PIECE_ACK}
-            )
+            self.injector.droppable_tags = DROPPABLE
         self.network = Network(self.sim, spec, n_compute + n_io,
                                trace=self.trace, injector=self.injector)
         self.filesystems = [

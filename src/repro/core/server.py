@@ -27,9 +27,13 @@ every sub-chunk (``copy_time(nbytes, total_piece_runs)``) -- the
 assembly/disassembly memcpy between message buffers and the I/O buffer;
 and the file-system service time from the disk model.
 
-``config.nonblocking`` switches the write path's piece collection from
-the paper's blocking request/reply pairs to posting all requests first
-(the paper's stated future improvement).
+Pieces move through one loop (:meth:`PandaServer._move_one`) that
+posts up to a window of requests before taking a reply: a window of 1
+is the paper's blocking request/reply pairs, and ``config.nonblocking``
+widens a write's window to all of the sub-chunk's pieces (the paper's
+stated future improvement).  A read posts every PIECE and waits for no
+reply.  The tags come from the protocol table
+(:data:`~repro.core.protocol.MESSAGES`), as does the loop's listen set.
 
 Fault mode (``config.faults`` set -- see :mod:`repro.faults`):
 
@@ -38,10 +42,11 @@ Fault mode (``config.faults`` set -- see :mod:`repro.faults`):
   portion must be skipped, plus relocated plan portions
   (:class:`~repro.core.recovery.RecoveryAssignment`) for the survivors
   to execute;
-- piece exchanges become *reliable*: blocking request/reply pairs with
-  a per-exchange timeout, content-matched replies and bounded
-  exponential-backoff retries (``nonblocking`` is ignored -- a reliable
-  exchange keeps one outstanding request to match its reply against);
+- piece exchanges become *reliable*: the same loop with a window of 1
+  (``nonblocking`` is ignored, so one request is outstanding to match
+  its reply against), a read waits for each PIECE's PIECE_ACK, and
+  every reply wait times out and re-sends the request with bounded
+  exponential backoff;
 - a (shard) master with completions outstanding blocks with
   ``spec.detect_timeout``; each timeout runs the one failure detector
   (:meth:`PandaServer._sched_detect`).  When an I/O node crashed
@@ -63,6 +68,14 @@ import numpy as np
 from repro.core.costmodel import estimate_op
 from repro.core.plan import SubchunkPlan, build_server_plan, op_participants
 from repro.core.protocol import (
+    ALWAYS,
+    EXCHANGE_TAGS,
+    FAULT,
+    MASTER_SERVER,
+    PAPER,
+    PEER_SERVER,
+    SCHEDULED,
+    SERVER,
     ArraySpec,
     CollectiveOp,
     FetchRequest,
@@ -70,6 +83,7 @@ from repro.core.protocol import (
     PieceData,
     ServerDone,
     Tags,
+    listen_tags,
 )
 from repro.core.recovery import (
     RecoverMsg,
@@ -90,7 +104,6 @@ from repro.fs.filesystem import FileSystem
 from repro.obs.slo import SLOTracker
 from repro.mpi.comm import Communicator
 from repro.mpi.datatypes import DataBlock
-from repro.schema.regions import Region
 from repro.schema.reorganize import extract_region, inject_region
 
 __all__ = ["PandaServer"]
@@ -113,8 +126,9 @@ class _Discipline:
 
     #: policy, in-flight slots and shards the loop runs under.
     config: SchedulerConfig
-    #: tag of the admission broadcast, (shard) master -> servers.
-    wire_tag: int
+    #: the :data:`~repro.core.protocol.MESSAGES` mode it runs in (PAPER
+    #: or SCHEDULED): picks the admission broadcast's tag.
+    mode: str
     #: rule 1: every control message costs one
     #: ``request_handling_overhead`` as it is taken off the mailbox.
     #: The paper's server charges only an op's arrival (REQUEST /
@@ -138,9 +152,9 @@ class _Discipline:
 
 
 #: the paper's one-op-at-a-time server (``config.scheduler is None``).
-_PAPER = _Discipline(SchedulerConfig("fifo", max_in_flight=1),
-                     wire_tag=Tags.SCHEMA, charge_control=False,
-                     eager_requests=False, accounted=False)
+_PAPER = _Discipline(SchedulerConfig("fifo", max_in_flight=1), mode=PAPER,
+                     charge_control=False, eager_requests=False,
+                     accounted=False)
 
 
 class PandaServer:
@@ -250,24 +264,24 @@ class PandaServer:
         rt = self.runtime
         cfg = rt.config.scheduler
         d = self._discipline = _PAPER if cfg is None else _Discipline(
-            cfg, wire_tag=Tags.SCHED, charge_control=True,
-            eager_requests=True, accounted=True)
+            cfg, mode=SCHEDULED, charge_control=True, eager_requests=True,
+            accounted=True)
         cfg = d.config
         n_shards = cfg.n_shards
         sharded = self._sharded = n_shards > 1
         self._shard = self.server_index if self.server_index < n_shards \
             else None
         sched = ServerScheduler(cfg, self.server_index)
-        listen = {Tags.SHUTDOWN}
+        roles = [SERVER]
         if self._shard is not None:
-            listen |= {Tags.REQUEST, Tags.SERVER_DONE}
+            roles.append(MASTER_SERVER)
         if self._shard is None or sharded:
             # execution side; shard masters also execute peer shards'
             # ops and (fault mode) serve peer owners' mid-op recovery
             # assignments
-            listen |= {d.wire_tag}
-            if self._reliable:
-                listen |= {Tags.RECOVER}
+            roles.append(PEER_SERVER)
+        listen = listen_tags(roles, (ALWAYS, d.mode, FAULT) if self._reliable
+                             else (ALWAYS, d.mode))
         completions = self._completions
         queue = None
         if self._shard is not None:
@@ -360,166 +374,139 @@ class PandaServer:
         return self._staging[:item.nbytes].view(spec.np_dtype).reshape(
             item.region.shape)
 
-    # -- write path ------------------------------------------------------------
-    def _write_one(self, op: CollectiveOp, fh, item: SubchunkPlan):
-        """Gather and write one sub-chunk -- the unit the inter-op
-        scheduler interleaves at."""
-        real = self.runtime.real_payloads
-        trace = self.runtime.trace
-        t0 = self.comm.sim.now if trace is not None else 0.0
+    # -- one sub-chunk -----------------------------------------------------------
+    def _move_one(self, op: CollectiveOp, fh, item: SubchunkPlan):
+        """Move one sub-chunk -- the unit the inter-op scheduler
+        interleaves at.  A write gathers the sub-chunk's pieces from the
+        clients that hold them, assembles it in traditional order and
+        appends it with one sequential file write; a read takes it with
+        one sequential file read and scatters its pieces.
+
+        One piece loop serves every mode.  It posts up to ``window``
+        requests before taking a reply: 1 is the paper's blocking
+        request/reply pair, all of the sub-chunk's pieces is
+        ``nonblocking``.  A read waits for no reply, except the
+        fault-mode PIECE_ACK.  In fault mode the window is 1 and each
+        reply wait times out: the request is re-sent with exponential
+        backoff, up to ``max_retries`` times."""
+        rt = self.runtime
+        comm = self.comm
+        real = rt.real_payloads
+        trace = rt.trace
+        write = op.kind == "write"
         spec = op.arrays[item.array_index]
         pieces = item.pieces
         ranks = op.client_ranks
-        buf = self._stage(spec, item) if real else None
-        total_runs = 0
-        # data-plane replies are matched on (op_id, subchunk_seq) so a
-        # piece of a concurrently scheduled op can never be absorbed here
-        is_mine = (lambda m: m.payload.op_id == op.op_id
-                   and m.payload.subchunk_seq == item.seq)
-        if self._reliable:
-            replies = []
-            for row in pieces:
-                req = FetchRequest(op.op_id, item.array_index, row, item.seq)
-                replies.append((yield from self._exchange(
-                    op, item, ranks[row.mesh_index], row.region, req)))
-        elif self.runtime.config.nonblocking:
-            # post every request, then take replies in arrival order
-            for row in pieces:
-                req = FetchRequest(op.op_id, item.array_index, row, item.seq)
-                yield from self.comm.send(ranks[row.mesh_index], Tags.FETCH,
-                                          req)
-            pred = self.comm.match_pred(tag=Tags.DATA, match=is_mine)
-            replies = []
-            for _ in pieces:
-                msg = yield self.comm.recv_ev(pred)
-                replies.append(msg)
+        op_id = op.op_id
+        seq = item.seq
+        if write:
+            t0 = comm.sim.now if trace is not None else 0.0
+            buf = self._stage(spec, item) if real else None
         else:
-            # the paper's blocking request/reply pairs, client order
-            replies = []
-            for row in pieces:
-                client_rank = ranks[row.mesh_index]
-                req = FetchRequest(op.op_id, item.array_index, row, item.seq)
-                yield from self.comm.send(client_rank, Tags.FETCH, req)
-                msg = yield self.comm.recv_ev(
-                    self.comm.match_pred(src=client_rank, tag=Tags.DATA,
-                                         match=is_mine)
-                )
-                replies.append(msg)
-        for msg in replies:
-            piece: PieceData = msg.payload
-            if piece.subchunk_seq != item.seq or piece.op_id != op.op_id:
-                raise RuntimeError(
-                    f"server {self.server_index}: stray piece "
-                    f"{piece.subchunk_seq} during sub-chunk {item.seq}"
-                )
-            yield self.comm.handle_ev()
-            row = piece.row
-            total_runs += row.runs_sub
+            if fh.offset != item.file_offset:
+                fh.seek(item.file_offset)
+            block = yield from fh.read(item.nbytes)
+            t0 = comm.sim.now if trace is not None else 0.0
             if real:
-                inject_region(buf, None, row.region,
-                              piece.block.array.view(spec.np_dtype),
-                              slices=row.sub_slices)
-        # staging pass: assemble the sub-chunk in traditional order
-        yield self.comm.copy_ev(item.nbytes, max(total_runs, 1))
+                buf = block.array.view(spec.np_dtype).reshape(
+                    item.region.shape)
+            total_runs = 0
+            for row in pieces:
+                total_runs += row.runs_sub
+            # staging pass: carve the sub-chunk into pieces
+            yield comm.copy_ev(item.nbytes, max(total_runs, 1))
+        tag, reply_tag = EXCHANGE_TAGS[op.kind]
+        reliable = self._reliable
+        # a reply answers every request, or (non-fault reads) none does
+        wait = write or reliable
+        if wait:
+            n = len(pieces)
+            replies = []
+            posted = 0
+            window = 1 if reliable or not rt.config.nonblocking else n
+            if not reliable:
+                pred = comm.match_pred(tag=reply_tag, match=lambda m: (
+                    m.payload.op_id == op_id
+                    and m.payload.subchunk_seq == seq))
+        for row in pieces:
+            dst = ranks[row.mesh_index]
+            if write:
+                payload = FetchRequest(op_id, item.array_index, row, seq)
+                nbytes = None
+            else:
+                nbytes = row.nbytes
+                pblock = (DataBlock.real(extract_region(
+                    buf, None, row.region, slices=row.sub_slices))
+                    if real else DataBlock.virtual(nbytes))
+                payload = PieceData(op_id, item.array_index, row, pblock, seq)
+            yield from comm.send(dst, tag, payload, nbytes=nbytes)
+            if not wait:
+                continue
+            posted += 1
+            while len(replies) < posted and (
+                    posted == n or posted - len(replies) >= window):
+                if not reliable:
+                    replies.append((yield comm.recv_ev(pred)))
+                    continue
+                replies.append((yield from self._await_reply(
+                    op, item, dst, row, tag, reply_tag, payload, nbytes)))
+        if write:
+            total_runs = 0
+            for msg in replies:
+                yield comm.handle_ev()
+                piece = msg.payload
+                row = piece.row
+                total_runs += row.runs_sub
+                if real:
+                    inject_region(buf, None, row.region,
+                                  piece.block.array.view(spec.np_dtype),
+                                  slices=row.sub_slices)
+            # staging pass: assemble the sub-chunk in traditional order
+            yield comm.copy_ev(item.nbytes, max(total_runs, 1))
         if trace is not None:
-            now = self.comm.sim.now
-            trace.emit(now, self._src, "srv_gather", op_id=op.op_id,
-                       seq=item.seq, nbytes=item.nbytes,
-                       pieces=len(pieces), service=now - t0)
-        block = DataBlock.real(buf) if real else DataBlock.virtual(item.nbytes)
-        yield from fh.write(block)
+            now = comm.sim.now
+            trace.emit(now, self._src, "srv_gather" if write else
+                       "srv_scatter", op_id=op_id, seq=seq,
+                       nbytes=item.nbytes, pieces=len(pieces),
+                       service=now - t0)
+        if write:
+            yield from fh.write(DataBlock.real(buf) if real
+                                else DataBlock.virtual(item.nbytes))
         self.subchunks_processed += 1
         return item.nbytes
 
-    def _exchange(self, op: CollectiveOp, item: SubchunkPlan,
-                  client_rank: int, region: Region, payload,
-                  nbytes: Optional[int] = None):
-        """Fault-mode piece exchange, one blocking pair hardened with a
-        timeout and bounded exponential-backoff retries: a write op's
-        FETCH until its DATA arrives, a read op's PIECE until its
-        PIECE_ACK does.  Returns the reply.
-
-        The reply must match the outstanding request exactly (op,
-        sub-chunk, region), so a late duplicate from an earlier retry
-        can never be taken for the current piece; duplicates the
-        *client* sees are idempotent -- a FETCH is simply re-answered, a
-        PIECE re-injects the same bytes at the same place and is
-        re-acknowledged."""
+    def _await_reply(self, op: CollectiveOp, item: SubchunkPlan, dst: int,
+                     row, tag: int, reply_tag: int, payload, nbytes):
+        """Fault mode: wait for the reply to the request just sent to
+        ``dst``, re-sending it after each timeout.  The reply must match
+        the request exactly (op, sub-chunk and piece row), so a late
+        duplicate from an earlier retry is never taken for the current
+        piece; duplicates the *client* sees are idempotent -- a FETCH is
+        simply re-answered, a PIECE re-injects the same bytes at the
+        same place and is re-acknowledged."""
         injector = self.runtime.injector
         max_retries = injector.spec.max_retries
         write = op.kind == "write"
-        tag = Tags.FETCH if write else Tags.PIECE
-        reply_tag = Tags.DATA if write else Tags.PIECE_ACK
         attempt = 0
         while True:
-            yield from self.comm.send(client_rank, tag, payload, nbytes=nbytes)
             reply = yield from self.comm.recv(
-                src=client_rank, tag=reply_tag,
-                match=lambda m: (
-                    m.payload.op_id == op.op_id
-                    and m.payload.subchunk_seq == item.seq
-                    and m.payload.region == region
-                ),
-                timeout=injector.backoff_timeout(attempt),
-            )
+                src=dst, tag=reply_tag,
+                match=lambda m: (m.payload.op_id == op.op_id
+                                 and m.payload.subchunk_seq == item.seq
+                                 and m.payload.row == row),
+                timeout=injector.backoff_timeout(attempt))
             if reply is not None:
                 return reply
             attempt += 1
             if attempt > max_retries:
                 raise FaultRecoveryError(
                     f"server {self.server_index}: no "
-                    f"{'data' if write else 'ack'} from rank "
-                    f"{client_rank} for sub-chunk {item.seq} after "
-                    f"{max_retries} retries"
-                )
+                    f"{'data' if write else 'ack'} from rank {dst} for "
+                    f"sub-chunk {item.seq} after {max_retries} retries")
             injector.note_retry(
                 "fetch" if write else "piece", server=self.server_index,
-                client=client_rank, seq=item.seq, attempt=attempt,
-            )
-
-    # -- read path ---------------------------------------------------------------
-    def _read_one(self, op: CollectiveOp, fh, item: SubchunkPlan):
-        """Read and scatter one sub-chunk -- the unit the inter-op
-        scheduler interleaves at."""
-        real = self.runtime.real_payloads
-        trace = self.runtime.trace
-        spec = op.arrays[item.array_index]
-        if fh.offset != item.file_offset:
-            fh.seek(item.file_offset)
-        block = yield from fh.read(item.nbytes)
-        t0 = self.comm.sim.now if trace is not None else 0.0
-        if real:
-            buf = block.array.view(spec.np_dtype).reshape(item.region.shape)
-        pieces = item.pieces
-        ranks = op.client_ranks
-        total_runs = 0
-        for row in pieces:
-            total_runs += row.runs_sub
-        # staging pass: carve the sub-chunk into pieces
-        yield self.comm.copy_ev(item.nbytes, max(total_runs, 1))
-        for row in pieces:
-            nbytes = row.nbytes
-            if real:
-                data = extract_region(buf, None, row.region,
-                                      slices=row.sub_slices)
-                pblock = DataBlock.real(data)
-            else:
-                pblock = DataBlock.virtual(nbytes)
-            piece = PieceData(op.op_id, item.array_index, row, pblock,
-                              item.seq)
-            if self._reliable:
-                yield from self._exchange(op, item, ranks[row.mesh_index],
-                                          row.region, piece, nbytes)
-            else:
-                yield from self.comm.send(ranks[row.mesh_index], Tags.PIECE,
-                                          piece, nbytes=nbytes)
-        if trace is not None:
-            now = self.comm.sim.now
-            trace.emit(now, self._src, "srv_scatter", op_id=op.op_id,
-                       seq=item.seq, nbytes=item.nbytes,
-                       pieces=len(pieces), service=now - t0)
-        self.subchunks_processed += 1
-        return item.nbytes
+                client=dst, seq=item.seq, attempt=attempt)
+            yield from self.comm.send(dst, tag, payload, nbytes=nbytes)
 
     # -- recovery ---------------------------------------------------------------
     def _execute_assignment(self, op: CollectiveOp, a: RecoveryAssignment):
@@ -528,11 +515,10 @@ class PandaServer:
         read: read and scatter).  The items' file offsets are contiguous
         from zero, like an ordinary plan's."""
         write = op.kind == "write"
-        one = self._write_one if write else self._read_one
         fh = self.fs.open(a.file_name, "w" if write else "r")
         moved = 0
         for item in a.items:
-            moved += yield from one(op, fh, item)
+            moved += yield from self._move_one(op, fh, item)
         if write:
             yield from fh.fsync()
             self.bytes_written += moved
@@ -677,7 +663,8 @@ class PandaServer:
             return True
         d = self._discipline
         payload = msg.payload
-        arrival = tag == Tags.REQUEST or tag == d.wire_tag
+        # an op's arrival: its REQUEST or its admission broadcast
+        arrival = tag != Tags.SERVER_DONE and tag != Tags.RECOVER
         if arrival and not d.accounted:  # rule 3
             op = payload if tag == Tags.REQUEST else payload.op
             self._mark("srv_op_start", op_id=op.op_id, kind=op.kind)
@@ -685,7 +672,7 @@ class PandaServer:
             yield self.comm.handle_ev()
         if tag == Tags.REQUEST:
             yield from self._sched_enqueue(payload, queue)
-        elif tag == d.wire_tag:
+        elif arrival:  # SCHEMA / SCHED
             yield from self._sched_start(payload, sched)
         elif tag == Tags.SERVER_DONE:
             done: ServerDone = payload
@@ -810,7 +797,8 @@ class PandaServer:
         # bcast_send skips this server's own rank
         yield from self.comm.bcast_send(
             [rt.server_rank(i) for i in participants],
-            self._discipline.wire_tag, sop)
+            Tags.SCHEMA if self._discipline.mode == PAPER else Tags.SCHED,
+            sop)
         if self.server_index in participants:
             yield from self._sched_start(sop, sched)
         else:
@@ -856,11 +844,10 @@ class PandaServer:
                 p.fh = self.fs.open(seg.file_name, "r")
         if p.item_index < len(seg.items):
             item = seg.items[p.item_index]
+            moved = yield from self._move_one(op, p.fh, item)
             if op.kind == "write":
-                moved = yield from self._write_one(op, p.fh, item)
                 self.bytes_written += moved
             else:
-                moved = yield from self._read_one(op, p.fh, item)
                 self.bytes_read += moved
             p.item_index += 1
             p.moved += moved

@@ -8,6 +8,7 @@ unmatched recv and a deadlock cycle; the race detector must catch a
 deliberately order-dependent toy handler and pass the real tree.
 """
 
+import ast
 import json
 import textwrap
 from pathlib import Path
@@ -23,7 +24,9 @@ from repro.analysis.findings import (
     apply_allowlist,
     load_allowlist,
 )
-from repro.analysis.protocol_check import check_sources, check_tree, parse_tags
+from repro.analysis.protocol_check import (DEFAULT_PROTOCOL, DEFAULT_ROLES,
+                                          check_sources, check_tree,
+                                          parse_tags)
 from repro.analysis.race import Scenario, ScenarioRun, detect, panda_scenarios
 from repro.sim.engine import Simulator
 
@@ -296,12 +299,25 @@ class TestAllowlist:
 # -- protocol checker --------------------------------------------------------
 
 FIXTURE_PROTOCOL = textwrap.dedent("""
+    from repro.core.protocol import Message
+
     class Tags:
         PING = 1
         PONG = 2
         ORPHAN_SEND = 3
         ORPHAN_RECV = 4
         DEAD = 5
+        SERVER_ONLY = 6
+        UNLISTED = 7
+
+    MESSAGES = (
+        Message(Tags.PING, None, "peer", "peer"),
+        Message(Tags.PONG, None, "peer", "peer"),
+        Message(Tags.ORPHAN_SEND, None, "peer", "peer"),
+        Message(Tags.ORPHAN_RECV, None, "peer", "peer"),
+        Message(Tags.DEAD, None, "peer", "peer"),
+        Message(Tags.SERVER_ONLY, None, "server.master", "server"),
+    )
 """)
 
 # PING/PONG deadlock: ping's only send waits on a PONG recv first, and
@@ -313,13 +329,48 @@ FIXTURE_PEERS = textwrap.dedent("""
         msg = yield from comm.recv(tag=Tags.PONG)
         yield from comm.send(1, Tags.PING, msg)
         yield from comm.send(1, Tags.ORPHAN_SEND, None)
+        yield from comm.send(1, Tags.SERVER_ONLY, None)
+        yield from comm.send(1, Tags.UNLISTED, None)
 
     def pong(comm):
         msg = yield from comm.recv(tag=Tags.PING)
         yield from comm.send(0, Tags.PONG, msg)
         other = yield from comm.recv(tag=Tags.ORPHAN_RECV)
+        comm.try_recv(tag=Tags.SERVER_ONLY)
         return other
 """)
+
+
+def _fixture_report(peers: str):
+    return check_sources(FIXTURE_PROTOCOL, "proto.py", {"peers.py": peers},
+                         roles={"peers.py": "peer"})
+
+
+def _real_sources():
+    return {rel: (REPO_ROOT / rel).read_text() for rel in DEFAULT_ROLES}
+
+
+def _real_report(sources, protocol: Optional[str] = None):
+    if protocol is None:
+        protocol = (REPO_ROOT / DEFAULT_PROTOCOL).read_text()
+    return check_sources(protocol, DEFAULT_PROTOCOL, sources)
+
+
+def _delete_send(source: str, tag: str) -> str:
+    """``source`` with every statement sending ``Tags.<tag>`` replaced
+    by ``pass``."""
+    lines = source.splitlines(keepends=True)
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Expr)
+                and isinstance(node.value, ast.YieldFrom)
+                and isinstance(node.value.value, ast.Call)
+                and getattr(node.value.value.func, "attr", "") == "send"
+                and ast.unparse(node.value.value.args[1]) == f"Tags.{tag}"):
+            indent = lines[node.lineno - 1][:node.col_offset]
+            lines[node.lineno - 1:node.end_lineno] = (
+                [indent + "pass\n"]
+                + [""] * (node.end_lineno - node.lineno))
+    return "".join(lines)
 
 
 class TestProtocolChecker:
@@ -327,147 +378,70 @@ class TestProtocolChecker:
         tags = parse_tags(FIXTURE_PROTOCOL, "proto.py")
         assert {k: v for k, (v, _line) in tags.items()} == {
             "PING": 1, "PONG": 2, "ORPHAN_SEND": 3, "ORPHAN_RECV": 4,
-            "DEAD": 5,
+            "DEAD": 5, "SERVER_ONLY": 6, "UNLISTED": 7,
         }
 
     def test_fixture_defects_all_reported(self):
-        report = check_sources(FIXTURE_PROTOCOL, "proto.py",
-                               {"peers.py": FIXTURE_PEERS})
+        report = _fixture_report(FIXTURE_PEERS)
         by_rule = {}
         for f in report.findings:
-            by_rule.setdefault(f.rule, []).append(f)
-        # unmatched send / recv / dead tag
-        assert [f.message for f in by_rule["PL101"]][0].startswith(
-            "tag ORPHAN_SEND is sent")
-        assert [f.message for f in by_rule["PL102"]][0].startswith(
-            "tag ORPHAN_RECV is received")
-        assert [f.message for f in by_rule["PL103"]][0].startswith(
-            "tag DEAD is defined")
-        assert by_rule["PL103"][0].path == "proto.py"
+            by_rule.setdefault(f.rule, []).append(f.message)
+        # a send the role may not make, a send with no row
+        assert by_rule["PL101"] == [
+            "tag SERVER_ONLY is sent here (in ping) but its sender is "
+            "server.master",
+            "tag UNLISTED is sent here (in ping) but it has no row in "
+            "MESSAGES",
+        ]
+        # a receive the role may not make
+        assert by_rule["PL102"] == [
+            "tag SERVER_ONLY is received here (in pong) but its receiver "
+            "is server"]
+        # rows nobody takes or sends, and a tag with no row
+        assert sorted(by_rule["PL103"]) == [
+            "tag DEAD has no send site",
+            "tag ORPHAN_RECV has no send site",
+            "tag ORPHAN_SEND is taken by no listen set or receive site",
+            "tag UNLISTED has no row in MESSAGES",
+        ]
+        assert all(f.path == "proto.py" for f in report.findings
+                   if f.rule == "PL103")
         # the PING/PONG mutual guard is a deadlock cycle
-        cycles = by_rule["PL104"]
-        assert len(cycles) == 1
-        assert "PING" in cycles[0].message and "PONG" in cycles[0].message
-
-    def test_tag_set_dataflow_resolves(self):
-        peers = textwrap.dedent("""
-            from proto import Tags
-
-            def server(comm, reliable, master):
-                listen = {Tags.PING} if master else {Tags.PONG}
-                if reliable:
-                    listen.add(Tags.ORPHAN_RECV)
-                msg = yield from comm.recv(tags=listen)
-                done = Tags.ORPHAN_SEND if master else Tags.DEAD
-                yield from comm.send(0, done, msg)
-        """)
-        report = check_sources(FIXTURE_PROTOCOL, "proto.py",
-                               {"peers.py": peers})
-        recv_tags = {t for r in report.recvs for t in r.tags}
-        send_tags = {t for s in report.sends for t in s.tags}
-        assert recv_tags == {"PING", "PONG", "ORPHAN_RECV"}
-        assert send_tags == {"ORPHAN_SEND", "DEAD"}
-
-    def test_tag_set_union_growth_resolves(self):
-        # The sharded server loop builds per-role listen sets with set
-        # union (listen |= {...}, listen.update(...), base | {...}).
-        # Before the checker learned these forms it kept the stale
-        # pre-union value, so a tag received only via |= looked
-        # unreceived (false PL101 on its send site) and the shard-id
-        # dimension of SCHED/OP_DONE matching reported phantom orphans.
-        peers = textwrap.dedent("""
-            from proto import Tags
-
-            def owner(comm, sharded, reliable):
-                listen = {Tags.PING}
-                if sharded:
-                    listen |= {Tags.PONG}
-                    if reliable:
-                        listen.update({Tags.ORPHAN_RECV})
-                msg = yield from comm.recv(tags=listen)
-                return msg
-
-            def peer(comm):
-                extra = {Tags.ORPHAN_RECV} | {Tags.DEAD}
-                yield from comm.send(0, Tags.PING, None)
-                yield from comm.send(0, Tags.PONG, None)
-                yield from comm.send(0, Tags.ORPHAN_RECV, None)
-                other = yield from comm.recv(tags=extra)
-                yield from comm.send(0, Tags.DEAD, other)
-        """)
-        report = check_sources(FIXTURE_PROTOCOL, "proto.py",
-                               {"peers.py": peers})
-        recv_tags = {t for r in report.recvs for t in r.tags}
-        assert {"PING", "PONG", "ORPHAN_RECV", "DEAD"} <= recv_tags
-        # with the union forms resolved, PING/PONG/ORPHAN_RECV/DEAD all
-        # pair up; only the fixture's never-used ORPHAN_SEND remains
-        assert [f.rule for f in report.findings] == ["PL103"]
-        assert "ORPHAN_SEND" in report.findings[0].message
-
-    def test_unresolvable_mutation_drops_the_variable(self):
-        # A mutation the dataflow cannot follow must invalidate the
-        # variable, not leave it at a stale value: here ``listen`` is
-        # |='d with a function call, so the later recv must be skipped
-        # (unresolvable) rather than recorded as {PING} -- recording it
-        # would be a false PL102 on PING (nothing sends it).
-        peers = textwrap.dedent("""
-            from proto import Tags
-
-            def shifty(comm, extra_tags):
-                listen = {Tags.PING}
-                listen |= extra_tags()
-                msg = yield from comm.recv(tags=listen)
-                return msg
-        """)
-        report = check_sources(FIXTURE_PROTOCOL, "proto.py",
-                               {"peers.py": peers})
-        assert report.recvs == []
-        assert not any(f.rule in ("PL101", "PL102") for f in report.findings)
+        assert len(by_rule["PL104"]) == 1
+        assert "PING -> PONG -> PING" in by_rule["PL104"][0]
 
     def test_real_tree_is_clean_with_expected_guard(self):
         report = check_tree(REPO_ROOT)
         assert report.findings == []
-        # every defined tag is live (including the scheduler's SCHED)
-        sent = {t for s in report.sends for t in s.tags}
-        received = {t for r in report.recvs for t in r.tags}
-        assert sent == received == set(report.tags)
-        assert "SCHED" in sent
-        # No guard edges survive on the real tree any more: the inter-op
-        # scheduler's completion path (server._sched_maybe_complete) is a
-        # second OP_DONE send site that credits SERVER_DONEs drained off a
-        # multi-tag listen rather than an inline single-tag gather, so the
-        # all-send-sites intersection for OP_DONE is empty.  The PING/PONG
-        # fixtures above keep the guard/cycle detector itself covered.
+        # every tag is sent and taken (SCHED and SCHEMA included)
+        assert report.sent == report.taken == set(report.tags)
+        assert {"SCHED", "SCHEMA"} <= {t for s in report.sends
+                                       for t in s.tags}
+        # No guard edges on the real tree: the inter-op scheduler's
+        # completion path (server._sched_maybe_complete) sends OP_DONE
+        # after crediting SERVER_DONEs drained off a multi-tag listen,
+        # not after an inline single-tag gather.  The PING/PONG fixture
+        # keeps the guard/cycle detector itself covered.
         assert report.guards == {}
 
     def test_real_tree_admission_tags_are_cross_referenced(self):
-        # Regression for the SLO admission plane: OP_REJECTED (the
-        # server-side shed) and CLIENT_DONE (re-broadcast by the
-        # completion path, not only the inline gather) each have both a
-        # send and a receive site on the real tree -- losing either
-        # side would surface as an unmatched-tag finding the moment the
-        # checker runs, not as a silent protocol hole.
+        # OP_REJECTED (the server-side shed) and CLIENT_DONE (the
+        # master client's re-broadcast) each have a named send site and
+        # are taken by a table-derived client listen set.
         report = check_tree(REPO_ROOT)
-        sent = {t for s in report.sends for t in s.tags}
-        received = {t for r in report.recvs for t in r.tags}
+        named = {t for s in report.sends for t in s.tags}
         for tag in ("OP_REJECTED", "CLIENT_DONE"):
-            assert tag in sent, f"{tag} has no send site"
-            assert tag in received, f"{tag} has no receive site"
-        assert not any(
-            f.rule in ("PL101", "PL102", "PL103") for f in report.findings
-        )
+            assert tag in named, f"{tag} has no send site"
+            assert tag in report.taken, f"{tag} is never taken"
 
     def test_try_recv_is_recv_site_but_not_guard(self):
-        # The scheduler's backpressure drain uses the non-blocking
-        # comm.try_recv.  It must count as a recv site (PL101/PL102
-        # coverage for op-id-tagged data-plane messages) without ever
-        # creating a PL104 guard edge -- it cannot block.
+        # try_recv counts as a receive site without ever creating a
+        # PL104 guard edge -- it cannot block.
         peers = textwrap.dedent("""
             from proto import Tags
 
             def pump(comm):
-                listen = {Tags.PING}
-                msg = comm.try_recv(tags=listen)
+                msg = comm.try_recv(tags={Tags.PING})
                 yield from comm.send(1, Tags.PONG, msg)
 
             def drive(comm):
@@ -475,14 +449,56 @@ class TestProtocolChecker:
                 msg = yield from comm.recv(tag=Tags.PONG)
                 return msg
         """)
-        report = check_sources(FIXTURE_PROTOCOL, "proto.py",
-                               {"peers.py": peers})
-        recv_tags = {t for r in report.recvs for t in r.tags}
-        assert {"PING", "PONG"} <= recv_tags
-        # no PL101/PL102 for PING/PONG, and crucially no guard edge from
-        # the try_recv preceding pump's send
+        report = _fixture_report(peers)
+        assert {"PING", "PONG"} <= report.taken
         assert "PONG" not in report.guards
         assert all(f.rule == "PL103" for f in report.findings)
+
+    def test_mutant_without_the_recover_send(self):
+        sources = _real_sources()
+        server = DEFAULT_PROTOCOL.replace("protocol", "server")
+        sources[server] = _delete_send(sources[server], "RECOVER")
+        assert sources[server] != (REPO_ROOT / server).read_text()
+        findings = _real_report(sources).findings
+        assert [(f.rule, f.message) for f in findings] == [
+            ("PL103", "tag RECOVER has no send site")]
+
+    def test_mutant_client_sends_fetch(self):
+        sources = _real_sources()
+        client = DEFAULT_PROTOCOL.replace("protocol", "client")
+        sources[client] = sources[client].replace(
+            "self._op_owner_rank, Tags.REQUEST, op",
+            "self._op_owner_rank, Tags.FETCH, op")
+        findings = _real_report(sources).findings
+        assert [f.rule for f in findings] == ["PL101"]
+        assert findings[0].path == client
+        assert "tag FETCH is sent here (in collective)" in findings[0].message
+
+    def test_mutant_row_without_a_sender(self):
+        protocol = (REPO_ROOT / DEFAULT_PROTOCOL).read_text()
+        mutant = protocol.replace(
+            "    OP_REJECTED = 22\n", "    OP_REJECTED = 22\n    PROBE = 23\n"
+        ).replace(
+            "\n)\n\n\ndef listen_tags",
+            "\n    Message(Tags.PROBE, None, MASTER_SERVER, PEER_SERVER),"
+            "\n)\n\n\ndef listen_tags")
+        assert "Tags.PROBE" in mutant
+        findings = _real_report(_real_sources(), mutant).findings
+        assert [(f.rule, f.message) for f in findings] == [
+            ("PL103", "tag PROBE has no send site")]
+
+    def test_check_tree_reads_the_table_of_its_root(self, tmp_path):
+        # a copy whose table gained a row: the copy's check sees it,
+        # the original tree's does not
+        for rel in (DEFAULT_PROTOCOL, *DEFAULT_ROLES):
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text((REPO_ROOT / rel).read_text())
+        proto = tmp_path / DEFAULT_PROTOCOL
+        proto.write_text(proto.read_text().replace(
+            "    OP_REJECTED = 22\n", "    OP_REJECTED = 22\n    PROBE = 23\n"))
+        assert [f.message for f in check_tree(tmp_path).findings] == [
+            "tag PROBE has no row in MESSAGES"]
+        assert check_tree(REPO_ROOT).findings == []
 
 
 # -- race detector -----------------------------------------------------------
