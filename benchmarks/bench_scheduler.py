@@ -39,9 +39,13 @@ SIZE_MB = 16
 
 
 def run_point(policy, n_apps: int) -> dict:
-    from repro.bench.sched import run_concurrent_writes
+    from repro.bench.experiments import shape_for_mb
+    from repro.workloads.catalog import WriterGroupsParams, build
 
-    result, stats = run_concurrent_writes(policy, n_apps, size_mb=SIZE_MB)
+    built = build(WriterGroupsParams(policy=policy, n_apps=n_apps,
+                                     shape=shape_for_mb(SIZE_MB)))
+    result = built.run()
+    stats = built.runtime.sched_stats
     if stats is None:  # unscheduled baseline: per-op elapsed only
         elapsed = [op.elapsed for op in result.ops]
         return {

@@ -44,21 +44,19 @@ from repro.analysis.hb import (
     ScheduleController,
     SleepBlocked,
 )
-from repro.analysis.race import (
-    ScenarioRun,
-    _roundtrip_scenario,
-    _scheduled_scenario,
-    _sharded_scenario,
-)
+from repro.analysis.race import fingerprint
 from repro.sim.engine import SimulationError
+from repro.workloads.catalog import CATALOG, Spec, build
 
 __all__ = [
     "MCFinding",
     "MCReport",
     "MCScenario",
+    "MC_SCENARIOS",
     "Outcome",
     "ScenarioResult",
     "explore",
+    "mc_scenario",
     "mc_scenarios",
     "racy_fixture_scenario",
     "run_mc",
@@ -463,60 +461,51 @@ def _divergence_finding(
     )
 
 
-# -- scenario adapters ---------------------------------------------------------
+# -- scenarios -----------------------------------------------------------------
+
+#: the exhaustive-check set: the race sweep's traffic shapes at
+#: configurations small enough to enumerate completely -- a write+read
+#: roundtrip, scheduled concurrent writes under each policy, and
+#: sharded admission.
+MC_SCENARIOS = (
+    "mc-roundtrip", "mc-sched-fifo", "mc-sched-sjf", "mc-sched-fair",
+    "mc-sharded-2",
+)
 
 
-def _adapt(race_scenario) -> MCScenario:
-    """Wrap a race-detector scenario for controlled exploration."""
+def _controlled(run: Callable[[], Outcome]) -> Outcome:
+    """One controlled execution, with the engine's stop conditions
+    mapped to outcomes."""
+    try:
+        return run()
+    except SleepBlocked:
+        return Outcome("sleep-blocked")
+    except SimulationError as exc:
+        kind = "deadlock" if str(exc).startswith("deadlock") else "error"
+        return Outcome(kind, error=str(exc))
+
+
+def mc_scenario(name: str, spec: Spec) -> MCScenario:
+    """A catalogue spec as a model-checker scenario: build it, install
+    the controller, run to quiescence, then count orphan messages."""
 
     def run(ctl: ScheduleController) -> Outcome:
-        holder: dict = {}
+        built = build(spec)
+        built.runtime.sim.enable_controller(ctl)
 
-        def instrument(runtime: object) -> None:
-            holder["runtime"] = runtime
-            runtime.sim.enable_controller(ctl)  # type: ignore[attr-defined]
+        def go() -> Outcome:
+            fp = fingerprint(built, built.run())
+            orphans = sum(len(mb) for mb in built.runtime.network.mailboxes)
+            return Outcome("complete", fingerprint=fp, orphans=orphans)
 
-        try:
-            sr: ScenarioRun = race_scenario.run(None, _instrument=instrument)
-        except SleepBlocked:
-            return Outcome("sleep-blocked")
-        except SimulationError as exc:
-            kind = "deadlock" if str(exc).startswith("deadlock") else "error"
-            return Outcome(kind, error=str(exc))
-        orphans = 0
-        runtime = holder.get("runtime")
-        network = getattr(runtime, "network", None)
-        if network is not None:
-            orphans = sum(len(mb) for mb in network.mailboxes)
-        return Outcome("complete", fingerprint=sr.fingerprint, orphans=orphans)
+        return _controlled(go)
 
-    return MCScenario(race_scenario.name, run)
+    return MCScenario(name, run)
 
 
 def mc_scenarios() -> List[MCScenario]:
-    """The exhaustive-check set: the race sweep's traffic shapes at
-    configurations small enough to enumerate completely -- a write+read
-    roundtrip, scheduled concurrent writes under each policy, and
-    sharded admission."""
-    scheduled = [
-        _adapt(_scheduled_scenario(
-            policy, n_apps=4, n_compute=4, n_io=1, size_mb=16,
-            max_in_flight=2, name=f"mc-sched-{policy}",
-        ))
-        for policy in ("fifo", "sjf", "fair")
-    ]
-    return [
-        _adapt(_roundtrip_scenario(
-            "mc-roundtrip", reorganize=False, faults=None,
-            real_payloads=True, shape=(8, 6), mem_shape=(2, 2),
-            disk_shape=(2,), n_io=2,
-        )),
-        *scheduled,
-        _adapt(_sharded_scenario(
-            2, n_apps=4, n_compute=4, n_io=2, size_mb=16,
-            name="mc-sharded-2",
-        )),
-    ]
+    """:data:`MC_SCENARIOS`, from the catalogue."""
+    return [mc_scenario(name, CATALOG[name]) for name in MC_SCENARIOS]
 
 
 def racy_fixture_scenario() -> MCScenario:
@@ -547,14 +536,12 @@ def racy_fixture_scenario() -> MCScenario:
             sim.schedule(0.5, writer_b, None)
 
         sim.schedule(0.0, spark, None)
-        try:
+
+        def go() -> Outcome:
             sim.run()
-        except SleepBlocked:
-            return Outcome("sleep-blocked")
-        except SimulationError as exc:
-            kind = "deadlock" if str(exc).startswith("deadlock") else "error"
-            return Outcome(kind, error=str(exc))
-        return Outcome("complete", fingerprint=tuple(out))
+            return Outcome("complete", fingerprint=tuple(out))
+
+        return _controlled(go)
 
     return MCScenario("racy-fixture", run)
 

@@ -24,7 +24,6 @@ from repro.bench.harness import (
     run_traced_point,
 )
 from repro.bench.report import format_figure, format_rows
-from repro.bench.sched import run_concurrent_writes, writer_group_app
 
 __all__ = [
     "EXPERIMENTS",
@@ -33,10 +32,8 @@ __all__ = [
     "experiment",
     "format_figure",
     "format_rows",
-    "run_concurrent_writes",
     "run_figure",
     "run_panda_point",
     "run_traced_point",
     "shape_for_mb",
-    "writer_group_app",
 ]

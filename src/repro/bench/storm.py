@@ -20,32 +20,21 @@ ops complete, breaking the data invariant).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Dict, List, Optional
 
 from repro.obs.slo import SLOBudget, quantile
 from repro.replay.capture import TraceRecorder
 from repro.replay.replayer import ReplayOutcome, replay
 from repro.replay.trace import WorkloadTrace
-from repro.workloads.storm import StormParams, run_storm
+from repro.workloads.catalog import CATALOG, StormParams, build
 
-__all__ = ["CONTENDED_STORM", "derive_budget", "run_storm_comparison"]
+__all__ = ["CONTENDED_STORM", "FULL_STORM", "derive_budget",
+           "run_storm_comparison"]
 
-#: the canonical contended herd: simultaneous arrivals (zero skew),
-#: mixed checkpoint sizes so size-aware policies have something to
-#: reorder, and an admission pipe narrow enough that the queue is deep
-#: when the burst lands.
-CONTENDED_STORM = StormParams(
-    n_tenants=8, n_io=2, policy="fifo", rounds=4, deadline=0.5,
-    burst_skew=0.0, elements=4096, size_classes=(1, 2, 8),
-    max_in_flight=2, seed=3,
-)
-
-#: the full-scale point doubles the rounds and quadruples the payload
-#: (the per-tenant history is what the slo policy's demotions feed on;
-#: adding tenants instead re-aligns the demoted set with arrival order
-#: and the reordering washes out).
-FULL_STORM = replace(CONTENDED_STORM, rounds=8, elements=16384)
+#: the canonical contended herd (simultaneous arrivals, mixed sizes, a
+#: narrow admission pipe) and its full-scale point, from the catalogue.
+CONTENDED_STORM = CATALOG["contended-storm"]
+FULL_STORM = CATALOG["full-storm"]
 
 
 def _tenant_p99s(stats: Any) -> List[float]:
@@ -89,13 +78,10 @@ def run_storm_comparison(
     """Capture the herd under fifo, replay under every policy; return
     per-policy points plus the capture/replay invariants."""
     params = params or CONTENDED_STORM
-    holder: Dict[str, TraceRecorder] = {}
-
-    def hook(rt: Any) -> None:
-        holder["rec"] = TraceRecorder(rt, name="bench-storm")
-
-    run_storm(params, runtime_hook=hook)
-    trace = WorkloadTrace.loads(holder["rec"].trace().dumps())
+    built = build(params)
+    rec = TraceRecorder(built.runtime, name="bench-storm")
+    built.run()
+    trace = WorkloadTrace.loads(rec.trace().dumps())
     stored_want = trace.expect["stored"]
 
     base = replay(trace)

@@ -268,6 +268,15 @@ def cmd_race(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _unknown_scenario(wanted: List[str], known: List[str]) -> bool:
+    """Name lookup for ``mc --scenario`` and ``replay record``."""
+    unknown = sorted(set(wanted) - set(known))
+    if unknown:
+        print(f"unknown scenario(s): {', '.join(unknown)}; "
+              f"known: {', '.join(sorted(known))}", file=sys.stderr)
+    return bool(unknown)
+
+
 def cmd_mc(args: argparse.Namespace) -> int:
     """panda-mc: exhaustively enumerate every non-equivalent dispatch
     schedule of the small-configuration scenario set and check each for
@@ -282,14 +291,9 @@ def cmd_mc(args: argparse.Namespace) -> int:
     if args.racy_fixture:
         scenarios.append(racy_fixture_scenario())
     if args.scenario:
-        wanted = set(args.scenario)
-        known = {s.name for s in scenarios}
-        unknown = wanted - known
-        if unknown:
-            print(f"unknown scenario(s): {', '.join(sorted(unknown))}; "
-                  f"known: {', '.join(sorted(known))}", file=sys.stderr)
+        if _unknown_scenario(args.scenario, [s.name for s in scenarios]):
             return 2
-        scenarios = [s for s in scenarios if s.name in wanted]
+        scenarios = [s for s in scenarios if s.name in args.scenario]
     report = run_mc(scenarios, max_schedules=args.budget,
                     reduce=not args.no_reduce)
     if args.format == "json":
@@ -306,30 +310,29 @@ def cmd_sched(args: argparse.Namespace) -> int:
     ``--apps`` independent client groups writing simultaneously and
     compare the turnaround profile per policy (plus the paper's
     unscheduled head-of-line baseline)."""
-    from repro.bench.sched import run_concurrent_writes
     from repro.core.scheduler import POLICIES
+    from repro.workloads.catalog import WriterGroupsParams, build
 
     policies: List[Optional[str]]
     policies = list(POLICIES) if args.policy == "all" else [args.policy]
     if args.baseline:
         policies.append(None)
-    priorities = None
-    if args.priorities:
-        if len(args.priorities) != args.apps:
-            print(f"--priorities needs exactly {args.apps} values",
-                  file=sys.stderr)
-            return 2
-        priorities = args.priorities
+    if args.priorities and len(args.priorities) != args.apps:
+        print(f"--priorities needs exactly {args.apps} values",
+              file=sys.stderr)
+        return 2
     if args.shards > 1 and args.baseline:
         print("--shards needs the scheduler; drop --baseline",
               file=sys.stderr)
         return 2
     for policy in policies:
-        result, stats = run_concurrent_writes(
-            policy, args.apps, n_compute=args.compute, n_io=args.io,
-            size_mb=args.size_mb, priorities=priorities,
-            n_shards=args.shards,
-        )
+        built = build(WriterGroupsParams(
+            policy=policy, n_apps=args.apps, n_compute=args.compute,
+            n_io=args.io, shape=shape_for_mb(args.size_mb),
+            priorities=tuple(args.priorities or ()), n_shards=args.shards,
+        ))
+        result = built.run()
+        stats = built.runtime.sched_stats
         if stats is None:
             print("unscheduled baseline (head-of-line, one op at a time):")
             for op in result.ops:
@@ -389,17 +392,14 @@ def cmd_replay_record(args: argparse.Namespace) -> int:
     from repro.replay.scenarios import record_scenario, scenario_names
 
     if args.list:
-        for name in scenario_names():
-            print(name)
+        print("\n".join(scenario_names()))
         return 0
     if not args.scenario:
         print("scenario name required (or --list)", file=sys.stderr)
         return 2
-    try:
-        trace = record_scenario(args.scenario)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
+    if _unknown_scenario([args.scenario], scenario_names()):
         return 2
+    trace = record_scenario(args.scenario)
     out = args.out or f"{args.scenario}.json"
     trace.save(out)
     print(f"recorded {args.scenario!r}: {trace.n_events} event(s), "

@@ -10,8 +10,10 @@ regression test.
   runtime from a trace alone and checking byte-exact fingerprints;
 - :mod:`repro.replay.fingerprint` -- the exact-result fingerprint
   format, shared with the race detector;
-- :mod:`repro.replay.scenarios` -- the recordable scenario registry
-  behind ``python -m repro replay record``.
+- :mod:`repro.replay.scenarios` -- which catalogue entries
+  (:data:`repro.workloads.catalog.CATALOG`) make up the golden corpus,
+  and the build-attach-run recording behind ``python -m repro replay
+  record``.
 
 See DESIGN.md section 17 for the trace schema and the determinism
 contract that makes bit-exact replay possible.

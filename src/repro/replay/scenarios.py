@@ -1,12 +1,11 @@
 """Canonical capture scenarios: the golden trace corpus.
 
-Each scenario is a pure, deterministic recipe -- build a runtime, drive
-a workload under a :class:`TraceRecorder`, return the trace.  The CLI
-(``python -m repro replay record``) serializes them under
-``tests/traces/`` where the regression suite replays them bit-exactly;
-re-recording a scenario must reproduce the committed golden byte for
-byte, which is itself a regression test (the capture path is part of
-the determinism contract).
+Each scenario is a catalogue entry (:data:`repro.workloads.catalog.
+CATALOG`) recorded under a :class:`TraceRecorder`.  The CLI (``python
+-m repro replay record``) serializes them under ``tests/traces/`` where
+the regression suite replays them bit-exactly; re-recording a scenario
+must reproduce the committed golden byte for byte, which is itself a
+regression test (the capture path is part of the determinism contract).
 
 The corpus spans the stimulus space the replayer must cover:
 
@@ -25,158 +24,27 @@ The corpus spans the stimulus space the replayer must cover:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import List
 
-import numpy as np
-
-from repro.core.api import Array, ArrayGroup, ArrayLayout
-from repro.core.config import PandaConfig
-from repro.core.runtime import PandaRuntime
-from repro.core.scheduler import SchedulerConfig
-from repro.faults import FaultSpec
-from repro.machine import sp2
-from repro.obs.slo import SLOBudget
 from repro.replay.capture import TraceRecorder
 from repro.replay.trace import WorkloadTrace
-from repro.schema.distribution import BLOCK, NONE
-from repro.workloads import distribute, make_global_array
-from repro.workloads.storm import StormParams, run_storm
+from repro.workloads.catalog import CATALOG, build
 
-__all__ = ["SCENARIOS", "record_scenario"]
+__all__ = ["RECORDED", "record_scenario", "scenario_names"]
 
-
-def _record_roundtrip() -> WorkloadTrace:
-    shape = (16, 16)
-    mem = ArrayLayout("rt-mem", (4,))
-    disk = ArrayLayout("rt-disk", (2,))
-    arr = Array("rt-arr", shape, np.float64, mem, [BLOCK, NONE],
-                disk, [BLOCK, NONE], sub_chunk_bytes=512)
-    group = ArrayGroup("rt-grp")
-    group.include(arr)
-    data = distribute(make_global_array(shape, seed=11), arr.memory_schema)
-
-    def app(ctx):
-        ctx.bind(arr, data[ctx.group_index].copy())
-        yield from group.write(ctx, "rt-data")
-        local = ctx.local(arr)
-        if local is not None and local.size:
-            local[...] = 0
-        yield from group.read(ctx, "rt-data")
-
-    rt = PandaRuntime(
-        n_compute=4, n_io=2, spec=sp2(total_nodes=6),
-        config=PandaConfig(scheduler=SchedulerConfig(policy="fifo")),
-        real_payloads=True,
-    )
-    rec = TraceRecorder(rt, name="roundtrip",
-                        meta={"scenario": "roundtrip"})
-    rt.run(app)
-    return rec.trace()
-
-
-def _record_sharded_fault() -> WorkloadTrace:
-    shape = (16, 16)
-    n_groups, group_sz, n_io = 2, 2, 4
-
-    def make_group(g: int):
-        mem = ArrayLayout(f"sf-mem{g}", (group_sz,))
-        disk = ArrayLayout(f"sf-disk{g}", (n_io,))
-        arr = Array(f"sf{g}", shape, np.float64, mem, [BLOCK, NONE],
-                    disk, [BLOCK, NONE], sub_chunk_bytes=512)
-        ag = ArrayGroup(f"sf-ag{g}")
-        ag.include(arr)
-        return ag, arr
-
-    def workload_app(g: int, ag, arr, data):
-        def app(ctx):
-            ctx.bind(arr, data[ctx.group_index].copy())
-            yield from ag.write(ctx, f"sf{g}")
-            local = ctx.local(arr)
-            if local.size:
-                local += 1.0
-            yield from ag.write(ctx, f"sf{g}")
-            yield from ag.read(ctx, f"sf{g}")
-        return app
-
-    sched = SchedulerConfig(policy="fair", max_in_flight=2, queue_limit=4,
-                            n_shards=2)
-    faults = FaultSpec(seed=3, msg_drop_rate=0.05, msg_delay_rate=0.1,
-                       crashes=((1, 0.004),))
-    rt = PandaRuntime(
-        n_compute=n_groups * group_sz, n_io=n_io,
-        config=PandaConfig(scheduler=sched, faults=faults),
-        real_payloads=True,
-    )
-    rec = TraceRecorder(rt, name="sharded-fault",
-                        meta={"scenario": "sharded-fault"})
-    assignments = []
-    for g in range(n_groups):
-        ag, arr = make_group(g)
-        data = distribute(make_global_array(shape, seed=100 + g),
-                          arr.memory_schema)
-        ranks = tuple(range(g * group_sz, (g + 1) * group_sz))
-        assignments.append((workload_app(g, ag, arr, data), ranks))
-    rt.run_partitioned(assignments)
-    return rec.trace()
-
-
-#: the acceptance-combo storm: 2 admission shards, a shard-master crash
-#: at t=0.51 s (mid round 2), message drops/delays, and a budget tight
-#: enough to shed -- all in one capture.  Small payloads keep the
-#: committed golden under ~100 KB.
-STORM_SMALL = StormParams(
-    n_tenants=6, n_io=4, n_shards=2, policy="slo", rounds=4,
-    deadline=0.25, burst_skew=0.1, elements=256, seed=5,
-    max_in_flight=2, max_attempts=3, retry_backoff=0.05,
-    slo=SLOBudget(turnaround_p99=4e-3, window=16, min_history=2,
-                  shed_factor=1.5),
-    faults=FaultSpec(seed=7, msg_drop_rate=0.05, msg_delay_rate=0.1,
-                     crashes=((1, 0.51),)),
-)
-
-#: a fault-free herd against an exhausted budget: plenty of sheds, no
-#: recovery machinery in the way.
-SLO_SHED = StormParams(
-    n_tenants=8, n_io=2, policy="slo", rounds=4, deadline=0.25,
-    burst_skew=0.0, elements=256, seed=2, max_in_flight=2,
-    max_attempts=3, retry_backoff=0.05,
-    slo=SLOBudget(turnaround_p99=2e-3, window=16, min_history=2,
-                  shed_factor=1.5),
-)
-
-
-def _record_storm(name: str, params: StormParams) -> WorkloadTrace:
-    holder: Dict[str, TraceRecorder] = {}
-
-    def hook(rt: PandaRuntime) -> None:
-        holder["rec"] = TraceRecorder(rt, name=name,
-                                      meta={"scenario": name})
-
-    report = run_storm(params, runtime_hook=hook)
-    trace = holder["rec"].trace()
-    assert not report.corrupt, f"{name}: corrupt restart reads"
-    return trace
-
-
-SCENARIOS: Dict[str, Callable[[], WorkloadTrace]] = {
-    "roundtrip": _record_roundtrip,
-    "sharded-fault": _record_sharded_fault,
-    "slo-shed": lambda: _record_storm("slo-shed", SLO_SHED),
-    "storm-small": lambda: _record_storm("storm-small", STORM_SMALL),
-}
+#: the catalogue entries with a committed golden trace.
+RECORDED = ("roundtrip", "sharded-fault", "slo-shed", "storm-small")
 
 
 def record_scenario(name: str) -> WorkloadTrace:
     """Capture scenario ``name`` fresh (deterministic: identical bytes
     every time)."""
-    try:
-        fn = SCENARIOS[name]
-    except KeyError:
-        known = ", ".join(sorted(SCENARIOS))
-        raise ValueError(f"unknown scenario {name!r} (known: {known})"
-                         ) from None
-    return fn()
+    built = build(CATALOG[name])
+    rec = TraceRecorder(built.runtime, name=name, meta={"scenario": name})
+    built.run()
+    assert not built.corrupt, f"{name}: corrupt restart reads"
+    return rec.trace()
 
 
 def scenario_names() -> List[str]:
-    return sorted(SCENARIOS)
+    return sorted(RECORDED)

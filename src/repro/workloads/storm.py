@@ -5,7 +5,9 @@ The paper frames reads/writes as the primitives beneath "Panda's
 timestep, checkpoint, and restart operations"; the pathological form of
 that workload is every tenant checkpointing *at once* -- a coordinated
 application sweep, a cluster-wide preemption warning, a periodic
-barrier.  This generator synthesizes it deterministically:
+barrier.  The catalogue's storm family (:class:`StormParams`, built by
+:func:`repro.workloads.catalog.build`) synthesizes it deterministically,
+and :func:`run_storm` runs one and reduces it to a :class:`StormReport`:
 
 - ``n_tenants`` single-rank tenants each own a private dataset;
 - each round, every tenant's checkpoint write arrives clustered at the
@@ -26,71 +28,14 @@ a pure function of ``StormParams``, so a storm can be captured by
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-import numpy as np
-
-from repro.core.api import Array, ArrayLayout
-from repro.core.config import PandaConfig
-from repro.core.protocol import OpRejected
 from repro.core.runtime import PandaRuntime, RunResult
-from repro.core.scheduler import SchedulerConfig
-from repro.faults import FaultSpec
-from repro.machine import sp2
-from repro.obs.slo import SLOBudget
-from repro.schema.distribution import BLOCK
+from repro.obs.slo import quantile
+from repro.workloads.catalog import StormParams, build
 
-__all__ = ["StormParams", "StormReport", "run_storm", "storm_runtime"]
-
-
-@dataclass(frozen=True)
-class StormParams:
-    """One storm, fully determined (every field is a stimulus)."""
-
-    n_tenants: int = 16
-    n_io: int = 4
-    n_shards: int = 1
-    policy: str = "fair"
-    #: checkpoint rounds (each round is one coordinated burst).
-    rounds: int = 2
-    #: seconds between coordinated checkpoint deadlines.
-    deadline: float = 0.5
-    #: arrival spread within a round, as a fraction of ``deadline``:
-    #: 0 is a perfectly aligned thundering herd.
-    burst_skew: float = 0.25
-    #: every k-th tenant restart-reads the previous round's checkpoint.
-    restart_every: int = 4
-    #: per-tenant checkpoint size, float64 elements.
-    elements: int = 1024
-    #: size multipliers cycled over tenants (``(1,)`` = uniform sizes;
-    #: ``(1, 2, 8)`` mixes small and heavy checkpoints so size-aware
-    #: policies actually reorder the herd).
-    size_classes: tuple = (1,)
-    #: disk chunks per dataset (chunk i lives on server ``i % n_io``).
-    n_disk_chunks: int = 8
-    max_in_flight: int = 4
-    queue_limit: int = 32
-    #: shed retries before a tenant gives its checkpoint up.
-    max_attempts: int = 5
-    #: backoff after a shed, seconds (scaled by the attempt number).
-    retry_backoff: float = 0.25
-    seed: int = 0
-    slo: Optional[SLOBudget] = None
-    faults: Optional[FaultSpec] = None
-    real_payloads: bool = True
-
-    def __post_init__(self) -> None:
-        if self.n_tenants < 1 or self.rounds < 1:
-            raise ValueError("need at least one tenant and one round")
-        if not 0.0 <= self.burst_skew <= 1.0:
-            raise ValueError("burst_skew must be in [0, 1]")
-        if self.restart_every < 1:
-            raise ValueError("restart_every must be >= 1")
-        if not self.size_classes or any(
-                not isinstance(m, int) or m < 1 for m in self.size_classes):
-            raise ValueError("size_classes must be positive int multipliers")
+__all__ = ["StormParams", "StormReport", "run_storm"]
 
 
 @dataclass
@@ -109,136 +54,21 @@ class StormReport:
     corrupt: List[str] = field(default_factory=list)
 
 
-def _tenant_elements(params: StormParams, tenant: int) -> int:
-    """Tenant ``tenant``'s checkpoint size in float64 elements (the base
-    size scaled by the tenant's cycled size class)."""
-    return params.elements * params.size_classes[
-        tenant % len(params.size_classes)]
-
-
-def _payload(params: StormParams, tenant: int, rnd: int) -> np.ndarray:
-    """Tenant ``tenant``'s round-``rnd`` checkpoint bytes (pure function
-    of the storm seed, so restart reads verify byte-exactly)."""
-    rng = np.random.default_rng(
-        (params.seed * 100003 + tenant * 1009 + rnd) & 0x7FFFFFFF
-    )
-    return rng.standard_normal(_tenant_elements(params, tenant))
-
-
-def _arrivals(params: StormParams) -> List[List[float]]:
-    """``[tenant][round] -> arrival instant`` (seeded jitter around each
-    round's deadline)."""
-    out = []
-    for i in range(params.n_tenants):
-        rng = random.Random(params.seed * 10007 + i)
-        out.append([
-            r * params.deadline
-            + params.burst_skew * params.deadline * rng.random()
-            for r in range(params.rounds)
-        ])
-    return out
-
-
-def storm_runtime(params: StormParams) -> PandaRuntime:
-    sched = SchedulerConfig(
-        policy=params.policy,
-        max_in_flight=params.max_in_flight,
-        queue_limit=params.queue_limit,
-        n_shards=params.n_shards,
-        slo=params.slo,
-    )
-    spec = sp2(
-        total_nodes=params.n_tenants + params.n_io,
-        fast_disk=True,
-        plan_formation_overhead=2e-4,
-    )
-    return PandaRuntime(
-        n_compute=params.n_tenants,
-        n_io=params.n_io,
-        spec=spec,
-        config=PandaConfig(scheduler=sched, faults=params.faults),
-        real_payloads=params.real_payloads,
-    )
-
-
 def run_storm(
     params: StormParams,
     runtime_hook: Optional[Callable[[PandaRuntime], None]] = None,
 ) -> StormReport:
     """Run one storm on a fresh runtime.  ``runtime_hook`` sees the
     runtime before the run starts (trace recorder, dispatch log)."""
-    arrivals = _arrivals(params)
-    rejections: Dict[int, int] = {i: 0 for i in range(params.n_tenants)}
-    gave_up: List[str] = []
-    corrupt: List[str] = []
-
-    mem = ArrayLayout("storm-mem", (1,))
-    disk = ArrayLayout("storm-disk", (min(params.n_disk_chunks,
-                                          params.elements),))
-
-    def tenant_app(i: int) -> Callable:
-        n_elems = _tenant_elements(params, i)
-        arr = Array(f"ckpt{i}", (n_elems,), np.float64,
-                    mem, [BLOCK], disk, [BLOCK])
-        spec = arr.spec()
-        priority = 1 + i % 3  # mixed-priority tenants exercise fair share
-
-        def collective_with_retry(ctx, kind: str, dataset: str):
-            for attempt in range(params.max_attempts):
-                try:
-                    yield from ctx.panda.collective(
-                        kind, (spec,), dataset, priority=priority
-                    )
-                    return True
-                except OpRejected:
-                    rejections[i] += 1
-                    yield from ctx.compute(
-                        params.retry_backoff * (attempt + 1)
-                    )
-            gave_up.append(dataset)
-            return False
-
-        def app(ctx):
-            buf = ctx.bind(arr)
-            t_start = ctx.sim.now
-            for r in range(params.rounds):
-                dt = t_start + arrivals[i][r] - ctx.sim.now
-                if dt > 0:
-                    yield from ctx.compute(dt)
-                if buf is not None:
-                    buf[:] = _payload(params, i, r)
-                wrote = yield from collective_with_retry(
-                    ctx, "write", f"ckpt{i}.r{r}"
-                )
-                if r > 0 and i % params.restart_every == 0:
-                    # restart read of the previous checkpoint, riding
-                    # the same storm as recovery traffic would
-                    read = yield from collective_with_retry(
-                        ctx, "read", f"ckpt{i}.r{r - 1}"
-                    )
-                    if (read and buf is not None
-                            and not np.array_equal(
-                                buf, _payload(params, i, r - 1))):
-                        corrupt.append(f"ckpt{i}.r{r - 1}")
-                if not wrote:
-                    continue
-            return None
-
-        return app
-
-    rt = storm_runtime(params)
+    built = build(params)
+    rt = built.runtime
     if runtime_hook is not None:
         runtime_hook(rt)
-    result = rt.run_partitioned(
-        [(tenant_app(i), (i,)) for i in range(params.n_tenants)]
-    )
+    result = built.run()
     stats = rt.sched_stats
     assert stats is not None
     completed = stats.completed_ops()
     turnarounds = sorted(r.turnaround for r in completed)
-    shed = sum(t.total_shed for t in rt.slo_trackers.values())
-    demoted = sum(t.total_demoted for t in rt.slo_trackers.values())
-    k99 = max(0, int(0.99 * len(turnarounds)) - 1) if turnarounds else 0
     metrics = {
         "policy": params.policy,
         "n_tenants": params.n_tenants,
@@ -249,14 +79,15 @@ def run_storm(
         - params.rounds * params.deadline,
         "turnaround_mean": stats.mean_turnaround(),
         "turnaround_spread": stats.turnaround_spread(),
-        "turnaround_p99": turnarounds[k99] if turnarounds else 0.0,
-        "shed": shed,
-        "demoted": demoted,
-        "client_rejections": sum(rejections.values()),
-        "gave_up": len(gave_up),
-        "corrupt": len(corrupt),
+        "turnaround_p99": quantile(turnarounds, 0.99) if turnarounds else 0.0,
+        "shed": sum(t.total_shed for t in rt.slo_trackers.values()),
+        "demoted": sum(t.total_demoted for t in rt.slo_trackers.values()),
+        "client_rejections": sum(built.rejections.values()),
+        "gave_up": len(built.gave_up),
+        "corrupt": len(built.corrupt),
     }
     return StormReport(
         params=params, runtime=rt, result=result, metrics=metrics,
-        rejections=rejections, gave_up=gave_up, corrupt=corrupt,
+        rejections=built.rejections, gave_up=built.gave_up,
+        corrupt=built.corrupt,
     )

@@ -30,12 +30,13 @@ from repro.analysis.mc import (
     MCScenario,
     Outcome,
     explore,
-    mc_scenarios,
+    mc_scenario,
     racy_fixture_scenario,
     run_mc,
 )
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.resources import Store
+from repro.workloads.catalog import RoundtripParams
 
 
 # -- engine-side hooks ------------------------------------------------------
@@ -259,15 +260,9 @@ class TestRealScenarios:
         # complete bit-identically, and reduction collapses them to the
         # single Mazurkiewicz trace (the mc-roundtrip config itself has
         # too many raw interleavings to brute-force in a test)
-        from repro.analysis.mc import _adapt
-        from repro.analysis.race import _roundtrip_scenario
-
         def tiny():
-            return _adapt(_roundtrip_scenario(
-                "tiny-roundtrip", reorganize=False, faults=None,
-                real_payloads=True, shape=(4, 4), mem_shape=(2, 1),
-                disk_shape=(1,), n_io=1,
-            ))
+            return mc_scenario("tiny-roundtrip", RoundtripParams(
+                shape=(4, 4), mem_mesh=(2, 1), n_io=1))
 
         brute = explore(tiny(), reduce=False)
         assert brute.complete and brute.ok, \
