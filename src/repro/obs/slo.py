@@ -53,8 +53,8 @@ __all__ = [
 
 
 def quantile(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank quantile of an ascending list (the same ceil-rank
-    convention as the scale bench's p99), exact and deterministic."""
+    """Nearest-rank quantile of an ascending list, exact and
+    deterministic."""
     if not sorted_values:
         raise ValueError("quantile of empty window")
     n = len(sorted_values)
