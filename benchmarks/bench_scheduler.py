@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Inter-op scheduler benchmark: concurrent-op count x policy sweep.
 
-Unlike ``bench_wallclock.py`` (host time), everything here is
+Unlike ``perf/`` (host time), everything here is
 *simulated* seconds and therefore deterministic: ``--check`` demands an
 exact match against the committed ``BENCH_scheduler.json`` plus the
 headline property the fair-share policy exists for -- at 8 concurrent

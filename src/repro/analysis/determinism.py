@@ -12,8 +12,8 @@ Rules
 -----
 - **PL001** wall-clock time sources (``time.time``, ``perf_counter``,
   ``monotonic``, ``process_time``, ``datetime.now``/``utcnow``/
-  ``today``) anywhere in ``src/repro`` outside ``bench/profiling.py``
-  (the one sanctioned host-side timing module).
+  ``today``) anywhere in ``src/repro``: host time is measured from
+  outside the package, by ``perf/``.
 - **PL002** unseeded module-level ``random.*`` / ``numpy.random.*``
   calls.  Seeded instances (``random.Random(seed)``,
   ``numpy.random.default_rng(seed)``) are the sanctioned pattern, cf.
@@ -53,10 +53,7 @@ from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.analysis.findings import Finding
 
-__all__ = ["lint_source", "lint_file", "lint_tree", "DEFAULT_EXEMPT"]
-
-#: files whose whole point is host-side wall-clock measurement.
-DEFAULT_EXEMPT = ("bench/profiling.py",)
+__all__ = ["lint_source", "lint_file", "lint_tree"]
 
 _TIME_CALLS = {
     "time.time",
@@ -481,12 +478,9 @@ def lint_file(path: Path, root: Path) -> List[Finding]:
 def lint_tree(
     root: Path,
     package: str = "src/repro",
-    exempt: Sequence[str] = DEFAULT_EXEMPT,
     cache: Optional["object"] = None,
 ) -> List[Finding]:
-    """Lint every ``.py`` file under ``root/package``.  ``exempt``
-    entries are path suffixes skipped entirely (the sanctioned
-    wall-clock module).  ``cache`` is a
+    """Lint every ``.py`` file under ``root/package``.  ``cache`` is a
     :class:`~repro.analysis.findings.LintCache` or None."""
     from repro.analysis.findings import file_digest
 
@@ -494,8 +488,6 @@ def lint_tree(
     base = root / package
     for path in sorted(base.rglob("*.py")):
         rel = path.relative_to(root).as_posix()
-        if any(rel.endswith(suffix) for suffix in exempt):
-            continue
         if cache is not None:
             digest = file_digest(path)
             hit = cache.get(rel, digest)  # type: ignore[attr-defined]

@@ -11,8 +11,8 @@ Intentional violations are suppressed via ``pyproject.toml``::
 
     [tool.panda-lint]
     allow = [
-        {path = "src/repro/bench/profiling.py", rule = "PL001",
-         reason = "wall-clock profiling is host-side observability"},
+        {path = "src/repro/foo.py", rule = "PL003",
+         reason = "why the unordered iteration cannot leak"},
     ]
 
 Every entry *must* carry a non-empty ``reason``; a reasonless entry is

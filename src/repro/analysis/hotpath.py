@@ -6,7 +6,7 @@ drain loop in :meth:`Simulator.run` touches only locals per event: every attribu
 ``while``.  A Python-level attribute or dict lookup inside the loop is
 paid once per dispatched event -- at ~400k events for a fig8 sweep,
 one stray ``self.x`` read is a measurable regression that no unit test
-catches and the wall-clock gate only catches noisily.
+catches and a host-time benchmark only catches noisily.
 
 This rule pins the contract structurally: any ``a.b`` *load* inside
 the inner ``while`` of the scanned methods is a finding unless its

@@ -3,16 +3,17 @@
 Static lints cannot see every order-dependence, so this module attacks
 the invariant directly: the simulator's dispatch order among
 *same-timestamp, causally-unordered* events is an implementation
-detail, and no simulated result may depend on it.  The engine's
-perturbation mode (:meth:`repro.sim.engine.Simulator.
-enable_perturbation`) picks uniformly at random -- from a seeded PRNG
--- among every queued entry carrying the minimal timestamp.  Causality
-is preserved for free: an event only becomes a candidate after the
-event that scheduled it has run, and time never goes backwards.
+detail, and no simulated result may depend on it.  A
+:class:`Perturber`, installed as the engine's dispatch controller
+(:meth:`repro.sim.engine.Simulator.enable_controller`), picks uniformly
+at random -- from a seeded PRNG -- among every queued entry carrying
+the minimal timestamp.  Causality is preserved for free: an event only
+becomes a candidate after the event that scheduled it has run, and
+time never goes backwards.
 
 A *scenario* builds a fresh simulation without running it; the
-detector turns on the dispatch log (and, for a perturbed run,
-perturbation), runs it, and records a :class:`ScenarioRun`: an exact
+detector installs a :class:`DispatchLog` (or, for a perturbed run, a
+:class:`Perturber`), runs it, and records a :class:`ScenarioRun`: an exact
 fingerprint (op timings as float hex, bytes moved, the admission
 schedule, a digest of the stored payload bytes) plus the dispatch log.
 Each scenario runs once unperturbed and once per seed, and any
@@ -31,8 +32,9 @@ construction and must survive perturbation too).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.core.runtime import RunResult
 from repro.replay.fingerprint import digest_stored, run_strings
@@ -40,9 +42,11 @@ from repro.sim.engine import Simulator
 from repro.workloads.catalog import CATALOG, Built, build
 
 __all__ = [
+    "DispatchLog",
     "Divergence",
     "FAULT_SCENARIOS",
     "RACE_SCENARIOS",
+    "Perturber",
     "RaceReport",
     "ScenarioRun",
     "Scenario",
@@ -50,6 +54,39 @@ __all__ = [
     "fingerprint",
     "panda_scenarios",
 ]
+
+
+class DispatchLog:
+    """Dispatch controller that keeps the engine's normal (time, seq)
+    order and records ``(time, label)`` per dispatched event."""
+
+    def __init__(self) -> None:
+        self.log: List[Tuple[float, str]] = []
+
+    def choose(self, t: float, frontier: List[Tuple[int, str]]) -> int:
+        return min(range(len(frontier)), key=lambda i: frontier[i][0])
+
+    def begin(self, t: float, seq: int, label: str) -> None:
+        self.log.append((t, label))
+
+    def end(self, pre_seq: int, post_seq: int) -> None:
+        pass
+
+    def note(self, obj: Any) -> None:
+        pass
+
+
+class Perturber(DispatchLog):
+    """A :class:`DispatchLog` that dispatches a uniformly random entry
+    of each multi-entry frontier, from a PRNG seeded by ``seed``."""
+
+    def __init__(self, seed: int) -> None:
+        super().__init__()
+        self._rng = random.Random(f"perturb:{seed}")
+
+    def choose(self, t: float, frontier: List[Tuple[int, str]]) -> int:
+        n = len(frontier)
+        return self._rng.randrange(n) if n > 1 else 0
 
 
 @dataclass(frozen=True)
@@ -157,10 +194,9 @@ def detect(
     def _execute(scenario: Scenario,
                  perturb_seed: Optional[int]) -> ScenarioRun:
         sim, finish = scenario.setup()
-        log = sim.enable_dispatch_log()
-        if perturb_seed is not None:
-            sim.enable_perturbation(perturb_seed)
-        return ScenarioRun(finish(), tuple(log))
+        ctl = DispatchLog() if perturb_seed is None else Perturber(perturb_seed)
+        sim.enable_controller(ctl)
+        return ScenarioRun(finish(), tuple(ctl.log))
 
     report = RaceReport([s.name for s in scenarios], tuple(seeds))
     for scenario in scenarios:

@@ -161,9 +161,6 @@ class PandaClient:
                 "ctx.bind(array, data) first"
             ) from None
 
-    def is_bound(self, name: str) -> bool:
-        return name in self._state["data"]
-
     # -- group service bookkeeping -------------------------------------------
     def next_counter(self, group: str, kind: str) -> int:
         key = (group, kind)

@@ -35,6 +35,7 @@ from repro.core.config import PandaConfig
 from repro.core.plan import build_server_plan
 from repro.core.protocol import CollectiveOp
 from repro.machine import MachineSpec
+from repro.memo import Memo
 from repro.mpi.message import CONTROL_MESSAGE_BYTES, MESSAGE_HEADER_BYTES
 
 __all__ = ["CostBreakdown", "predict", "predict_arrays", "best_disk_schema",
@@ -108,14 +109,7 @@ _Walk = Tuple[Tuple[float, ...], float, float, float]
 #: op kind, the striping width, the machine constants and the
 #: library-wide sub-chunk size (per-array overrides are part of the
 #: spec).  Dataset, op id, client group and priority never enter it.
-_WALK_CACHE: Dict[tuple, _Walk] = {}
-_WALK_CACHE_MAX = 1024
-
-
-def clear_walk_cache() -> None:
-    """Empty the per-server walk memo (see
-    ``repro.bench.profiling.clear_caches``)."""
-    _WALK_CACHE.clear()
+_WALK_CACHE: Dict[tuple, _Walk] = Memo()
 
 
 def _server_walk(op: CollectiveOp, n_servers: int, spec: MachineSpec,
@@ -163,10 +157,7 @@ def _server_walk(op: CollectiveOp, n_servers: int, spec: MachineSpec,
         busy.append(disk + net + copy)
         if busy[-1] >= sum(worst):
             worst = (disk, net, copy)
-    walk = (tuple(busy), *worst)
-    if len(_WALK_CACHE) >= _WALK_CACHE_MAX:
-        _WALK_CACHE.clear()
-    _WALK_CACHE[key] = walk
+    walk = _WALK_CACHE[key] = (tuple(busy), *worst)
     return walk
 
 

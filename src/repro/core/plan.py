@@ -47,6 +47,7 @@ import numpy as np
 from repro.core.config import PandaConfig
 from repro.core.protocol import ArraySpec, CollectiveOp
 from repro.counters import COUNTERS
+from repro.memo import Memo
 from repro.schema.regions import Region
 from repro.schema.split import split_row_major
 
@@ -55,7 +56,6 @@ __all__ = [
     "SubchunkPlan",
     "ServerPlan",
     "build_server_plan",
-    "clear_plan_cache",
     "dataset_file",
     "locate_chunk",
     "op_participants",
@@ -165,13 +165,7 @@ class _ShapePlans:
 #: step, same arrays) computes its plan once.  One entry per *shape*,
 #: whatever the server count: a 1024-I/O-node run with two array shapes
 #: holds two entries, not 2048.
-_PLAN_CACHE: Dict[tuple, _ShapePlans] = {}
-_PLAN_CACHE_MAX = 1024
-
-
-def clear_plan_cache() -> None:
-    """Empty the plan memo (see ``repro.bench.profiling.clear_caches``)."""
-    _PLAN_CACHE.clear()
+_PLAN_CACHE: Dict[tuple, _ShapePlans] = Memo()
 
 
 def _shape_plans(op: CollectiveOp, n_servers: int,
@@ -179,8 +173,6 @@ def _shape_plans(op: CollectiveOp, n_servers: int,
     key = (op.arrays, n_servers, config.sub_chunk_bytes)
     entry = _PLAN_CACHE.get(key)
     if entry is None:
-        if len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
-            _PLAN_CACHE.clear()
         entry = _PLAN_CACHE[key] = _ShapePlans(n_servers)
     return entry
 

@@ -33,6 +33,7 @@ from repro.core.protocol import DROPPABLE, ArraySpec, CollectiveOp, Tags
 from repro.faults import FaultInjector, NodeCrash
 from repro.fs.filesystem import FileSystem
 from repro.machine import NAS_SP2, MachineSpec
+from repro.memo import Memo
 from repro.mpi.network import Network
 from repro.sim import Interrupt, Simulator
 from repro.sim.trace import Trace
@@ -176,7 +177,7 @@ class RunResult:
     trace: Optional[Trace]
     runtime: "PandaRuntime"
     #: this run's slice of the process-wide perf counters (see
-    #: :mod:`repro.bench.profiling`): events scheduled, bytes copied,
+    #: :mod:`repro.counters`): events scheduled, bytes copied,
     #: plan/geometry cache hits.  Wall-clock diagnostics only -- no
     #: simulated time depends on them.
     counters: Dict[str, int] = field(default_factory=dict)
@@ -241,14 +242,7 @@ class RunResult:
 
 #: memo of the shape part of a ``.schema`` descriptor (see
 #: :func:`_schema_tail`), keyed by everything it serialises.
-_SCHEMA_TAILS: Dict[tuple, str] = {}
-_SCHEMA_TAILS_MAX = 1024
-
-
-def clear_schema_cache() -> None:
-    """Empty the ``.schema`` template memo (see
-    ``repro.bench.profiling.clear_caches``)."""
-    _SCHEMA_TAILS.clear()
+_SCHEMA_TAILS: Dict[tuple, str] = Memo()
 
 
 def _schema_tail(arrays: Tuple[ArraySpec, ...], n_servers: int,
@@ -275,8 +269,6 @@ def _schema_tail(arrays: Tuple[ArraySpec, ...], n_servers: int,
                 for a in arrays
             ],
         }, indent=1)[1:]
-        if len(_SCHEMA_TAILS) >= _SCHEMA_TAILS_MAX:
-            _SCHEMA_TAILS.clear()
         _SCHEMA_TAILS[key] = tail
     return tail
 

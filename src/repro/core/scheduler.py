@@ -514,12 +514,6 @@ class _Arrival:
     demoted: bool = False
 
 
-def _conflicts(a: "CollectiveOp", b: "CollectiveOp") -> bool:
-    """Two ops conflict when they touch the same dataset and either
-    writes; concurrent readers of one dataset commute."""
-    return a.dataset == b.dataset and (a.kind == "write" or b.kind == "write")
-
-
 class AdmissionQueue:
     """A shard master's bounded arrival buffer.
 

@@ -8,9 +8,10 @@ invisible to the simulated clock.
 
 This module deliberately imports nothing from the rest of the package:
 it sits below :mod:`repro.sim` in the dependency order so the hottest
-code can increment counters without import cycles.  The user-facing
-surface (reset/snapshot/profile helpers) lives in
-:mod:`repro.bench.profiling`.
+code can increment counters without import cycles.  ``COUNTERS.reset()``
+zeroes them and ``COUNTERS.snapshot()`` reads them; each
+:class:`~repro.core.runtime.RunResult` carries its run's delta, and
+``tests/test_counter_pins.py`` pins exact values.
 """
 
 from __future__ import annotations

@@ -155,14 +155,6 @@ class FaultSpec:
             if t < 0:
                 raise ValueError(f"crash time {t} must be >= 0")
 
-    @property
-    def any_rates(self) -> bool:
-        return (
-            self.disk_fault_rate > 0
-            or self.msg_drop_rate > 0
-            or self.msg_delay_rate > 0
-        )
-
 
 class FaultPlan:
     """The deterministic fault schedule implied by a :class:`FaultSpec`.

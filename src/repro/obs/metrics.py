@@ -2,7 +2,7 @@
 text snapshots.
 
 Metrics here measure the *simulated* system, in simulated seconds --
-they are not host-side profiling (that is :mod:`repro.bench.profiling`).
+they are not host-side counts (that is :mod:`repro.counters`).
 Everything is passive: the observers attached by :func:`attach` record
 occupancy changes the simulation was making anyway and never schedule
 events, so simulated timings are unaffected (a deliberate contrast

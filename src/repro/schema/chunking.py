@@ -20,6 +20,7 @@ from typing import Iterator, List, Sequence, Tuple, Union
 import numpy as np
 
 from repro.counters import COUNTERS
+from repro.memo import Memo
 from repro.schema.distribution import Dist, block_span, parse_dist
 from repro.schema.layout import Mesh
 from repro.schema.regions import Region
@@ -29,18 +30,8 @@ __all__ = ["Chunk", "DataSchema"]
 #: process-wide memo of chunk lists, keyed by schema.  Schemas are
 #: value-hashable, so the fresh-but-equal instances a sweep builds per
 #: point share one entry per distinct geometry instead of re-missing per
-#: instance.  Cleared wholesale when full (the working set of any one
-#: sweep is far smaller); ``clear_geometry_caches`` empties it
-#: explicitly for counter-exact benchmarking.
-_CHUNKS_CACHE: dict = {}
-_CHUNKS_CACHE_MAX = 1 << 10
-
-
-def clear_geometry_caches() -> None:
-    """Empty the schema-level chunk-list memo.  The benchmark harness
-    calls this between suites so cache-hit counters are exact per suite
-    regardless of suite order."""
-    _CHUNKS_CACHE.clear()
+#: instance.
+_CHUNKS_CACHE: dict = Memo()
 
 
 @dataclass(frozen=True)
@@ -125,10 +116,6 @@ class DataSchema:
         """Number of mesh positions (= chunks, some possibly empty)."""
         return self.mesh.size
 
-    @property
-    def full_region(self) -> Region:
-        return Region.from_shape(self.shape)
-
     def chunk_region(self, mesh_coords: Sequence[int]) -> Region:
         """The global region held by the given mesh position."""
         coords = tuple(mesh_coords)
@@ -169,8 +156,6 @@ class DataSchema:
                     Chunk(i, coords, self.chunk_region(coords))
                     for i, coords in enumerate(self.mesh.iter_coords())
                 )
-                if len(_CHUNKS_CACHE) >= _CHUNKS_CACHE_MAX:
-                    _CHUNKS_CACHE.clear()
                 _CHUNKS_CACHE[self] = chunks
             object.__setattr__(self, "_chunks_cache", chunks)
             return chunks

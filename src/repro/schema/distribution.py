@@ -20,7 +20,7 @@ cannot express it.  The paper does not use it either.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 __all__ = ["Dist", "BLOCK", "NONE", "CYCLIC", "parse_dist", "block_span"]
 
@@ -71,11 +71,6 @@ def parse_dist(spec: Union[str, Dist]) -> Dist:
         return _ALIASES[spec if spec == "*" else spec.upper()]
     except (KeyError, AttributeError):
         raise ValueError(f"cannot parse distribution directive {spec!r}") from None
-
-
-def parse_dists(specs: Sequence[Union[str, Dist]]) -> tuple[Dist, ...]:
-    """Parse a whole per-dimension directive list."""
-    return tuple(parse_dist(s) for s in specs)
 
 
 def block_span(extent: int, parts: int, index: int) -> tuple[int, int]:

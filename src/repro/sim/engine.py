@@ -52,7 +52,6 @@ loop; callbacks must not call :meth:`Simulator.run`.
 from __future__ import annotations
 
 import heapq
-import random
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
@@ -506,27 +505,11 @@ class Simulator:
         #: anything, so simulated behaviour is bit-identical with or
         #: without it.
         self.obs: Optional[Any] = None
-        #: schedule-perturbation mode (see :mod:`repro.analysis.race`):
-        #: when set, :meth:`run` dispatches a uniformly random entry
-        #: among all queued entries carrying the minimal timestamp,
-        #: instead of the lowest sequence number.  Candidates are only
-        #: ever already-scheduled entries, so causal order (an event
-        #: scheduled by a callback cannot run before that callback) and
-        #: time order are both preserved -- any simulated-result change
-        #: under perturbation is an order-dependence bug.
-        self._perturb: Optional[random.Random] = None
-        #: optional dispatch log ``(time, label)`` per dispatched event,
-        #: used by the race detector to report diverging event pairs.
-        self.dispatch_log: Optional[List[Tuple[float, str]]] = None
-        #: controlled-schedule mode (see :mod:`repro.analysis.mc`): when
-        #: set, the model checker's controller picks which same-instant
-        #: entry dispatches next and observes the causal structure of
-        #: the run.  Mutually exclusive with ``_perturb``.
+        #: the dispatch controller (see :meth:`enable_controller`): when
+        #: set, it picks which same-instant entry dispatches next and
+        #: observes each dispatch, and Store/Resource operations call
+        #: ``_control.note(obj)`` with the shared objects they touch.
         self._control: Optional[Any] = None
-        #: footprint recorder for controlled runs: Store/Resource
-        #: operations call ``_mc_rec.note(obj)`` so the model checker
-        #: learns which shared objects each dispatched event touched.
-        self._mc_rec: Optional[Any] = None
         self._init_sentinel = _InitialResume(self)
         #: a shared, pre-triggered event: yielding it charges nothing
         #: and resumes the process inline.  Used by cost helpers
@@ -536,43 +519,26 @@ class Simulator:
         self.zero._triggered = True
         self.zero.callbacks = None
 
-    # -- schedule perturbation / dispatch recording ------------------------
-    def enable_perturbation(self, seed: int) -> None:
-        """Randomise same-timestamp dispatch order with a seeded PRNG
-        and start recording the dispatch log.  Must be called before
-        events are queued; only :mod:`repro.analysis.race` should use
-        this -- perturbed runs trade the fast path for instrumentation."""
-        if self._control is not None:
-            raise SimulationError("controller and perturbation are exclusive")
-        self._perturb = random.Random(f"perturb:{seed}")
-        if self.dispatch_log is None:
-            self.dispatch_log = []
-
-    def enable_dispatch_log(self) -> List[Tuple[float, str]]:
-        """Record ``(time, label)`` for every dispatched event (without
-        perturbing the order) and return the live log list."""
-        if self.dispatch_log is None:
-            self.dispatch_log = []
-        return self.dispatch_log
-
+    # -- controlled dispatch ---------------------------------------------
     def enable_controller(self, controller: Any) -> None:
-        """Hand same-instant dispatch decisions to ``controller`` (the
-        panda-mc explorer, see :mod:`repro.analysis.mc`).
+        """Hand same-instant dispatch decisions to ``controller``: the
+        panda-mc explorer (:mod:`repro.analysis.mc`), or the race
+        detector's dispatch log and perturber (:mod:`repro.analysis.race`).
 
         At every dispatch state the controller's ``choose(t, frontier)``
         is shown the full frontier of minimal-timestamp entries as
         ``(seq, label)`` pairs and returns the index to dispatch.
-        Around the dispatched callback it receives ``begin(t, seq,
-        label)`` and ``end(pre_seq, post_seq)`` -- the seq range of
-        entries the callback created, i.e. the causal parent edges --
-        and Store/Resource primitives report the shared objects they
-        touch through ``controller.note(obj)``.  Exclusive with
-        :meth:`enable_perturbation`; must be installed before events
-        are queued, like perturbation."""
-        if self._perturb is not None:
-            raise SimulationError("controller and perturbation are exclusive")
+        Candidates are only ever already-queued entries, so causal and
+        time order hold whatever it picks.  Around the dispatched
+        callback it receives ``begin(t, seq, label)`` and
+        ``end(pre_seq, post_seq)`` -- the seq range of entries the
+        callback created, i.e. the causal parent edges -- and
+        Store/Resource primitives report the shared objects they touch
+        through ``controller.note(obj)``.  One controller per
+        simulator, installed before events are queued."""
+        if self._control is not None:
+            raise SimulationError("a dispatch controller is already installed")
         self._control = controller
-        self._mc_rec = controller
 
     def mc_note(self, key: Any) -> None:
         """Declare that the currently-dispatching event touches the
@@ -582,37 +548,24 @@ class Simulator:
         must call this for the model checker to see the conflict --
         see DESIGN.md section 16 for the soundness boundary.  No-op
         outside controlled runs, so it is free on the fast path."""
-        rec = self._mc_rec
-        if rec is not None:
-            rec.note(key)
-
-    @property
-    def _instrumented(self) -> bool:
-        return (
-            self._perturb is not None
-            or self.dispatch_log is not None
-            or self._control is not None
-        )
+        ctl = self._control
+        if ctl is not None:
+            ctl.note(key)
 
     @staticmethod
-    def _dispatch_label(callback: Callable[..., None]) -> str:
-        """A stable, content-based label for a queued callback: the
-        qualified name plus the owning object's ``name`` when it has
-        one (processes, named events).  Sequence numbers are *not*
-        included -- they are exactly what perturbation permutes."""
-        owner = getattr(callback, "__self__", None)
-        qualname = getattr(callback, "__qualname__", None) or repr(callback)
-        name = getattr(owner, "name", "")
-        return f"{qualname}[{name}]" if name else qualname
-
-    @classmethod
-    def _entry_label(cls, entry: Entry) -> str:
-        """:meth:`_dispatch_label` for a queued entry, unwrapping the
-        multi-arg trampoline."""
+    def _entry_label(entry: Entry) -> str:
+        """A stable, content-based label for a queued entry's callback
+        (the multi-arg trampoline unwrapped): the qualified name plus
+        the owning object's ``name`` when it has one (processes, named
+        events).  Sequence numbers are *not* included -- they are
+        exactly what a controller permutes."""
         cb = entry[2]
         if cb is _apply:
             cb = entry[3][0]
-        return cls._dispatch_label(cb)
+        owner = getattr(cb, "__self__", None)
+        qualname = getattr(cb, "__qualname__", None) or repr(cb)
+        name = getattr(owner, "name", "")
+        return f"{qualname}[{name}]" if name else qualname
 
     @property
     def now(self) -> float:
@@ -741,17 +694,6 @@ class Simulator:
         return Process(self, gen, name)
 
     # -- execution ---------------------------------------------------------
-    def _peek(self) -> Optional[Entry]:
-        """The next entry in global (time, seq) order, or None."""
-        ready, heap = self._ready, self._heap
-        if ready:
-            # seq is globally unique, so the list comparison never
-            # reaches the (incomparable) callback element
-            if heap and heap[0] < ready[0]:
-                return heap[0]
-            return ready[0]
-        return heap[0] if heap else None
-
     def _raise_unhandled(self) -> None:
         """The post-dispatch check every drain shares: a process that
         raised with no joiner aborts the run."""
@@ -798,7 +740,7 @@ class Simulator:
         -- when unbounded -- raises :class:`SimulationError` on deadlock
         (live processes but no queued events).  Returns the final
         simulation time."""
-        if self._instrumented:
+        if self._control is not None:
             return self._run_instrumented(until)
         # The batched drain: everything loop-invariant lives in locals,
         # entries cycle through the slab, and each iteration is one
@@ -855,23 +797,15 @@ class Simulator:
         return now
 
     def _run_instrumented(self, until: Optional[float] = None) -> float:
-        """The slow twin of :meth:`run`: optional same-timestamp random
-        dispatch (``_perturb``) and per-event logging (``dispatch_log``).
-
-        With ``_perturb`` unset this dispatches in exactly the normal
-        global (time, seq) order -- candidate 0 below *is* the entry the
-        fast loop would pop -- so a logged baseline run stays
-        bit-identical to an unlogged one.
-
-        With a controller installed (:meth:`enable_controller`) the
-        controller picks the dispatch at *every* state -- including
-        single-candidate frontiers, which it may veto as redundant by
-        raising -- and observes each step's causal children via the seq
-        range created during the callback."""
+        """The slow twin of :meth:`run`, under a controller
+        (:meth:`enable_controller`).  The controller picks the dispatch
+        at *every* state -- including single-candidate frontiers, which
+        it may veto as redundant by raising -- and observes each step's
+        causal children via the seq range created during the callback.
+        A controller that always picks the lowest seq dispatches in
+        exactly the fast loop's global (time, seq) order."""
         ready, heap = self._ready, self._heap
-        rng = self._perturb
         ctl = self._control
-        log = self.dispatch_log
         try:
             while heap or ready:
                 # all queued entries carrying the minimal timestamp: the
@@ -889,14 +823,8 @@ class Simulator:
                     candidates.append(ready.popleft())
                 while heap and heap[0][0] == t0:
                     candidates.append(heapq.heappop(heap))
-                if ctl is not None:
-                    frontier = [(e[1], self._entry_label(e)) for e in candidates]
-                    entry = candidates.pop(ctl.choose(t0, frontier))
-                elif rng is not None and len(candidates) > 1:
-                    entry = candidates.pop(rng.randrange(len(candidates)))
-                else:
-                    entry = min(candidates, key=lambda e: e[1])
-                    candidates.remove(entry)
+                frontier = [(e[1], self._entry_label(e)) for e in candidates]
+                entry = candidates.pop(ctl.choose(t0, frontier))
                 for other in candidates:
                     heapq.heappush(heap, other)
                 t = entry[0]
@@ -904,18 +832,10 @@ class Simulator:
                     self._now = t
                 elif t < self._now - 1e-15:
                     raise SimulationError("time went backwards")
-                if log is not None:
-                    cb = entry[2]
-                    if cb is _apply:  # unwrap packed multi-arg schedules
-                        cb = entry[3][0]
-                    log.append((t, self._dispatch_label(cb)))
-                if ctl is not None:
-                    ctl.begin(t, entry[1], self._entry_label(entry))
-                    pre_seq = self._seq
-                    entry[2](entry[3])
-                    ctl.end(pre_seq, self._seq)
-                else:
-                    entry[2](entry[3])
+                ctl.begin(t, entry[1], self._entry_label(entry))
+                pre_seq = self._seq
+                entry[2](entry[3])
+                ctl.end(pre_seq, self._seq)
                 if self.obs is not None:
                     self.obs.on_event(t)
                 if self._unhandled:

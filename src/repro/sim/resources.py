@@ -83,7 +83,7 @@ class Resource:
 
     def acquire(self) -> Event:
         """Return an event that fires when a server slot is granted."""
-        rec = self.sim._mc_rec
+        rec = self.sim._control
         if rec is not None:  # controlled runs: record the footprint
             rec.note(self)
         if self._in_use < self.capacity and not self._waiters:
@@ -106,7 +106,7 @@ class Resource:
 
     def release(self) -> None:
         """Release one held slot, waking the next FIFO waiter if any."""
-        rec = self.sim._mc_rec
+        rec = self.sim._control
         if rec is not None:
             rec.note(self)
         in_use = self._in_use
@@ -128,7 +128,7 @@ class Resource:
         already granted -- the grant can race the interrupt within one
         instant -- it is released instead, so a dead process can never
         pin a shared resource."""
-        rec = self.sim._mc_rec
+        rec = self.sim._control
         if rec is not None:
             rec.note(self)
         try:
@@ -169,7 +169,7 @@ class Store:
         return len(self._items)
 
     def put(self, item: Any) -> None:
-        rec = self.sim._mc_rec
+        rec = self.sim._control
         if rec is not None:  # controlled runs: record the footprint
             rec.note(self)
         items = self._items
@@ -191,7 +191,7 @@ class Store:
 
     def get(self, predicate: Optional[Callable[[Any], bool]] = None) -> Event:
         """Return an event that fires with the oldest matching item."""
-        rec = self.sim._mc_rec
+        rec = self.sim._control
         if rec is not None:
             rec.note(self)
         ev = Event(self.sim, self._get_name)
@@ -241,7 +241,7 @@ class Store:
         :mod:`repro.mpi` guarantees this -- a rank is a single process,
         so it is either blocked in ``recv`` or polling, never both.)
         """
-        rec = self.sim._mc_rec
+        rec = self.sim._control
         if rec is not None:
             rec.note(self)
         for idx, item in enumerate(self._items):
@@ -258,7 +258,7 @@ class Store:
         queued for a dead process are lost with it, and its registered
         getters must not steal deliveries meant for the reborn process.
         Only call this when no live process is blocked on the store."""
-        rec = self.sim._mc_rec
+        rec = self.sim._control
         if rec is not None:
             rec.note(self)
         dropped = len(self._items)
@@ -273,7 +273,7 @@ class Store:
         Without this, a later matching item would be consumed by -- and
         lost to -- an event nobody waits on any more.  No-op when the
         getter was already satisfied or never registered."""
-        rec = self.sim._mc_rec
+        rec = self.sim._control
         if rec is not None:
             rec.note(self)
         for idx, (pending, _pred) in enumerate(self._getters):

@@ -11,7 +11,7 @@ timing.
 
 import numpy as np
 
-from repro.bench.profiling import clear_caches
+from repro import memo
 from repro.core import (
     Array,
     ArrayGroup,
@@ -64,7 +64,7 @@ def test_admission_derives_shape_work_once_per_shape(monkeypatch):
     _counting(monkeypatch, costmodel, "build_server_plan", walk_plans)
     _counting(monkeypatch, server, "build_server_plan", server_plans)
     _counting(monkeypatch, DataSchema, "describe", describes)
-    clear_caches()
+    memo.clear_all()
     runtime.run_partitioned([(tenant(i), (i,)) for i in range(N_TENANTS)])
 
     assert len(runtime.sched_stats.completed_ops()) == N_TENANTS

@@ -27,7 +27,7 @@ from repro.analysis.findings import (
 from repro.analysis.protocol_check import (DEFAULT_PROTOCOL, DEFAULT_ROLES,
                                           check_sources, check_tree,
                                           parse_tags)
-from repro.analysis.race import Scenario, detect, panda_scenarios
+from repro.analysis.race import DispatchLog, Scenario, detect, panda_scenarios
 from repro.sim.engine import Simulator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -586,13 +586,14 @@ class TestRaceDetector:
         assert report.runs == 5
 
     def test_logged_baseline_equals_unlogged_run(self):
-        """enable_dispatch_log alone must not change dispatch order:
-        the instrumented loop's unperturbed choice is exactly the fast
-        loop's (time, seq) order."""
+        """A DispatchLog controller alone must not change dispatch
+        order: its choice is exactly the fast loop's (time, seq)
+        order."""
         plain = Simulator()
         vals = []
         logged = Simulator()
-        logged.enable_dispatch_log()
+        log = DispatchLog()
+        logged.enable_controller(log)
         lvals = []
         for i in range(5):
             plain.schedule(0.5, vals.append, i)
@@ -602,6 +603,7 @@ class TestRaceDetector:
         plain.run()
         logged.run()
         assert vals == lvals
+        assert len(log.log) == 10
 
     def test_panda_scenarios_survive_perturbation(self):
         """Representative ops (natural + reorganizing schema) are

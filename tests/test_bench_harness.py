@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import memo
 from repro.bench import (
     EXPERIMENTS,
     PointResult,
@@ -149,13 +150,11 @@ def test_back_to_back_points_report_identical_counters():
     back-to-back in one process (warm memo caches and all) therefore
     report byte-identical counter deltas -- any bleed from the first run
     into the second shows up as a mismatch here."""
-    from repro.bench import profiling
-
     results = []
     for _ in range(2):
         # cold memos each time: the second point must not look cheaper
         # merely because the first populated the geometry/plan caches
-        profiling.clear_caches()
+        memo.clear_all()
         results.append(run_panda_point("write", 8, 2, (32, 32, 32)))
     r1, r2 = results
     assert r1.counters["events_scheduled"] > 0

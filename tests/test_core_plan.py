@@ -247,10 +247,10 @@ def test_plan_items_cached_across_ops_with_same_geometry():
 def test_plan_memo_capacity_counts_shapes_not_servers():
     """One memo entry per op shape whatever the striping width: a run
     wider than the memo's capacity still hits on its second op."""
-    from repro.core import plan as plan_module
+    from repro import memo
     from repro.counters import COUNTERS
 
-    n_servers = plan_module._PLAN_CACHE_MAX + 76
+    n_servers = memo.MAX_ENTRIES + 76
     op = make_op(make_spec(name="wide-cluster-probe"))
     cfg = PandaConfig()
     for s in range(n_servers):

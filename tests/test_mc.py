@@ -1,9 +1,9 @@
 """panda-mc: the controlled scheduler, the sleep-set explorer, and the
 happens-before machinery.
 
-The load-bearing claims each get a direct test: the controller is
-mutually exclusive with perturbation (both would own the dispatch
-order); the racy fixture must yield a PL201 naming the exact racing
+The load-bearing claims each get a direct test: a simulator takes one
+dispatch controller (the explorer and the race detector's perturber
+would both own the dispatch order); the racy fixture must yield a PL201 naming the exact racing
 pair; an independent pair must collapse to one schedule under
 reduction but two under brute force; the real scenarios' schedule
 spaces are pinned (a regression here means the engine's branching
@@ -34,6 +34,7 @@ from repro.analysis.mc import (
     racy_fixture_scenario,
     run_mc,
 )
+from repro.analysis.race import Perturber
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.resources import Store
 from repro.workloads.catalog import RoundtripParams
@@ -42,16 +43,16 @@ from repro.workloads.catalog import RoundtripParams
 # -- engine-side hooks ------------------------------------------------------
 
 class TestControllerHooks:
-    def test_controller_and_perturbation_are_exclusive(self):
+    def test_second_controller_is_refused(self):
         sim = Simulator()
-        sim.enable_perturbation(7)
+        sim.enable_controller(Perturber(7))
         with pytest.raises(SimulationError):
             sim.enable_controller(ScheduleController())
 
         sim2 = Simulator()
         sim2.enable_controller(ScheduleController())
         with pytest.raises(SimulationError):
-            sim2.enable_perturbation(7)
+            sim2.enable_controller(Perturber(7))
 
     def test_mc_note_is_a_noop_without_a_controller(self):
         sim = Simulator()

@@ -6,11 +6,12 @@ rows are built once per server and op shape."""
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from repro import memo
 from repro.bench.experiments import EXPERIMENTS
 from repro.bench.harness import build_array
 from repro.core import Array, ArrayGroup, ArrayLayout, PandaConfig, PandaRuntime
-from repro.core.costmodel import _server_walk, clear_walk_cache
-from repro.core.plan import build_server_plan, clear_plan_cache
+from repro.core.costmodel import _server_walk
+from repro.core.plan import build_server_plan
 from repro.core.protocol import ArraySpec, CollectiveOp
 from repro.core.recovery import partition_recovery
 from repro.faults import FaultSpec
@@ -95,7 +96,7 @@ OVERRIDE = ((((6, 6), (2, 2), [BLOCK, BLOCK], (3,), [NONE, BLOCK], 40),
              ((7,), (3,), [BLOCK], None, None, None)), 2, 24)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None)
 @given(_cases())
 @example(UNEVEN)
 @example(EMPTY_TAILS)
@@ -173,7 +174,7 @@ def _hex(walk):
 
 def test_cost_fold_is_bit_identical_on_the_figure_grid():
     config = PandaConfig()
-    clear_walk_cache()
+    memo.clear_all()
     for figure in ("fig7", "fig8"):
         exp = EXPERIMENTS[figure]
         for size_mb in exp.sizes_mb:
@@ -191,7 +192,7 @@ def test_cost_fold_is_bit_identical_on_the_figure_grid():
 
 
 def test_timestep_loop_builds_rows_in_its_first_step_only():
-    clear_plan_cache()
+    memo.clear_all()
     memory = ArrayLayout("mem", (2, 2))
     array = Array("field", (32, 24), np.float64, memory, (BLOCK, BLOCK),
                   ArrayLayout("disk", (3,)), (BLOCK, NONE))
@@ -209,7 +210,7 @@ def test_timestep_loop_builds_rows_in_its_first_step_only():
 
 
 def test_mid_write_recovery_reuses_the_crashed_plans_rows():
-    clear_plan_cache()
+    memo.clear_all()
     memory = ArrayLayout("mem", (2, 2, 2))
     array = Array("cube", (32, 32, 32), np.float64, memory, [BLOCK] * 3,
                   ArrayLayout("disk", (3,)), (BLOCK, NONE, NONE))

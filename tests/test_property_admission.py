@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.bench.profiling import clear_caches
+from repro import memo
 from repro.core import Array, ArrayLayout, PandaConfig, PandaRuntime
 from repro.core.costmodel import predict
 from repro.core.protocol import CollectiveOp
@@ -78,7 +78,7 @@ def shapes(draw):
     return array, kind, n_io, spec, sub, dataset
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None)
 @given(shapes())
 def test_warm_memos_equal_a_cold_derivation(case):
     array, kind, n_io, spec, sub, dataset = case
@@ -109,7 +109,7 @@ def test_warm_memos_equal_a_cold_derivation(case):
     warm = predict(op, n_clients, n_io, spec, config)
     runtime.catalog_commit(op)
     warm_blob = store.read_all_bytes(f"{dataset}.schema")
-    clear_caches()
+    memo.clear_all()
     cold = predict(op, n_clients, n_io, spec, config)
     assert hex_fields(warm) == hex_fields(cold)
     assert hex_fields(predict(op, n_clients, n_io, spec, config)) == \

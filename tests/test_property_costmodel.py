@@ -66,9 +66,9 @@ def _assert_tracks(case):
     assert err < 0.25 or abs(pred - sim) < 0.010, (case, sim, pred, err)
 
 
-# derandomised: every run draws the same 20 cases, so the gate cannot
-# pass or fail by luck
-@settings(max_examples=20, deadline=None, derandomize=True,
+# derandomised (tests/conftest.py): every run draws the same 20 cases,
+# so the gate cannot pass or fail by luck
+@settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(model_cases())
 def test_prediction_tracks_simulation(case):

@@ -393,6 +393,8 @@ def test_discard_callback_by_identity_mid_list():
 def test_dispatch_order_identical_across_run_modes():
     from hypothesis import given, settings, strategies as st
 
+    from repro.analysis.race import DispatchLog
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
                               st.integers(0, 3)),
@@ -421,8 +423,8 @@ def test_dispatch_order_identical_across_run_modes():
             elif mode == "step":
                 while sim.step():
                     pass
-            else:  # instrumented: run() routes through _run_instrumented
-                sim.enable_dispatch_log()
+            else:  # controlled: run() routes through _run_instrumented
+                sim.enable_controller(DispatchLog())
                 sim.run()
             return order
 
