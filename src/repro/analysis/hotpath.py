@@ -50,10 +50,6 @@ SCANNED_METHODS = ("run",)
 #: dotted attribute loads that are allowed inside the drain loop,
 #: each with the reason it is exempt from hoisting.
 SANCTIONED = {
-    # observability hook: the guard (`obs is not None`) tests a local;
-    # the attribute load is only reached when a collector is attached,
-    # and attached runs opt into the cost
-    "obs.on_event",
     # unhandled-failure branch: reached at most once, then raises
     "self._raise_unhandled",
     # run(until=...) put-back of the first not-yet-due entry: executed

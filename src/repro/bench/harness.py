@@ -155,7 +155,7 @@ def run_traced_point(
     *timed* run (the read-priming write is traced too but excluded
     from the analysis window).  Pass a
     :class:`~repro.obs.metrics.MetricsRegistry` to also collect
-    resource-occupancy series over both runs."""
+    resource-occupancy metrics over both runs."""
     from repro.obs.critical_path import analyze
     from repro.obs.metrics import attach
 

@@ -8,16 +8,16 @@ builds on two substrates that already exist everywhere in the tree:
 * :class:`repro.sim.trace.Trace` -- the structured event log emitted by
   the disk model, network, servers, clients and runtime when a run is
   traced;
-* the ``obs`` hooks on :class:`~repro.sim.Simulator`,
-  :class:`~repro.sim.Resource` and :class:`~repro.sim.Store` -- called
-  after each dispatched event / occupancy change.
+* the accounting the machine keeps anyway: the event loop's dispatch
+  count and clock, and each :class:`~repro.sim.Resource`'s and
+  :class:`~repro.sim.Store`'s ``occupancy()``, read at render time.
 
 Three consumers:
 
 * :mod:`repro.obs.chrome_trace` -- export a traced run to
   Chrome/Perfetto trace-event JSON, one track per simulated resource;
 * :mod:`repro.obs.metrics` -- a labeled metrics registry (counters,
-  gauges, histograms, sim-time series) with Prometheus-style text
+  gauges, histograms, live occupancy views) with Prometheus-style text
   snapshots;
 * :mod:`repro.obs.critical_path` -- walk the trace into a per-phase
   breakdown of the run and a bottleneck verdict (disk-bound /

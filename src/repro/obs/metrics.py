@@ -1,13 +1,14 @@
-"""A labeled metrics registry with sim-time series and Prometheus-style
-text snapshots.
+"""A labeled metrics registry with Prometheus-style text snapshots.
 
 Metrics here measure the *simulated* system, in simulated seconds --
 they are not host-side counts (that is :mod:`repro.counters`).
-Everything is passive: the observers attached by :func:`attach` record
-occupancy changes the simulation was making anyway and never schedule
-events, so simulated timings are unaffected (a deliberate contrast
-with a "sampler process", which would keep the event loop alive and
-change drain semantics).
+Watching is free: :func:`attach` hooks nothing into the run.  It
+registers live views that read, at :meth:`MetricsRegistry.render`
+time, the accounting the machine keeps anyway -- the event loop's
+dispatch count and clock, and each :class:`~repro.sim.Resource`'s and
+:class:`~repro.sim.Store`'s occupancy integral, last change and peak
+(their ``occupancy()``) -- so simulated timings are unaffected and an
+unwatched run pays nothing.
 
 Metric kinds:
 
@@ -15,11 +16,9 @@ Metric kinds:
 * :class:`Gauge` -- a value that goes up and down;
 * :class:`Histogram` -- bucketed observations (Prometheus cumulative
   ``le`` convention);
-* :class:`TimeSeries` -- a step function of sim time sampled at change
-  points; renders as last/time-weighted-mean/max gauges and doubles as
-  the ``obs`` hook object for :class:`~repro.sim.Resource` /
-  :class:`~repro.sim.Store` (its :meth:`TimeSeries.sample` has the
-  hook's signature).
+* :class:`Live` -- a value read from the machine at render time;
+  :class:`Occupancy` renders a resource's or store's occupancy as
+  last/time-weighted-mean/max gauges.
 
 :func:`attach` wires a full :class:`~repro.core.runtime.PandaRuntime`
 (disk arms, out/in links, mailboxes, the event loop); call
@@ -33,7 +32,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.sim.trace import Trace
 
@@ -41,9 +40,9 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "TimeSeries",
+    "Live",
+    "Occupancy",
     "MetricsRegistry",
-    "SimObserver",
     "attach",
     "observe_trace",
 ]
@@ -145,56 +144,32 @@ class Histogram:
         return out
 
 
-class TimeSeries:
-    """A step function of sim time, sampled at change points.
+class Live:
+    """A value read from the machine at render time: ``read()``."""
 
-    Doubles as the passive ``obs`` hook for resources and stores:
-    ``sample(t, value)`` is exactly the hook signature.  Repeated
-    samples at the same instant collapse to the last one (zero-delay
-    event cascades settle within one sim instant).
-    """
+    __slots__ = ("read",)
 
-    __slots__ = ("times", "values")
-
-    def __init__(self) -> None:
-        self.times: List[float] = []
-        self.values: List[float] = []
-
-    def sample(self, t: float, value: float) -> None:
-        if self.times and self.times[-1] == t:
-            self.values[-1] = value
-        else:
-            self.times.append(t)
-            self.values.append(value)
-
-    @property
-    def last(self) -> float:
-        return self.values[-1] if self.values else 0.0
-
-    @property
-    def max(self) -> float:
-        return max(self.values) if self.values else 0.0
-
-    def mean(self, t_end: Optional[float] = None) -> float:
-        """Time-weighted mean over ``[first sample, t_end]``."""
-        if not self.times:
-            return 0.0
-        if t_end is None:
-            t_end = self.times[-1]
-        span = t_end - self.times[0]
-        if span <= 0:
-            return float(self.values[-1])
-        area = 0.0
-        for i, v in enumerate(self.values):
-            t_next = self.times[i + 1] if i + 1 < len(self.times) else t_end
-            area += v * (min(t_next, t_end) - self.times[i])
-        return area / span
+    def __init__(self, read: Callable[[], Any]) -> None:
+        self.read = read
 
     def samples(self, name: str, labels: str) -> List[Tuple[str, float]]:
+        return [(f"{name}{labels}", self.read())]
+
+
+class Occupancy(Live):
+    """A live occupancy: ``read()`` is a :class:`~repro.sim.Resource`'s
+    or :class:`~repro.sim.Store`'s ``occupancy()``, rendered as the
+    current value, the peak and the time-weighted mean over ``[0, last
+    change]``."""
+
+    __slots__ = ()
+
+    def samples(self, name: str, labels: str) -> List[Tuple[str, float]]:
+        last, area, t_last, peak = self.read()
         return [
-            (f"{name}{labels}", self.last),
-            (f"{name}_max{labels}", self.max),
-            (f"{name}_mean{labels}", self.mean()),
+            (f"{name}{labels}", last),
+            (f"{name}_max{labels}", peak),
+            (f"{name}_mean{labels}", area / t_last if t_last > 0 else last),
         ]
 
 
@@ -230,20 +205,15 @@ class MetricsRegistry:
     use; repeated calls with the same name+labels return the same
     child."""
 
-    _TYPES = {
-        Counter: "counter", Gauge: "gauge", Histogram: "histogram",
-        TimeSeries: "gauge",
-    }
-
     def __init__(self) -> None:
         #: name -> (type string, help, {label tuple -> metric})
         self._families: Dict[str, Tuple[str, str, Dict[tuple, Any]]] = {}
 
-    def _child(self, cls, name: str, help: str, labels: Dict[str, Any],
-               **kwargs: Any):
+    def _child(self, cls, mtype: str, name: str, help: str,
+               labels: Dict[str, Any], **kwargs: Any):
         fam = self._families.get(name)
         if fam is None:
-            fam = (self._TYPES[cls], help, {})
+            fam = (mtype, help, {})
             self._families[name] = fam
         key = tuple(sorted(labels.items()))
         child = fam[2].get(key)
@@ -258,18 +228,16 @@ class MetricsRegistry:
         return child
 
     def counter(self, name: str, help: str = "", **labels: Any) -> Counter:
-        return self._child(Counter, name, help, labels)
+        return self._child(Counter, "counter", name, help, labels)
 
     def gauge(self, name: str, help: str = "", **labels: Any) -> Gauge:
-        return self._child(Gauge, name, help, labels)
+        return self._child(Gauge, "gauge", name, help, labels)
 
     def histogram(self, name: str, help: str = "",
                   buckets: Iterable[float] = DURATION_BUCKETS,
                   **labels: Any) -> Histogram:
-        return self._child(Histogram, name, help, labels, buckets=buckets)
-
-    def time_series(self, name: str, help: str = "", **labels: Any) -> TimeSeries:
-        return self._child(TimeSeries, name, help, labels)
+        return self._child(Histogram, "histogram", name, help, labels,
+                           buckets=buckets)
 
     def render(self) -> str:
         """Prometheus text-exposition snapshot of every family."""
@@ -286,66 +254,41 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n"
 
 
-class SimObserver:
-    """The :attr:`Simulator.obs` hook: counts dispatched events and
-    tracks the latest sim time seen."""
-
-    __slots__ = ("events", "clock")
-
-    def __init__(self, events: Counter, clock: Gauge) -> None:
-        self.events = events
-        self.clock = clock
-
-    def on_event(self, t: float) -> None:
-        self.events.inc()
-        self.clock.set(t)
-
-
 def attach(runtime, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-    """Wire a :class:`~repro.core.runtime.PandaRuntime` (or the
-    baseline runtime -- anything with ``sim``/``network`` and either
-    ``filesystems`` or ``servers``) into ``registry``.
+    """Register live views of a fresh
+    :class:`~repro.core.runtime.PandaRuntime` in ``registry``: its
+    event loop, every disk arm, every out/in link and every mailbox.
 
-    Attaches passive observers to the event loop, every disk arm,
-    every out/in link and every mailbox.  Safe to call before or
-    between runs; observers accumulate across runs on one runtime.
+    Nothing is hooked into the run; each view reads the runtime's own
+    accounting when the registry renders, so the snapshot covers the
+    runtime's whole history from t=0 across all its runs.  Raises
+    :class:`ValueError` once the clock has advanced, as
+    :class:`~repro.replay.TraceRecorder` does.
     """
+    sim = runtime.sim
+    if sim.now != 0.0:
+        raise ValueError(
+            "attach metrics before the runtime's first run: occupancy "
+            "means cover the run from t=0"
+        )
     reg = registry if registry is not None else MetricsRegistry()
-    runtime.sim.obs = SimObserver(
-        reg.counter("panda_sim_events_total", "events dispatched"),
-        reg.gauge("panda_sim_now_seconds", "latest simulated time"),
-    )
-    if hasattr(runtime, "filesystems"):
-        filesystems = runtime.filesystems
-    else:  # BaselineRuntime keeps one fs per server
-        filesystems = [s.fs for s in runtime.servers]
-    now = runtime.sim.now
-    for i, fs in enumerate(filesystems):
-        ts = reg.time_series(
-            "panda_disk_arm_in_use", "disk arm occupancy", disk=str(i),
-        )
-        # seed at attach time so time-weighted means cover the full run
-        ts.sample(now, fs.disk.arm.in_use)
-        fs.disk.arm.obs = ts
+    reg._child(Live, "counter", "panda_sim_events_total",
+               "events dispatched", {}, read=lambda: sim.dispatched)
+    reg._child(Live, "gauge", "panda_sim_now_seconds",
+               "latest simulated time", {}, read=lambda: sim.now)
+    for i, fs in enumerate(runtime.filesystems):
+        reg._child(Occupancy, "gauge", "panda_disk_arm_in_use",
+                   "disk arm occupancy", {"disk": str(i)},
+                   read=fs.disk.arm.occupancy)
     net = runtime.network
-    for r, link in enumerate(net.out_links):
-        ts = reg.time_series(
-            "panda_link_in_use", "link occupancy", link=f"out[{r}]",
-        )
-        ts.sample(now, link.in_use)
-        link.obs = ts
-    for r, link in enumerate(net.in_links):
-        ts = reg.time_series(
-            "panda_link_in_use", "link occupancy", link=f"in[{r}]",
-        )
-        ts.sample(now, link.in_use)
-        link.obs = ts
+    for side, links in (("out", net.out_links), ("in", net.in_links)):
+        for r, link in enumerate(links):
+            reg._child(Occupancy, "gauge", "panda_link_in_use",
+                       "link occupancy", {"link": f"{side}[{r}]"},
+                       read=link.occupancy)
     for r, box in enumerate(net.mailboxes):
-        ts = reg.time_series(
-            "panda_mailbox_depth", "queued messages", rank=str(r),
-        )
-        ts.sample(now, len(box))
-        box.obs = ts
+        reg._child(Occupancy, "gauge", "panda_mailbox_depth",
+                   "queued messages", {"rank": str(r)}, read=box.occupancy)
     return reg
 
 

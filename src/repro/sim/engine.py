@@ -499,12 +499,6 @@ class Simulator:
         self._ctr_pushes = 0
         self._live_processes = 0
         self._unhandled: list[tuple[Process, BaseException]] = []
-        #: optional observability hook (see :mod:`repro.obs.metrics`):
-        #: ``obs.on_event(t)`` is called after each dispatched entry.
-        #: Observation is passive -- it never schedules or mutates
-        #: anything, so simulated behaviour is bit-identical with or
-        #: without it.
-        self.obs: Optional[Any] = None
         #: the dispatch controller (see :meth:`enable_controller`): when
         #: set, it picks which same-instant entry dispatches next and
         #: observes each dispatch, and Store/Resource operations call
@@ -571,6 +565,12 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
+
+    @property
+    def dispatched(self) -> int:
+        """Entries dispatched so far: every scheduled entry is either
+        dispatched or still queued."""
+        return self._seq - len(self._heap) - len(self._ready)
 
     # -- scheduling ------------------------------------------------------
     def _post(self, callback: Callable[[Any], None], arg: Any) -> None:
@@ -727,8 +727,6 @@ class Simulator:
         e[2] = e[3] = None
         self._free.append(e)
         callback(arg)
-        if self.obs is not None:
-            self.obs.on_event(t)
         self._flush_counters()
         if self._unhandled:
             self._raise_unhandled()
@@ -750,7 +748,6 @@ class Simulator:
         limit = float("inf") if until is None else until
         ready, heap = self._ready, self._heap
         unhandled = self._unhandled
-        obs = self.obs
         pop = heapq.heappop
         popleft = ready.popleft
         free_append = self._free.append
@@ -783,8 +780,6 @@ class Simulator:
                 e[2] = e[3] = None
                 free_append(e)
                 cb(arg)
-                if obs is not None:
-                    obs.on_event(t)
                 if unhandled:
                     self._raise_unhandled()
         finally:
@@ -836,8 +831,6 @@ class Simulator:
                 pre_seq = self._seq
                 entry[2](entry[3])
                 ctl.end(pre_seq, self._seq)
-                if self.obs is not None:
-                    self.obs.on_event(t)
                 if self._unhandled:
                     self._raise_unhandled()
         finally:

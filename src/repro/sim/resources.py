@@ -55,13 +55,12 @@ class Resource:
         self._granted.callbacks = None
         self._in_use = 0
         self._waiters: deque[Event] = deque()
-        # utilisation accounting
+        # occupancy accounting (read by :mod:`repro.obs.metrics`): the
+        # server-seconds integral up to the last acquire/release, and
+        # the most slots ever held at once
         self._busy_time = 0.0
         self._last_change = 0.0
-        #: optional observability hook (see :mod:`repro.obs.metrics`):
-        #: ``obs.sample(t, in_use)`` after each occupancy change.
-        #: Passive -- never schedules events or changes grant order.
-        self.obs: Optional[Any] = None
+        self._peak = 0
 
     @property
     def in_use(self) -> int:
@@ -71,15 +70,14 @@ class Resource:
     def queue_length(self) -> int:
         return len(self._waiters)
 
-    def _account(self) -> None:
-        now = self.sim._now  # bypass the property: called per message
-        self._busy_time += self._in_use * (now - self._last_change)
-        self._last_change = now
-
     def busy_time(self) -> float:
         """Total server-seconds of service delivered so far."""
-        self._account()
-        return self._busy_time
+        return self._busy_time + self._in_use * (self.sim._now - self._last_change)
+
+    def occupancy(self) -> tuple[int, float, float, int]:
+        """``(in use, busy-time integral, last change, peak)``: the
+        integral covers ``[0, last change]``."""
+        return self._in_use, self._busy_time, self._last_change, self._peak
 
     def acquire(self) -> Event:
         """Return an event that fires when a server slot is granted."""
@@ -90,15 +88,15 @@ class Resource:
             # uncontended grant: hand back the shared already-triggered
             # event (succeed() on a waiter-less event only sets that
             # state anyway); the engine resumes the yielding process
-            # inline.  _account is inlined -- two method calls per
-            # message add up.
+            # inline.  The accounting is inlined -- a method call per
+            # message adds up.
             in_use = self._in_use
             now = self.sim._now
             self._busy_time += in_use * (now - self._last_change)
             self._last_change = now
-            self._in_use = in_use + 1
-            if self.obs is not None:
-                self.obs.sample(now, self._in_use)
+            self._in_use = in_use = in_use + 1
+            if in_use > self._peak:
+                self._peak = in_use
             return self._granted
         ev = Event(self.sim, self._acquire_name)
         self._waiters.append(ev)
@@ -119,8 +117,6 @@ class Resource:
         if self._waiters and self._in_use < self.capacity:
             self._in_use += 1  # same instant: busy-time integral unchanged
             self._waiters.popleft().succeed(self)
-        if self.obs is not None:
-            self.obs.sample(now, self._in_use)
 
     def cancel(self, ev: Event) -> None:
         """Withdraw a pending acquisition (e.g. the waiter was
@@ -161,18 +157,30 @@ class Store:
         self._get_name = f"get({name})"
         self._items: deque[Any] = deque()
         self._getters: deque[tuple[Event, Optional[Callable[[Any], bool]]]] = deque()
-        #: optional observability hook: ``obs.sample(t, depth)`` after
-        #: each put/get settles.  Passive, like :attr:`Resource.obs`.
-        self.obs: Optional[Any] = None
+        # occupancy accounting, as Resource keeps it: the depth-seconds
+        # integral up to the last put/get/try_get/clear, and the
+        # deepest the queue has settled at
+        self._area = 0.0
+        self._last_change = 0.0
+        self._peak = 0
 
     def __len__(self) -> int:
         return len(self._items)
 
+    def occupancy(self) -> tuple[int, float, float, int]:
+        """``(depth, depth-seconds integral, last change, peak)``, as
+        :meth:`Resource.occupancy`."""
+        return len(self._items), self._area, self._last_change, self._peak
+
     def put(self, item: Any) -> None:
-        rec = self.sim._control
+        sim = self.sim
+        rec = sim._control
         if rec is not None:  # controlled runs: record the footprint
             rec.note(self)
         items = self._items
+        if items:  # an empty queue adds no depth-seconds
+            self._area += len(items) * (sim._now - self._last_change)
+        self._last_change = sim._now
         items.append(item)
         getters = self._getters
         if getters:
@@ -185,17 +193,21 @@ class Store:
                     items.pop()
                     del getters[g_idx]
                     ev.succeed(item)
-                    break
-        if self.obs is not None:
-            self.obs.sample(self.sim._now, len(items))
+                    return
+        if len(items) > self._peak:
+            self._peak = len(items)
 
     def get(self, predicate: Optional[Callable[[Any], bool]] = None) -> Event:
         """Return an event that fires with the oldest matching item."""
-        rec = self.sim._control
+        sim = self.sim
+        rec = sim._control
         if rec is not None:
             rec.note(self)
-        ev = Event(self.sim, self._get_name)
+        ev = Event(sim, self._get_name)
         items = self._items
+        if items:
+            self._area += len(items) * (sim._now - self._last_change)
+        self._last_change = sim._now
         if items and not self._getters:
             # fast path: no getter queued ahead of us, so if an item
             # matches we can consume it right here -- exactly what
@@ -215,15 +227,11 @@ class Store:
                 ev._triggered = True
                 ev._value = item
                 ev.callbacks = None
-                if self.obs is not None:
-                    self.obs.sample(self.sim._now, len(items))
                 return ev
             self._getters.append((ev, predicate))
         else:
             self._getters.append((ev, predicate))
             self._dispatch()
-        if self.obs is not None:
-            self.obs.sample(self.sim._now, len(items))
         return ev
 
     def peek_all(self) -> list[Any]:
@@ -244,11 +252,13 @@ class Store:
         rec = self.sim._control
         if rec is not None:
             rec.note(self)
-        for idx, item in enumerate(self._items):
+        items = self._items
+        for idx, item in enumerate(items):
             if predicate is None or predicate(item):
-                del self._items[idx]
-                if self.obs is not None:
-                    self.obs.sample(self.sim._now, len(self._items))
+                now = self.sim._now
+                self._area += len(items) * (now - self._last_change)
+                self._last_change = now
+                del items[idx]
                 return item
         return None
 
@@ -262,10 +272,11 @@ class Store:
         if rec is not None:
             rec.note(self)
         dropped = len(self._items)
+        now = self.sim._now
+        self._area += dropped * (now - self._last_change)
+        self._last_change = now
         self._items.clear()
         self._getters.clear()
-        if self.obs is not None:
-            self.obs.sample(self.sim._now, 0)
         return dropped
 
     def cancel(self, ev: Event) -> None:

@@ -697,10 +697,10 @@ class TestHotPathRule:
         findings = self._check(tmp_path, """
             class Simulator:
                 def run(self):
-                    obs = self.obs
+                    unhandled = self._unhandled
                     while True:
-                        if obs is not None:
-                            obs.on_event(0.0)
+                        if unhandled:
+                            self._raise_unhandled()
         """)
         assert findings == []
 

@@ -6,6 +6,7 @@ run_traced_point`, so the assertions exercise the same paths the
 ``python -m repro trace`` CLI uses.
 """
 
+import hashlib
 import json
 import math
 
@@ -15,7 +16,7 @@ from repro.bench.harness import run_traced_point
 from repro.bench.stats import utilization
 from repro.obs import analyze, observe_trace, to_chrome_trace, write_chrome_trace
 from repro.obs.critical_path import PHASES
-from repro.obs.metrics import DURATION_BUCKETS, Histogram, MetricsRegistry, TimeSeries
+from repro.obs.metrics import DURATION_BUCKETS, Histogram, MetricsRegistry, attach
 
 
 @pytest.fixture(scope="module")
@@ -168,35 +169,85 @@ def test_analyze_empty_window():
 
 # -- metrics -----------------------------------------------------------------
 
-def test_timeseries_time_weighted_mean():
-    ts = TimeSeries()
-    ts.sample(0.0, 0)
-    ts.sample(1.0, 1)
-    ts.sample(3.0, 0)
-    assert ts.mean(4.0) == pytest.approx(0.5)  # busy 2 of 4 seconds
-    assert ts.max == 1
-    assert ts.last == 0
-    # same-instant resamples collapse to the last value
-    ts.sample(4.0, 5)
-    ts.sample(4.0, 7)
-    assert ts.values[-1] == 7
+def _rendered(registry):
+    """``{sample name with labels: value text}`` of a render."""
+    return dict(line.rsplit(" ", 1)
+                for line in registry.render().splitlines()
+                if not line.startswith("#"))
 
 
 def test_attached_observers_record_utilization(fig3_point):
-    """The disk-arm time series' time-weighted mean agrees with the
-    runtime's busy-seconds accounting."""
+    """The rendered disk-arm mean, taken over ``[0, the arm's last
+    change]``, carries the disk model's own busy-seconds accounting."""
     result, _report, registry = fig3_point
     stats = utilization(result.runtime)
-    text = registry.render()
-    for i in range(2):
-        fam = registry.time_series("panda_disk_arm_in_use", disk=str(i))
-        assert fam.mean(result.runtime.sim.now) == pytest.approx(
-            stats.disk_utilization[i], rel=1e-6
+    values = _rendered(registry)
+    for i, fs in enumerate(result.runtime.filesystems):
+        t_last = fs.disk.arm.occupancy()[2]
+        mean = float(values[f'panda_disk_arm_in_use_mean{{disk="{i}"}}'])
+        assert mean * t_last == pytest.approx(
+            stats.disk_utilization[i] * stats.sim_time, rel=1e-6
         )
-        assert f'panda_disk_arm_in_use_max{{disk="{i}"}} 1' in text
-    assert "panda_sim_events_total" in text
-    assert "panda_link_in_use" in text
-    assert "panda_mailbox_depth" in text
+        assert values[f'panda_disk_arm_in_use_max{{disk="{i}"}}'] == "1"
+    assert "panda_sim_events_total" in values
+    assert 'panda_link_in_use{link="out[0]"}' in values
+    assert 'panda_mailbox_depth{rank="0"}' in values
+
+
+#: ``attach(...).render()`` of the traced 4x2 golden roundtrip (the
+#: ``GOLDEN_TRACE_SHA256`` scenario of test_determinism_golden.py)
+GOLDEN_RENDER_SHA256 = (
+    "7abf8e2c595dc16273452a6d03cab915647d1ffcf2168bcd39963f67bab89146")
+
+
+def test_attach_golden_render_is_pinned():
+    """The whole metrics snapshot of the golden roundtrip, not just its
+    family names: every occupancy last/max/mean, the dispatched-event
+    count and the final clock."""
+    import numpy as np
+
+    from repro.core import BLOCK, Array, ArrayLayout, PandaRuntime
+    from repro.workloads.apps import write_read_roundtrip_app
+
+    memory = ArrayLayout("mem", (2, 2))
+    a = Array("a", (64, 48), np.float64, memory, (BLOCK, BLOCK))
+    rt = PandaRuntime(n_compute=4, n_io=2, real_payloads=False, trace=True)
+    registry = attach(rt)
+    rt.run(write_read_roundtrip_app([a], "golden"))
+    values = _rendered(registry)
+    assert values["panda_sim_events_total"] == "143"
+    assert float(values["panda_sim_now_seconds"]) == float.fromhex(
+        "0x1.4f7895d6a8b6ep-2")
+    text = registry.render()
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_RENDER_SHA256
+
+
+def test_attach_requires_a_fresh_runtime():
+    """The occupancy means cover ``[0, last change]``, so attaching
+    after the clock has moved is refused, as the trace recorder does."""
+    from repro.workloads.catalog import CATALOG, build
+
+    built = build(CATALOG["mc-roundtrip"])
+    built.run()
+    with pytest.raises(ValueError, match="before the runtime's first run"):
+        attach(built.runtime)
+
+
+def test_fast_disk_arm_max_counts_zero_length_holds():
+    """Fast-disk arms are held for zero simulated seconds, so each hold
+    starts and ends at one instant.  The peak still sees it: every arm
+    that served a request renders ``_max`` 1."""
+    from repro.workloads.catalog import CATALOG, build
+
+    built = build(CATALOG["full-storm"])
+    registry = attach(built.runtime)
+    built.run()
+    values = _rendered(registry)
+    disks = [fs.disk for fs in built.runtime.filesystems]
+    assert any(d.requests for d in disks)
+    for i, disk in enumerate(disks):
+        if disk.requests:
+            assert values[f'panda_disk_arm_in_use_max{{disk="{i}"}}'] == "1"
 
 
 def test_prometheus_render_format(fig3_point):
@@ -267,7 +318,7 @@ def test_counter_rejects_decrease():
     # same name+labels returns the same child; conflicting type raises
     assert reg.counter("x_total") is c
     with pytest.raises(TypeError):
-        reg._child(type(TimeSeries()), "x_total", "", {})
+        reg.gauge("x_total")
 
 
 def test_sharded_sched_metrics_carry_shard_label():

@@ -73,6 +73,33 @@ def test_busy_time_accounting():
     sim.spawn(proc(sim))
     sim.run()
     assert res.busy_time() == pytest.approx(6.0)
+    assert res.occupancy() == (0, 6.0, 6.0, 1)
+
+
+def test_store_occupancy_accounting():
+    """Store keeps Resource's bookkeeping: the depth-seconds integral
+    up to the last change (its time-weighted mean), the current depth
+    and the peak -- including a same-instant hold that adds no area."""
+    sim = Simulator()
+    box = Store(sim)
+
+    def proc(sim):
+        yield sim.timeout(1.0)
+        box.put("a")  # depth 1 over [1, 3)
+        yield sim.timeout(2.0)
+        yield box.get()
+        box.put("b")
+        box.put("c")  # depth 2 for zero seconds
+        yield box.get()
+        assert box.try_get() == "c"
+        yield sim.timeout(1.0)
+        box.clear()  # a change at t=4 that leaves the depth at 0
+
+    sim.run_process(proc(sim))
+    depth, area, t_last, peak = box.occupancy()
+    assert area / t_last == pytest.approx(0.5)  # 1 deep for 2 of 4 s
+    assert depth == 0
+    assert peak == 2
 
 
 def test_queue_length_visible_while_contended():
