@@ -13,7 +13,7 @@ Three passes, all specific to this repo's load-bearing invariant
   for order-dependence the static passes cannot see.
 
 :func:`run_lint` composes the static passes with the
-``pyproject.toml`` allowlist and the content-hash cache; the CLI
+``pyproject.toml`` allowlist; the CLI
 (``python -m repro lint`` / ``python -m repro race``) is a thin shell
 around this module.  See DESIGN.md section 12 for the rule catalogue.
 """
@@ -22,20 +22,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional
+from typing import List
 
 from repro.analysis.findings import (
     RULES,
     Finding,
-    LintCache,
     apply_allowlist,
     load_allowlist,
 )
 
 __all__ = ["LintResult", "RULES", "Finding", "run_lint"]
-
-#: default location of the per-file analysis cache, repo-relative.
-CACHE_NAME = ".panda-lint-cache.json"
 
 
 @dataclass
@@ -44,8 +40,6 @@ class LintResult:
 
     findings: List[Finding]  #: kept (unsuppressed) findings
     suppressed: List[Finding]  #: findings matched by allowlist entries
-    files_cached: int = 0
-    files_analyzed: int = 0
 
     @property
     def ok(self) -> bool:
@@ -55,9 +49,7 @@ class LintResult:
         out = [f.format() for f in self.findings]
         out.append(
             f"panda-lint: {len(self.findings)} finding(s), "
-            f"{len(self.suppressed)} suppressed by allowlist "
-            f"({self.files_analyzed} file(s) analyzed, "
-            f"{self.files_cached} cached)"
+            f"{len(self.suppressed)} suppressed by allowlist"
         )
         return out
 
@@ -67,22 +59,17 @@ class LintResult:
             "rules": RULES,
             "findings": [f.as_json() for f in self.findings],
             "suppressed": [f.as_json() for f in self.suppressed],
-            "files_analyzed": self.files_analyzed,
-            "files_cached": self.files_cached,
         }
 
 
-def run_lint(root: Path, use_cache: bool = True) -> LintResult:
+def run_lint(root: Path) -> LintResult:
     """Run both static passes over the tree at ``root`` and apply the
     ``[tool.panda-lint]`` allowlist."""
     from repro.analysis.determinism import lint_tree
     from repro.analysis.hotpath import check_engine
     from repro.analysis.protocol_check import check_tree
 
-    cache: Optional[LintCache] = None
-    if use_cache:
-        cache = LintCache(root / CACHE_NAME)
-    findings = lint_tree(root, cache=cache)
+    findings = lint_tree(root)
     findings.extend(check_tree(root).findings)
     findings.extend(check_engine(root))
     pyproject = root / "pyproject.toml"
@@ -90,11 +77,4 @@ def run_lint(root: Path, use_cache: bool = True) -> LintResult:
     kept, suppressed = apply_allowlist(findings, entries, pyproject.name)
     kept.extend(problems)
     kept.sort(key=lambda f: (f.path, f.line, f.rule))
-    if cache is not None:
-        cache.save()
-    return LintResult(
-        kept,
-        suppressed,
-        files_cached=cache.hits if cache else 0,
-        files_analyzed=cache.misses if cache else 0,
-    )
+    return LintResult(kept, suppressed)

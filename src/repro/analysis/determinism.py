@@ -475,28 +475,9 @@ def lint_file(path: Path, root: Path) -> List[Finding]:
     return lint_source(path.read_text(), rel)
 
 
-def lint_tree(
-    root: Path,
-    package: str = "src/repro",
-    cache: Optional["object"] = None,
-) -> List[Finding]:
-    """Lint every ``.py`` file under ``root/package``.  ``cache`` is a
-    :class:`~repro.analysis.findings.LintCache` or None."""
-    from repro.analysis.findings import file_digest
-
+def lint_tree(root: Path, package: str = "src/repro") -> List[Finding]:
+    """Lint every ``.py`` file under ``root/package``."""
     out: List[Finding] = []
-    base = root / package
-    for path in sorted(base.rglob("*.py")):
-        rel = path.relative_to(root).as_posix()
-        if cache is not None:
-            digest = file_digest(path)
-            hit = cache.get(rel, digest)  # type: ignore[attr-defined]
-            if hit is not None:
-                out.extend(hit)
-                continue
-            findings = lint_source(path.read_text(), rel)
-            cache.put(rel, digest, findings)  # type: ignore[attr-defined]
-            out.extend(findings)
-        else:
-            out.extend(lint_file(path, root))
+    for path in sorted((root / package).rglob("*.py")):
+        out.extend(lint_file(path, root))
     return out

@@ -20,30 +20,19 @@ itself a lint error (PL000).  ``path`` is matched as a suffix of the
 POSIX-style relative path, so entries stay valid from any checkout
 directory.  An allowlist entry that suppresses nothing is reported as
 stale (PL000) so the list cannot rot.
-
-Cache
------
-Per-file determinism findings are cached in
-``.panda-lint-cache.json`` keyed on the file's content hash, so an
-unchanged tree re-lints in milliseconds (the cross-file protocol check
-is cheap and always re-runs).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 __all__ = [
     "AllowEntry",
     "Finding",
-    "LintCache",
     "apply_allowlist",
-    "file_digest",
     "load_allowlist",
 ]
 
@@ -188,61 +177,3 @@ def apply_allowlist(
                 "suppresses nothing; remove it",
             ))
     return kept, suppressed
-
-
-def file_digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-class LintCache:
-    """Per-file finding cache keyed on content hash.
-
-    The cache file maps ``relative path -> {"digest": sha256,
-    "findings": [...]}``.  A miss (new or changed file) re-analyses;
-    entries for deleted files are dropped on save.
-    """
-
-    VERSION = 1
-
-    def __init__(self, cache_path: Optional[Path]) -> None:
-        self.cache_path = cache_path
-        self._entries: Dict[str, Dict[str, Any]] = {}
-        self._seen: set[str] = set()
-        self.hits = 0
-        self.misses = 0
-        if cache_path is not None and cache_path.is_file():
-            try:
-                doc = json.loads(cache_path.read_text())
-                if doc.get("version") == self.VERSION:
-                    self._entries = doc.get("files", {})
-            except (OSError, ValueError):
-                self._entries = {}
-
-    def get(self, rel_path: str, digest: str) -> Optional[List[Finding]]:
-        self._seen.add(rel_path)
-        entry = self._entries.get(rel_path)
-        if entry is None or entry.get("digest") != digest:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return [Finding(**f) for f in entry["findings"]]
-
-    def put(self, rel_path: str, digest: str, findings: List[Finding]) -> None:
-        self._seen.add(rel_path)
-        self._entries[rel_path] = {
-            "digest": digest,
-            "findings": [f.as_json() for f in findings],
-        }
-
-    def save(self) -> None:
-        if self.cache_path is None:
-            return
-        doc = {
-            "version": self.VERSION,
-            "files": {k: v for k, v in sorted(self._entries.items())
-                      if k in self._seen},
-        }
-        try:
-            self.cache_path.write_text(json.dumps(doc, indent=1))
-        except OSError:
-            pass  # a read-only checkout still lints, just without a cache

@@ -236,7 +236,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print(f"{root} does not look like the repo root "
               "(no pyproject.toml); pass --root", file=sys.stderr)
         return 2
-    result = run_lint(root, use_cache=not args.no_cache)
+    result = run_lint(root)
     if args.format == "json":
         print(json.dumps(result.as_json(), indent=1))
     else:
@@ -531,8 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--root", default=".",
                         help="repo root (default: current directory)")
     p_lint.add_argument("--format", choices=["text", "json"], default="text")
-    p_lint.add_argument("--no-cache", action="store_true",
-                        help="ignore and don't write .panda-lint-cache.json")
     p_lint.set_defaults(func=cmd_lint)
 
     p_race = sub.add_parser(

@@ -45,7 +45,7 @@ from repro.core.protocol import (
     listen_tags,
 )
 from repro.core.scheduler import NoLiveShardError
-from repro.faults import FaultRecoveryError
+from repro.faults import DETECT_TIMEOUT, FaultRecoveryError
 from repro.mpi.comm import Communicator
 from repro.mpi.datatypes import DataBlock
 from repro.schema.regions import Region
@@ -326,10 +326,10 @@ class PandaClient:
         failover = self._owner_failover
         if failover:
             pred = self._owner_pred(op, data_tag, done_tags)
-            detect = self.runtime.injector.spec.detect_timeout
         while True:
             if failover:
-                msg = yield from self.comm.recv(match=pred, timeout=detect)
+                msg = yield from self.comm.recv(match=pred,
+                                                timeout=DETECT_TIMEOUT)
                 if msg is None:
                     yield from self._reroute_request(op)
                     continue

@@ -36,9 +36,6 @@ class PandaConfig:
     #: when True, servers exchange sub-chunk pieces with clients using
     #: non-blocking communication (the paper's future-work extension).
     nonblocking: bool = False
-    #: verify that collective calls agree across clients (catches SPMD
-    #: bugs in applications; cheap, on by default).
-    check_collective_consistency: bool = True
     #: deterministic fault injection + recovery budget (see
     #: :class:`repro.faults.FaultSpec`).  ``None`` disables the fault
     #: model entirely: every fault-free code path and simulated timing
@@ -57,9 +54,3 @@ class PandaConfig:
     def __post_init__(self) -> None:
         if self.sub_chunk_bytes < 1:
             raise ValueError("sub_chunk_bytes must be >= 1")
-
-    def max_elems(self, itemsize: int) -> int:
-        """Sub-chunk element budget for a given element size."""
-        if itemsize < 1:
-            raise ValueError("itemsize must be >= 1")
-        return max(1, self.sub_chunk_bytes // itemsize)

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
+                    Tuple)
 
 if TYPE_CHECKING:
     from repro.obs.slo import SLOTracker
@@ -80,8 +81,7 @@ class OpLog:
     applications sharing the I/O nodes each get their own op stream.
     """
 
-    def __init__(self, runtime: "PandaRuntime") -> None:
-        self.runtime = runtime
+    def __init__(self) -> None:
         self.records: Dict[tuple, OpRecord] = {}
 
     @staticmethod
@@ -98,8 +98,7 @@ class OpLog:
                 signature=op.signature(),
             )
             self.records[self._key(op)] = rec
-        elif (self.runtime.config.check_collective_consistency
-              and rec.signature != op.signature()):
+        elif rec.signature != op.signature():
             raise RuntimeError(
                 f"SPMD violation: rank {rank} entered collective "
                 f"{op.op_id} with a different signature"
@@ -315,18 +314,7 @@ class PandaRuntime:
         self.sim = Simulator()
         self.injector: Optional[FaultInjector] = None
         if self.config.faults is not None:
-            for idx, _t in self.config.faults.crashes:
-                if idx >= n_io:
-                    raise ValueError(
-                        f"crash server index {idx} out of range: this "
-                        f"runtime has {n_io} I/O node(s)"
-                    )
-                if idx == 0 and self.n_shards <= 1:
-                    raise ValueError(
-                        "allow_master_crash requires a sharded scheduler "
-                        "(n_shards > 1): with a single master server "
-                        "there is no surviving shard to fail over to"
-                    )
+            self.check_crash_plan(self.config.faults.crashes)
             self.injector = FaultInjector(self.config.faults, self.sim,
                                           trace=self.trace)
             self.injector.droppable_tags = DROPPABLE
@@ -337,7 +325,7 @@ class PandaRuntime:
                        trace=self.trace, injector=self.injector)
             for i in range(n_io)
         ]
-        self.oplog = OpLog(self)
+        self.oplog = OpLog()
         #: dataset name -> CollectiveOp that wrote it (the catalog the
         #: paper keeps in .schema files).
         self.catalog: Dict[str, CollectiveOp] = {}
@@ -422,6 +410,28 @@ class PandaRuntime:
         return self.server_rank(self.shard_owner(dataset))
 
     # -- fault schedule across runs -------------------------------------------
+    def check_crash_plan(self, crashes: Iterable[tuple]) -> None:
+        """Refuse a fail-stop crash plan this runtime cannot carry out:
+        an index that names no I/O node, a negative time, or the master
+        server (index 0) without a sharded scheduler (``n_shards > 1``)
+        whose other shard masters can take over.  The one check every
+        crash plan passes -- the config's, a rescheduled one, and each
+        run a replay re-drives -- before any simulated time passes."""
+        for idx, t in crashes:
+            if not 0 <= idx < self.n_io:
+                raise ValueError(
+                    f"crash server index {idx} out of range: this "
+                    f"runtime has {self.n_io} I/O node(s)"
+                )
+            if idx == 0 and self.n_shards <= 1:
+                raise ValueError(
+                    "the master server (index 0) may crash only under a "
+                    "sharded scheduler (n_shards > 1): with a single "
+                    "master there is no surviving shard to fail over to"
+                )
+            if t < 0:
+                raise ValueError(f"crash time {t} must be >= 0")
+
     def reschedule_crashes(
         self, crashes: List[tuple]
     ) -> None:
@@ -443,18 +453,7 @@ class PandaRuntime:
                 "runtime with PandaConfig(faults=FaultSpec(...))"
             )
         spec = replace(self.config.faults, crashes=tuple(crashes))
-        for idx, _t in spec.crashes:
-            if idx >= self.n_io:
-                raise ValueError(
-                    f"crash server index {idx} out of range: this "
-                    f"runtime has {self.n_io} I/O node(s)"
-                )
-            if idx == 0 and self.n_shards <= 1:
-                raise ValueError(
-                    "allow_master_crash requires a sharded scheduler "
-                    "(n_shards > 1): with a single master server "
-                    "there is no surviving shard to fail over to"
-                )
+        self.check_crash_plan(spec.crashes)
         self.config = replace(self.config, faults=spec)
         self.injector.spec = spec
         # keep the plan's view coherent; its PRNG streams are keyed on

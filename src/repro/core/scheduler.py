@@ -95,6 +95,13 @@ __all__ = [
 
 POLICIES = ("fifo", "sjf", "fair", "slo")
 
+#: fair-share deficit quantum in bytes per DRR round, scaled by each
+#: op's weight: the paper's 1 MB sub-chunk, so a weight-1 op earns
+#: about one sub-chunk of service per visit.
+DRR_QUANTUM = 1 << 20
+#: points each shard contributes to the :class:`ShardMap` ring.
+VNODES = 64
+
 
 class NoLiveShardError(RuntimeError):
     """Every shard master on the ring is dead: there is no server left
@@ -131,9 +138,6 @@ class SchedulerConfig:
     #: bounded admission queue: REQUESTs beyond this stay in the master's
     #: mailbox (backpressure), so the queue never exceeds this length.
     queue_limit: int = 16
-    #: fair-share deficit quantum in bytes per round, scaled by each
-    #: op's priority weight.
-    quantum_bytes: int = 1 << 20
     #: admission-plane shards.  1 (the default) is the paper's single
     #: master server, bit-identical to every earlier timing.  k > 1
     #: partitions datasets over shard masters 0..k-1 by consistent
@@ -160,8 +164,6 @@ class SchedulerConfig:
             raise ValueError("max_in_flight must be >= 1")
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
-        if self.quantum_bytes < 1:
-            raise ValueError("quantum_bytes must be >= 1")
         if self.n_shards < 1:
             raise ValueError("n_shards must be >= 1")
 
@@ -213,13 +215,13 @@ def _hash_point(label: str) -> int:
 class ShardMap:
     """Consistent-hash ring mapping dataset names to shard masters.
 
-    Each shard contributes ``vnodes`` points on a 64-bit ring; a
+    Each shard contributes :data:`VNODES` points on a 64-bit ring; a
     dataset is owned by the shard whose point first follows the
     dataset's hash (clockwise, wrapping).  The classic properties hold
     by construction and are property-tested in ``tests/test_sharding.py``:
 
     - **total coverage** -- every dataset has exactly one owner;
-    - **balance** -- with enough vnodes the per-shard share concentrates
+    - **balance** -- with enough points the per-shard share concentrates
       around ``1/n_shards``;
     - **minimal relocation** -- removing a shard (``live`` excludes it)
       moves only the datasets that shard owned, each to the next live
@@ -228,17 +230,14 @@ class ShardMap:
       shard master's queue is exactly the ``live``-restricted lookup.
     """
 
-    def __init__(self, n_shards: int, vnodes: int = 64) -> None:
+    def __init__(self, n_shards: int) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
         self.n_shards = n_shards
-        self.vnodes = vnodes
         points = [
             (_hash_point(f"shard:{s}:{v}"), s)
             for s in range(n_shards)
-            for v in range(vnodes)
+            for v in range(VNODES)
         ]
         points.sort()
         self._points: List[Tuple[int, int]] = points
@@ -384,15 +383,14 @@ class SJFPolicy(_Policy):
 class FairSharePolicy(_Policy):
     """Deficit round-robin in bytes, weighted by op priority.
 
-    Each op accumulates ``quantum * weight`` bytes of credit per
+    Each op accumulates ``DRR_QUANTUM * weight`` bytes of credit per
     rotation visit and is serviced while its credit covers the next
     sub-chunk -- so over time each active op receives service
     proportional to its weight, regardless of sub-chunk sizes."""
 
     name = "fair"
 
-    def __init__(self, quantum_bytes: int) -> None:
-        self.quantum = quantum_bytes
+    def __init__(self) -> None:
         self._ring: Deque[int] = deque()
 
     def admitted(self, p: OpProgress) -> None:
@@ -409,7 +407,7 @@ class FairSharePolicy(_Policy):
             p = active[self._ring[0]]
             if p.deficit >= p.next_nbytes:
                 return p
-            p.deficit += self.quantum * p.weight
+            p.deficit += DRR_QUANTUM * p.weight
             self._ring.rotate(-1)
 
 
@@ -451,8 +449,8 @@ def make_policy(config: SchedulerConfig) -> _Policy:
     if config.policy == "sjf":
         return SJFPolicy()
     if config.policy == "slo":
-        return SLOPolicy(config.quantum_bytes)
-    return FairSharePolicy(config.quantum_bytes)
+        return SLOPolicy()
+    return FairSharePolicy()
 
 
 class ServerScheduler:

@@ -48,13 +48,13 @@ Fault mode (``config.faults`` set -- see :mod:`repro.faults`):
   every reply wait times out and re-sends the request with bounded
   exponential backoff;
 - a (shard) master with completions outstanding blocks with
-  ``spec.detect_timeout``; each timeout runs the one failure detector
-  (:meth:`PandaServer._sched_detect`).  When an I/O node crashed
-  mid-write it re-partitions the dead server's plan over the survivors
-  (:func:`~repro.core.recovery.partition_recovery`), hands the shares
-  out as RECOVER messages, executes its own share, and records the
-  relocations before committing the dataset.  A mid-*read* crash loses
-  the crashed node's data and raises
+  :data:`~repro.faults.DETECT_TIMEOUT`; each timeout runs the one
+  failure detector (:meth:`PandaServer._sched_detect`).  When an I/O
+  node crashed mid-write it re-partitions the dead server's plan over
+  the survivors (:func:`~repro.core.recovery.partition_recovery`),
+  hands the shares out as RECOVER messages, executes its own share,
+  and records the relocations before committing the dataset.  A
+  mid-*read* crash loses the crashed node's data and raises
   :class:`~repro.faults.FaultRecoveryError`.
 """
 
@@ -99,7 +99,7 @@ from repro.core.scheduler import (
     SchedulerConfig,
     ServerScheduler,
 )
-from repro.faults import FaultRecoveryError
+from repro.faults import DETECT_TIMEOUT, MAX_RETRIES, FaultRecoveryError
 from repro.fs.filesystem import FileSystem
 from repro.obs.slo import SLOTracker
 from repro.mpi.comm import Communicator
@@ -321,7 +321,7 @@ class PandaServer:
 
         # one predicate for every receive of the loop, built once
         pred = self.comm.match_pred(tags=listen, match=gate)
-        detect = (rt.injector.spec.detect_timeout
+        detect = (DETECT_TIMEOUT
                   if self._reliable and self._shard is not None else None)
         max_in_flight = cfg.max_in_flight
         abort_orphans = sharded and self._reliable
@@ -388,7 +388,7 @@ class PandaServer:
         ``nonblocking``.  A read waits for no reply, except the
         fault-mode PIECE_ACK.  In fault mode the window is 1 and each
         reply wait times out: the request is re-sent with exponential
-        backoff, up to ``max_retries`` times."""
+        backoff, up to :data:`~repro.faults.MAX_RETRIES` times."""
         rt = self.runtime
         comm = self.comm
         real = rt.real_payloads
@@ -485,7 +485,6 @@ class PandaServer:
         simply re-answered, a PIECE re-injects the same bytes at the
         same place and is re-acknowledged."""
         injector = self.runtime.injector
-        max_retries = injector.spec.max_retries
         write = op.kind == "write"
         attempt = 0
         while True:
@@ -498,11 +497,11 @@ class PandaServer:
             if reply is not None:
                 return reply
             attempt += 1
-            if attempt > max_retries:
+            if attempt > MAX_RETRIES:
                 raise FaultRecoveryError(
                     f"server {self.server_index}: no "
                     f"{'data' if write else 'ack'} from rank {dst} for "
-                    f"sub-chunk {item.seq} after {max_retries} retries")
+                    f"sub-chunk {item.seq} after {MAX_RETRIES} retries")
             injector.note_retry(
                 "fetch" if write else "piece", server=self.server_index,
                 client=dst, seq=item.seq, attempt=attempt)
@@ -603,13 +602,12 @@ class PandaServer:
         plan over the survivors, hand out the shares, execute its own,
         and wait for the survivors' recovery completions."""
         rt = self.runtime
-        injector = rt.injector
         survivors = rt.live_servers()
         assignments = partition_recovery(op, k, survivors, rt.n_io, rt.config,
                                          rt.real_payloads)
         if not assignments:
             return ()
-        injector.note_recovery(
+        rt.injector.note_recovery(
             "midop", op.dataset, k,
             tuple(a.survivor_index for a in assignments),
             sum(a.nbytes for a in assignments),
@@ -631,7 +629,7 @@ class PandaServer:
                 tag=Tags.SERVER_DONE,
                 match=lambda m: (m.payload.op_id == op.op_id
                                  and m.payload.recovery),
-                timeout=injector.spec.detect_timeout,
+                timeout=DETECT_TIMEOUT,
             )
             if msg is not None:
                 waiting.discard(msg.payload.server_index)
@@ -927,11 +925,11 @@ class PandaServer:
     def _sched_abort_orphans(self, sched: ServerScheduler) -> None:
         """Sharded fault mode: drop active work admitted by a shard
         master that has since crashed.  The op's master client detects
-        the crash after ``detect_timeout`` and re-sends its REQUEST to
-        the dataset's next live owner on the ring, which re-admits and
-        re-broadcasts the op from scratch -- a partially executed
-        orphan write is harmless, since the re-run truncates and
-        rewrites the same deterministic bytes.  But the orphan itself
+        the crash after :data:`~repro.faults.DETECT_TIMEOUT` and re-sends
+        its REQUEST to the dataset's next live owner on the ring, which
+        re-admits and re-broadcasts the op from scratch -- a partially
+        executed orphan write is harmless, since the re-run truncates
+        and rewrites the same deterministic bytes.  But the orphan itself
         must stop: once the re-run completes, the op's clients move on,
         and the orphan's remaining fetches would wait on ranks that no
         longer serve this op.  Running at every loop iteration -- at

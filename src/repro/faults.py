@@ -20,7 +20,7 @@ Fault model scope
 - **Disk**: a faulting request costs the per-request overhead (the arm
   moved, no data streamed), invalidates the head position, and raises
   :class:`TransientDiskError`.  :class:`repro.fs.filesystem.FileHandle`
-  retries with exponential backoff up to ``spec.max_retries``.
+  retries with exponential backoff up to :data:`MAX_RETRIES` times.
 - **Network**: only data-plane messages (FETCH / DATA / PIECE /
   PIECE_ACK) are ever dropped -- exactly the tags covered by the
   protocol's retry machinery.  Control-plane messages (schema
@@ -30,8 +30,18 @@ Fault model scope
   the given simulated time (relative to the start of each run) its
   server process is killed via :class:`~repro.sim.Interrupt` carrying a
   :class:`NodeCrash`.  The master server (index 0) is assumed reliable,
-  as in the paper; crashing it is rejected.  Recovery lives in
-  :mod:`repro.core.recovery`.
+  as in the paper: the runtime refuses to crash it unless a sharded
+  scheduler has another shard master to fail over to.  Recovery lives
+  in :mod:`repro.core.recovery`.
+
+Recovery constants
+------------------
+The retry, backoff and detection timings (:data:`RETRY_TIMEOUT`,
+:data:`MAX_RETRIES`, :data:`BACKOFF`, :data:`RETRY_DELAY`,
+:data:`MAX_BACKOFF`, :data:`DETECT_TIMEOUT`) and the delay charged to
+a delayed message (:data:`MSG_DELAY`) are module constants, not spec
+fields: no workload sets them, and each would be one more axis for
+every feature-combination sweep to cover.
 """
 
 from __future__ import annotations
@@ -72,14 +82,40 @@ class FaultRecoveryError(RuntimeError):
     recovering."""
 
 
+#: extra propagation latency charged to a delayed message, seconds.
+MSG_DELAY = 2e-3
+#: seconds a server waits for one piece exchange (FETCH->DATA or
+#: PIECE->ACK) before retrying; multiplied by :data:`BACKOFF` per
+#: attempt and clamped at :data:`MAX_BACKOFF`.
+RETRY_TIMEOUT = 0.5
+#: bounded retry budget shared by disk requests and piece exchanges.
+MAX_RETRIES = 8
+#: exponential backoff factor applied per attempt.
+BACKOFF = 2.0
+#: base backoff sleep before a disk retry, seconds.
+RETRY_DELAY = 1e-3
+#: how often a (shard) master or an op's master client polls the
+#: failure detector while waiting on a possibly dead peer, seconds.
+DETECT_TIMEOUT = 0.5
+#: ceiling on any single backed-off timeout or sleep, seconds.  Without
+#: it ``RETRY_TIMEOUT * BACKOFF ** attempt`` grows without bound --
+#: attempt 8 would wait 128 s of simulated time on one exchange, which
+#: the failure detector (and any human reading the trace) misreads as
+#: a crash.
+MAX_BACKOFF = 8.0
+
+
 @dataclass(frozen=True)
 class FaultSpec:
-    """Seeded fault rates plus the recovery budget that survives them.
+    """Seeded fault rates and the crash plan they run under.
 
     Attach one to :class:`repro.core.config.PandaConfig` via
     ``PandaConfig(faults=FaultSpec(seed=7, msg_drop_rate=0.05))``.
     ``faults=None`` (the default) leaves every fault-free code path --
-    and therefore every simulated timing -- untouched.
+    and therefore every simulated timing -- untouched.  The recovery
+    budget that survives the faults is the module's constants; the
+    runtime checks the crash plan against its own shape
+    (``PandaRuntime.check_crash_plan``).
     """
 
     #: PRNG seed; the whole fault schedule is a pure function of
@@ -89,71 +125,19 @@ class FaultSpec:
     disk_fault_rate: float = 0.0
     #: probability that one data-plane message is dropped in flight.
     msg_drop_rate: float = 0.0
-    #: probability that one message is delayed by :attr:`msg_delay`.
+    #: probability that one message is delayed by :data:`MSG_DELAY`.
     msg_delay_rate: float = 0.0
-    #: extra propagation latency charged to a delayed message, seconds.
-    msg_delay: float = 2e-3
     #: fail-stop I/O-node crashes: ``(server_index, sim_time)`` pairs,
-    #: times relative to the start of each run.  Index 0 (the master
-    #: server) is assumed reliable and may not crash.
+    #: times relative to the start of each run.
     crashes: Tuple[Tuple[int, float], ...] = ()
-    #: seconds a server waits for one piece exchange (FETCH->DATA or
-    #: PIECE->ACK) before retrying; doubled per attempt by ``backoff``
-    #: and clamped at :attr:`max_backoff`.
-    retry_timeout: float = 0.5
-    #: bounded retry budget shared by disk requests and piece exchanges.
-    max_retries: int = 8
-    #: exponential backoff factor applied per attempt.
-    backoff: float = 2.0
-    #: base backoff sleep before a disk retry, seconds.
-    retry_delay: float = 1e-3
-    #: how often the master's gather polls its failure detector while
-    #: waiting for server completions, seconds.
-    detect_timeout: float = 0.5
-    #: ceiling on any single backed-off timeout or sleep, seconds.
-    #: Without it ``retry_timeout * backoff ** attempt`` grows without
-    #: bound -- at the defaults, attempt 8 already waits 128 s of
-    #: simulated time on one exchange, which the failure detector (and
-    #: any human reading the trace) misreads as a crash.
-    max_backoff: float = 8.0
-    #: allow scheduling a crash of server index 0.  Only meaningful
-    #: with a sharded scheduler (``n_shards > 1``), where index 0 is
-    #: one shard master among several rather than *the* master; the
-    #: runtime enforces that.  Off by default: the paper's single
-    #: master is assumed reliable.
-    allow_master_crash: bool = False
 
     def __post_init__(self) -> None:
         for name in ("disk_fault_rate", "msg_drop_rate", "msg_delay_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        if self.msg_delay < 0:
-            raise ValueError("msg_delay must be >= 0")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.retry_timeout <= 0 or self.retry_delay <= 0:
-            raise ValueError("retry_timeout and retry_delay must be > 0")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be >= 1")
-        if self.detect_timeout <= 0:
-            raise ValueError("detect_timeout must be > 0")
-        if self.max_backoff <= 0:
-            raise ValueError("max_backoff must be > 0")
         crashes = tuple((int(i), float(t)) for i, t in self.crashes)
         object.__setattr__(self, "crashes", crashes)
-        for idx, t in crashes:
-            if idx == 0 and not self.allow_master_crash:
-                raise ValueError(
-                    "the master server (index 0) is assumed reliable and "
-                    "cannot crash; crash a non-master I/O node instead, "
-                    "or set allow_master_crash=True under a sharded "
-                    "scheduler"
-                )
-            if idx < 0:
-                raise ValueError(f"crash server index {idx} must be >= 0")
-            if t < 0:
-                raise ValueError(f"crash time {t} must be >= 0")
 
 
 class FaultPlan:
@@ -187,7 +171,7 @@ class FaultPlan:
     def delay(self, src: int, dst: int) -> float:
         rate = self.spec.msg_delay_rate
         if rate > 0 and self._draw("delay", src, dst) < rate:
-            return self.spec.msg_delay
+            return MSG_DELAY
         return 0.0
 
 
@@ -257,14 +241,11 @@ class FaultInjector:
 
     def backoff_timeout(self, attempt: int) -> float:
         """Exchange timeout for the given (0-based) attempt, clamped at
-        ``spec.max_backoff`` so a deep retry budget cannot stall a
+        :data:`MAX_BACKOFF` so a deep retry budget cannot stall a
         single exchange for minutes of simulated time."""
-        return min(self.spec.retry_timeout * (self.spec.backoff ** attempt),
-                   self.spec.max_backoff)
+        return min(RETRY_TIMEOUT * (BACKOFF ** attempt), MAX_BACKOFF)
 
     def backoff_delay(self, attempt: int) -> float:
         """Backoff sleep before disk retry ``attempt`` (1-based),
-        clamped at ``spec.max_backoff``."""
-        return min(self.spec.retry_delay
-                   * (self.spec.backoff ** (attempt - 1)),
-                   self.spec.max_backoff)
+        clamped at :data:`MAX_BACKOFF`."""
+        return min(RETRY_DELAY * (BACKOFF ** (attempt - 1)), MAX_BACKOFF)

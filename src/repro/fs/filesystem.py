@@ -117,9 +117,9 @@ class FileHandle:
         if injector is None:
             yield from disk.access(self.path, offset, nbytes, write=write)
             return
-        from repro.faults import FaultRecoveryError, TransientDiskError
+        from repro.faults import (MAX_RETRIES, FaultRecoveryError,
+                                  TransientDiskError)
 
-        spec = injector.spec
         attempt = 0
         while True:
             try:
@@ -127,11 +127,11 @@ class FileHandle:
                 return
             except TransientDiskError as exc:
                 attempt += 1
-                if attempt > spec.max_retries:
+                if attempt > MAX_RETRIES:
                     raise FaultRecoveryError(
                         f"{self.fs.node}: {'write' if write else 'read'} of "
                         f"{nbytes}B at {self.path!r}+{offset} still failing "
-                        f"after {spec.max_retries} retries"
+                        f"after {MAX_RETRIES} retries"
                     ) from exc
                 injector.note_retry(
                     "disk", node=self.fs.node, path=self.path,

@@ -6,7 +6,10 @@ captured Python objects survive), then replays each recorded run:
 
 - fail-stop crashes are re-scheduled at their recorded *absolute*
   instants through :meth:`Simulator.schedule_at`, so they land on the
-  identical float regardless of where the replayed run's clock started;
+  identical float regardless of where the replayed run's clock started.
+  Every run's plan passes :meth:`PandaRuntime.check_crash_plan` before
+  the first run starts, so a plan the runtime cannot carry out is
+  refused before any simulated time passes;
 - each rank replays its event stream in order: binds re-register the
   recorded array specs; an op waits until the recorded arrival instant
   (:meth:`Simulator.wake_at` -- exact, no ``now + delay`` rounding),
@@ -173,20 +176,15 @@ def replay(trace: WorkloadTrace, policy_override: Optional[str] = None,
     results: List[RunResult] = []
     fingerprints: List[List[str]] = []
     run_stats: List[Optional[Any]] = []
-    for run_doc in trace.doc["runs"]:
-        crashes = _run_crashes(run_doc)
-        if crashes:
-            if rt.injector is None:
-                raise ReplayDivergence(
-                    "trace records crashes but its config has no fault "
-                    "spec to replay them under"
-                )
-            for idx, _t in crashes:
-                if idx >= rt.n_io:
-                    raise ReplayDivergence(
-                        f"recorded crash index {idx} out of range for "
-                        f"{rt.n_io} I/O node(s)"
-                    )
+    plans = [_run_crashes(run_doc) for run_doc in trace.doc["runs"]]
+    for crashes in plans:
+        if crashes and rt.injector is None:
+            raise ReplayDivergence(
+                "trace records crashes but its config has no fault "
+                "spec to replay them under"
+            )
+        rt.check_crash_plan(crashes)
+    for run_doc, crashes in zip(trace.doc["runs"], plans):
         rt._replay_crashes_abs = crashes
         violations: List[str] = []
         try:

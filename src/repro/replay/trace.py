@@ -37,8 +37,9 @@ from typing import Any, Dict, Tuple
 
 from repro.core.config import PandaConfig
 from repro.core.protocol import ArraySpec
-from repro.core.scheduler import SchedulerConfig
-from repro.faults import FaultSpec
+from repro.core.scheduler import DRR_QUANTUM, SchedulerConfig
+from repro.faults import (BACKOFF, DETECT_TIMEOUT, MAX_BACKOFF, MAX_RETRIES,
+                          MSG_DELAY, RETRY_DELAY, RETRY_TIMEOUT, FaultSpec)
 from repro.machine import MachineSpec
 from repro.obs.slo import SLOBudget
 from repro.schema.chunking import DataSchema
@@ -82,41 +83,65 @@ def spec_from_doc(doc: Dict[str, Any]) -> ArraySpec:
     )
 
 
+#: config keys retired as module constants, by document section.  A
+#: trace records each at its constant, so documents written while they
+#: were settable still load; a document recording another value is
+#: refused, since no runtime can honour it.
+_RETIRED: Dict[str, Dict[str, Any]] = {
+    "config": {"check_collective_consistency": True},
+    "faults": {
+        "msg_delay": MSG_DELAY, "retry_timeout": RETRY_TIMEOUT,
+        "max_retries": MAX_RETRIES, "backoff": BACKOFF,
+        "retry_delay": RETRY_DELAY, "detect_timeout": DETECT_TIMEOUT,
+        "max_backoff": MAX_BACKOFF, "allow_master_crash": False,
+    },
+    "scheduler": {"quantum_bytes": DRR_QUANTUM},
+}
+
+
+def _live_keys(section: str, doc: Dict[str, Any]) -> Dict[str, Any]:
+    """``doc`` without ``section``'s retired keys, each checked."""
+    live = dict(doc)
+    for key, fixed in _RETIRED[section].items():
+        value = live.pop(key, fixed)
+        if value != fixed:
+            raise TraceFormatError(
+                f"config key {key!r} records {value!r}, but it is fixed "
+                f"at {fixed!r}")
+    return live
+
+
 def config_to_doc(config: PandaConfig) -> Dict[str, Any]:
     faults = None
     if config.faults is not None:
-        faults = asdict(config.faults)
+        faults = {**asdict(config.faults), **_RETIRED["faults"]}
         faults["crashes"] = [[idx, t] for idx, t in config.faults.crashes]
     sched = None
     if config.scheduler is not None:
-        sched = asdict(config.scheduler)
-        if config.scheduler.slo is not None:
-            sched["slo"] = asdict(config.scheduler.slo)
+        sched = {**asdict(config.scheduler), **_RETIRED["scheduler"]}
     return {
         "sub_chunk_bytes": config.sub_chunk_bytes,
         "nonblocking": config.nonblocking,
-        "check_collective_consistency": config.check_collective_consistency,
+        **_RETIRED["config"],
         "faults": faults,
         "scheduler": sched,
     }
 
 
 def config_from_doc(doc: Dict[str, Any]) -> PandaConfig:
+    doc = _live_keys("config", doc)
     faults = None
     if doc["faults"] is not None:
-        fd = dict(doc["faults"])
-        fd["crashes"] = tuple((idx, t) for idx, t in fd["crashes"])
-        faults = FaultSpec(**fd)
+        faults = FaultSpec(**_live_keys("faults", doc["faults"]))
     sched = None
     if doc["scheduler"] is not None:
-        sd = dict(doc["scheduler"])
+        sd = _live_keys("scheduler", doc["scheduler"])
         if sd.get("slo") is not None:
             sd["slo"] = SLOBudget(**sd["slo"])
         sched = SchedulerConfig(**sd)
     return PandaConfig(
         sub_chunk_bytes=doc["sub_chunk_bytes"],
         nonblocking=doc["nonblocking"],
-        check_collective_consistency=doc["check_collective_consistency"],
         faults=faults,
         scheduler=sched,
     )
@@ -176,6 +201,7 @@ class WorkloadTrace:
             if key not in doc:
                 raise TraceFormatError(f"trace document missing {key!r}")
         _check_references(doc)
+        config_from_doc(doc["config"])
         self.doc = doc
         #: sha -> (encoded blob, its bytes): see :meth:`payload`
         self._inflated: Dict[str, Tuple[str, bytes]] = {}

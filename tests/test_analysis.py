@@ -19,7 +19,6 @@ from repro.analysis.determinism import lint_source
 from repro.analysis.findings import (
     AllowEntry,
     Finding,
-    LintCache,
     _parse_allow_fallback,
     apply_allowlist,
     load_allowlist,
@@ -297,26 +296,6 @@ class TestAllowlist:
             {"path": "a.py", "rule": "PL001", "reason": "r one"},
             {"path": "b.py", "rule": "PL003", "reason": "r two"},
         ]
-
-    def test_cache_roundtrip_and_invalidation(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text("import time\nx = time.time()\n")
-        cache_file = tmp_path / "cache.json"
-        from repro.analysis.findings import file_digest
-
-        cache = LintCache(cache_file)
-        digest = file_digest(target)
-        assert cache.get("mod.py", digest) is None
-        findings = lint_source(target.read_text(), "mod.py")
-        cache.put("mod.py", digest, findings)
-        cache.save()
-
-        warm = LintCache(cache_file)
-        assert warm.get("mod.py", digest) == findings
-        assert warm.hits == 1
-        # content change invalidates
-        target.write_text("x = 1\n")
-        assert warm.get("mod.py", file_digest(target)) is None
 
 
 # -- protocol checker --------------------------------------------------------
@@ -617,18 +596,18 @@ class TestRaceDetector:
 
 class TestRunLint:
     def test_real_tree_lints_clean(self):
-        result = run_lint(REPO_ROOT, use_cache=False)
+        result = run_lint(REPO_ROOT)
         assert result.ok, "\n".join(result.lines())
         assert result.findings == []
 
     def test_cli_lint_json(self, capsys):
         from repro.cli import main
 
-        rc = main(["lint", "--root", str(REPO_ROOT), "--no-cache",
-                   "--format", "json"])
+        rc = main(["lint", "--root", str(REPO_ROOT), "--format", "json"])
         out = capsys.readouterr().out
         doc = json.loads(out)
         assert rc == 0
+        assert set(doc) == {"ok", "rules", "findings", "suppressed"}
         assert doc["ok"] is True
         assert doc["findings"] == []
         assert "PL104" in doc["rules"]

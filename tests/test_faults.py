@@ -10,6 +10,11 @@ import pytest
 
 from repro.core import Array, ArrayLayout, PandaConfig, PandaRuntime
 from repro.faults import (
+    BACKOFF,
+    MAX_BACKOFF,
+    MAX_RETRIES,
+    RETRY_DELAY,
+    RETRY_TIMEOUT,
     FaultInjector,
     FaultRecoveryError,
     FaultSpec,
@@ -65,19 +70,12 @@ def test_rates_must_be_probabilities():
 
 def test_master_server_cannot_crash():
     with pytest.raises(ValueError, match="master server"):
-        FaultSpec(crashes=((0, 1.0),))
+        make_runtime(FaultSpec(crashes=((0, 1.0),)))
 
 
 def test_crash_index_checked_against_runtime():
     with pytest.raises(ValueError, match="out of range"):
         make_runtime(FaultSpec(crashes=((5, 1.0),)), n_io=2)
-
-
-def test_retry_budget_validation():
-    with pytest.raises(ValueError, match="max_retries"):
-        FaultSpec(max_retries=-1)
-    with pytest.raises(ValueError, match="backoff"):
-        FaultSpec(backoff=0.5)
 
 
 # -- determinism -------------------------------------------------------------
@@ -138,7 +136,7 @@ def test_message_drops_retried_bit_exact():
 def test_message_delays_slow_but_do_not_break():
     baseline = roundtrip(make_runtime(FaultSpec(seed=4)), make_array())
     delayed = roundtrip(
-        make_runtime(FaultSpec(seed=4, msg_delay_rate=0.5, msg_delay=5e-3)),
+        make_runtime(FaultSpec(seed=4, msg_delay_rate=0.5)),
         make_array(),
     )
     assert delayed.counters["messages_delayed"] > 0
@@ -160,10 +158,9 @@ def test_only_data_plane_tags_dropped():
 
 
 def test_retry_budget_exhaustion_raises():
-    spec = FaultSpec(seed=1, msg_drop_rate=1.0, max_retries=2,
-                     retry_timeout=0.01)
+    spec = FaultSpec(seed=1, msg_drop_rate=1.0)
     rt = make_runtime(spec)
-    with pytest.raises(FaultRecoveryError, match="after 2 retries"):
+    with pytest.raises(FaultRecoveryError, match="after 8 retries"):
         roundtrip(rt, make_array())
 
 
@@ -295,29 +292,22 @@ def test_disk_fault_surfaces_as_oserror_subclass():
 
 def test_backoff_is_clamped_at_max_backoff():
     """Regression: the backoff used to be unbounded -- at the default
-    budget (retry_timeout 0.5 s, factor 2, 8 retries) attempt 8 waited
+    budget (``RETRY_TIMEOUT`` 0.5 s, factor 2, 8 retries) attempt 8 waited
     ``0.5 * 2**8 = 128`` simulated seconds on one exchange, which the
     failure detector misreads as a crash.  Every backed-off timeout and
-    sleep must now cap at ``max_backoff``."""
-    spec = FaultSpec()
-    inj = FaultInjector(spec, Simulator())
+    sleep must now cap at ``MAX_BACKOFF``."""
+    inj = FaultInjector(FaultSpec(), Simulator())
     # the old (unclamped) formula really did blow past the cap
-    unclamped = spec.retry_timeout * spec.backoff ** spec.max_retries
-    assert unclamped > spec.max_backoff
-    assert inj.backoff_timeout(spec.max_retries) == spec.max_backoff
-    assert inj.backoff_delay(40) == spec.max_backoff
+    unclamped = RETRY_TIMEOUT * BACKOFF ** MAX_RETRIES
+    assert unclamped > MAX_BACKOFF
+    assert inj.backoff_timeout(MAX_RETRIES) == MAX_BACKOFF
+    assert inj.backoff_delay(40) == MAX_BACKOFF
     # early attempts are untouched by the clamp
-    assert inj.backoff_timeout(0) == spec.retry_timeout
-    assert inj.backoff_timeout(1) == spec.retry_timeout * spec.backoff
-    assert inj.backoff_delay(1) == spec.retry_delay
+    assert inj.backoff_timeout(0) == RETRY_TIMEOUT
+    assert inj.backoff_timeout(1) == RETRY_TIMEOUT * BACKOFF
+    assert inj.backoff_delay(1) == RETRY_DELAY
     # the clamp kicks in exactly where the curve crosses it
-    for attempt in range(spec.max_retries + 4):
+    for attempt in range(MAX_RETRIES + 4):
         t = inj.backoff_timeout(attempt)
-        assert t <= spec.max_backoff
-        assert t == min(spec.retry_timeout * spec.backoff ** attempt,
-                        spec.max_backoff)
-
-
-def test_max_backoff_validation():
-    with pytest.raises(ValueError, match="max_backoff"):
-        FaultSpec(max_backoff=0.0)
+        assert t <= MAX_BACKOFF
+        assert t == min(RETRY_TIMEOUT * BACKOFF ** attempt, MAX_BACKOFF)

@@ -24,8 +24,6 @@ def fault_specs(draw):
         disk_fault_rate=draw(st.floats(0.0, 0.25)),
         msg_drop_rate=draw(st.floats(0.0, 0.12)),
         msg_delay_rate=draw(st.floats(0.0, 0.5)),
-        msg_delay=draw(st.sampled_from([1e-3, 5e-3])),
-        retry_timeout=0.2,
     )
 
 

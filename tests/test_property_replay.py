@@ -5,7 +5,9 @@ bytes:
 
 - **serialization roundtrip** -- ``loads(dumps(t)) == t`` exactly: the
   trace document is plain JSON types only, so nothing is lost or
-  coerced on the way through a file;
+  coerced on the way through a file; likewise any library config,
+  with and without faults, scheduler and SLO budget, survives
+  ``config_to_doc`` -> JSON -> ``config_from_doc``;
 - **capture -> replay -> capture is a fixpoint** -- replaying a capture
   while re-recording it reproduces the identical trace document
   (modulo nothing: same stimuli, same instants, same payloads, same
@@ -17,13 +19,16 @@ bytes:
 """
 
 import base64
+import json
 import zlib
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core import PandaConfig, SchedulerConfig
 from repro.faults import FaultSpec
+from repro.obs.slo import SLOBudget
 from repro.replay import TraceRecorder, WorkloadTrace, replay
-from repro.replay.trace import encode_payload
+from repro.replay.trace import config_from_doc, config_to_doc, encode_payload
 from repro.workloads.storm import StormParams, run_storm
 
 
@@ -49,17 +54,48 @@ storm_params = st.builds(
     faults=st.sampled_from([
         None,
         FaultSpec(seed=1, msg_drop_rate=0.05),
-        FaultSpec(seed=2, msg_delay_rate=0.2, msg_delay=1e-3),
+        FaultSpec(seed=2, msg_delay_rate=0.2),
     ]),
     real_payloads=st.booleans(),
 )
 
 
+rates = st.floats(0.0, 1.0)
+configs = st.builds(
+    PandaConfig,
+    sub_chunk_bytes=st.integers(1, 1 << 22),
+    nonblocking=st.booleans(),
+    faults=st.none() | st.builds(
+        FaultSpec,
+        seed=st.integers(0, 2 ** 16),
+        disk_fault_rate=rates,
+        msg_drop_rate=rates,
+        msg_delay_rate=rates,
+        crashes=st.lists(st.tuples(st.integers(0, 7), st.floats(0.0, 10.0)),
+                         max_size=2).map(tuple),
+    ),
+    scheduler=st.none() | st.builds(
+        SchedulerConfig,
+        policy=st.sampled_from(["fifo", "sjf", "fair", "slo"]),
+        max_in_flight=st.integers(1, 8),
+        queue_limit=st.integers(1, 32),
+        n_shards=st.integers(1, 4),
+    ) | st.builds(
+        SchedulerConfig,
+        policy=st.just("slo"),
+        slo=st.builds(SLOBudget, turnaround_p99=st.floats(0.01, 10.0),
+                      cooloff=st.sampled_from([0.0, 1.0])),
+    ),
+)
+
+
 @settings(max_examples=20, deadline=None)
-@given(params=storm_params)
-def test_trace_json_roundtrip_is_exact(params):
+@given(params=storm_params, config=configs)
+def test_trace_json_roundtrip_is_exact(params, config):
     trace = _capture(params)
     assert WorkloadTrace.loads(trace.dumps()) == trace
+    doc = json.loads(json.dumps(config_to_doc(config)))
+    assert config_from_doc(doc) == config
 
 
 @settings(max_examples=20, deadline=None)

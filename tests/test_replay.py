@@ -24,6 +24,9 @@ import zlib
 import numpy as np
 import pytest
 
+from repro import faults
+from repro.core import PandaConfig, PandaRuntime
+from repro.core.scheduler import DRR_QUANTUM
 from repro.replay import (
     ReplayDivergence,
     TraceRecorder,
@@ -146,6 +149,57 @@ def test_dangling_reference_fails_at_load(section, message, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["replay", "run", str(path)]) == 2
     assert "cannot load" in capsys.readouterr().err
+
+
+# -- config keys retired as constants ----------------------------------------
+
+@pytest.mark.parametrize("section, key, fixed, other", [
+    (None, "check_collective_consistency", True, False),
+    ("faults", "msg_delay", faults.MSG_DELAY, 1e-3),
+    ("faults", "retry_timeout", faults.RETRY_TIMEOUT, 0.2),
+    ("faults", "max_retries", faults.MAX_RETRIES, 2),
+    ("faults", "backoff", faults.BACKOFF, 1.5),
+    ("faults", "retry_delay", faults.RETRY_DELAY, 1e-2),
+    ("faults", "detect_timeout", faults.DETECT_TIMEOUT, 0.25),
+    ("faults", "max_backoff", faults.MAX_BACKOFF, 4.0),
+    ("faults", "allow_master_crash", False, True),
+    ("scheduler", "quantum_bytes", DRR_QUANTUM, 4096),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_retired_config_key_is_pinned(section, key, fixed, other):
+    """A trace records each retired knob at its constant, so documents
+    written while it was settable still load; a document recording
+    another value is refused at load, naming the key."""
+    doc = json.loads((TRACES / "storm-small.json").read_text())
+    where = doc["config"] if section is None else doc["config"][section]
+    assert where[key] == fixed
+    where[key] = other
+    with pytest.raises(TraceFormatError, match=f"config key '{key}'"):
+        WorkloadTrace(doc)
+
+
+def test_master_crash_on_single_master_replay_is_refused(monkeypatch):
+    """Regression: replaying a fault trace whose crash plan names
+    server 0 on a single-master runtime ran into a simulated deadlock
+    (``SimulationError: deadlock: 6 live process(es) but no pending
+    events``).  The runtime's crash-plan check now refuses it before
+    any run starts, with the error the constructor raises for the same
+    plan."""
+    doc = json.loads(record_scenario("faulty-roundtrip").dumps())
+    doc["runs"][0]["crashes"] = [[0, "0x1.0624dd2f1a9fcp-8"]]
+    trace = WorkloadTrace(doc)
+    plan = faults.FaultSpec(crashes=((0, 0.004),))
+    with pytest.raises(ValueError, match="master server") as built:
+        PandaRuntime(n_compute=doc["runtime"]["n_compute"],
+                     n_io=doc["runtime"]["n_io"],
+                     config=PandaConfig(faults=plan))
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(PandaRuntime, "run_partitioned", no_run)
+    with pytest.raises(ValueError) as replayed:
+        replay(trace)
+    assert str(replayed.value) == str(built.value)
 
 
 # -- payload encoding ---------------------------------------------------------

@@ -1,7 +1,9 @@
 """Detailed tests for runtime bookkeeping: catalog contents, schema
 files, OpRecord/RunResult semantics, trace accumulation across runs."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -187,3 +189,20 @@ def test_run_result_describe_summarises():
     assert "write" in text and "ds" in text
     assert "MB/s" in text
     assert "disk util" in text
+
+
+def test_finished_runtime_is_freed_by_reference_counting():
+    """Nothing a finished runtime owns points back at it, so dropping
+    the last reference frees its file stores at once rather than at the
+    cycle collector's next full pass."""
+    arr, data, _ = simple()
+    gc.collect()
+    gc.disable()
+    try:
+        rt = PandaRuntime(n_compute=4, n_io=2)
+        rt.run(write_array_app([arr], "ds", data))
+        ref = weakref.ref(rt)
+        del rt
+        assert ref() is None
+    finally:
+        gc.enable()

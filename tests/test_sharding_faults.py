@@ -190,8 +190,8 @@ def test_stress_run_is_deterministic():
 
 def test_all_masters_dead_surfaces_clean_failure():
     """Kill *both* shard masters mid-queue (index 0 included -- legal
-    only with ``allow_master_crash`` under a sharded scheduler): the
-    ring has no live shard left, so the owner lookup raises the typed
+    only under a sharded scheduler): the ring has no live shard left,
+    so the owner lookup raises the typed
     :class:`NoLiveShardError` and the client retry path converts it
     into a clean :class:`FaultRecoveryError` naming the dataset,
     instead of the bare ValueError it used to die with."""
@@ -201,8 +201,7 @@ def test_all_masters_dead_surfaces_clean_failure():
     n_shards = 2
     sched = SchedulerConfig(policy="fair", max_in_flight=2, queue_limit=4,
                             n_shards=n_shards)
-    spec = FaultSpec(seed=5, allow_master_crash=True,
-                     crashes=((0, CRASH_T), (1, CRASH_T)))
+    spec = FaultSpec(seed=5, crashes=((0, CRASH_T), (1, CRASH_T)))
     rt = PandaRuntime(n_compute=N_COMPUTE, n_io=N_IO,
                       config=PandaConfig(scheduler=sched, faults=spec),
                       real_payloads=True, trace=True)
@@ -222,15 +221,11 @@ def test_all_masters_dead_surfaces_clean_failure():
     assert rt.crashed_servers == {0, 1}
 
 
-def test_master_crash_without_allow_flag_is_rejected():
-    with pytest.raises(ValueError, match="master server"):
-        FaultSpec(crashes=((0, CRASH_T),))
-
-
 def test_allow_master_crash_needs_shards():
-    """The escape hatch only makes sense when another shard master can
-    take over: a single-master runtime refuses the schedule."""
-    spec = FaultSpec(allow_master_crash=True, crashes=((0, CRASH_T),))
-    with pytest.raises(ValueError, match="sharded scheduler"):
+    """Server 0 may crash only when another shard master can take over:
+    a single-master runtime refuses the schedule."""
+    spec = FaultSpec(crashes=((0, CRASH_T),))
+    with pytest.raises(ValueError,
+                       match=r"master server .* sharded scheduler"):
         PandaRuntime(n_compute=2, n_io=2,
                      config=PandaConfig(faults=spec), real_payloads=True)
