@@ -29,19 +29,18 @@ Usage::
     python benchmarks/bench_scale.py --update   # rewrite BENCH_scale.json
     python benchmarks/bench_scale.py --smoke    # quick subset (100 ops)
     python benchmarks/bench_scale.py --smoke --check   # CI gate
+    python benchmarks/bench_scale.py --smoke --check --out sweep.json
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import pathlib
 import sys
 
+import gate
+
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
-
-RESULTS_PATH = REPO_ROOT / "BENCH_scale.json"
 
 DEPTH_N_IO = 64
 DEPTH_OPS = (100, 625, 2500, 10000)
@@ -55,6 +54,17 @@ NODES_SHARDS = (1, 16)
 
 SMOKE_OPS = 100
 SMOKE_SHARDS = (1, 4)
+
+DESCRIPTION = (
+    "Simulated sharded-admission scale sweep from "
+    "benchmarks/bench_scale.py: N single-rank tenants each "
+    "writing a private 8 KB dataset at 1000 ops/s offered "
+    "load, fair policy, admission partitioned over K shard "
+    "masters (depth sweep at 64 I/O nodes; nodes sweep at "
+    "2500 tenants).  All values are simulated seconds and "
+    "exactly reproducible; CI runs --smoke --check against "
+    "them."
+)
 
 
 def run_point(n_ops: int, n_io: int, n_shards: int) -> dict:
@@ -70,45 +80,22 @@ def run_point(n_ops: int, n_io: int, n_shards: int) -> dict:
     return point
 
 
-def run_sweep(smoke: bool) -> dict:
+def sweep(smoke: bool):
+    for n_ops in (SMOKE_OPS,) if smoke else DEPTH_OPS:
+        for k in SMOKE_SHARDS if smoke else DEPTH_SHARDS:
+            yield (("depth_sweep", str(n_ops), str(k)),
+                   run_point(n_ops, DEPTH_N_IO, k))
     if smoke:
-        depth = {str(SMOKE_OPS): {
-            str(k): run_point(SMOKE_OPS, DEPTH_N_IO, k)
-            for k in SMOKE_SHARDS
-        }}
-        return {"depth_sweep": depth}
-    depth = {
-        str(n_ops): {
-            str(k): run_point(n_ops, DEPTH_N_IO, k) for k in DEPTH_SHARDS
-        }
-        for n_ops in DEPTH_OPS
-    }
-    nodes = {
-        str(n_io): {
-            str(k): run_point(NODES_OPS, n_io, k) for k in NODES_SHARDS
-        }
-        for n_io in NODES_N_IO
-    }
-    return {"depth_sweep": depth, "nodes_sweep": nodes}
+        return
+    for n_io in NODES_N_IO:
+        for k in NODES_SHARDS:
+            yield (("nodes_sweep", str(n_io), str(k)),
+                   run_point(NODES_OPS, n_io, k))
 
 
-def _check_points(fresh: dict, committed: dict, failures: list) -> None:
-    """Exact match for every point this invocation actually ran."""
-    for sweep, grid in fresh.items():
-        ref = committed.get(sweep, {})
-        for row_key, row in grid.items():
-            for shards, point in row.items():
-                want = ref.get(row_key, {}).get(shards)
-                where = f"{sweep}[{row_key}][{shards} shard(s)]"
-                if want is None:
-                    failures.append(f"{where}: no committed point "
-                                    "(run --update)")
-                elif want != point:
-                    failures.append(f"{where}: {point} != committed {want}")
-
-
-def _check_properties(committed: dict, failures: list) -> None:
+def properties(committed: dict, fresh: dict) -> list:
     """The acceptance properties, against the committed full sweep."""
+    failures = []
     depth = committed.get("depth_sweep", {})
     # depth scaling: admission overhead per op must not grow along the
     # proportional diagonal (simulated values are deterministic; 1e-9
@@ -133,75 +120,15 @@ def _check_properties(committed: dict, failures: list) -> None:
         for shards, point in row.items():
             if point["turnaround_spread"] > 2 * base["turnaround_spread"]:
                 failures.append(
-                    f"depth_sweep[{row_key}][{shards} shard(s)]: spread "
+                    f"depth_sweep/{row_key}/{shards}: spread "
                     f"{point['turnaround_spread']:.6f} s exceeds 2x the "
                     f"single master's {base['turnaround_spread']:.6f} s")
-
-
-def check(fresh: dict, committed: dict) -> int:
-    failures: list = []
-    _check_points(fresh, committed, failures)
-    _check_properties(committed, failures)
-    for f in failures:
-        print("FAIL:", f, file=sys.stderr)
-    if not failures:
-        n = sum(len(row) for grid in fresh.values() for row in grid.values())
-        print(f"scale check OK ({n} point(s) bit-identical to committed; "
-              "diagonal admission overhead non-increasing; sharded spread "
-              "<= 2x single-master)")
-    return 1 if failures else 0
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--smoke", action="store_true",
-                    help=f"run only the {SMOKE_OPS}-tenant points")
-    ap.add_argument("--check", action="store_true",
-                    help="compare against committed BENCH_scale.json")
-    ap.add_argument("--update", action="store_true",
-                    help="rewrite BENCH_scale.json with this run")
-    ap.add_argument("--out", metavar="PATH",
-                    help="also write this run's points as JSON (CI artifact)")
-    args = ap.parse_args(argv)
-
-    fresh = run_sweep(smoke=args.smoke)
-
-    if args.out:
-        pathlib.Path(args.out).write_text(json.dumps(fresh, indent=1) + "\n")
-        print(f"wrote {args.out}")
-
-    committed = {}
-    if RESULTS_PATH.exists():
-        committed = json.loads(RESULTS_PATH.read_text())
-
-    if args.check:
-        return check(fresh, committed)
-
-    if args.update:
-        doc = {
-            "description": (
-                "Simulated sharded-admission scale sweep from "
-                "benchmarks/bench_scale.py: N single-rank tenants each "
-                "writing a private 8 KB dataset at 1000 ops/s offered "
-                "load, fair policy, admission partitioned over K shard "
-                "masters (depth sweep at 64 I/O nodes; nodes sweep at "
-                "2500 tenants).  All values are simulated seconds and "
-                "exactly reproducible; CI runs --smoke --check against "
-                "them."
-            ),
-            "depth_sweep": {
-                **committed.get("depth_sweep", {}),
-                **fresh.get("depth_sweep", {}),
-            },
-            "nodes_sweep": {
-                **committed.get("nodes_sweep", {}),
-                **fresh.get("nodes_sweep", {}),
-            },
-        }
-        RESULTS_PATH.write_text(json.dumps(doc, indent=1) + "\n")
-        print(f"wrote {RESULTS_PATH}")
-    return 0
+    return failures
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(gate.main(
+        results=REPO_ROOT / "BENCH_scale.json", doc=__doc__,
+        description=DESCRIPTION,
+        smoke_help=f"run only the {SMOKE_OPS}-tenant points",
+        sweep=sweep, properties=properties))

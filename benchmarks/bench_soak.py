@@ -28,19 +28,18 @@ Usage::
     python benchmarks/bench_soak.py --update   # rewrite BENCH_soak.json
     python benchmarks/bench_soak.py --smoke    # quick subset
     python benchmarks/bench_soak.py --smoke --check   # CI gate
+    python benchmarks/bench_soak.py --smoke --check --out sweep.json
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import pathlib
 import sys
 
+import gate
+
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
-
-RESULTS_PATH = REPO_ROOT / "BENCH_soak.json"
 
 FULL_TENANTS = 200
 FULL_CYCLES = 12
@@ -53,6 +52,20 @@ SHARD_COUNTS = (1, 4)
 #: post-drill mean admission wait must stay within this factor of the
 #: crash-free baseline cycle's.
 WAIT_REGRESSION_LIMIT = 2.0
+
+DESCRIPTION = (
+    "Simulated soak + failover drill from "
+    "benchmarks/bench_soak.py: 200 single-rank tenants "
+    "rewriting and reading back private 8 KB datasets over "
+    "12 cycles of 300 s (one simulated hour) on 8 I/O "
+    "nodes, with one mid-storm server crash in each of the "
+    "10 interior cycles (alternating shard masters and "
+    "data nodes), at 1 and 4 admission shards; plus the "
+    "slo-vs-fifo enforcement comparison on a contended "
+    "heavy/small workload.  All values are simulated "
+    "seconds and exactly reproducible; CI runs "
+    "--smoke --check against them."
+)
 
 
 def run_drill(n_shards: int, smoke: bool) -> dict:
@@ -84,34 +97,25 @@ def run_comparison() -> dict:
     return out
 
 
-def run_sweep(smoke: bool) -> dict:
+def sweep(smoke: bool):
     key = "smoke_drills" if smoke else "drills"
-    drills = {str(k): run_drill(k, smoke) for k in SHARD_COUNTS}
-    return {key: drills, "comparison": run_comparison()}
+    for k in SHARD_COUNTS:
+        yield (key, str(k)), run_drill(k, smoke)
+    yield ("comparison",), run_comparison()
 
 
-def _check_points(fresh: dict, committed: dict, failures: list) -> None:
-    """Exact match for every point this invocation actually ran."""
-    for key, value in fresh.items():
-        want = committed.get(key)
-        if want is None:
-            failures.append(f"{key}: no committed point (run --update)")
-        elif want != value:
-            failures.append(f"{key}: differs from committed "
-                            f"(rerun --update if intentional)")
-
-
-def _check_properties(committed: dict, failures: list) -> None:
+def properties(committed: dict, fresh: dict) -> list:
     """The operational SLOs, against the committed full drill."""
     from repro.bench.soak import RECOVERY_BUDGET
 
+    failures = []
     drills = committed.get("drills", {})
     if not drills:
         failures.append("no committed full drills (run --update "
                         "without --smoke)")
     for shards, out in drills.items():
         s = out["summary"]
-        where = f"drills[{shards} shard(s)]"
+        where = f"drills/{shards}"
         if s["integrity_failures"]:
             failures.append(f"{where}: {s['integrity_failures']} byte "
                             "mismatch(es) on read-back")
@@ -140,68 +144,12 @@ def _check_properties(committed: dict, failures: list) -> None:
                 "comparison: fifo held the budget "
                 f"({cmp_['fifo']['small_p99']} s <= {budget} s) -- the "
                 "workload no longer demonstrates enforcement")
-
-
-def check(fresh: dict, committed: dict) -> int:
-    failures: list = []
-    _check_points(fresh, committed, failures)
-    _check_properties(committed, failures)
-    for f in failures:
-        print("FAIL:", f, file=sys.stderr)
-    if not failures:
-        print("soak check OK (points bit-identical to committed; "
-              "integrity clean; wait regression and recovery within "
-              "budget; slo holds the budget fifo violates)")
-    return 1 if failures else 0
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--smoke", action="store_true",
-                    help=f"run only the {SMOKE_TENANTS}-tenant drills")
-    ap.add_argument("--check", action="store_true",
-                    help="compare against committed BENCH_soak.json")
-    ap.add_argument("--update", action="store_true",
-                    help="rewrite BENCH_soak.json with this run")
-    ap.add_argument("--out", metavar="PATH",
-                    help="also write this run's points as JSON (CI artifact)")
-    args = ap.parse_args(argv)
-
-    fresh = run_sweep(smoke=args.smoke)
-
-    if args.out:
-        pathlib.Path(args.out).write_text(json.dumps(fresh, indent=1) + "\n")
-        print(f"wrote {args.out}")
-
-    committed = {}
-    if RESULTS_PATH.exists():
-        committed = json.loads(RESULTS_PATH.read_text())
-
-    if args.check:
-        return check(fresh, committed)
-
-    if args.update:
-        doc = {
-            "description": (
-                "Simulated soak + failover drill from "
-                "benchmarks/bench_soak.py: 200 single-rank tenants "
-                "rewriting and reading back private 8 KB datasets over "
-                "12 cycles of 300 s (one simulated hour) on 8 I/O "
-                "nodes, with one mid-storm server crash in each of the "
-                "10 interior cycles (alternating shard masters and "
-                "data nodes), at 1 and 4 admission shards; plus the "
-                "slo-vs-fifo enforcement comparison on a contended "
-                "heavy/small workload.  All values are simulated "
-                "seconds and exactly reproducible; CI runs "
-                "--smoke --check against them."
-            ),
-            **{k: v for k, v in committed.items() if k != "description"},
-            **fresh,
-        }
-        RESULTS_PATH.write_text(json.dumps(doc, indent=1) + "\n")
-        print(f"wrote {RESULTS_PATH}")
-    return 0
+    return failures
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(gate.main(
+        results=REPO_ROOT / "BENCH_soak.json", doc=__doc__,
+        description=DESCRIPTION,
+        smoke_help=f"run only the {SMOKE_TENANTS}-tenant drills",
+        sweep=sweep, properties=properties))

@@ -25,19 +25,34 @@ Usage::
     python benchmarks/bench_storm.py --update   # rewrite BENCH_storm.json
     python benchmarks/bench_storm.py --smoke    # quick subset
     python benchmarks/bench_storm.py --smoke --check   # CI gate
+    python benchmarks/bench_storm.py --smoke --check --out sweep.json
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import pathlib
 import sys
+
+import gate
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-RESULTS_PATH = REPO_ROOT / "BENCH_storm.json"
+DESCRIPTION = (
+    "Differential-replay storm comparison from "
+    "benchmarks/bench_storm.py: an 8-tenant checkpoint herd "
+    "(simultaneous arrivals, size classes 1/2/8 on 16384 "
+    "float64 elements, 2 I/O nodes, max_in_flight 2, 8 "
+    "rounds) captured once under fifo as a replay trace, "
+    "then re-driven under sjf, fair and slo from the trace "
+    "alone.  Stored bytes are byte-identical across every "
+    "policy; sjf and slo produce different turnaround "
+    "spreads, fair degenerates to fifo on this herd.  The "
+    "slo point uses a budget derived from the capture "
+    "(median per-tenant p99) with shedding disabled.  All "
+    "values are simulated seconds and exactly reproducible; "
+    "CI runs --smoke --check against them."
+)
 
 
 def run_herd(smoke: bool) -> dict:
@@ -59,31 +74,19 @@ def run_herd(smoke: bool) -> dict:
     return out
 
 
-def run_sweep(smoke: bool) -> dict:
-    key = "smoke_herd" if smoke else "herd"
-    return {key: run_herd(smoke)}
+def sweep(smoke: bool):
+    yield ("smoke_herd" if smoke else "herd",), run_herd(smoke)
 
 
-def _check_points(fresh: dict, committed: dict, failures: list) -> None:
-    """Exact match for every point this invocation actually ran."""
-    for key, value in fresh.items():
-        want = committed.get(key)
-        if want is None:
-            failures.append(f"{key}: no committed point (run --update)")
-        elif want != value:
-            failures.append(f"{key}: differs from committed "
-                            f"(rerun --update if intentional)")
-
-
-def _check_properties(doc: dict, where: str, failures: list) -> None:
+def _herd_failures(doc: dict, where: str) -> list:
     """The differential-replay invariants on one herd point."""
+    failures = []
     if not doc.get("replay_bit_exact"):
         failures.append(f"{where}: fifo capture did not replay bit-exactly")
     policies = doc.get("policies", {})
     fifo = policies.get("fifo")
     if fifo is None:
-        failures.append(f"{where}: no fifo point")
-        return
+        return failures + [f"{where}: no fifo point"]
     for policy, pt in policies.items():
         if not pt["stored_equal"]:
             failures.append(f"{where}: {policy} replay changed stored "
@@ -105,77 +108,21 @@ def _check_properties(doc: dict, where: str, failures: list) -> None:
     if policies["slo"]["demoted"] == 0:
         failures.append(f"{where}: slo demoted nothing -- the derived "
                         "budget no longer splits the herd")
+    return failures
 
 
-def check(fresh: dict, committed: dict) -> int:
-    failures: list = []
-    _check_points(fresh, committed, failures)
+def properties(committed: dict, fresh: dict) -> list:
+    """The invariants on the committed full herd and a fresh smoke herd."""
     herd = committed.get("herd")
-    if herd is None:
-        failures.append("no committed full herd (run --update "
-                        "without --smoke)")
-    else:
-        _check_properties(herd, "herd", failures)
+    failures = (["no committed full herd (run --update without --smoke)"]
+                if herd is None else _herd_failures(herd, "herd"))
     if "smoke_herd" in fresh:
-        _check_properties(fresh["smoke_herd"], "smoke_herd", failures)
-    for f in failures:
-        print("FAIL:", f, file=sys.stderr)
-    if not failures:
-        print("storm check OK (points bit-identical to committed; "
-              "replay bit-exact; stored bytes invariant across "
-              "policies; sjf and slo reorder the herd)")
-    return 1 if failures else 0
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--smoke", action="store_true",
-                    help="run only the small herd")
-    ap.add_argument("--check", action="store_true",
-                    help="compare against committed BENCH_storm.json")
-    ap.add_argument("--update", action="store_true",
-                    help="rewrite BENCH_storm.json with this run")
-    ap.add_argument("--out", metavar="PATH",
-                    help="also write this run's points as JSON (CI artifact)")
-    args = ap.parse_args(argv)
-
-    fresh = run_sweep(smoke=args.smoke)
-
-    if args.out:
-        pathlib.Path(args.out).write_text(json.dumps(fresh, indent=1) + "\n")
-        print(f"wrote {args.out}")
-
-    committed = {}
-    if RESULTS_PATH.exists():
-        committed = json.loads(RESULTS_PATH.read_text())
-
-    if args.check:
-        return check(fresh, committed)
-
-    if args.update:
-        doc = {
-            "description": (
-                "Differential-replay storm comparison from "
-                "benchmarks/bench_storm.py: an 8-tenant checkpoint herd "
-                "(simultaneous arrivals, size classes 1/2/8 on 16384 "
-                "float64 elements, 2 I/O nodes, max_in_flight 2, 8 "
-                "rounds) captured once under fifo as a replay trace, "
-                "then re-driven under sjf, fair and slo from the trace "
-                "alone.  Stored bytes are byte-identical across every "
-                "policy; sjf and slo produce different turnaround "
-                "spreads, fair degenerates to fifo on this herd.  The "
-                "slo point uses a budget derived from the capture "
-                "(median per-tenant p99) with shedding disabled.  All "
-                "values are simulated seconds and exactly reproducible; "
-                "CI runs --smoke --check against them."
-            ),
-            **{k: v for k, v in committed.items() if k != "description"},
-            **fresh,
-        }
-        RESULTS_PATH.write_text(json.dumps(doc, indent=1) + "\n")
-        print(f"wrote {RESULTS_PATH}")
-    return 0
+        failures += _herd_failures(fresh["smoke_herd"], "smoke_herd")
+    return failures
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(gate.main(
+        results=REPO_ROOT / "BENCH_storm.json", doc=__doc__,
+        description=DESCRIPTION, smoke_help="run only the small herd",
+        sweep=sweep, properties=properties))

@@ -22,10 +22,10 @@ SP2 interconnect with two "modern deployment" overrides, documented on
 
 from __future__ import annotations
 
-from typing import Dict, Tuple, Union
+from typing import Dict, Tuple
 
 from repro.core.runtime import RunResult
-from repro.core.scheduler import SchedStats, ShardedSchedStats
+from repro.core.scheduler import SchedStats
 from repro.obs.slo import quantile
 from repro.workloads.catalog import (
     DATASET_SHAPE,
@@ -44,7 +44,7 @@ __all__ = [
 
 def run_many_tenants(
     n_ops: int, n_io: int, n_shards: int,
-) -> Tuple[RunResult, Union[SchedStats, ShardedSchedStats]]:
+) -> Tuple[RunResult, SchedStats]:
     """Run ``n_ops`` tenants (one rank, one private 8 KB write each,
     1000 arrivals per second) against ``n_io`` I/O nodes under
     ``n_shards`` shard masters; return the run result and the admission
@@ -56,9 +56,7 @@ def run_many_tenants(
     return result, stats
 
 
-def scale_metrics(
-    stats: Union[SchedStats, ShardedSchedStats],
-) -> Dict[str, float]:
+def scale_metrics(stats: SchedStats) -> Dict[str, float]:
     """The sweep's figures of merit, from the scheduler records.
 
     - ``makespan`` -- first arrival to last completion, seconds;
@@ -73,11 +71,9 @@ def scale_metrics(
     if not done:
         raise ValueError("no completed ops to summarize")
     waits = sorted(r.queue_wait for r in done)
-    makespan = (max(r.completed for r in done)
-                - min(r.arrived for r in done))
     return {
         "ops": len(done),
-        "makespan": round(makespan, 6),
+        "makespan": round(stats.makespan(), 6),
         "admission_mean": round(sum(waits) / len(waits), 6),
         "admission_p99": round(quantile(waits, 0.99), 6),
         "turnaround_spread": round(stats.turnaround_spread(), 6),

@@ -317,10 +317,6 @@ def cmd_sched(args: argparse.Namespace) -> int:
     policies = list(POLICIES) if args.policy == "all" else [args.policy]
     if args.baseline:
         policies.append(None)
-    if args.priorities and len(args.priorities) != args.apps:
-        print(f"--priorities needs exactly {args.apps} values",
-              file=sys.stderr)
-        return 2
     if args.shards > 1 and args.baseline:
         print("--shards needs the scheduler; drop --baseline",
               file=sys.stderr)
@@ -339,11 +335,8 @@ def cmd_sched(args: argparse.Namespace) -> int:
                 print(f"  op {op.op_id} {op.dataset:20s} "
                       f"elapsed {op.elapsed:7.3f} s")
         else:
-            done = stats.completed_ops()
-            makespan = (max(r.completed for r in done)
-                        - min(r.arrived for r in done)) if done else 0.0
             print(stats.summary())
-            print(f"  makespan {makespan:.3f} s, "
+            print(f"  makespan {stats.makespan():.3f} s, "
                   f"turnaround spread {stats.turnaround_spread():.3f} s, "
                   f"mean {stats.mean_turnaround():.3f} s")
         print()
@@ -655,7 +648,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # outside input the command refused: a message, not a traceback
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

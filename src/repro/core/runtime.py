@@ -31,6 +31,7 @@ from repro.core.client import PandaClient
 from repro.core.config import PandaConfig
 from repro.counters import COUNTERS
 from repro.core.protocol import DROPPABLE, ArraySpec, CollectiveOp, Tags
+from repro.core.scheduler import SchedStats
 from repro.faults import FaultInjector, NodeCrash
 from repro.fs.filesystem import FileSystem
 from repro.machine import NAS_SP2, MachineSpec
@@ -340,12 +341,12 @@ class PandaRuntime:
         #: instead of its (possibly partial) own file.  Persists across
         #: runs, like the catalog.
         self.relocations: Dict[str, Dict[int, tuple]] = {}
-        #: scheduled mode (``config.scheduler`` set): the master
-        #: server's per-op queue-wait/turnaround observations
+        #: scheduled mode (``config.scheduler`` set): the shard
+        #: masters' per-op queue-wait/turnaround observations
         #: (:class:`repro.core.scheduler.SchedStats`); replaced at the
         #: start of each run.  ``None`` with ``scheduler=None``: the
         #: paper discipline keeps no admission accounting.
-        self.sched_stats = None
+        self.sched_stats: Optional[SchedStats] = None
         #: ``slo`` policy: shard index -> that master's per-tenant
         #: :class:`repro.obs.slo.SLOTracker`; replaced at the start of
         #: each run, empty under every other policy.
@@ -583,16 +584,8 @@ class PandaRuntime:
         self.crashed_servers = set()  # a fresh run repairs every node
         self.slo_trackers = {}  # shard masters re-register per run
         sched_cfg = self.config.scheduler
-        if sched_cfg is not None and sched_cfg.n_shards > 1:
-            # sharded mode: the aggregate stats container is created
-            # here so every shard master can register its own
-            # SchedStats into it (single-master mode: the master
-            # replaces runtime.sched_stats itself, as before)
-            from repro.core.scheduler import ShardedSchedStats
-
-            self.sched_stats = ShardedSchedStats(
-                policy=sched_cfg.policy, n_shards=sched_cfg.n_shards
-            )
+        self.sched_stats = None if sched_cfg is None else SchedStats(
+            sched_cfg.policy, sched_cfg.n_shards)
         server_procs = []
         for i in range(self.n_io):
             # reboot semantics: messages queued for a node that died in

@@ -90,7 +90,6 @@ __all__ = [
     "SLOPolicy",
     "ServerScheduler",
     "ShardMap",
-    "ShardedSchedStats",
 ]
 
 POLICIES = ("fifo", "sjf", "fair", "slo")
@@ -650,12 +649,32 @@ class OpSchedRecord:
 @dataclass
 class SchedStats:
     """One run's scheduler observations, exposed on
-    ``runtime.sched_stats`` by the master server."""
+    ``runtime.sched_stats``: created by the runtime for every scheduled
+    run, at any shard count.  Each shard master writes its records,
+    keyed by the globally unique ``admit_seq``, and its own peaks."""
 
     policy: str
+    n_shards: int = 1
     records: Dict[int, OpSchedRecord] = field(default_factory=dict)
-    queue_peak: int = 0
-    in_flight_peak: int = 0
+    #: per shard: deepest admission queue, largest in-flight set
+    queue_peaks: List[int] = field(init=False)
+    in_flight_peaks: List[int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.queue_peaks = [0] * self.n_shards
+        self.in_flight_peaks = [0] * self.n_shards
+
+    @property
+    def queue_peak(self) -> int:
+        """Deepest single-shard queue seen (per-shard backlogs are
+        independent; the sum would double-count the sharding win)."""
+        return max(self.queue_peaks)
+
+    @property
+    def in_flight_peak(self) -> int:
+        """Deepest single-shard in-flight set (the per-shard
+        ``max_in_flight`` budget is what it is bounded by)."""
+        return max(self.in_flight_peaks)
 
     @property
     def ops(self) -> List[OpSchedRecord]:
@@ -664,56 +683,18 @@ class SchedStats:
     def completed_ops(self) -> List[OpSchedRecord]:
         return [r for r in self.ops if r.completed is not None]
 
-    def turnaround_spread(self) -> float:
-        """max - min turnaround over completed ops: the latency-fairness
-        figure of merit the fair-share policy is built to shrink."""
-        ts = [r.turnaround for r in self.completed_ops()]
-        return max(ts) - min(ts) if ts else 0.0
-
-    def mean_turnaround(self) -> float:
-        ts = [r.turnaround for r in self.completed_ops()]
-        return sum(ts) / len(ts) if ts else 0.0
-
-    def summary(self) -> str:
+    def makespan(self) -> float:
+        """First arrival to last completion over completed ops."""
         done = self.completed_ops()
-        lines = [
-            f"scheduler ({self.policy}): {len(done)} op(s) served, "
-            f"queue peak {self.queue_peak}, "
-            f"in-flight peak {self.in_flight_peak}"
-        ]
-        for r in done:
-            lines.append(
-                f"  op {r.admit_seq:3d} {r.kind:5s} {r.dataset:20s} "
-                f"prio {r.priority} waited {r.queue_wait:7.3f} s, "
-                f"turnaround {r.turnaround:7.3f} s"
-            )
-        return "\n".join(lines)
-
-
-@dataclass
-class ShardedSchedStats:
-    """Aggregate view over per-shard :class:`SchedStats`, exposed on
-    ``runtime.sched_stats`` when ``n_shards > 1``.  Each shard master
-    registers its own :class:`SchedStats` under its shard index; the
-    aggregate merges records by the globally unique ``admit_seq``."""
-
-    policy: str
-    n_shards: int
-    shards: Dict[int, SchedStats] = field(default_factory=dict)
-
-    @property
-    def ops(self) -> List[OpSchedRecord]:
-        merged: Dict[int, OpSchedRecord] = {}
-        for shard in sorted(self.shards):
-            merged.update(self.shards[shard].records)
-        return [merged[k] for k in sorted(merged)]
-
-    def completed_ops(self) -> List[OpSchedRecord]:
-        return [r for r in self.ops if r.completed is not None]
+        if not done:
+            return 0.0
+        return (max(r.completed for r in done)
+                - min(r.arrived for r in done))
 
     def turnaround_spread(self) -> float:
         """max - min turnaround over completed ops, across all shards:
-        the cross-shard fairness figure of merit."""
+        the latency-fairness figure of merit the fair-share policy is
+        built to shrink."""
         ts = [r.turnaround for r in self.completed_ops()]
         return max(ts) - min(ts) if ts else 0.0
 
@@ -721,33 +702,36 @@ class ShardedSchedStats:
         ts = [r.turnaround for r in self.completed_ops()]
         return sum(ts) / len(ts) if ts else 0.0
 
-    @property
-    def queue_peak(self) -> int:
-        """Deepest single-shard queue seen (per-shard backlogs are
-        independent; the sum would double-count the sharding win)."""
-        peaks = [s.queue_peak for s in self.shards.values()]
-        return max(peaks) if peaks else 0
-
-    @property
-    def in_flight_peak(self) -> int:
-        """Deepest single-shard in-flight set (the per-shard
-        ``max_in_flight`` budget is what it is bounded by)."""
-        peaks = [s.in_flight_peak for s in self.shards.values()]
-        return max(peaks) if peaks else 0
-
     def summary(self) -> str:
+        """One line per completed op on a single master; one line per
+        shard (the issuing shard is ``admit_seq % n_shards``) when
+        sharded."""
         done = self.completed_ops()
+        n = self.n_shards
+        if n == 1:
+            lines = [
+                f"scheduler ({self.policy}): {len(done)} op(s) served, "
+                f"queue peak {self.queue_peak}, "
+                f"in-flight peak {self.in_flight_peak}"
+            ]
+            for r in done:
+                lines.append(
+                    f"  op {r.admit_seq:3d} {r.kind:5s} {r.dataset:20s} "
+                    f"prio {r.priority} waited {r.queue_wait:7.3f} s, "
+                    f"turnaround {r.turnaround:7.3f} s"
+                )
+            return "\n".join(lines)
         lines = [
-            f"scheduler ({self.policy}, {self.n_shards} shards): "
+            f"scheduler ({self.policy}, {n} shards): "
             f"{len(done)} op(s) served, "
             f"queue peak {self.queue_peak}/shard, "
             f"in-flight peak {self.in_flight_peak}/shard"
         ]
-        for shard in sorted(self.shards):
-            s = self.shards[shard]
+        for shard in range(n):
+            ops = sum(1 for r in done if r.admit_seq % n == shard)
             lines.append(
-                f"  shard {shard}: {len(s.completed_ops())} op(s), "
-                f"queue peak {s.queue_peak}, "
-                f"in-flight peak {s.in_flight_peak}"
+                f"  shard {shard}: {ops} op(s), "
+                f"queue peak {self.queue_peaks[shard]}, "
+                f"in-flight peak {self.in_flight_peaks[shard]}"
             )
         return "\n".join(lines)

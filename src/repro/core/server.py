@@ -95,7 +95,6 @@ from repro.core.scheduler import (
     OpProgress,
     OpSchedRecord,
     SchedOp,
-    SchedStats,
     SchedulerConfig,
     ServerScheduler,
 )
@@ -177,9 +176,6 @@ class PandaServer:
         #: :meth:`run`.
         self._shard: Optional[int] = None
         self._sharded = False
-        #: accounted disciplines, shard masters only: this shard's
-        #: per-op bookkeeping.  Set by :meth:`run`.
-        self._sched_stats: Optional[SchedStats] = None
         #: ``slo`` policy, shard masters only: this shard's per-tenant
         #: latency bookkeeping.  Set by :meth:`run`.
         self._slo_tracker: Optional[SLOTracker] = None
@@ -290,12 +286,6 @@ class PandaServer:
             # is admit_seq % n_shards
             queue = AdmissionQueue(cfg.queue_limit, sched.policy,
                                    seq_start=self._shard, seq_step=n_shards)
-            if d.accounted:
-                self._sched_stats = SchedStats(policy=cfg.policy)
-                if sharded:
-                    rt.sched_stats.shards[self._shard] = self._sched_stats
-                else:
-                    rt.sched_stats = self._sched_stats
             if cfg.policy == "slo":
                 # per-shard tracker, deliberately un-gossiped: every
                 # demote/shed decision is local to this master's loop,
@@ -724,13 +714,13 @@ class PandaServer:
         entry = queue.push(op, est, now, demoted=demoted)
         if demoted:
             tracker.note_demoted(tenant)
-        stats = self._sched_stats
+        stats = rt.sched_stats
         stats.records[entry.seq] = OpSchedRecord(
             admit_seq=entry.seq, op_id=op.op_id, group=op.client_ranks,
             dataset=op.dataset, kind=op.kind, priority=op.priority,
             estimate=est, arrived=now,
         )
-        stats.queue_peak = max(stats.queue_peak, queue.peak)
+        stats.queue_peaks[self._shard] = queue.peak
         self._sched_trace("sched_enqueue", admit_seq=entry.seq,
                           op_id=op.op_id, dataset=op.dataset, kind=op.kind,
                           qlen=len(queue), demoted=demoted)
@@ -784,10 +774,11 @@ class PandaServer:
         comp = _OpCompletion(sop, participants, pending_reloc)
         completions[entry.seq] = comp
         if self._discipline.accounted:  # rule 3
-            stats = self._sched_stats
+            stats = rt.sched_stats
             rec = stats.records[entry.seq]
             rec.admitted = self.comm.sim.now
-            stats.in_flight_peak = max(stats.in_flight_peak, len(completions))
+            peaks = stats.in_flight_peaks
+            peaks[self._shard] = max(peaks[self._shard], len(completions))
             self._sched_trace("sched_admit", admit_seq=entry.seq,
                               op_id=op.op_id, dataset=op.dataset,
                               wait=rec.queue_wait,
@@ -907,7 +898,7 @@ class PandaServer:
         yield from self.comm.send(op.master_client, Tags.OP_DONE, done)
         if self._discipline.accounted:  # rule 3
             now = self.comm.sim.now
-            rec = self._sched_stats.records[admit_seq]
+            rec = rt.sched_stats.records[admit_seq]
             rec.completed = now
             rec.moved = comp.moved
             if self._slo_tracker is not None:

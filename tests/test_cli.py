@@ -32,6 +32,22 @@ def test_figures_unknown_name(capsys):
     assert "unknown figure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("soak --cycles 2", "a drill needs >= 3 cycles"),
+    ("sched --shards 8 --io 4", "8 admission shards need at least as many"),
+    ("sched --apps 3", "n_compute=8 must be a multiple of n_apps=3"),
+    ("sched --apps 2 --priorities 1,2,3", "need one priority per app"),
+    ("predict --size-mb 17", "no canonical shape for 17 MB"),
+    ("trace --size-mb 7", "no canonical shape for 7 MB"),
+])
+def test_outside_input_exits_2_with_a_message(argv, message, capsys):
+    assert main(argv.split()) == 2
+    err = capsys.readouterr().err
+    command = argv.split()[0]
+    assert err.startswith(f"repro {command}: {message}")
+    assert "Traceback" not in err
+
+
 def test_predict_basic(capsys):
     assert main(["predict", "--compute", "8", "--io", "2",
                  "--size-mb", "16"]) == 0

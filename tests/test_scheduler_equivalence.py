@@ -125,14 +125,14 @@ def build_workload(seed: int, n_io: int = N_IO, shared_hot: bool = False):
 
 
 def run_workload(seed: int, policy, n_io: int = N_IO, n_shards: int = 1,
-                 shared_hot: bool = False):
+                 shared_hot: bool = False, trace: bool = False):
     """Run the seed's workload; policy None is the serial reference."""
     sched = None
     if policy is not None:
         sched = SchedulerConfig(policy=policy, max_in_flight=4,
                                 queue_limit=16, n_shards=n_shards)
     rt = PandaRuntime(n_compute=N_COMPUTE, n_io=n_io,
-                      config=PandaConfig(scheduler=sched))
+                      config=PandaConfig(scheduler=sched), trace=trace)
     rt.run_partitioned(build_workload(seed, n_io=n_io,
                                       shared_hot=shared_hot))
     return rt
@@ -267,7 +267,7 @@ def _assert_conflicts_serialized(stats, label):
 def test_sharded_run_is_byte_identical_to_serial(policy, n_shards, seed):
     serial_files, serial_clients = _serial_state(seed)
     sharded = run_workload(seed, policy, n_io=N_IO_SHARDED,
-                           n_shards=n_shards, shared_hot=True)
+                           n_shards=n_shards, shared_hot=True, trace=True)
 
     want, got = _nonempty(serial_files), _nonempty(file_state(sharded))
     diverged = {
@@ -302,8 +302,10 @@ def test_sharded_run_is_byte_identical_to_serial(policy, n_shards, seed):
         stats, f"policy {policy!r} shards {n_shards} seed {seed}"
     )
     # admit_seq carries the admitting shard in its residue
-    for shard, per in stats.shards.items():
-        assert all(seq % n_shards == shard for seq in per.records)
+    enqueued = sharded.trace.select(kind="sched_enqueue")
+    assert len(enqueued) == len(stats.ops)
+    for rec in enqueued:
+        assert rec["shard"] == rec["admit_seq"] % n_shards
 
 
 # -- the paper path is the one-slot discipline --------------------------------

@@ -180,3 +180,38 @@ def test_n_shards_cannot_exceed_io_nodes():
     cfg = PandaConfig(scheduler=SchedulerConfig(policy="fifo", n_shards=5))
     with pytest.raises(ValueError):
         PandaRuntime(n_compute=2, n_io=4, config=cfg)
+
+
+# -- one SchedStats at every shard count -------------------------------------
+
+#: ``summary()`` text of four staggered fair-share writers on 4 I/O nodes:
+#: one line per op on a single master, one line per shard when sharded
+#: (each shard's op count is the residue class ``admit_seq % n_shards``).
+SUMMARIES = {
+    1: "scheduler (fair): 4 op(s) served, queue peak 3, in-flight peak 3\n"
+       "  op   0 write app0                 prio 1 waited   0.000 s, "
+       "turnaround   0.508 s\n"
+       "  op   1 write app1                 prio 1 waited   0.001 s, "
+       "turnaround   0.531 s\n"
+       "  op   2 write app2                 prio 1 waited   0.011 s, "
+       "turnaround   1.027 s\n"
+       "  op   3 write app3                 prio 1 waited   0.022 s, "
+       "turnaround   1.524 s",
+    2: "scheduler (fair, 2 shards): 4 op(s) served, queue peak 2/shard, "
+       "in-flight peak 2/shard\n"
+       "  shard 0: 2 op(s), queue peak 1, in-flight peak 2\n"
+       "  shard 1: 2 op(s), queue peak 2, in-flight peak 2",
+}
+
+
+@pytest.mark.parametrize("n_shards", sorted(SUMMARIES))
+def test_summary_text_is_pinned(n_shards):
+    from repro.workloads.catalog import WriterGroupsParams, build
+
+    built = build(WriterGroupsParams(policy="fair", n_apps=4,
+                                     shape=(64, 64, 64), n_shards=n_shards,
+                                     stagger=0.001))
+    built.run()
+    stats = built.runtime.sched_stats
+    assert stats.n_shards == n_shards
+    assert stats.summary() == SUMMARIES[n_shards]
