@@ -38,6 +38,7 @@ from repro.baselines.common import BaselineResult, BaselineRuntime, BaselineTags
 from repro.core.config import PandaConfig
 from repro.core.plan import build_server_plan, dataset_file
 from repro.core.protocol import CollectiveOp
+from repro.core.runtime import run_supervised
 from repro.mpi.datatypes import DataBlock
 from repro.schema.regions import Region
 from repro.schema.reorganize import extract_region
@@ -159,32 +160,19 @@ def run_client_directed(
     # the daemons all serve the same logical dataset; per-server paths
     path_of = {s: dataset_file(op.dataset, s) for s in range(rt.n_io)}
 
-    # BaselineRuntime daemons take a single path; wrap them: we spawn
-    # our own daemons, one per server, bound to that server's file.
+    # BaselineRuntime.execute serves one path on every daemon; here
+    # each daemon is bound to its own server's file
     t0 = rt.sim.now
-    daemon_procs = [
+    daemons = [
         rt.sim.spawn(rt._daemon(s, path_of[s]), name=f"cd-daemon{s}")
         for s in range(rt.n_io)
     ]
-    client_procs = [
-        rt.sim.spawn(_client(rank, rt, op, config, kind, data),
-                     name=f"cd-client{rank}")
+    clients = {
+        rank: rt.sim.spawn(_client(rank, rt, op, config, kind, data),
+                           name=f"cd-client{rank}")
         for rank in range(rt.n_compute)
-    ]
-    rt.sim.spawn(
-        rt._supervisor(client_procs, daemon_procs, flush=(kind == "write")),
-        name="cd-supervisor",
-    )
-    try:
-        rt.sim.run()
-    except Exception as sim_exc:
-        for p in client_procs + daemon_procs:
-            if p.triggered and p.exception is not None:
-                raise p.exception from sim_exc
-        raise
-    for p in client_procs + daemon_procs:
-        if p.triggered and p.exception is not None:
-            raise p.exception
+    }
+    run_supervised(rt.sim, clients, daemons, rt._shutdown(kind == "write"))
     return BaselineResult(
         strategy="client-directed", kind=kind, total_bytes=total,
         elapsed=rt.sim.now - t0, runtime=rt,

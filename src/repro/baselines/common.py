@@ -19,6 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.runtime import run_supervised
 from repro.fs.cache import BufferCache
 from repro.fs.filesystem import FileSystem
 from repro.machine import MB, NAS_SP2, MachineSpec
@@ -230,35 +231,20 @@ class BaselineRuntime:
         flush caches at the end (write barrier + fsync), shut down.
         Returns the elapsed simulated time of the phase."""
         t0 = self.sim.now
-        daemon_procs = [
+        daemons = [
             self.sim.spawn(self._daemon(i, path), name=f"bdaemon{i}")
             for i in range(self.n_io)
         ]
-        client_procs = [
-            self.sim.spawn(client_fn(rank, self), name=f"bclient{rank}")
+        clients = {
+            rank: self.sim.spawn(client_fn(rank, self), name=f"bclient{rank}")
             for rank in range(self.n_compute)
-        ]
-        self.sim.spawn(
-            self._supervisor(client_procs, daemon_procs, flush),
-            name="bsupervisor",
-        )
-        try:
-            self.sim.run()
-        except Exception as sim_exc:
-            for p in client_procs + daemon_procs:
-                if p.triggered and p.exception is not None:
-                    raise p.exception from sim_exc
-            raise
-        for p in client_procs + daemon_procs:
-            if p.triggered and p.exception is not None:
-                raise p.exception
+        }
+        run_supervised(self.sim, clients, daemons, self._shutdown(flush))
         return self.sim.now - t0
 
-    def _supervisor(self, client_procs, daemon_procs, flush: bool):
-        try:
-            yield self.sim.all_of(client_procs)
-        except Exception:
-            pass
+    def _shutdown(self, flush: bool):
+        """The end of a phase whose clients all finished: flush every
+        cache when asked (FLUSH/FLUSH_ACK), then SHUTDOWN every daemon."""
         comm = self.network.comm(0)
         if flush:
             for i in range(self.n_io):
@@ -267,10 +253,6 @@ class BaselineRuntime:
                                      tag=BaselineTags.FLUSH_ACK)
         for i in range(self.n_io):
             yield from comm.send(self.server_rank(i), BaselineTags.SHUTDOWN)
-        try:
-            yield self.sim.all_of(daemon_procs)
-        except Exception:
-            pass
 
     # -- verification ----------------------------------------------------------
     def gather_file(self, path: str, total_bytes: int) -> bytes:

@@ -10,7 +10,10 @@ then shuts the servers down and returns a :class:`RunResult`.
 
 The runtime may be ``run`` several times; file systems and dataset
 catalog persist across runs (so one run can write a checkpoint and a
-later run can restart from it), as do per-rank group counters.
+later run can restart from it), as do per-rank group counters.  A
+failed run leaves it reusable: the run is torn down as a whole
+(:func:`run_supervised`), and the next run starts every group at one
+op serial with empty client and server mailboxes.
 
 Timing methodology follows the paper: "The elapsed time is the maximum
 time spent by any compute node on the collective i/o request" --
@@ -21,8 +24,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
-                    Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, Generator, Iterable, List,
+                    Optional, Tuple)
 
 if TYPE_CHECKING:
     from repro.obs.slo import SLOTracker
@@ -37,10 +40,11 @@ from repro.fs.filesystem import FileSystem
 from repro.machine import NAS_SP2, MachineSpec
 from repro.memo import Memo
 from repro.mpi.network import Network
-from repro.sim import Interrupt, Simulator
+from repro.sim import Interrupt, Process, Simulator
 from repro.sim.trace import Trace
 
-__all__ = ["PandaRuntime", "ClientContext", "RunResult", "OpRecord", "OpLog"]
+__all__ = ["PandaRuntime", "ClientContext", "RunResult", "OpRecord", "OpLog",
+           "RunAborted", "run_supervised"]
 
 
 @dataclass
@@ -271,6 +275,82 @@ def _schema_tail(arrays: Tuple[ArraySpec, ...], n_servers: int,
         }, indent=1)[1:]
         _SCHEMA_TAILS[key] = tail
     return tail
+
+
+class RunAborted(Exception):
+    """The cause of the :class:`~repro.sim.Interrupt` a run's teardown
+    throws into every live process: client ``rank`` failed with
+    ``exc``, which the run raises as its root cause."""
+
+    def __init__(self, rank: int, exc: BaseException) -> None:
+        super().__init__(f"run aborted: rank {rank} failed with {exc!r}")
+        self.rank = rank
+        self.exc = exc
+
+
+def _stop(proc: Process, cause: object) -> None:
+    """Interrupt ``proc`` with ``cause``.  The failure is expected:
+    observe it so the engine does not abort the run with "unhandled
+    failure in process"."""
+    proc.interrupt(cause)
+    proc.add_callback(lambda p: None)
+
+
+def _expected_stop(exc: BaseException) -> bool:
+    """An injected fail-stop crash (recovery handles it) or the
+    teardown's interrupt: never a run's root cause."""
+    return (isinstance(exc, Interrupt)
+            and isinstance(exc.cause, (NodeCrash, RunAborted)))
+
+
+def run_supervised(sim: Simulator, clients: Dict[int, Process],
+                   servers: List[Process], shutdown: Generator) -> None:
+    """Drive one run to its end; the Panda and the baseline runtimes
+    share this.  ``clients`` maps each rank to its process.
+
+    A supervisor waits for every client, then runs ``shutdown`` (the
+    runtime's own goodbye to its servers) and joins the servers.  If a
+    client fails, the supervisor instead tears the run down: every live
+    client and server is interrupted with :class:`RunAborted` naming
+    the failed rank, and ``shutdown`` never runs.  Peers stranded
+    mid-collective, retry loops and failure-detector polls all stop
+    where they wait; held links and disk arms are released by the
+    ``finally`` blocks that already serve an injected crash.
+
+    Raises the run's root cause: the first process failure that is not
+    an expected stop, chained to the engine's own error (an unhandled
+    failure, a deadlock) when there is one."""
+
+    procs = [*clients.values(), *servers]
+
+    def supervisor():
+        try:
+            yield sim.all_of(clients.values())
+        except Exception as exc:
+            rank = next(r for r, p in clients.items() if p.exception is exc)
+            abort = RunAborted(rank, exc)
+            for p in procs:
+                if p.is_alive:
+                    _stop(p, abort)
+            return
+        yield from shutdown
+        try:
+            yield sim.all_of(servers)
+        except Exception as exc:
+            if not _expected_stop(exc):
+                raise
+
+    sim.spawn(supervisor(), name="supervisor")
+    error = None
+    try:
+        sim.run()
+    except Exception as exc:
+        error = exc
+    for p in procs:
+        if p.exception is not None and not _expected_stop(p.exception):
+            raise p.exception from error
+    if error is not None:
+        raise error
 
 
 class PandaRuntime:
@@ -605,10 +685,20 @@ class PandaRuntime:
             server_procs.append(self.sim.spawn(server.run(), name=f"server{i}"))
         for idx, t_abs in crashes_abs:
             self.sim.schedule_at(t_abs, self._crash_server, idx, server_procs)
-        client_procs = []
+        clients: Dict[int, Process] = {}
         for app, ranks in assignments:
             group = tuple(ranks)
+            # op ids are counted per rank but keyed per group (the op
+            # log, the servers' fetches): a rank that ran in another
+            # group, or that a failed run stopped short, would enter
+            # with a stale serial -- the group resumes at its furthest
+            serial = max(self._client_state[r].get("op_serial", 0)
+                         for r in group)
             for rank in group:
+                self._client_state[rank]["op_serial"] = serial
+                # what a failed run left behind: late messages and the
+                # stopped process's getters (empty after a clean run)
+                self.network.mailboxes[rank].clear()
                 ctx = ClientContext(
                     rank=rank,
                     runtime=self,
@@ -617,30 +707,9 @@ class PandaRuntime:
                         self._client_state[rank], group_ranks=group,
                     ),
                 )
-                client_procs.append(
-                    self.sim.spawn(app(ctx, *args, **kwargs),
-                                   name=f"client{rank}")
-                )
-        self.sim.spawn(
-            self._supervisor(client_procs, server_procs), name="supervisor"
-        )
-        try:
-            self.sim.run()
-        except Exception as sim_exc:
-            # a failed client or server usually strands its peers in a
-            # recv, so the run surfaces as an unhandled failure or a
-            # deadlock; re-raise the root cause when one exists
-            for p in client_procs + server_procs:
-                if (p.triggered and p.exception is not None
-                        and not self._is_injected_crash(p.exception)):
-                    raise p.exception from sim_exc
-            raise
-        for p in client_procs + server_procs:
-            if (p.triggered and p.exception is not None
-                    and not self._is_injected_crash(p.exception)):
-                raise p.exception
-        for p in client_procs:
-            p.value  # re-raise any client failure with its traceback
+                clients[rank] = self.sim.spawn(app(ctx, *args, **kwargs),
+                                               name=f"client{rank}")
+        run_supervised(self.sim, clients, server_procs, self._shutdown())
         ops = self.oplog.finished()
         if self.trace is not None:
             self.trace.emit(self.sim.now, "runtime", "run_end",
@@ -661,12 +730,6 @@ class PandaRuntime:
         return result
 
     # -- fault plumbing -------------------------------------------------------
-    @staticmethod
-    def _is_injected_crash(exc: BaseException) -> bool:
-        """True for the Interrupt a fault-injected node crash throws;
-        recovery handles those, so the run must not re-raise them."""
-        return isinstance(exc, Interrupt) and isinstance(exc.cause, NodeCrash)
-
     def _crash_server(self, server_index: int, server_procs) -> None:
         """Scheduled callback: fail-stop kill of one I/O node."""
         proc = server_procs[server_index]
@@ -674,10 +737,7 @@ class PandaRuntime:
             return
         self.crashed_servers.add(server_index)
         self.injector.note_crash(server_index)
-        proc.interrupt(NodeCrash(server_index, self.sim.now))
-        # the failure is expected: observe it so the engine does not
-        # abort the run with "unhandled failure in process serverN"
-        proc.add_callback(lambda p: None)
+        _stop(proc, NodeCrash(server_index, self.sim.now))
 
     def live_servers(self) -> List[int]:
         """Server indices not crashed in the current run."""
@@ -692,18 +752,9 @@ class PandaRuntime:
         else:
             self.relocations.pop(dataset, None)
 
-    def _supervisor(self, client_procs, server_procs):
-        """Wait for every client, then shut the servers down.  A client
-        failure is swallowed here (run() re-raises it) but the shutdown
-        is still attempted so healthy servers drain."""
-        try:
-            yield self.sim.all_of(client_procs)
-        except Exception:
-            pass
+    def _shutdown(self):
+        """The end of a run whose clients all finished: SHUTDOWN to
+        every server (the supervisor is SHUTDOWN's one sender)."""
         comm = self.network.comm(self.master_client_rank)
         for r in self.server_ranks:
             yield from comm.send(r, Tags.SHUTDOWN)
-        try:
-            yield self.sim.all_of(server_procs)
-        except Exception:
-            pass

@@ -13,7 +13,7 @@ receive faster than 34 MB/s, and concurrent senders to one node
 serialise.
 """
 
-from repro.mpi.comm import Communicator
+from repro.mpi.comm import Communicator, LivelockError
 from repro.mpi.datatypes import DataBlock
 from repro.mpi.message import CONTROL_MESSAGE_BYTES, Message
 from repro.mpi.network import Network
@@ -22,6 +22,7 @@ __all__ = [
     "CONTROL_MESSAGE_BYTES",
     "Communicator",
     "DataBlock",
+    "LivelockError",
     "Message",
     "Network",
 ]

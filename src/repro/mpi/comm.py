@@ -17,11 +17,23 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Optional
 
+from repro.faults import MAX_RETRIES
 from repro.mpi.message import CONTROL_MESSAGE_BYTES, MESSAGE_HEADER_BYTES, Message
 from repro.mpi.network import Network
-from repro.sim import Event, Timeout
+from repro.sim import Event, SimulationError, Timeout
 
-__all__ = ["Communicator"]
+__all__ = ["Communicator", "LivelockError", "LIVELOCK_TIMEOUTS"]
+
+#: receive timeouts in a row, on one rank, with no message delivered
+#: anywhere in between, that prove a livelock: four times the reliable
+#: exchange's whole retry budget.
+LIVELOCK_TIMEOUTS = 4 * MAX_RETRIES
+
+
+class LivelockError(SimulationError):
+    """The twin of the engine's deadlock check: a poll loop re-arms its
+    receive timeout forever while nothing else happens, so the event
+    queue never drains."""
 
 
 class Communicator:
@@ -36,6 +48,10 @@ class Communicator:
         # hoisted for the per-message cost helpers
         self._handle_s = network.spec.request_handling_overhead
         self._mailbox = network.mailboxes[rank]
+        # livelock guard: network.deliveries at the last timeout, and
+        # the timeouts in a row since the count last moved
+        self._quiet_mark = -1
+        self._quiet = 0
 
     # -- point to point -----------------------------------------------------
     def send(self, dst: int, tag: int, payload: Any = None, nbytes: Optional[int] = None):
@@ -96,6 +112,16 @@ class Communicator:
             # was already consumed from the mailbox: deliver it
             return get_ev.value
         mailbox.cancel(get_ev)
+        if self._quiet_mark != self.network.deliveries:
+            self._quiet_mark = self.network.deliveries
+            self._quiet = 0
+        self._quiet += 1
+        if self._quiet > LIVELOCK_TIMEOUTS:
+            raise LivelockError(
+                f"livelock: rank {self.rank} timed out {self._quiet} times "
+                f"in a row with no message delivered anywhere "
+                f"(t={self.sim.now!r})"
+            )
         return None
 
     def _match_pred(self, src: Optional[int], tag: Optional[int],

@@ -59,6 +59,8 @@ class Network:
         # accounting
         self.messages_sent = 0
         self.bytes_sent = 0
+        #: messages put into any mailbox (the livelock guard's clock)
+        self.deliveries = 0
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.n_nodes:
@@ -140,6 +142,7 @@ class Network:
     def _deliver(self, packed: tuple) -> None:
         src, dst, tag, payload, nbytes, delivered = packed
         msg = Message(src, dst, tag, payload, nbytes, arrived_at=self.sim.now)
+        self.deliveries += 1
         self.mailboxes[dst].put(msg)
         if self.trace is not None:
             self.trace.emit(

@@ -18,7 +18,8 @@ captured Python objects survive), then replays each recorded run:
 - an op recorded as shed must raise the same collective
   :class:`OpRejected` (on every rank of its group), and an op recorded
   as completed must complete -- any parity mismatch raises
-  :class:`ReplayDivergence` naming the rank, dataset and instant.
+  :class:`ReplayDivergence` at the op, naming the rank, dataset and
+  instant, and the run's teardown stops the other ranks.
 
 After the last run the replayed fingerprints (per-op elapsed float-hex
 + admission schedule + stored-bytes sha256, the same strings the race
@@ -107,14 +108,9 @@ def build_runtime(trace: WorkloadTrace,
 
 
 def _rank_events(trace: WorkloadTrace, run_doc: Dict[str, Any],
-                 strict: bool, violations: List[str]):
+                 strict: bool):
     """The per-rank replay driver (an SPMD app generator function).
-
-    Parity violations are *collected*, not raised: an exception inside
-    one rank's app strands its peers mid-collective -- under fault
-    injection their retry loops then keep the event queue alive forever
-    -- so the replayed system always runs to completion and
-    :func:`replay` raises afterwards."""
+    A parity violation raises :class:`ReplayDivergence` at the op."""
 
     def app(ctx):
         for ev in run_doc["events"].get(str(ctx.rank), []):
@@ -126,7 +122,7 @@ def _rank_events(trace: WorkloadTrace, run_doc: Dict[str, Any],
             if t > now:
                 yield ctx.sim.wake_at(t)
             elif t < now and strict:
-                violations.append(
+                raise ReplayDivergence(
                     f"rank {ctx.rank}: op on {ev['dataset']!r} recorded "
                     f"at {t!r} but replay reached it at {now!r}"
                 )
@@ -135,25 +131,22 @@ def _rank_events(trace: WorkloadTrace, run_doc: Dict[str, Any],
                 buf = ctx.panda.local(name)
                 buf[...] = np.frombuffer(
                     trace.payload(sha), dtype=buf.dtype).reshape(buf.shape)
+            shed = False
             try:
                 yield from ctx.panda.collective(
                     ev["kind"], specs, ev["dataset"],
                     priority=ev["priority"],
                 )
             except OpRejected:
-                if not ev["rejected"]:
-                    violations.append(
-                        f"rank {ctx.rank}: op on {ev['dataset']!r} at "
-                        f"{ev['t']} was shed in replay but completed in "
-                        "the recording"
-                    )
-            else:
-                if ev["rejected"]:
-                    violations.append(
-                        f"rank {ctx.rank}: op on {ev['dataset']!r} at "
-                        f"{ev['t']} completed in replay but was shed in "
-                        "the recording"
-                    )
+                shed = True
+            if shed != ev["rejected"]:
+                replayed, recorded = (("was shed", "completed") if shed
+                                      else ("completed", "was shed"))
+                raise ReplayDivergence(
+                    f"rank {ctx.rank}: op on {ev['dataset']!r} at "
+                    f"{ev['t']} {replayed} in replay but {recorded} in "
+                    "the recording"
+                )
 
     return app
 
@@ -186,19 +179,12 @@ def replay(trace: WorkloadTrace, policy_override: Optional[str] = None,
         rt.check_crash_plan(crashes)
     for run_doc, crashes in zip(trace.doc["runs"], plans):
         rt._replay_crashes_abs = crashes
-        violations: List[str] = []
         try:
-            app = _rank_events(trace, run_doc, strict, violations)
+            app = _rank_events(trace, run_doc, strict)
             assignments = [(app, tuple(g)) for g in run_doc["groups"]]
             result = rt.run_partitioned(assignments)
         finally:
             rt._replay_crashes_abs = None
-        if violations:
-            shown = "; ".join(violations[:5])
-            more = len(violations) - 5
-            raise ReplayDivergence(
-                shown + (f" (+{more} more)" if more > 0 else "")
-            )
         results.append(result)
         run_stats.append(rt.sched_stats)
         fingerprints.append(run_strings(result, rt.sched_stats))

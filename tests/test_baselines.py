@@ -11,9 +11,12 @@ from repro.baselines import (
     run_traditional_caching,
     run_two_phase,
 )
+from repro.baselines.common import BaselineTags
 from repro.baselines.two_phase import conforming_segment, transfer_matrix
 from repro.core import Array, ArrayLayout
+from repro.core.runtime import RunAborted
 from repro.schema import BLOCK, NONE
+from repro.sim import Interrupt
 from repro.workloads import distribute, make_global_array
 
 
@@ -105,6 +108,33 @@ def test_baseline_runtime_validation():
         run_naive_striping(rt, spec, "flush")
     with pytest.raises(ValueError):
         run_traditional_caching(rt, spec, "write")  # no cache configured
+
+
+def test_failed_baseline_client_surfaces_its_own_exception():
+    """The baselines run through ``run_supervised``, as Panda does: a
+    client that raises tears the phase down -- its peers and the
+    daemons are interrupted, no FLUSH or SHUTDOWN is sent -- and the
+    caller sees the client's own exception."""
+    rt = BaselineRuntime(2, 2, use_cache=True)
+    seen = []
+
+    def client(rank, rt):
+        if rank == 1:
+            raise ValueError("baseline client 1 failed")
+        try:
+            # a reply that never comes: rank 0 is stranded
+            yield from rt.network.comm(rank).recv(tag=BaselineTags.DATA)
+        except Interrupt as stop:
+            seen.append(stop.cause)
+            raise
+
+    with pytest.raises(ValueError, match="baseline client 1 failed") as info:
+        rt.execute("f", client, flush=True)
+    (cause,) = seen
+    assert isinstance(cause, RunAborted)
+    assert cause.rank == 1 and cause.exc is info.value
+    assert rt.sim.now == 0.0
+    assert rt.network.messages_sent == 0
 
 
 # --- bit-exact round trips for every strategy -------------------------------------

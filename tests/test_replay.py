@@ -250,11 +250,39 @@ def test_level6_blob_of_incompressible_payload_still_loads():
 
 def test_replaying_shed_trace_under_fifo_diverges_on_parity():
     """Rejected ops are stimuli: a policy that admits them is a
-    divergence, reported after the run completes (never mid-sim, which
-    would strand the replayed system's retry loops)."""
+    divergence, raised at the op that completed."""
     trace = WorkloadTrace.load(TRACES / "slo-shed.json")
     with pytest.raises(ReplayDivergence, match="completed in replay"):
         replay(trace, policy_override="fifo")
+
+
+def test_fault_mode_divergence_raises_at_the_op(monkeypatch):
+    """A parity violation under faults and sharding stops the replay at
+    the violating op: the run's teardown ends the peers' retry loops
+    and failure-detector polls.  The full replay of this trace runs to
+    t = 4.25 s; rank 3's first op completes well before that."""
+    from repro.replay import replayer
+
+    doc = json.loads((TRACES / "sharded-fault.json").read_text())
+    first_op = doc["runs"][0]["events"]["3"][1]
+    assert first_op["type"] == "op" and not first_op["rejected"]
+    first_op["rejected"] = True
+    built = []
+    build = replayer.build_runtime
+
+    def spy(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(replayer, "build_runtime", spy)
+    with pytest.raises(ReplayDivergence,
+                       match="rank 3: .* completed in replay"):
+        replay(WorkloadTrace(doc))
+    (rt,) = built
+    assert rt.sim.now < 3.0
+    # group (2, 3) stopped at its first op; no later op of it finished
+    assert all(o.dataset != "sf1" or o.op_id == 0
+               for o in rt.oplog.finished())
 
 
 def test_slo_override_requires_slo_policy():
