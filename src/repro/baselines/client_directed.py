@@ -109,7 +109,7 @@ def _client(rank: int, rt: BaselineRuntime, op: CollectiveOp,
                     block = DataBlock.virtual(nbytes)
                 runs, _ = region.contiguous_runs_within(chunk_region)
                 if runs > 1:
-                    yield from comm.copy(nbytes, runs)
+                    yield comm.copy_s(nbytes, runs)
                 yield from comm.send(dst, BaselineTags.WRITE,
                                      (off, nbytes, block), nbytes=nbytes)
                 yield from comm.recv(src=dst, tag=BaselineTags.ACK)

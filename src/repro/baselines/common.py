@@ -189,7 +189,7 @@ class BaselineRuntime:
             msg = yield from comm.recv(tags=listen)
             if msg.tag == BaselineTags.SHUTDOWN:
                 return
-            yield from comm.handle()
+            yield comm.handle_s
             if msg.tag == BaselineTags.FLUSH:
                 if state.cache is not None:
                     yield from state.cache.flush(path)

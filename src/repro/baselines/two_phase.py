@@ -147,7 +147,7 @@ def _client(rank: int, rt: BaselineRuntime, spec: ArraySpec, kind: str,
                 nbytes = sum(p[1] for p in pieces) * spec.itemsize
                 if dst == rank:
                     # local pieces: one gather pass
-                    yield from comm.copy(nbytes, len(pieces))
+                    yield comm.copy_s(nbytes, len(pieces))
                     if real:
                         for goff, elems, loff in pieces:
                             buf[goff - seg_lo : goff - seg_lo + elems] = \
@@ -160,15 +160,15 @@ def _client(rank: int, rt: BaselineRuntime, spec: ArraySpec, kind: str,
                     ]
                 else:
                     payload = [(goff, elems) for goff, elems, _ in pieces]
-                yield from comm.copy(nbytes, len(pieces))  # pack
+                yield comm.copy_s(nbytes, len(pieces))  # pack
                 yield from comm.send(dst, BaselineTags.PERMUTE,
                                      ("w", payload), nbytes=nbytes)
             for _src in incoming:
                 msg = yield from comm.recv(tag=BaselineTags.PERMUTE)
-                yield from comm.handle()
+                yield comm.handle_s
                 _mode, payload = msg.payload
                 nbytes = msg.nbytes
-                yield from comm.copy(nbytes, len(payload))  # unpack
+                yield comm.copy_s(nbytes, len(payload))  # unpack
                 if real:
                     for goff, piece in payload:
                         buf[goff - seg_lo : goff - seg_lo + piece.size] = piece
@@ -220,7 +220,7 @@ def _client(rank: int, rt: BaselineRuntime, spec: ArraySpec, kind: str,
                 other = _RunIndex(spec, dst)
                 pieces = other.overlaps(seg_lo, seg_hi)
                 nbytes = sum(p[1] for p in pieces) * spec.itemsize
-                yield from comm.copy(nbytes, len(pieces))  # pack
+                yield comm.copy_s(nbytes, len(pieces))  # pack
                 if real:
                     payload = [
                         (goff,
@@ -237,7 +237,7 @@ def _client(rank: int, rt: BaselineRuntime, spec: ArraySpec, kind: str,
             own = index.overlaps(seg_lo, seg_hi)
             own_bytes = sum(p[1] for p in own) * spec.itemsize
             if own:
-                yield from comm.copy(own_bytes, len(own))
+                yield comm.copy_s(own_bytes, len(own))
                 if real:
                     for goff, elems, loff in own:
                         local[loff : loff + elems] = \
@@ -247,9 +247,9 @@ def _client(rank: int, rt: BaselineRuntime, spec: ArraySpec, kind: str,
                       if s != rank and matrix[rank, s] > 0]
             for _src in expect:
                 msg = yield from comm.recv(tag=BaselineTags.PERMUTE)
-                yield from comm.handle()
+                yield comm.handle_s
                 _mode, payload = msg.payload
-                yield from comm.copy(msg.nbytes, len(payload))
+                yield comm.copy_s(msg.nbytes, len(payload))
                 if real:
                     for goff, piece in payload:
                         for o_goff, o_elems, o_loff in index.overlaps(

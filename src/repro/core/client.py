@@ -222,7 +222,7 @@ class PandaClient:
             recorder.on_op_enter(self, op)
         self._mark("cli_op_start", op_id=op.op_id, kind=kind)
         # op setup cost on every client
-        yield self.comm.handle_ev()
+        yield self.comm.handle_s
         if self.is_master:
             # the dataset's owning shard master; identical to
             # master_server_rank when admission is unsharded
@@ -351,14 +351,14 @@ class PandaClient:
                     f"op {body.op_id} during op {op.op_id}"
                 )
             t0 = self.comm.sim.now if trace is not None else 0.0
-            yield self.comm.handle_ev()
+            yield self.comm.handle_s
             spec = op.arrays[body.array_index]
             row = body.row
             nbytes = row.nbytes
             if row.runs_chunk > 1:
                 # strided gather into a send buffer / scatter out of
                 # the receive buffer
-                yield self.comm.copy_ev(nbytes, row.runs_chunk)
+                yield self.comm.copy_s(nbytes, row.runs_chunk)
             reply = on_message(op, spec, body, nbytes)
             if reply is not None:
                 yield from self.comm.send(msg.src, reply_tag, reply,

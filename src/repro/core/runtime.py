@@ -168,7 +168,8 @@ class ClientContext:
         return self.panda.local(array)
 
     def compute(self, seconds: float):
-        """Model application computation time between I/O calls."""
+        """Model application computation time between I/O calls:
+        ``yield from ctx.compute(dt)``."""
         return self.comm.compute(seconds)
 
 

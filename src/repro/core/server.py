@@ -404,7 +404,7 @@ class PandaServer:
             for row in pieces:
                 total_runs += row.runs_sub
             # staging pass: carve the sub-chunk into pieces
-            yield comm.copy_ev(item.nbytes, max(total_runs, 1))
+            yield comm.copy_s(item.nbytes, max(total_runs, 1))
         tag, reply_tag = EXCHANGE_TAGS[op.kind]
         reliable = self._reliable
         # a reply answers every request, or (non-fault reads) none does
@@ -443,7 +443,7 @@ class PandaServer:
         if write:
             total_runs = 0
             for msg in replies:
-                yield comm.handle_ev()
+                yield comm.handle_s
                 piece = msg.payload
                 row = piece.row
                 total_runs += row.runs_sub
@@ -452,7 +452,7 @@ class PandaServer:
                                   piece.block.array.view(spec.np_dtype),
                                   slices=row.sub_slices)
             # staging pass: assemble the sub-chunk in traditional order
-            yield comm.copy_ev(item.nbytes, max(total_runs, 1))
+            yield comm.copy_s(item.nbytes, max(total_runs, 1))
         if trace is not None:
             now = comm.sim.now
             trace.emit(now, self._src, "srv_gather" if write else
@@ -523,7 +523,7 @@ class PandaServer:
         The report goes to ``rmsg.reply_to`` when set -- sharded
         admission, where any shard master may run the recovery -- and
         to the master server otherwise."""
-        yield self.comm.handle_ev()
+        yield self.comm.handle_s
         moved = yield from self._execute_assignment(rmsg.op, rmsg.assignment)
         done = ServerDone(rmsg.op.op_id, self.server_index, moved,
                           recovery=True)
@@ -657,7 +657,7 @@ class PandaServer:
             op = payload if tag == Tags.REQUEST else payload.op
             self._mark("srv_op_start", op_id=op.op_id, kind=op.kind)
         if arrival or d.charge_control:  # rule 1
-            yield self.comm.handle_ev()
+            yield self.comm.handle_s
         if tag == Tags.REQUEST:
             yield from self._sched_enqueue(payload, queue)
         elif arrival:  # SCHEMA / SCHED
@@ -802,7 +802,7 @@ class PandaServer:
         op = sop.op
         if self._discipline.accounted:  # rule 3: else stamped on receipt
             self._mark_op("srv_op_start", sop, kind=op.kind)
-        yield self.comm.compute_ev(self.comm.spec.plan_formation_overhead)
+        yield float(self.comm.spec.plan_formation_overhead)
         rt = self.runtime
         plan = build_server_plan(op, self.server_index, rt.n_io, rt.config,
                                  rt.real_payloads)

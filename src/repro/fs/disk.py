@@ -80,7 +80,7 @@ class DiskModel:
                 # (zero in fast_disk mode, like every other fs cost)
                 t = self.spec.fs_time(1, write=write, sequential=True)
                 if t > 0:
-                    yield self.sim.timeout(t)
+                    yield t
                 self.requests += 1
                 self.busy_seconds += t
                 self._head = None
@@ -91,7 +91,7 @@ class DiskModel:
             sequential = self.is_sequential(path, offset)
             t = self.spec.fs_time(nbytes, write=write, sequential=sequential)
             if t > 0:
-                yield self.sim.timeout(t)
+                yield t
             self._head = (path, offset + nbytes)
             self.requests += 1
             self.sequential_requests += 1 if sequential else 0

@@ -137,7 +137,7 @@ class FileHandle:
                     "disk", node=self.fs.node, path=self.path,
                     offset=offset, attempt=attempt,
                 )
-                yield self.fs.sim.timeout(injector.backoff_delay(attempt))
+                yield injector.backoff_delay(attempt)
 
     def write(self, block: DataBlock):
         """Write ``block`` at the current offset (timed).  The block's

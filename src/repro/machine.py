@@ -21,6 +21,7 @@ the binary megabyte (2**20 bytes); so is ours.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 MB = 1 << 20
@@ -105,8 +106,20 @@ class MachineSpec:
             raise ValueError("fs_read_peak cannot exceed the raw disk rate")
         if self.fs_write_peak > self.disk_transfer_rate:
             raise ValueError("fs_write_peak cannot exceed the raw disk rate")
-        if self.network_latency < 0 or self.network_bandwidth <= 0:
+        if self.network_bandwidth <= 0:
             raise ValueError("network parameters must be positive")
+        # every charge is a yielded delay, which must be >= 0 and not
+        # NaN: refuse a cost that would make one
+        for field in ("network_latency", "disk_seek_time",
+                      "strided_run_overhead", "request_handling_overhead",
+                      "plan_formation_overhead"):
+            cost = getattr(self, field)
+            if not 0 <= cost < math.inf:  # NaN fails this too
+                raise ValueError(
+                    f"{field} must be finite and >= 0, got {cost!r}")
+        if not self.memory_copy_rate > 0:
+            raise ValueError(
+                f"memory_copy_rate must be > 0, got {self.memory_copy_rate!r}")
         # a spec is part of the cost-walk memo key of every REQUEST
         object.__setattr__(
             self, "_hash", hash(dataclasses.astuple(self)))

@@ -6,6 +6,10 @@ inside a simulation process, e.g. ::
     yield from comm.send(dst=3, tag=FETCH, payload=req)
     msg = yield from comm.recv(tag=FETCH)
 
+Local costs are charged by yielding seconds: ``yield comm.handle_s``
+for the per-message handling overhead, ``yield comm.copy_s(nbytes,
+runs)`` for a gather/scatter copy.
+
 Blocking semantics follow the paper's implementation notes: ``send``
 returns when the transfer has left the node (the SP2's blocking MPI
 send), ``recv`` blocks until a matching message is in the mailbox.
@@ -20,7 +24,7 @@ from typing import Any, Callable, Iterable, Optional
 from repro.faults import MAX_RETRIES
 from repro.mpi.message import CONTROL_MESSAGE_BYTES, MESSAGE_HEADER_BYTES, Message
 from repro.mpi.network import Network
-from repro.sim import Event, SimulationError, Timeout
+from repro.sim import Event, SimulationError
 
 __all__ = ["Communicator", "LivelockError", "LIVELOCK_TIMEOUTS"]
 
@@ -45,8 +49,8 @@ class Communicator:
         self.rank = rank
         self.sim = network.sim
         self.spec = network.spec
-        # hoisted for the per-message cost helpers
-        self._handle_s = network.spec.request_handling_overhead
+        #: the per-message protocol-handling charge: ``yield comm.handle_s``
+        self.handle_s = float(network.spec.request_handling_overhead)
         self._mailbox = network.mailboxes[rank]
         # livelock guard: network.deliveries at the last timeout, and
         # the timeouts in a row since the count last moved
@@ -79,7 +83,10 @@ class Communicator:
         return done
 
     def _isend_proc(self, dst, tag, payload, wire, done: Event):
-        delivered = yield from self.network.transfer(self.rank, dst, tag, payload, wire)
+        # static name: src/dst are recoverable from the Message
+        delivered = Event(self.sim, "delivery")
+        yield from self.network.transfer(self.rank, dst, tag, payload, wire,
+                                         delivered)
         yield delivered
         done.succeed(delivered.value)
 
@@ -196,43 +203,15 @@ class Communicator:
 
     # -- local costs ---------------------------------------------------------
     def compute(self, seconds: float):
-        """Charge local CPU/memory time on this rank."""
+        """Process helper: charge ``seconds`` (an int is taken as a
+        float) of local CPU time on this rank; nothing if not positive."""
         if seconds > 0:
-            yield self.sim.timeout(seconds)
+            yield float(seconds)
 
-    def handle(self):
-        """Charge the per-message protocol-handling overhead."""
-        yield from self.compute(self.spec.request_handling_overhead)
-
-    def copy(self, nbytes: int, runs: int = 1):
-        """Charge a gather/scatter memory copy."""
-        yield from self.compute(self.spec.copy_time(nbytes, runs))
-
-    # Event-returning twins of the cost helpers, for per-message hot
-    # paths: ``yield comm.handle_ev()`` charges the same simulated time
-    # as ``yield from comm.handle()`` -- the timeout is created at the
-    # same point in dispatch order -- without spinning up a generator
-    # frame per charge.  A zero-second charge returns the simulator's
-    # shared pre-triggered event, which the engine consumes inline.
-    def compute_ev(self, seconds: float) -> Event:
-        """Event twin of :meth:`compute`."""
-        if seconds > 0:
-            return Timeout(self.sim, seconds)
-        return self.sim.zero
-
-    def handle_ev(self) -> Event:
-        """Event twin of :meth:`handle`."""
-        seconds = self._handle_s
-        if seconds > 0:
-            return Timeout(self.sim, seconds)
-        return self.sim.zero
-
-    def copy_ev(self, nbytes: int, runs: int = 1) -> Event:
-        """Event twin of :meth:`copy`."""
-        seconds = self.spec.copy_time(nbytes, runs)
-        if seconds > 0:
-            return Timeout(self.sim, seconds)
-        return self.sim.zero
+    def copy_s(self, nbytes: int, runs: int = 1) -> float:
+        """The charge for a gather/scatter memory copy:
+        ``yield comm.copy_s(nbytes, runs)``."""
+        return self.spec.copy_time(nbytes, runs)
 
     # -- simple collectives (used by baselines and the harness) ---------------
     def bcast_send(self, ranks: Iterable[int], tag: int, payload: Any = None,

@@ -12,7 +12,9 @@ One :class:`Network` owns, per rank, an *out* link and an *in* link
    ``latency`` later (propagation does not occupy links).
 
 A blocking send completes at step 4 (the local buffer is free); an
-``isend`` completion event fires at mailbox delivery.
+``isend`` completion event fires at mailbox delivery.  The link hold
+is a yielded delay (see :mod:`repro.sim.engine`): the instant it ends
+is observed twice, by the link releases and by the sender's resume.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Any, Optional
 
 from repro.machine import MachineSpec
 from repro.mpi.message import Message
-from repro.sim import Event, Resource, Simulator, Store, Timeout
+from repro.sim import Event, Resource, Simulator, Store
 from repro.sim.trace import Trace
 
 __all__ = ["Network"]
@@ -66,13 +68,13 @@ class Network:
         if not 0 <= rank < self.n_nodes:
             raise ValueError(f"rank {rank} out of range [0, {self.n_nodes})")
 
-    def transfer(self, src: int, dst: int, tag: int, payload: Any, nbytes: int):
-        """Process generator performing one transfer.  Returns (via
-        StopIteration) the delivery :class:`~repro.sim.Event`, which
-        fires when the message reaches the destination mailbox.
-
-        The generator itself completes when the sender is free (links
-        released), which is what a blocking send waits for.
+    def transfer(self, src: int, dst: int, tag: int, payload: Any, nbytes: int,
+                 delivered: Optional[Event] = None):
+        """Process generator performing one transfer.  It completes when
+        the sender is free (links released), which is what a blocking
+        send waits for.  ``delivered``, when given (``isend``), succeeds
+        with the :class:`~repro.mpi.message.Message` when it reaches the
+        destination mailbox; a dropped message never triggers it.
         """
         self._check_rank(src)
         self._check_rank(dst)
@@ -107,7 +109,7 @@ class Network:
             try:
                 transfer_time = nbytes / self._bandwidth
                 if transfer_time > 0:
-                    yield Timeout(sim, transfer_time)
+                    yield transfer_time
             finally:
                 in_link.release()
         finally:
@@ -127,17 +129,17 @@ class Network:
             dropped, extra = self.injector.message_fault(src, dst, tag, nbytes)
             if dropped:
                 # the sender already paid for the transfer; the message
-                # vanishes in flight, so the delivery event never fires
-                # and the receiver's timeout/retry machinery takes over
-                return Event(sim, "dropped")
-        # static name: one transfer per message makes per-delivery
-        # f-strings measurable; src/dst are recoverable from the Message
-        delivered = Event(sim, "delivery")
+                # vanishes in flight, so the delivery never happens and
+                # the receiver's timeout/retry machinery takes over
+                return
         # one packed argument: queue entries carry a single arg slot, so
         # this avoids a trampoline allocation per message
-        sim.schedule(self._latency + extra, self._deliver,
-                     (src, dst, tag, payload, nbytes, delivered))
-        return delivered
+        packed = (src, dst, tag, payload, nbytes, delivered)
+        delay = self._latency + extra
+        if delay > 0:
+            sim._push(delay, self._deliver, packed)
+        else:
+            sim._post(self._deliver, packed)
 
     def _deliver(self, packed: tuple) -> None:
         src, dst, tag, payload, nbytes, delivered = packed
@@ -154,7 +156,8 @@ class Network:
                 tag=tag,
                 nbytes=nbytes,
             )
-        delivered.succeed(msg)
+        if delivered is not None:
+            delivered.succeed(msg)
 
     def comm(self, rank: int) -> "Communicator":
         from repro.mpi.comm import Communicator

@@ -10,7 +10,8 @@ Public surface:
 - :class:`Simulator` -- the event loop and virtual clock.
 - :class:`Process` -- a running coroutine, spawned from a generator.
 - :class:`Event`, :class:`Timeout`, :class:`AllOf`, :class:`AnyOf` --
-  waitables a process may ``yield``.
+  waitables a process may ``yield``; a process charges time by
+  yielding a ``float`` of seconds.
 - :class:`Resource` -- FIFO server with fixed capacity (link/disk
   contention).
 - :class:`Store` -- FIFO message queue with blocking get (mailboxes).

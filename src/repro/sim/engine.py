@@ -29,6 +29,12 @@ generator, sending in the waitable's value.  A failed waitable raises
 inside the generator at the ``yield``, so ordinary ``try``/``except``
 works for error handling.
 
+A process charges simulated time by yielding the delay itself, a
+``float`` of seconds: ``yield 0.25`` is ``yield sim.timeout(0.25)``
+without the event object.  A positive delay is one heap entry that
+resumes the process directly; ``0.0`` continues inline; a negative or
+NaN delay raises :class:`ValueError` at the ``yield``.
+
 Two throughput shortcuts deliberately *reorder* same-instant work
 while staying inside the engine's causal contract (an entry can run at
 its timestamp any time after the callback that queued it finishes;
@@ -38,7 +44,8 @@ see DESIGN.md section 9 for the argument):
   inline by :meth:`Process._resume` instead of round-tripping a
   zero-delay entry through the queue;
 - :meth:`Timeout._fire` invokes its callbacks synchronously at the
-  tail of its own dispatch instead of queueing them.
+  tail of its own dispatch instead of queueing them (a yielded delay's
+  entry resumes its process the same way).
 
 Both correspond to dispatching the would-be entry immediately -- a
 choice the schedule-perturbation race detector
@@ -231,13 +238,15 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` seconds after creation."""
+    """An event that fires ``delay`` seconds after creation.  A process
+    that only waits yields the delay itself instead (module docstring);
+    a Timeout is for racing a delay against other events (``any_of``)."""
 
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # NaN fails this too
+            raise ValueError(f"timeout delay must be >= 0, got {delay!r}")
         # Event.__init__ inlined (timeouts are created per message); no
         # name either -- __repr__ renders the delay on demand instead
         self.sim = sim
@@ -349,6 +358,9 @@ class Process(Event):
     on them.
     """
 
+    #: ``_waiting_on`` is the pending :class:`Event`, or the wake token
+    #: of a pending yielded delay (the ``int`` seq of its heap entry),
+    #: or ``None`` while the process runs.
     __slots__ = ("_gen", "_waiting_on")
 
     def __init__(self, sim: "Simulator", gen: ProcessGenerator, name: str = "") -> None:
@@ -363,7 +375,7 @@ class Process(Event):
         self._triggered = False
         self._defused = False
         self._gen = gen
-        self._waiting_on: Optional[Event] = None
+        self._waiting_on: Optional[object] = None
         sim._post(self._resume, sim._init_sentinel)
         sim._live_processes += 1
 
@@ -378,6 +390,17 @@ class Process(Event):
             return
         target = _InterruptResume(self.sim, Interrupt(cause))
         self.sim._post(self._resume, target)
+
+    def _wake(self, token: int) -> None:
+        """Dispatch of a yielded delay's heap entry.  ``token`` is the
+        entry's own seq, which ``_waiting_on`` holds while the delay is
+        pending; an :class:`Interrupt` clears it, so the wake of a delay
+        interrupted midway is stale even if the process has since
+        started another delay."""
+        if self._waiting_on is not token:
+            return  # stale: the delay was interrupted
+        self._waiting_on = None
+        self._resume(self.sim._init_sentinel)
 
     def _resume(self, trigger: Event) -> None:
         if self._triggered:
@@ -416,38 +439,58 @@ class Process(Event):
                 # (defuse) it.
                 sim._post(self._report_if_undefused, exc)
                 return
-            if isinstance(target, Event):
-                if target._triggered:
-                    # fast path: consume an already-triggered waitable
-                    # inline.  Equivalent to dispatching the zero-delay
-                    # resume entry add_callback() would have queued as
-                    # the immediately-next entry -- a same-timestamp
-                    # ordering choice the race detector vets and the
-                    # golden tests pin.
-                    target._defused = True
-                    exc2 = target._exc
-                    if exc2 is not None:
-                        throw = exc2
-                    else:
-                        throw = None
-                        value = target._value
+            if type(target) is not float:
+                if isinstance(target, Event):
+                    if target._triggered:
+                        # fast path: consume an already-triggered
+                        # waitable inline.  Equivalent to dispatching the
+                        # zero-delay resume entry add_callback() would
+                        # have queued as the immediately-next entry -- a
+                        # same-timestamp ordering choice the race
+                        # detector vets and the golden tests pin.
+                        target._defused = True
+                        exc2 = target._exc
+                        if exc2 is not None:
+                            throw = exc2
+                        else:
+                            throw = None
+                            value = target._value
+                        continue
+                    self._waiting_on = target
+                    target.add_callback(self._resume)
+                    return
+                if hasattr(target, "send"):
+                    # yielding a bare generator spawns-and-joins it; the
+                    # fresh process is never already triggered
+                    child = Process(sim, target)
+                    self._waiting_on = child
+                    child.add_callback(self._resume)
+                    return
+                if not isinstance(target, float):
+                    # bad yield: throw the error back into the generator
+                    # so the process (or its joiner) sees it
+                    throw = TypeError(
+                        f"process {self.name!r} yielded {target!r}; expected "
+                        "an Event, Timeout, Process, AllOf/AnyOf, a "
+                        "generator, or a float delay"
+                    )
                     continue
-                self._waiting_on = target
-                target.add_callback(self._resume)
+                target = float(target)  # a subclass (numpy.float64)
+            # a charge: one heap entry at now + d, pushed the moment the
+            # generator yields (so at the seq a Timeout created there
+            # would take); the entry's seq is the wake token
+            if target > 0.0:
+                token = sim._seq
+                self._waiting_on = token
+                sim._push(target, self._wake, token)
                 return
-            if hasattr(target, "send"):
-                # yielding a bare generator spawns-and-joins it; the
-                # fresh process is never already triggered
-                child = Process(sim, target)
-                self._waiting_on = child
-                child.add_callback(self._resume)
-                return
-            # bad yield: throw the error back into the generator so
-            # the process (or its joiner) sees it
-            throw = TypeError(
-                f"process {self.name!r} yielded {target!r}; expected an Event, "
-                "Timeout, Process, AllOf/AnyOf, or a generator"
-            )
+            throw = None
+            value = None
+            if target != 0.0:  # negative or NaN
+                throw = ValueError(
+                    f"process {self.name!r} yielded delay {target!r}; "
+                    "a delay must be >= 0"
+                )
 
     def _report_if_undefused(self, exc: BaseException) -> None:
         if not self._defused:
@@ -455,8 +498,9 @@ class Process(Event):
 
 
 class _InitialResume(Event):
-    """Sentinel trigger used for the very first resume of a process.
-    One pre-triggered instance per simulator -- ``_resume`` only ever
+    """Sentinel trigger used for the very first resume of a process and
+    for the wake of a yielded delay: both resume it with ``None``.  One
+    pre-triggered instance per simulator -- ``_resume`` only ever
     type-checks it."""
 
     __slots__ = ()
@@ -505,13 +549,6 @@ class Simulator:
         #: ``_control.note(obj)`` with the shared objects they touch.
         self._control: Optional[Any] = None
         self._init_sentinel = _InitialResume(self)
-        #: a shared, pre-triggered event: yielding it charges nothing
-        #: and resumes the process inline.  Used by cost helpers
-        #: (e.g. :meth:`repro.mpi.comm.Communicator.handle_ev`) so
-        #: zero-cost charges stay uniform ``yield`` sites.
-        self.zero = Event(self, "zero")
-        self.zero._triggered = True
-        self.zero.callbacks = None
 
     # -- controlled dispatch ---------------------------------------------
     def enable_controller(self, controller: Any) -> None:
@@ -608,8 +645,8 @@ class Simulator:
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` after ``delay`` simulated seconds."""
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
+        if not delay >= 0:  # NaN fails this too
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
         if len(args) != 1:
             # entries carry one argument slot; pack other arities
             args = ((callback, args),)
@@ -643,9 +680,9 @@ class Simulator:
         not round-trip.  The entry here carries ``t`` itself, so a
         caller holding an exact recorded timestamp (the trace replayer,
         :mod:`repro.replay`) lands on it bit-exactly."""
-        if t < self._now:
+        if not t >= self._now:  # NaN fails this too
             raise ValueError(
-                f"schedule_at in the past: {t!r} < now {self._now!r}"
+                f"schedule_at time {t!r} is not >= now {self._now!r}"
             )
         if len(args) != 1:
             args = ((callback, args),)

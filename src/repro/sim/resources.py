@@ -26,7 +26,7 @@ class Resource:
 
         yield resource.acquire()
         try:
-            yield sim.timeout(service_time)
+            yield service_time  # a float of seconds
         finally:
             resource.release()
 
@@ -138,7 +138,7 @@ class Resource:
         yield self.acquire()
         try:
             if service_time > 0:
-                yield self.sim.timeout(service_time)
+                yield float(service_time)
         finally:
             self.release()
 

@@ -94,6 +94,23 @@ def test_invalid_spec_rejected():
         MachineSpec(network_bandwidth=0)
 
 
+@pytest.mark.parametrize("field", [
+    "request_handling_overhead", "plan_formation_overhead",
+    "strided_run_overhead", "disk_seek_time", "network_latency"])
+@pytest.mark.parametrize("bad", [-1e-6, float("nan"), float("inf")])
+def test_negative_or_non_finite_cost_rejected(field, bad):
+    # a NaN overhead used to be accepted and silently charge nothing
+    with pytest.raises(ValueError, match=field):
+        sp2(**{field: bad})
+    assert getattr(sp2(**{field: 0.0}), field) == 0.0
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+def test_non_positive_memory_copy_rate_rejected(bad):
+    with pytest.raises(ValueError, match="memory_copy_rate"):
+        sp2(memory_copy_rate=bad)
+
+
 def test_fs_overheads_are_positive_and_write_larger():
     # writes have more JFS overhead than reads (allocation, metadata)
     assert NAS_SP2.fs_write_overhead > NAS_SP2.fs_read_overhead > 0

@@ -204,9 +204,12 @@ def test_isend_completes_at_delivery():
     c0, c1 = net.comm(0), net.comm(1)
 
     def sender(sim):
-        ev = c0.isend(1, tag=0, nbytes=MB)
+        ev = c0.isend(1, tag=0, payload="p", nbytes=MB)
         msg = yield ev
-        return sim.now
+        now = sim.now
+        # a blocking send has no delivery event to hand back
+        assert (yield from c0.send(1, tag=1)) is None
+        return now, msg
 
     def receiver(sim):
         yield from c1.recv()
@@ -215,7 +218,11 @@ def test_isend_completes_at_delivery():
     sim.spawn(receiver(sim))
     sim.run()
     expected = (MB + MESSAGE_HEADER_BYTES) / NAS_SP2.network_bandwidth + NAS_SP2.network_latency
-    assert p.value == pytest.approx(expected, rel=1e-9)
+    now, msg = p.value
+    assert now == pytest.approx(expected, rel=1e-9)
+    # the isend event carries the delivered message itself
+    assert (msg.src, msg.dst, msg.tag, msg.payload) == (0, 1, 0, "p")
+    assert msg.arrived_at == now
 
 
 def test_recv_matches_source_and_tag_fifo():
@@ -330,8 +337,8 @@ def test_compute_and_handle_charges():
 
     def proc(sim):
         yield from net.comm(0).compute(0.5)
-        yield from net.comm(0).handle()
-        yield from net.comm(0).copy(MB, runs=2)
+        yield net.comm(0).handle_s
+        yield net.comm(0).copy_s(MB, runs=2)
         return sim.now
 
     expected = 0.5 + NAS_SP2.request_handling_overhead + NAS_SP2.copy_time(MB, 2)

@@ -434,6 +434,161 @@ def test_dispatch_order_identical_across_run_modes():
     check()
 
 
+def test_yielded_delay_dispatches_like_timeout_across_run_modes():
+    """``yield d`` is ``yield sim.timeout(d)`` minus the event object:
+    the same random programs, charging either way (a charge site never
+    yielded a zero timeout, it skipped the yield), dispatch the same
+    ``(time, seq)`` log under ``run``, ``step`` and the instrumented
+    drain.  Draws include zero delays, exact ties and interrupts that
+    land mid-delay, so stale wakes are exercised."""
+    from hypothesis import given, settings, strategies as st
+
+    from repro.analysis.race import DispatchLog
+
+    class SeqLog(DispatchLog):
+        def begin(self, t, seq, label):
+            self.log.append((t, seq))
+
+    delays = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(delays, min_size=1, max_size=5),
+                    min_size=1, max_size=4),
+           st.lists(st.tuples(delays, st.integers(0, 3)), max_size=3))
+    def check(programs, interrupts):
+        def execute(form, mode):
+            sim = Simulator()
+            app = []
+
+            def charge(d):
+                if form == "delay":
+                    yield d
+                elif d > 0:
+                    yield sim.timeout(d)
+
+            def body(pid, program):
+                for i, d in enumerate(program):
+                    try:
+                        yield from charge(d)
+                        app.append((sim.now, pid, i))
+                    except Interrupt:
+                        app.append((sim.now, pid, i, "interrupted"))
+
+            def interrupter(at, target):
+                yield from charge(at)
+                target.interrupt()
+
+            procs = [sim.spawn(body(pid, prog))
+                     for pid, prog in enumerate(programs)]
+            for at, target in interrupts:
+                sim.spawn(interrupter(at, procs[target % len(procs)]))
+            dispatch = []
+            if mode == "run":
+                sim.run()
+            elif mode == "step":
+                while sim._ready or sim._heap:
+                    ready, heap = sim._ready, sim._heap
+                    e = heap[0] if heap and (not ready or heap[0] < ready[0]) \
+                        else ready[0]
+                    dispatch.append((e[0], e[1]))
+                    sim.step()
+            else:  # controlled: run() routes through _run_instrumented
+                ctl = SeqLog()
+                sim.enable_controller(ctl)
+                sim.run()
+                dispatch = ctl.log
+            return app, dispatch, (sim._seq, sim._heap_pushes, sim.now)
+
+        ref_app, ref_log, ref_counts = execute("timeout", "step")
+        assert ref_log
+        for form in ("timeout", "delay"):
+            for mode in ("run", "step", "instrumented"):
+                app, log, counts = execute(form, mode)
+                assert app == ref_app and counts == ref_counts
+                if mode != "run":
+                    assert log == ref_log
+
+    check()
+
+
+def test_interrupt_mid_delay_leaves_a_stale_wake():
+    """An interrupted delay's heap entry still dispatches at its time;
+    the process must ignore it, whether it has since started another
+    delay or waits on an event."""
+    sim = Simulator()
+    log = []
+    gate = sim.event()
+
+    def sleeper(sim):
+        for wait in ("delay", "event"):
+            try:
+                yield 5.0
+            except Interrupt:
+                log.append(("interrupted", sim.now))
+            if wait == "delay":
+                yield 10.0  # the 5.0 wake at t=5 must not cut this short
+            else:
+                yield gate
+            log.append(("woke", sim.now))
+
+    def interrupter(sim, target):
+        yield 2.0
+        target.interrupt()  # first round: mid-delay, wake due at 5
+        yield 12.0
+        target.interrupt()  # second round (t=14): wake due at 17
+        yield 5.0
+        gate.succeed()  # t=19
+
+    p = sim.spawn(sleeper(sim))
+    sim.spawn(interrupter(sim, p))
+    sim.run()
+    assert log == [("interrupted", 2.0), ("woke", 12.0),
+                   ("interrupted", 14.0), ("woke", 19.0)]
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), -float("inf")])
+def test_negative_or_nan_yielded_delay_raises_valueerror(bad):
+    sim = Simulator()
+
+    def proc(sim):
+        try:
+            yield bad
+        except ValueError as exc:
+            assert "delay" in str(exc) and repr(bad) in str(exc)
+            return sim.now
+
+    assert sim.run_process(proc(sim)) == 0.0
+
+
+def test_yielded_delay_accepts_float_subclass_and_refuses_other_types():
+    np = pytest.importorskip("numpy")
+    sim = Simulator()
+
+    def proc(sim):
+        yield np.float64(0.5)
+        for bad in (1, "0.5", None):
+            with pytest.raises(TypeError):
+                yield bad
+        return sim.now
+
+    assert sim.run_process(proc(sim)) == 0.5
+    assert type(sim.now) is float
+
+
+def test_nan_delay_refused_everywhere():
+    sim = Simulator()
+    nan = float("nan")
+    with pytest.raises(ValueError, match="nan"):
+        sim.timeout(nan)
+    with pytest.raises(ValueError, match="nan"):
+        sim.schedule(nan, lambda: None)
+    with pytest.raises(ValueError, match="nan"):
+        sim.schedule_at(nan, lambda: None)
+    with pytest.raises(ValueError, match="nan"):
+        sim.wake_at(nan)
+    assert not sim._heap and not sim._ready
+
+
 def test_schedule_at_lands_on_the_exact_float():
     """Absolute-time scheduling must not round through ``now + delay``:
     the callback fires at the given float bit-exactly, even when
