@@ -1,5 +1,5 @@
-"""Static check of the Panda message protocol against its table
-(PL101-PL104).
+"""Static check of the message protocol, Panda's and the baselines',
+against its table (PL101-PL104).
 
 The protocol is stated once, as :data:`repro.core.protocol.MESSAGES`:
 one row per tag, naming the roles that send and take it.  Each scanned
@@ -43,6 +43,9 @@ DEFAULT_ROLES = {
     "src/repro/core/client.py": "client",
     "src/repro/core/server.py": "server",
     "src/repro/core/runtime.py": "runtime",
+    "src/repro/baselines/common.py": "baseline",
+    "src/repro/baselines/two_phase.py": "baseline",
+    "src/repro/baselines/daemon.py": "daemon",
 }
 
 DEFAULT_PROTOCOL = "src/repro/core/protocol.py"

@@ -30,18 +30,15 @@ datasets written either way are interchangeable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.common import BaselineResult, BaselineRuntime, BaselineTags
+from repro.baselines.common import BaselineResult, BaselineRuntime, Piece
 from repro.core.config import PandaConfig
 from repro.core.plan import build_server_plan, dataset_file
 from repro.core.protocol import CollectiveOp
-from repro.core.runtime import run_supervised
-from repro.mpi.datatypes import DataBlock
 from repro.schema.regions import Region
-from repro.schema.reorganize import extract_region
 
 __all__ = ["run_client_directed", "client_piece_schedule"]
 
@@ -88,44 +85,21 @@ def _run_region(start, elems, container: Region) -> Region:
     return Region(start, tuple(c + 1 for c in last))
 
 
-def _client(rank: int, rt: BaselineRuntime, op: CollectiveOp,
-            config: PandaConfig, kind: str,
-            data: Optional[Dict[int, Dict[str, np.ndarray]]]):
-    comm = rt.network.comm(rank)
-    schedule = client_piece_schedule(op, rt.n_io, config, rank)
-    real = rt.real_payloads
-
-    def gen():
-        for server, off, region, nbytes, ai in schedule:
-            spec = op.arrays[ai]
-            chunk_region = spec.memory_schema.chunk(rank).region
-            dst = rt.server_rank(server)
-            if kind == "write":
-                if real:
-                    local = data[rank][spec.name]
-                    piece = extract_region(local, chunk_region.lo, region)
-                    block = DataBlock.real(piece)
-                else:
-                    block = DataBlock.virtual(nbytes)
-                runs, _ = region.contiguous_runs_within(chunk_region)
-                if runs > 1:
-                    yield comm.copy_s(nbytes, runs)
-                yield from comm.send(dst, BaselineTags.WRITE,
-                                     (off, nbytes, block), nbytes=nbytes)
-                yield from comm.recv(src=dst, tag=BaselineTags.ACK)
-            else:
-                yield from comm.send(dst, BaselineTags.READ,
-                                     (off, nbytes, None))
-                msg = yield from comm.recv(src=dst, tag=BaselineTags.DATA)
-                if real:
-                    local = data[rank][spec.name]
-                    from repro.schema.reorganize import inject_region
-                    got = msg.payload.array.view(spec.np_dtype).reshape(
-                        region.shape
-                    )
-                    inject_region(local, chunk_region.lo, region, got)
-
-    return gen()
+def _pieces(rank: int, rt: BaselineRuntime, op: CollectiveOp,
+            config: PandaConfig,
+            data: Optional[Dict[int, Dict[str, np.ndarray]]]
+            ) -> Iterator[Piece]:
+    """Exchange pieces of :func:`client_piece_schedule`, each held by its
+    region of the client's chunk in as many runs as that takes."""
+    for server, off, region, nbytes, ai in client_piece_schedule(
+            op, rt.n_io, config, rank):
+        spec = op.arrays[ai]
+        chunk = spec.memory_schema.chunk(rank).region
+        runs, _ = region.contiguous_runs_within(chunk)
+        view = None
+        if rt.real_payloads:
+            view = data[rank][spec.name][region.relative_to(chunk.lo).slices()]
+        yield server, off, nbytes, runs, view
 
 
 def run_client_directed(
@@ -137,17 +111,11 @@ def run_client_directed(
 ) -> BaselineResult:
     """Run one client-directed write or read of ``op`` on ``rt``.
 
-    ``data`` maps mesh position -> {array name: local chunk}.  The
-    daemons write each server's file under Panda's own
-    ``dataset_file`` naming, so the result is directly comparable (and
-    byte-identical) to a Panda-written dataset.
-
-    Note: the daemon infrastructure serves one file path per phase, so
-    this runner executes one phase per server file -- all servers in
-    parallel, as in Panda.
+    ``data`` maps mesh position -> {array name: local chunk}.  Each
+    daemon serves its own server's file under Panda's ``dataset_file``
+    naming, so the result is directly comparable (and byte-identical)
+    to a Panda-written dataset.
     """
-    if kind not in ("write", "read"):
-        raise ValueError(f"bad kind {kind!r}")
     config = config or PandaConfig()
     mesh_size = op.arrays[0].memory_schema.mesh.size
     if mesh_size != rt.n_compute:
@@ -155,25 +123,10 @@ def run_client_directed(
             f"memory mesh ({mesh_size}) must match compute nodes "
             f"({rt.n_compute})"
         )
-    total = op.total_bytes
+    paths = [dataset_file(op.dataset, s) for s in range(rt.n_io)]
 
-    # the daemons all serve the same logical dataset; per-server paths
-    path_of = {s: dataset_file(op.dataset, s) for s in range(rt.n_io)}
+    def client(rank: int, rt: BaselineRuntime):
+        yield from rt.exchange(rt.network.comm(rank), kind,
+                               _pieces(rank, rt, op, config, data))
 
-    # BaselineRuntime.execute serves one path on every daemon; here
-    # each daemon is bound to its own server's file
-    t0 = rt.sim.now
-    daemons = [
-        rt.sim.spawn(rt._daemon(s, path_of[s]), name=f"cd-daemon{s}")
-        for s in range(rt.n_io)
-    ]
-    clients = {
-        rank: rt.sim.spawn(_client(rank, rt, op, config, kind, data),
-                           name=f"cd-client{rank}")
-        for rank in range(rt.n_compute)
-    }
-    run_supervised(rt.sim, clients, daemons, rt._shutdown(kind == "write"))
-    return BaselineResult(
-        strategy="client-directed", kind=kind, total_bytes=total,
-        elapsed=rt.sim.now - t0, runtime=rt,
-    )
+    return rt.execute(kind, op.total_bytes, paths, client)

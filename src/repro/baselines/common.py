@@ -2,9 +2,16 @@
 
 The baselines model the pre-collective-I/O world: a striped row-major
 file served by per-I/O-node daemons that process read/write requests
-in arrival order.  :class:`BaselineRuntime` mirrors
-:class:`repro.core.runtime.PandaRuntime` (same machine model, same
-network, same file systems) so elapsed times are directly comparable.
+in arrival order (:mod:`repro.baselines.daemon`).  :class:`BaselineRuntime`
+mirrors :class:`repro.core.runtime.PandaRuntime` (same machine model,
+same network, same file systems, same supervisor) so elapsed times are
+directly comparable.  It is also the one way a strategy runs: a phase
+is :meth:`~BaselineRuntime.execute`, and every request to a daemon is
+one round trip of :meth:`~BaselineRuntime.request`, made for a
+strategy's pieces by :meth:`~BaselineRuntime.exchange`.  The messages
+are the BASELINE rows of :data:`repro.core.protocol.MESSAGES`;
+``python -m repro lint`` checks this module against them in the role
+``baseline``.
 
 File model: one logical file per dataset, striped round-robin across
 the I/O nodes in fixed-size stripe units (:class:`StripedLayout`).
@@ -15,32 +22,31 @@ like Intel CFS or a striped NFS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
+from repro.baselines.daemon import serve
+from repro.core.protocol import ArraySpec, Tags
 from repro.core.runtime import run_supervised
 from repro.fs.cache import BufferCache
 from repro.fs.filesystem import FileSystem
 from repro.machine import MB, NAS_SP2, MachineSpec
 from repro.mpi.datatypes import DataBlock
 from repro.mpi.network import Network
+from repro.schema.regions import Region
 from repro.sim import Simulator
 from repro.sim.trace import Trace
 
-__all__ = ["BaselineTags", "StripedLayout", "BaselineRuntime", "BaselineResult"]
+__all__ = ["StripedLayout", "BaselineRuntime", "BaselineResult", "chunk_runs"]
 
 
-class BaselineTags:
-    WRITE = 30
-    READ = 31
-    ACK = 32
-    DATA = 33
-    FLUSH = 34
-    FLUSH_ACK = 35
-    SHUTDOWN = 36
-    #: client-to-client transfers during two-phase permutation
-    PERMUTE = 37
+#: one piece of an exchange: ``(server, offset, nbytes, runs, view)``,
+#: ``nbytes`` at ``offset`` of daemon ``server``'s file, held by
+#: ``view`` of the rank's memory (``None`` in virtual mode) in ``runs``
+#: strided runs.
+Piece = Tuple[int, int, int, int, Optional[np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -79,6 +85,15 @@ class StripedLayout:
             pos += span
         return out
 
+    def pieces(self, offset: int, nbytes: int, buf: Optional[np.ndarray],
+               at: int = 0) -> Iterator[Piece]:
+        """Exchange pieces of the file's bytes ``[offset, offset+nbytes)``
+        (:meth:`map`), held from byte ``at`` of the flat byte array
+        ``buf`` (``None`` in virtual mode)."""
+        for server, local, span in self.map(offset, nbytes):
+            yield server, local, span, 1, None if buf is None else buf[at:at + span]
+            at += span
+
     def server_bytes(self, server: int) -> int:
         """Total bytes held by ``server``."""
         full_units = self.total_bytes // self.stripe_bytes
@@ -94,23 +109,26 @@ class StripedLayout:
 
     def gather_bytes(self, stores: Dict[int, bytes]) -> bytes:
         """Reassemble the linear file from per-server byte strings."""
-        out = bytearray(self.total_bytes)
-        pos = 0
-        while pos < self.total_bytes:
-            for server, local, span in self.map(
-                pos, min(self.stripe_bytes - pos % self.stripe_bytes,
-                         self.total_bytes - pos)
-            ):
-                out[pos : pos + span] = stores[server][local : local + span]
-                pos += span
-        return bytes(out)
+        return b"".join(stores[server][local:local + span] for server,
+                        local, span in self.map(0, self.total_bytes))
+
+
+def chunk_runs(spec: ArraySpec, rank: int) -> Iterator[Tuple[int, int, int]]:
+    """``(global_offset, elems, local_offset)`` for each contiguous run of
+    ``rank``'s memory chunk in the array's row-major order, ascending;
+    offsets count elements of the whole array and of the chunk."""
+    full = Region.from_shape(spec.shape)
+    region = spec.memory_schema.chunk(rank).region
+    if region.empty:
+        return
+    for start, elems in region.iter_runs_within(full):
+        yield full.linear_offset_of(start), elems, region.linear_offset_of(start)
 
 
 @dataclass
 class BaselineResult:
     """Outcome of one baseline run."""
 
-    strategy: str
     kind: str
     total_bytes: int
     elapsed: float
@@ -147,8 +165,7 @@ class BaselineRuntime:
         stripe_bytes: int = 64 * 1024,
         trace: bool = False,
     ) -> None:
-        if n_compute < 1 or n_io < 1:
-            raise ValueError("need at least one compute and one I/O node")
+        spec.check_nodes(n_compute, n_io)
         self.n_compute = n_compute
         self.n_io = n_io
         self.spec = spec
@@ -177,82 +194,77 @@ class BaselineRuntime:
     def layout(self, total_bytes: int) -> StripedLayout:
         return StripedLayout(total_bytes, self.n_io, self.stripe_bytes)
 
-    # -- the I/O daemon -----------------------------------------------------
-    def _daemon(self, index: int, path: str):
-        """Serve read/write requests in arrival order until shutdown."""
-        comm = self.network.comm(self.server_rank(index))
-        state = self.servers[index]
-        state.fs.store.create(path, truncate=False)
-        listen = {BaselineTags.WRITE, BaselineTags.READ, BaselineTags.FLUSH,
-                  BaselineTags.SHUTDOWN}
-        while True:
-            msg = yield from comm.recv(tags=listen)
-            if msg.tag == BaselineTags.SHUTDOWN:
-                return
-            yield comm.handle_s
-            if msg.tag == BaselineTags.FLUSH:
-                if state.cache is not None:
-                    yield from state.cache.flush(path)
-                yield from comm.send(msg.src, BaselineTags.FLUSH_ACK)
-                continue
-            offset, nbytes, block = msg.payload
-            if msg.tag == BaselineTags.WRITE:
-                data = block.to_bytes() if (block.is_real and state.fs.real) else None
-                if state.cache is not None:
-                    yield from state.cache.write(path, offset, data, nbytes)
-                else:
-                    yield from state.fs.disk.access(path, offset, nbytes,
-                                                    write=True)
-                    state.fs.store.write(path, offset, data, nbytes)
-                yield from comm.send(msg.src, BaselineTags.ACK)
-            else:  # READ
-                if state.cache is not None:
-                    raw = yield from state.cache.read(path, offset, nbytes)
-                else:
-                    yield from state.fs.disk.access(path, offset, nbytes,
-                                                    write=False)
-                    raw = state.fs.store.read(path, offset, nbytes)
-                if raw is not None:
-                    reply = DataBlock.real(np.frombuffer(raw, dtype=np.uint8))
-                else:
-                    reply = DataBlock.virtual(nbytes)
-                yield from comm.send(msg.src, BaselineTags.DATA, reply,
-                                     nbytes=nbytes)
+    # -- talking to a daemon ---------------------------------------------------
+    def request(self, comm, kind: str, server: int, offset: int = 0,
+                nbytes: int = 0, view: Optional[np.ndarray] = None):
+        """One round trip with daemon ``server``, the one way a baseline
+        talks to it: ``write`` ``nbytes`` at ``offset`` (the bytes of
+        ``view`` in real mode), ``read`` them, or ``flush`` the daemon's
+        cache.  Returns the reply's payload: a read's DataBlock."""
+        write, flush = kind == "write", kind == "flush"
+        block = None
+        if write:
+            block = (DataBlock.real(view) if self.real_payloads
+                     else DataBlock.virtual(nbytes))
+        dst = self.server_rank(server)
+        # the tags are named at the sites, where panda-lint reads them
+        yield from comm.send(
+            dst, Tags.DAEMON_WRITE if write else
+            Tags.DAEMON_FLUSH if flush else Tags.DAEMON_READ,
+            None if flush else (offset, nbytes, block),
+            nbytes=nbytes if write else None)
+        msg = yield from comm.recv(
+            src=dst, tag=Tags.DAEMON_ACK if write else
+            Tags.DAEMON_FLUSH_ACK if flush else Tags.DAEMON_DATA)
+        return msg.payload
+
+    def exchange(self, comm, kind: str, pieces: Iterable[Piece]):
+        """The piece exchange: write or read ``pieces`` in order, one
+        request at a time.  A write of a piece held in several strided
+        runs first charges gathering it; a read fills the piece's view."""
+        for server, offset, nbytes, runs, view in pieces:
+            if kind == "write" and runs > 1:
+                yield comm.copy_s(nbytes, runs)
+            reply = yield from self.request(comm, kind, server, offset,
+                                            nbytes, view)
+            if kind == "read" and view is not None:
+                view[...] = reply.array.view(view.dtype).reshape(view.shape)
 
     # -- execution ---------------------------------------------------------------
-    def execute(
-        self,
-        path: str,
-        client_fn: Callable[[int, "BaselineRuntime"], object],
-        *,
-        flush: bool,
-    ) -> float:
-        """Run one phase: spawn daemons and per-rank clients, optionally
-        flush caches at the end (write barrier + fsync), shut down.
-        Returns the elapsed simulated time of the phase."""
+    def execute(self, kind: str, total_bytes: int, paths: Sequence[str],
+                client_fn: Callable[[int, "BaselineRuntime"], object]
+                ) -> BaselineResult:
+        """Run one phase of a strategy, a ``write`` or ``read`` of
+        ``total_bytes``: a daemon per I/O node, serving ``paths[i]`` on
+        node ``i``, and a client ``client_fn(rank, rt)`` per compute
+        rank.  When every client is done, a write flushes the caches
+        (write barrier + fsync); then the daemons shut down."""
+        if kind not in ("write", "read"):
+            raise ValueError(f"bad kind {kind!r}")
         t0 = self.sim.now
         daemons = [
-            self.sim.spawn(self._daemon(i, path), name=f"bdaemon{i}")
-            for i in range(self.n_io)
+            self.sim.spawn(serve(self.network.comm(self.server_rank(i)),
+                                 state.fs, state.cache, path),
+                           name=f"bdaemon{i}")
+            for i, (state, path) in enumerate(zip(self.servers, paths))
         ]
         clients = {
             rank: self.sim.spawn(client_fn(rank, self), name=f"bclient{rank}")
             for rank in range(self.n_compute)
         }
-        run_supervised(self.sim, clients, daemons, self._shutdown(flush))
-        return self.sim.now - t0
+        run_supervised(self.sim, clients, daemons,
+                       self._shutdown(kind == "write"))
+        return BaselineResult(kind, total_bytes, self.sim.now - t0, self)
 
     def _shutdown(self, flush: bool):
         """The end of a phase whose clients all finished: flush every
-        cache when asked (FLUSH/FLUSH_ACK), then SHUTDOWN every daemon."""
+        cache when asked, then shut every daemon down."""
         comm = self.network.comm(0)
         if flush:
             for i in range(self.n_io):
-                yield from comm.send(self.server_rank(i), BaselineTags.FLUSH)
-                yield from comm.recv(src=self.server_rank(i),
-                                     tag=BaselineTags.FLUSH_ACK)
+                yield from self.request(comm, "flush", i)
         for i in range(self.n_io):
-            yield from comm.send(self.server_rank(i), BaselineTags.SHUTDOWN)
+            yield from comm.send(self.server_rank(i), Tags.DAEMON_SHUTDOWN)
 
     # -- verification ----------------------------------------------------------
     def gather_file(self, path: str, total_bytes: int) -> bytes:

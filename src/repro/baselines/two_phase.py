@@ -26,21 +26,18 @@ two-phase targets).
 
 from __future__ import annotations
 
-import bisect
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.common import (
-    BaselineResult,
-    BaselineRuntime,
-    BaselineTags,
-)
-from repro.core.protocol import ArraySpec
-from repro.mpi.datatypes import DataBlock
-from repro.schema.regions import Region
+from repro.baselines.common import BaselineResult, BaselineRuntime, chunk_runs
+from repro.core.protocol import ArraySpec, Tags
 
 __all__ = ["run_two_phase", "conforming_segment", "transfer_matrix"]
+
+#: one rank's chunk pieces, by the segment owner each falls to:
+#: ``(global_offset, elems, local_offset)``, in elements
+_Routes = Dict[int, List[Tuple[int, int, int]]]
 
 
 def conforming_segment(total_elems: int, n_clients: int, rank: int) -> Tuple[int, int]:
@@ -52,214 +49,94 @@ def conforming_segment(total_elems: int, n_clients: int, rank: int) -> Tuple[int
     return lo, hi
 
 
-class _RunIndex:
-    """Maps global element offsets back into a rank's local chunk."""
-
-    def __init__(self, spec: ArraySpec, rank: int) -> None:
-        full = Region.from_shape(spec.shape)
-        region = spec.memory_schema.chunk(rank).region
-        self.runs: List[Tuple[int, int, int]] = []  # (goff, elems, loff)
-        if not region.empty:
-            for start, elems in region.iter_runs_within(full):
-                self.runs.append(
-                    (full.linear_offset_of(start), elems,
-                     region.linear_offset_of(start))
-                )
-        self._starts = [r[0] for r in self.runs]
-
-    def overlaps(self, lo: int, hi: int) -> List[Tuple[int, int, int]]:
-        """(goff, elems, loff) pieces of this chunk inside global element
-        range [lo, hi)."""
-        out = []
-        idx = bisect.bisect_right(self._starts, lo) - 1
-        idx = max(idx, 0)
-        for goff, elems, loff in self.runs[idx:]:
-            if goff >= hi:
-                break
-            o_lo = max(goff, lo)
-            o_hi = min(goff + elems, hi)
-            if o_hi > o_lo:
-                out.append((o_lo, o_hi - o_lo, loff + (o_lo - goff)))
-        return out
+def _routes(spec: ArraySpec, n_clients: int) -> List[_Routes]:
+    """What the permutation moves: for each rank, its chunk's runs split
+    at conforming-segment boundaries, by segment owner, ascending."""
+    seg = -(-int(np.prod(spec.shape)) // n_clients)
+    routes = []
+    for src in range(n_clients):
+        by_owner: _Routes = {}
+        for goff, elems, loff in chunk_runs(spec, src):
+            pos, end = goff, goff + elems
+            while pos < end:
+                j = pos // seg
+                span = min((j + 1) * seg, end) - pos
+                by_owner.setdefault(j, []).append((pos, span, loff + pos - goff))
+                pos += span
+        routes.append(by_owner)
+    return routes
 
 
 def transfer_matrix(spec: ArraySpec, n_clients: int) -> np.ndarray:
     """bytes[src, dst] moved during the permutation phase."""
-    total = int(np.prod(spec.shape))
     mat = np.zeros((n_clients, n_clients), dtype=np.int64)
-    seg = -(-total // n_clients)
-    full = Region.from_shape(spec.shape)
-    for src in range(n_clients):
-        region = spec.memory_schema.chunk(src).region
-        if region.empty:
-            continue
-        for start, elems in region.iter_runs_within(full):
-            goff = full.linear_offset_of(start)
-            end = goff + elems
-            j = goff // seg
-            pos = goff
-            while pos < end:
-                j_hi = min((j + 1) * seg, end)
-                mat[src, j] += (j_hi - pos) * spec.itemsize
-                pos = j_hi
-                j += 1
+    for src, by_owner in enumerate(_routes(spec, n_clients)):
+        for dst, pieces in by_owner.items():
+            mat[src, dst] = sum(p[1] for p in pieces) * spec.itemsize
     return mat
 
 
 def _client(rank: int, rt: BaselineRuntime, spec: ArraySpec, kind: str,
-            data: Optional[Dict[int, np.ndarray]], path: str,
-            matrix: np.ndarray):
+            data: Optional[Dict[int, np.ndarray]], routes: List[_Routes]):
     comm = rt.network.comm(rank)
-    total = int(np.prod(spec.shape))
-    C = rt.n_compute
-    seg_lo, seg_hi = conforming_segment(total, C, rank)
-    seg_elems = seg_hi - seg_lo
-    layout = rt.layout(spec.nbytes)
-    index = _RunIndex(spec, rank)
+    seg_lo, seg_hi = conforming_segment(int(np.prod(spec.shape)),
+                                        rt.n_compute, rank)
     real = rt.real_payloads
     local = data[rank].reshape(-1) if (real and data is not None) else None
-    spec_dtype = spec.np_dtype
-    incoming = [s for s in range(C) if s != rank and matrix[s, rank] > 0]
+    buf = np.zeros(seg_hi - seg_lo, dtype=spec.np_dtype) if real else None
+    stripes = rt.layout(spec.nbytes).pieces(
+        seg_lo * spec.itemsize, (seg_hi - seg_lo) * spec.itemsize,
+        None if buf is None else buf.view(np.uint8))
+    # a piece's place in its chunk and in my segment's buffer; a write
+    # permutes from chunks to segments, a read back
+    chunk = lambda p: slice(p[2], p[2] + p[1])
+    seg = lambda p: slice(p[0] - seg_lo, p[0] - seg_lo + p[1])
+    (src, src_at), (dst, dst_at) = (((local, chunk), (buf, seg))
+                                    if kind == "write" else
+                                    ((buf, seg), (local, chunk)))
 
-    def permute_out():
-        """Send my chunk's pieces to their segment owners; copy my own."""
-        pieces_by_dst: Dict[int, List[Tuple[int, int, int]]] = {}
-        seg = -(-total // C)
-        for goff, elems, loff in index.runs:
-            pos = goff
-            while pos < goff + elems:
-                j = pos // seg
-                span = min((j + 1) * seg, goff + elems) - pos
-                pieces_by_dst.setdefault(j, []).append(
-                    (pos, span, loff + (pos - goff))
-                )
-                pos += span
-        return pieces_by_dst
+    def send(to, pieces):
+        """Pack ``pieces`` and send them to rank ``to`` -- or, to
+        myself, copy them across."""
+        nbytes = sum(p[1] for p in pieces) * spec.itemsize
+        yield comm.copy_s(nbytes, len(pieces))
+        if to != rank:
+            payload = ([np.ascontiguousarray(src[src_at(p)]) for p in pieces]
+                       if real else None)
+            yield from comm.send(to, Tags.PERMUTE, payload, nbytes=nbytes)
+        elif real:
+            for p in pieces:
+                dst[dst_at(p)] = src[src_at(p)]
 
-    def gen():
-        buf = np.zeros(seg_elems, dtype=spec_dtype) if real else None
-        pieces_by_dst = permute_out()
+    def receive(senders, pieces_from):
+        """Take one PERMUTE from each of ``senders`` and unpack it."""
+        for _ in senders:
+            msg = yield from comm.recv(tag=Tags.PERMUTE)
+            yield comm.handle_s
+            pieces = pieces_from(msg.src)
+            yield comm.copy_s(msg.nbytes, len(pieces))
+            if real:
+                for p, piece in zip(pieces, msg.payload):
+                    dst[dst_at(p)] = piece
 
-        if kind == "write":
-            # --- phase 1: permute ---------------------------------------
-            for dst in sorted(pieces_by_dst):
-                pieces = pieces_by_dst[dst]
-                nbytes = sum(p[1] for p in pieces) * spec.itemsize
-                if dst == rank:
-                    # local pieces: one gather pass
-                    yield comm.copy_s(nbytes, len(pieces))
-                    if real:
-                        for goff, elems, loff in pieces:
-                            buf[goff - seg_lo : goff - seg_lo + elems] = \
-                                local[loff : loff + elems]
-                    continue
-                if real:
-                    payload = [
-                        (goff, np.ascontiguousarray(local[loff : loff + elems]))
-                        for goff, elems, loff in pieces
-                    ]
-                else:
-                    payload = [(goff, elems) for goff, elems, _ in pieces]
-                yield comm.copy_s(nbytes, len(pieces))  # pack
-                yield from comm.send(dst, BaselineTags.PERMUTE,
-                                     ("w", payload), nbytes=nbytes)
-            for _src in incoming:
-                msg = yield from comm.recv(tag=BaselineTags.PERMUTE)
-                yield comm.handle_s
-                _mode, payload = msg.payload
-                nbytes = msg.nbytes
-                yield comm.copy_s(nbytes, len(payload))  # unpack
-                if real:
-                    for goff, piece in payload:
-                        buf[goff - seg_lo : goff - seg_lo + piece.size] = piece
-            # --- phase 2: large contiguous I/O ---------------------------
-            pos_b = seg_lo * spec.itemsize
-            end_b = seg_hi * spec.itemsize
-            while pos_b < end_b:
-                for server, soff, nb in layout.map(
-                    pos_b, min(rt.stripe_bytes - pos_b % rt.stripe_bytes,
-                               end_b - pos_b)
-                ):
-                    if real:
-                        lo_e = pos_b // spec.itemsize - seg_lo
-                        block = DataBlock.real(
-                            buf[lo_e : lo_e + nb // spec.itemsize]
-                        )
-                    else:
-                        block = DataBlock.virtual(nb)
-                    dst = rt.server_rank(server)
-                    yield from comm.send(dst, BaselineTags.WRITE,
-                                         (soff, nb, block), nbytes=nb)
-                    yield from comm.recv(src=dst, tag=BaselineTags.ACK)
-                    pos_b += nb
-        else:
-            # --- phase 1 (read): large contiguous I/O --------------------
-            pos_b = seg_lo * spec.itemsize
-            end_b = seg_hi * spec.itemsize
-            while pos_b < end_b:
-                for server, soff, nb in layout.map(
-                    pos_b, min(rt.stripe_bytes - pos_b % rt.stripe_bytes,
-                               end_b - pos_b)
-                ):
-                    dst = rt.server_rank(server)
-                    yield from comm.send(dst, BaselineTags.READ,
-                                         (soff, nb, None))
-                    msg = yield from comm.recv(src=dst, tag=BaselineTags.DATA)
-                    if real:
-                        lo_e = pos_b // spec.itemsize - seg_lo
-                        buf[lo_e : lo_e + nb // spec.itemsize] = \
-                            msg.payload.array.view(spec_dtype)
-                    pos_b += nb
-            # --- phase 2 (read): permute back -- the flow reverses: each
-            # segment owner sends chunk-owners the pieces of its segment
-            # they need
-            out_targets = [
-                d for d in range(C) if d != rank and matrix[d, rank] > 0
-            ]
-            for dst in sorted(out_targets):
-                other = _RunIndex(spec, dst)
-                pieces = other.overlaps(seg_lo, seg_hi)
-                nbytes = sum(p[1] for p in pieces) * spec.itemsize
-                yield comm.copy_s(nbytes, len(pieces))  # pack
-                if real:
-                    payload = [
-                        (goff,
-                         np.ascontiguousarray(
-                             buf[goff - seg_lo : goff - seg_lo + elems]
-                         ))
-                        for goff, elems, _loff in pieces
-                    ]
-                else:
-                    payload = [(goff, elems) for goff, elems, _ in pieces]
-                yield from comm.send(dst, BaselineTags.PERMUTE,
-                                     ("r", payload), nbytes=nbytes)
-            # local pieces of my own chunk
-            own = index.overlaps(seg_lo, seg_hi)
-            own_bytes = sum(p[1] for p in own) * spec.itemsize
-            if own:
-                yield comm.copy_s(own_bytes, len(own))
-                if real:
-                    for goff, elems, loff in own:
-                        local[loff : loff + elems] = \
-                            buf[goff - seg_lo : goff - seg_lo + elems]
-            # receive my chunk's pieces from the other segment owners
-            expect = [s for s in range(C)
-                      if s != rank and matrix[rank, s] > 0]
-            for _src in expect:
-                msg = yield from comm.recv(tag=BaselineTags.PERMUTE)
-                yield comm.handle_s
-                _mode, payload = msg.payload
-                yield comm.copy_s(msg.nbytes, len(payload))
-                if real:
-                    for goff, piece in payload:
-                        for o_goff, o_elems, o_loff in index.overlaps(
-                            goff, goff + piece.size
-                        ):
-                            local[o_loff : o_loff + o_elems] = piece[
-                                o_goff - goff : o_goff - goff + o_elems
-                            ]
-
-    return gen()
+    mine = routes[rank]  # my chunk's pieces, by segment owner
+    # the other ranks whose segment my chunk overlaps, and those whose
+    # chunk overlaps my segment
+    owners = [s for s in mine if s != rank]
+    holders = [s for s in range(rt.n_compute)
+               if s != rank and rank in routes[s]]
+    if kind == "write":
+        for to in sorted(mine):  # phase 1: permute
+            yield from send(to, mine[to])
+        yield from receive(holders, lambda s: routes[s][rank])
+        yield from rt.exchange(comm, kind, stripes)  # phase 2: large I/O
+        return
+    yield from rt.exchange(comm, kind, stripes)  # phase 1: large I/O
+    for to in holders:  # phase 2: permute back
+        yield from send(to, routes[to][rank])
+    if rank in mine:
+        yield from send(rank, mine[rank])
+    yield from receive(owners, lambda s: mine[s])
 
 
 def run_two_phase(
@@ -270,18 +147,9 @@ def run_two_phase(
     dataset: str = "twophase",
 ) -> BaselineResult:
     """Run one two-phase write or read of ``spec`` on ``rt``.  Use a
-    runtime with a large ``stripe_bytes`` (e.g. 1 MB) so phase 2 issues
-    large requests -- that is the method's whole point."""
-    if kind not in ("write", "read"):
-        raise ValueError(f"bad kind {kind!r}")
-    matrix = transfer_matrix(spec, rt.n_compute)
-    path = f"{dataset}.striped"
-    elapsed = rt.execute(
-        path,
-        lambda rank, rt_: _client(rank, rt_, spec, kind, data, path, matrix),
-        flush=(kind == "write"),
-    )
-    return BaselineResult(
-        strategy="two-phase", kind=kind, total_bytes=spec.nbytes,
-        elapsed=elapsed, runtime=rt,
-    )
+    runtime with a large ``stripe_bytes`` (e.g. 1 MB) so its large-I/O
+    phase issues large requests -- that is the method's whole point."""
+    routes = _routes(spec, rt.n_compute)
+    return rt.execute(
+        kind, spec.nbytes, [f"{dataset}.striped"] * rt.n_io,
+        lambda rank, rt: _client(rank, rt, spec, kind, data, routes))

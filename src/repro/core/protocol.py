@@ -8,10 +8,13 @@ The server loop's and the client's listen sets
 (:data:`EXCHANGE_TAGS`) and the tags the fault injector may drop
 (:data:`DROPPABLE`) are read off it, and ``python -m repro lint``
 checks every send and receive site in the code against it
-(:mod:`repro.analysis.protocol_check`).
+(:mod:`repro.analysis.protocol_check`).  The baseline strategies'
+protocol (:mod:`repro.baselines`) is in the same table, as the rows
+of the BASELINE mode, under roles no Panda module plays.
 
 Everything except PieceData is control-plane (256-byte wire size);
-PieceData charges its payload bytes.
+PieceData charges its payload bytes, and so do the baselines'
+DAEMON_WRITE, DAEMON_DATA and PERMUTE.
 
 Op-id tagging: every data-plane payload (FetchRequest, PieceData,
 PieceAck) carries the originating op's ``op_id`` and the server-side
@@ -83,6 +86,16 @@ class Tags:
     RECOVER = 20
     SCHED = 21
     OP_REJECTED = 22
+    # the baselines (repro.baselines): requests to an I/O daemon, its
+    # replies, and two-phase I/O's permutation among compute ranks
+    DAEMON_WRITE = 30
+    DAEMON_READ = 31
+    DAEMON_ACK = 32
+    DAEMON_DATA = 33
+    DAEMON_FLUSH = 34
+    DAEMON_FLUSH_ACK = 35
+    DAEMON_SHUTDOWN = 36
+    PERMUTE = 37
 
 
 @dataclass(frozen=True)
@@ -333,18 +346,25 @@ class OpRejected(RuntimeError):
 #: one that talks to servers, a *member* is any other rank of the group;
 #: a master server is the single master or a shard master, a *peer* is
 #: a server another master broadcasts to (every server but the single
-#: master, and every shard master when admission is sharded).
+#: master, and every shard master when admission is sharded).  The
+#: baselines have roles of their own, so no BASELINE row reaches a
+#: Panda listen set: a compute rank running a baseline strategy
+#: (``baselines/common.py``, ``baselines/two_phase.py``) and the I/O
+#: daemon (``baselines/daemon.py``).
 CLIENT, MASTER_CLIENT, MEMBER_CLIENT = "client", "client.master", \
     "client.member"
 SERVER, MASTER_SERVER, PEER_SERVER = "server", "server.master", \
     "server.peer"
 RUNTIME = "runtime"
+BASELINE_CLIENT, DAEMON = "baseline", "daemon"
 
 #: When a message exists: always, in fault mode (``config.faults``),
-#: under an inter-op scheduler, or under the paper's one-op-at-a-time
-#: discipline (``config.scheduler is None``).
+#: under an inter-op scheduler, under the paper's one-op-at-a-time
+#: discipline (``config.scheduler is None``), or in a baseline
+#: strategy's run (:class:`repro.baselines.BaselineRuntime`).
 ALWAYS, FAULT, SCHEDULED, PAPER = "always", "fault", "scheduled", "paper"
-MODES = frozenset({ALWAYS, FAULT, SCHEDULED, PAPER})
+BASELINE = "baseline"
+MODES = frozenset({ALWAYS, FAULT, SCHEDULED, PAPER, BASELINE})
 
 
 @dataclass(frozen=True)
@@ -407,6 +427,26 @@ MESSAGES: Tuple[Message, ...] = (
     # the slo policy's load shed, instead of an eventual OP_DONE
     Message(Tags.OP_REJECTED, "OpRejection", MASTER_SERVER, MASTER_CLIENT,
             when=SCHEDULED),
+    # -- the baselines: every request to an I/O daemon has one reply,
+    # and the daemon serves requests in arrival order
+    Message(Tags.DAEMON_WRITE, "(offset, nbytes, DataBlock)",
+            BASELINE_CLIENT, DAEMON, when=BASELINE, reply=Tags.DAEMON_ACK),
+    Message(Tags.DAEMON_READ, "(offset, nbytes, None)", BASELINE_CLIENT,
+            DAEMON, when=BASELINE, reply=Tags.DAEMON_DATA),
+    Message(Tags.DAEMON_ACK, None, DAEMON, BASELINE_CLIENT, when=BASELINE),
+    Message(Tags.DAEMON_DATA, "DataBlock", DAEMON, BASELINE_CLIENT,
+            when=BASELINE),
+    # the end of a write phase: write back the daemon's cache
+    Message(Tags.DAEMON_FLUSH, None, BASELINE_CLIENT, DAEMON, when=BASELINE,
+            reply=Tags.DAEMON_FLUSH_ACK),
+    Message(Tags.DAEMON_FLUSH_ACK, None, DAEMON, BASELINE_CLIENT,
+            when=BASELINE),
+    Message(Tags.DAEMON_SHUTDOWN, None, BASELINE_CLIENT, DAEMON,
+            when=BASELINE),
+    # two-phase I/O: one message per (source, destination) pair carries
+    # the source's pieces of the destination's share
+    Message(Tags.PERMUTE, "list[ndarray] | None", BASELINE_CLIENT,
+            BASELINE_CLIENT, when=BASELINE),
 )
 
 

@@ -366,13 +366,7 @@ class PandaRuntime:
         real_payloads: bool = True,
         trace: bool = False,
     ) -> None:
-        if n_compute < 1 or n_io < 1:
-            raise ValueError("need at least one compute node and one I/O node")
-        if n_compute + n_io > spec.total_nodes:
-            raise ValueError(
-                f"{n_compute} compute + {n_io} I/O nodes exceed the machine's "
-                f"{spec.total_nodes} nodes"
-            )
+        spec.check_nodes(n_compute, n_io)
         self.n_compute = n_compute
         self.n_io = n_io
         self.spec = spec

@@ -95,8 +95,8 @@ class MachineSpec:
     node_memory: int = 128 * MB
 
     # --- cluster shape -------------------------------------------------
-    #: total nodes available (160 on the NAS SP2); the runtime checks
-    #: that compute + I/O nodes fit.
+    #: total nodes available (160 on the NAS SP2); both runtimes refuse
+    #: a deployment that does not fit (:meth:`check_nodes`).
     total_nodes: int = 160
     #: disk space per node, bytes (2 GB).
     node_disk_space: int = 2 << 30
@@ -126,6 +126,17 @@ class MachineSpec:
 
     def __hash__(self) -> int:  # cached; dataclass keeps explicit hashes
         return self._hash
+
+    def check_nodes(self, n_compute: int, n_io: int) -> None:
+        """Refuse ``n_compute`` compute and ``n_io`` I/O nodes when
+        either is none or together they exceed the machine."""
+        if n_compute < 1 or n_io < 1:
+            raise ValueError("need at least one compute node and one I/O node")
+        if n_compute + n_io > self.total_nodes:
+            raise ValueError(
+                f"{n_compute} compute + {n_io} I/O nodes exceed the machine's "
+                f"{self.total_nodes} nodes"
+            )
 
     def evolve(self, **changes: object) -> "MachineSpec":
         """Return a copy of this spec with ``changes`` applied."""

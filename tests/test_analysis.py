@@ -24,7 +24,7 @@ from repro.analysis.findings import (
     load_allowlist,
 )
 from repro.analysis.protocol_check import (DEFAULT_PROTOCOL, DEFAULT_ROLES,
-                                          check_sources, check_tree,
+                                          _scan, check_sources, check_tree,
                                           parse_tags)
 from repro.analysis.race import DispatchLog, Scenario, detect, panda_scenarios
 from repro.sim.engine import Simulator
@@ -475,6 +475,44 @@ class TestProtocolChecker:
         assert [f.rule for f in findings] == ["PL101"]
         assert findings[0].path == client
         assert "tag FETCH is sent here (in collective)" in findings[0].message
+
+    def test_every_module_with_a_site_is_checked(self):
+        # a module that names a tag where it sends or receives is linted,
+        # whichever package it is in
+        with_sites = set()
+        for path in sorted((REPO_ROOT / "src/repro").rglob("*.py")):
+            rel = path.relative_to(REPO_ROOT).as_posix()
+            sends, recvs = [], []
+            _scan(ast.parse(path.read_text()), rel, sends, recvs, [])
+            if sends or recvs:
+                with_sites.add(rel)
+        assert with_sites == set(DEFAULT_ROLES)
+
+    def test_baseline_module_sending_the_daemons_reply(self):
+        # a compute-side baseline module that answers a read itself, as
+        # if it were the daemon
+        rogue = "src/repro/baselines/rogue.py"
+        sources = {**_real_sources(), rogue: textwrap.dedent("""
+            from repro.core.protocol import Tags
+
+            def serve_read(comm, msg, block):
+                yield from comm.send(msg.src, Tags.DAEMON_DATA, block)
+        """)}
+        findings = check_sources(
+            (REPO_ROOT / DEFAULT_PROTOCOL).read_text(), DEFAULT_PROTOCOL,
+            sources, roles={**DEFAULT_ROLES, rogue: "baseline"}).findings
+        assert [(f.rule, f.path, f.message) for f in findings] == [(
+            "PL101", rogue, "tag DAEMON_DATA is sent here (in serve_read) "
+            "but its sender is daemon")]
+
+    def test_mutant_daemon_without_the_flush_ack(self):
+        sources = _real_sources()
+        daemon = "src/repro/baselines/daemon.py"
+        sources[daemon] = _delete_send(sources[daemon], "DAEMON_FLUSH_ACK")
+        assert sources[daemon] != (REPO_ROOT / daemon).read_text()
+        findings = _real_report(sources).findings
+        assert [(f.rule, f.message) for f in findings] == [
+            ("PL103", "tag DAEMON_FLUSH_ACK has no send site")]
 
     def test_mutant_row_without_a_sender(self):
         protocol = (REPO_ROOT / DEFAULT_PROTOCOL).read_text()

@@ -11,9 +11,9 @@ from repro.baselines import (
     run_traditional_caching,
     run_two_phase,
 )
-from repro.baselines.common import BaselineTags
 from repro.baselines.two_phase import conforming_segment, transfer_matrix
 from repro.core import Array, ArrayLayout
+from repro.core.protocol import Tags
 from repro.core.runtime import RunAborted
 from repro.schema import BLOCK, NONE
 from repro.sim import Interrupt
@@ -102,6 +102,8 @@ def test_transfer_matrix_block_star_is_near_diagonal():
 def test_baseline_runtime_validation():
     with pytest.raises(ValueError):
         BaselineRuntime(0, 1)
+    with pytest.raises(ValueError, match="exceed the machine's 160 nodes"):
+        BaselineRuntime(200, 4)
     rt = BaselineRuntime(2, 1)
     spec = spec_for(shape=(4, 4), mesh=(2,), dists=(BLOCK, NONE))
     with pytest.raises(ValueError):
@@ -123,13 +125,13 @@ def test_failed_baseline_client_surfaces_its_own_exception():
             raise ValueError("baseline client 1 failed")
         try:
             # a reply that never comes: rank 0 is stranded
-            yield from rt.network.comm(rank).recv(tag=BaselineTags.DATA)
+            yield from rt.network.comm(rank).recv(tag=Tags.DAEMON_DATA)
         except Interrupt as stop:
             seen.append(stop.cause)
             raise
 
     with pytest.raises(ValueError, match="baseline client 1 failed") as info:
-        rt.execute("f", client, flush=True)
+        rt.execute("write", 0, ["f", "f"], client)
     (cause,) = seen
     assert isinstance(cause, RunAborted)
     assert cause.rank == 1 and cause.exc is info.value

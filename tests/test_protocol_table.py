@@ -13,7 +13,9 @@ import pytest
 
 from repro.core import (BLOCK, NONE, Array, ArrayLayout, PandaConfig,
                         PandaRuntime, SchedulerConfig)
-from repro.core.protocol import DROPPABLE, EXCHANGE_TAGS, Tags
+from repro.core import protocol
+from repro.core.protocol import (BASELINE, DAEMON, DROPPABLE, EXCHANGE_TAGS,
+                                 MESSAGES, MODES, Tags, listen_tags)
 from repro.faults import FaultSpec
 from repro.mpi.comm import Communicator
 from repro.workloads.apps import write_read_roundtrip_app
@@ -87,3 +89,39 @@ def test_exchange_and_droppable_tags():
                              "read": (Tags.PIECE, Tags.PIECE_ACK)}
     assert DROPPABLE == {Tags.FETCH, Tags.DATA, Tags.PIECE, Tags.PIECE_ACK}
 
+
+
+#: every Panda role's listen set per mode (a mode with none is left
+#: out), as it was before the baselines' rows joined the table
+_PANDA_LISTEN = {
+    protocol.CLIENT: {},
+    protocol.MASTER_CLIENT: {"always": {Tags.OP_DONE},
+                             "scheduled": {Tags.OP_REJECTED}},
+    protocol.MEMBER_CLIENT: {"always": {Tags.CLIENT_DONE}},
+    protocol.SERVER: {"always": {Tags.SHUTDOWN}},
+    protocol.MASTER_SERVER: {"always": {Tags.REQUEST, Tags.SERVER_DONE}},
+    protocol.PEER_SERVER: {"fault": {Tags.RECOVER}, "paper": {Tags.SCHEMA},
+                           "scheduled": {Tags.SCHED}},
+    protocol.RUNTIME: {},
+}
+
+
+@pytest.mark.parametrize("role", sorted(_PANDA_LISTEN))
+def test_baseline_rows_are_invisible_to_panda(role):
+    # per mode, and over every mode at once as the client's done-tag
+    # sets are built
+    expected = _PANDA_LISTEN[role]
+    for mode in MODES:
+        assert listen_tags((role,), (mode,)) == expected.get(mode, set())
+    assert listen_tags((role,), MODES) == set().union(*expected.values())
+
+
+def test_baseline_rows_have_roles_of_their_own():
+    rows = [m for m in MESSAGES if m.when == BASELINE]
+    assert [m.tag for m in rows] == list(range(30, 38))
+    assert {m.sender for m in rows} | {m.receiver for m in rows} == {
+        protocol.BASELINE_CLIENT, DAEMON}
+    assert all(m.exchange is None for m in rows)
+    assert listen_tags((DAEMON,), (BASELINE,)) == {
+        Tags.DAEMON_WRITE, Tags.DAEMON_READ, Tags.DAEMON_FLUSH,
+        Tags.DAEMON_SHUTDOWN}
