@@ -9,9 +9,10 @@ that *servers* direct the data flow.  A client:
    :class:`~repro.core.protocol.CollectiveOp` descriptor to the master
    server -- the only request a client ever originates;
 3. services server-directed traffic until told the op is complete:
-   *writes*: answers :class:`FetchRequest`\\ s by gathering the logical
-   piece out of its local chunk ("the client is responsible for any
-   reorganization required to assemble the requested sub-chunk");
+   *writes*: answers :class:`FetchRequest`\\ s with the logical piece
+   of its local chunk, sent as a (possibly strided) view ("the client
+   is responsible for any reorganization required to assemble the
+   requested sub-chunk");
    *reads*: scatters arriving :class:`PieceData` into its local chunk;
 4. the master client, once notified by the master server, broadcasts
    completion to the other clients.
@@ -49,7 +50,7 @@ from repro.faults import DETECT_TIMEOUT, FaultRecoveryError
 from repro.mpi.comm import Communicator
 from repro.mpi.datatypes import DataBlock
 from repro.schema.regions import Region
-from repro.schema.reorganize import extract_region, inject_region
+from repro.schema.reorganize import inject_region
 
 __all__ = ["PandaClient"]
 
@@ -370,14 +371,11 @@ class PandaClient:
 
     def _answer_fetch(self, op: CollectiveOp, spec: ArraySpec,
                       req: FetchRequest, nbytes: int) -> PieceData:
-        """Write path: the requested piece, gathered out of the local
-        chunk, as the DATA reply."""
+        """Write path: the requested piece, a view of the local chunk,
+        as the DATA reply; the server's gather is its one copy."""
         row = req.row
         if self.runtime.real_payloads:
-            local = self.local(spec.name)
-            data = extract_region(local, None, row.region,
-                                  slices=row.chunk_slices)
-            block = DataBlock.real(data)
+            block = DataBlock.real(self.local(spec.name)[row.chunk_slices])
         else:
             block = DataBlock.virtual(nbytes)
         return PieceData(op.op_id, req.array_index, row, block,
@@ -390,8 +388,7 @@ class PandaClient:
         if self.runtime.real_payloads:
             row = piece.row
             inject_region(self.local(spec.name), None, row.region,
-                          piece.block.array.view(spec.np_dtype),
-                          slices=row.chunk_slices)
+                          piece.block.array, slices=row.chunk_slices)
         if self._reliable:
             return PieceAck(op.op_id, piece.array_index, piece.row,
                             piece.subchunk_seq)

@@ -29,7 +29,7 @@ tooling.
 Every sub-chunk also carries its **piece rows** (:class:`PieceRow`):
 which client holds which piece of it, in how many contiguous runs on
 each side and, for real payloads, where the piece sits in the server's
-staging buffer and in the client's chunk.  That is the geometry of the
+sub-chunk and in the client's chunk.  That is the geometry of the
 whole collective, flattened once per server and op shape -- the access
 list Thakur, Gropp and Lusk build once per noncontiguous MPI-IO access
 -- and the server, the client and the cost model all read it instead of

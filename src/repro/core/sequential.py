@@ -100,9 +100,8 @@ class SequentialPanda:
             for chunk in schema.chunks():
                 offsets[chunk.index] = fh.offset
                 if array is not None:
-                    block = DataBlock.real(
-                        np.ascontiguousarray(array[chunk.region.slices()])
-                    )
+                    # a strided chunk is packed, and counted, by the write
+                    block = DataBlock.real(array[chunk.region.slices()])
                 else:
                     block = DataBlock.virtual(chunk.region.size * dtype.itemsize)
                 yield from fh.write(block)

@@ -63,8 +63,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
 from repro.core.costmodel import estimate_op
 from repro.core.plan import SubchunkPlan, build_server_plan, op_participants
 from repro.core.protocol import (
@@ -76,7 +74,6 @@ from repro.core.protocol import (
     PEER_SERVER,
     SCHEDULED,
     SERVER,
-    ArraySpec,
     CollectiveOp,
     FetchRequest,
     OpRejection,
@@ -103,7 +100,7 @@ from repro.fs.filesystem import FileSystem
 from repro.obs.slo import SLOTracker
 from repro.mpi.comm import Communicator
 from repro.mpi.datatypes import DataBlock
-from repro.schema.reorganize import extract_region, inject_region
+from repro.schema.reorganize import inject_region
 
 __all__ = ["PandaServer"]
 
@@ -182,10 +179,6 @@ class PandaServer:
         #: shard master only: admit_seq -> _OpCompletion for in-flight
         #: ops this shard admitted
         self._completions: Dict[int, _OpCompletion] = {}
-        #: the paper's fixed server buffer: every sub-chunk is assembled
-        #: here before its one sequential file write.  Allocated by the
-        #: first real write, never at construction.
-        self._staging: Optional[np.ndarray] = None
         # per-op accounting for the trace/results
         self.bytes_written = 0
         self.bytes_read = 0
@@ -351,19 +344,6 @@ class PandaServer:
                 msg = yield self.comm.recv_ev(pred)
             shutdown |= yield from self._sched_control(msg, sched, queue)
 
-    # -- helpers ---------------------------------------------------------------
-    def _stage(self, spec: ArraySpec, item: SubchunkPlan) -> np.ndarray:
-        """The staging buffer, shaped as ``item``'s sub-chunk.  Its
-        bytes are whatever the last sub-chunk left: ``item.pieces``
-        tile ``item.region`` exactly, so every byte
-        is overwritten before the file write reads it, and the store has
-        copied the previous sub-chunk out by then (one server process
-        runs one sub-chunk at a time, scheduled or not)."""
-        if self._staging is None or self._staging.nbytes < item.nbytes:
-            self._staging = np.empty(item.nbytes, dtype=np.uint8)
-        return self._staging[:item.nbytes].view(spec.np_dtype).reshape(
-            item.region.shape)
-
     # -- one sub-chunk -----------------------------------------------------------
     def _move_one(self, op: CollectiveOp, fh, item: SubchunkPlan):
         """Move one sub-chunk -- the unit the inter-op scheduler
@@ -391,7 +371,12 @@ class PandaServer:
         seq = item.seq
         if write:
             t0 = comm.sim.now if trace is not None else 0.0
-            buf = self._stage(spec, item) if real else None
+            # the sub-chunk is assembled in the file's reserved extent:
+            # the pieces tile it exactly, and it becomes readable only
+            # when the disk request succeeds
+            buf = fh.reserve(item.nbytes)
+            if real:
+                buf = buf.view(spec.np_dtype).reshape(item.region.shape)
         else:
             if fh.offset != item.file_offset:
                 fh.seek(item.file_offset)
@@ -425,9 +410,8 @@ class PandaServer:
                 nbytes = None
             else:
                 nbytes = row.nbytes
-                pblock = (DataBlock.real(extract_region(
-                    buf, None, row.region, slices=row.sub_slices))
-                    if real else DataBlock.virtual(nbytes))
+                pblock = (DataBlock.real(buf[row.sub_slices]) if real
+                          else DataBlock.virtual(nbytes))
                 payload = PieceData(op_id, item.array_index, row, pblock, seq)
             yield from comm.send(dst, tag, payload, nbytes=nbytes)
             if not wait:
@@ -448,8 +432,7 @@ class PandaServer:
                 row = piece.row
                 total_runs += row.runs_sub
                 if real:
-                    inject_region(buf, None, row.region,
-                                  piece.block.array.view(spec.np_dtype),
+                    inject_region(buf, None, row.region, piece.block.array,
                                   slices=row.sub_slices)
             # staging pass: assemble the sub-chunk in traditional order
             yield comm.copy_s(item.nbytes, max(total_runs, 1))
@@ -460,8 +443,7 @@ class PandaServer:
                        nbytes=item.nbytes, pieces=len(pieces),
                        service=now - t0)
         if write:
-            yield from fh.write(DataBlock.real(buf) if real
-                                else DataBlock.virtual(item.nbytes))
+            yield from fh.commit(item.nbytes)
         self.subchunks_processed += 1
         return item.nbytes
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.fs.disk import DiskModel
 from repro.fs.store import ExtentStore, MemoryStore
 from repro.machine import MachineSpec
@@ -156,6 +158,26 @@ class FileHandle:
         self.offset += block.nbytes
         self.bytes_written += block.nbytes
 
+    def reserve(self, nbytes: int) -> Optional[np.ndarray]:
+        """The next ``nbytes`` of the file, as a writable uint8 array to
+        assemble them in (``None`` on a virtual file system).  Nothing
+        becomes readable, nor does the offset move, until
+        :meth:`commit`; an abandoned reservation leaves the file as it
+        was.  Only an append is reserved: the offset must be at EOF."""
+        self._check_open(write=True)
+        raw = self.fs.store.reserve(self.path, self.offset, nbytes)
+        return None if raw is None else np.frombuffer(raw, dtype=np.uint8)
+
+    def commit(self, nbytes: int):
+        """Write the reserved ``nbytes`` at the current offset (timed).
+        The store makes them readable only once the disk request has
+        succeeded, so a failed request leaves the file size unchanged."""
+        self._check_open(write=True)
+        yield from self._access(self.offset, nbytes, write=True)
+        self.fs.store.commit(self.path, self.offset, nbytes)
+        self.offset += nbytes
+        self.bytes_written += nbytes
+
     def read(self, nbytes: int):
         """Read ``nbytes`` at the current offset (timed).  Returns a
         :class:`DataBlock` (real or virtual to match the store).  Real
@@ -169,8 +191,6 @@ class FileHandle:
         self.bytes_read += nbytes
         if raw is None:
             return DataBlock.virtual(nbytes)
-        import numpy as np
-
         return DataBlock.real(np.frombuffer(raw, dtype=np.uint8))
 
     def fsync(self):

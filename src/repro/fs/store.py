@@ -16,17 +16,21 @@ Zero-copy contract: ``MemoryStore.read`` returns a **read-only**
 ``memoryview`` aliasing the file buffer -- one copy saved per read, and
 mutating a returned view can never corrupt a committed file.  ``write``
 accepts any C-contiguous buffer (bytes, memoryview, NumPy array) and
-moves its bytes exactly once, straight into the file's allocation.  A
-truncating ``create`` keeps that allocation, so rewriting a file (every
-timestep's "w" reopen) regrows nothing.  A read view is a snapshot: a
-live view pins its ``bytearray``, and a write to a pinned file first
-moves the file to a fresh buffer, so no later write, truncation or
-delete changes what a held view shows.
+moves its bytes exactly once, straight into the file's allocation.
+``reserve`` hands out a writable view of the unreadable tail
+``[size, size + n)`` of the allocation, so a producer can assemble its
+bytes in place, and ``commit`` makes them readable: the one copy is the
+producer's own.  A reservation that is never committed leaves the file
+as it was.  A truncating ``create`` keeps the allocation, so rewriting
+a file (every timestep's "w" reopen) regrows nothing.  A read view is a
+snapshot: a live view pins its ``bytearray``, and a write or
+reservation on a pinned file first moves the file to a fresh buffer, so
+no later write, truncation or delete changes what a held view shows.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.counters import COUNTERS
 
@@ -38,8 +42,14 @@ def _buffer_nbytes(data) -> int:
     return nb if nb is not None else len(data)
 
 
+def _check_eof(path: str, size: int, offset: int) -> None:
+    if offset != size:
+        raise ValueError(
+            f"reservation at {path}+{offset} is not at EOF ({size}B)")
+
+
 def _pinned(buf: bytearray) -> bool:
-    """Whether a live read view may export ``buf``.  CPython reports
+    """Whether a live view (a read or a reservation) may export ``buf``.  CPython reports
     exports only as ``BufferError`` from a resize, so shrink by one byte
     and grow back: O(1), the size never leaves the allocation.  An empty
     buffer cannot be probed this way; replacing it costs nothing, so it
@@ -59,7 +69,9 @@ class MemoryStore:
     ``len(buffer)`` is the file's *allocation*; its size is kept beside
     it.  Bytes at and past the size are stale (left by a truncation) and
     are never readable: ``read`` bounds-checks against the size and a
-    write past EOF zero-fills the gap.
+    write past EOF zero-fills the gap.  A reservation lives in that
+    stale tail until it is committed; a write, truncation or delete of
+    the file drops it.
     """
 
     real = True
@@ -67,6 +79,8 @@ class MemoryStore:
     def __init__(self) -> None:
         self._files: Dict[str, bytearray] = {}
         self._sizes: Dict[str, int] = {}
+        #: path -> (offset, nbytes) of its one uncommitted reservation
+        self._reserved: Dict[str, Tuple[int, int]] = {}
 
     def create(self, path: str, truncate: bool = True) -> None:
         if path not in self._files:
@@ -74,6 +88,7 @@ class MemoryStore:
         elif not truncate:
             return
         self._sizes[path] = 0
+        self._reserved.pop(path, None)
 
     def exists(self, path: str) -> bool:
         return path in self._files
@@ -91,11 +106,9 @@ class MemoryStore:
             raise ValueError(
                 f"write of {nbytes}B given {_buffer_nbytes(data)}B of data"
             )
-        buf = self._files[path]
+        self._reserved.pop(path, None)
+        buf = self._unpinned(path)
         size = self._sizes[path]
-        if _pinned(buf):
-            # held views keep the old buffer, and with it their snapshot
-            buf = self._files[path] = bytearray(memoryview(buf)[:size])
         if offset > size:
             # the gap reads as zeros, whether it lies in stale
             # allocation or past it
@@ -112,6 +125,36 @@ class MemoryStore:
         self._sizes[path] = max(size, offset + nbytes)
         COUNTERS.bytes_copied += nbytes
 
+    def _unpinned(self, path: str) -> bytearray:
+        """The file's buffer, safe to resize and write in place: held
+        views keep the old buffer, and with it their snapshot."""
+        buf = self._files[path]
+        if _pinned(buf):
+            buf = self._files[path] = bytearray(
+                memoryview(buf)[:self._sizes[path]])
+        return buf
+
+    def reserve(self, path: str, offset: int, nbytes: int) -> memoryview:
+        """A writable view of ``[offset, offset + nbytes)`` past EOF,
+        unreadable until :meth:`commit`.  ``offset`` must be the file's
+        size.  The view must be dropped before the next reservation or
+        write: while it lives it pins the buffer, and the next one moves
+        the whole file to a fresh buffer."""
+        _check_eof(path, self._sizes[path], offset)
+        buf = self._unpinned(path)
+        short = offset + nbytes - len(buf)
+        if short > 0:
+            buf += bytes(short)
+        self._reserved[path] = (offset, nbytes)
+        return memoryview(buf)[offset:offset + nbytes]
+
+    def commit(self, path: str, offset: int, nbytes: int) -> None:
+        """Make the reservation ``[offset, offset + nbytes)`` readable."""
+        if self._reserved.pop(path, None) != (offset, nbytes):
+            raise ValueError(
+                f"commit of {path}+{offset} ({nbytes}B) matches no reservation")
+        self._sizes[path] = offset + nbytes
+
     def read(self, path: str, offset: int, nbytes: int) -> memoryview:
         """A read-only view of ``[offset, offset + nbytes)`` -- zero-copy."""
         size = self._sizes[path]
@@ -127,6 +170,7 @@ class MemoryStore:
 
     def delete(self, path: str) -> None:
         del self._files[path], self._sizes[path]
+        self._reserved.pop(path, None)
 
     def total_bytes(self) -> int:
         return sum(self._sizes.values())
@@ -159,6 +203,15 @@ class ExtentStore:
 
     def write(self, path: str, offset: int, data: Optional[bytes], nbytes: int) -> None:
         self._sizes[path] = max(self._sizes[path], offset + nbytes)
+
+    def reserve(self, path: str, offset: int, nbytes: int) -> None:
+        """No bytes to assemble: only the EOF check."""
+        _check_eof(path, self._sizes[path], offset)
+        return None
+
+    def commit(self, path: str, offset: int, nbytes: int) -> None:
+        _check_eof(path, self._sizes[path], offset)
+        self._sizes[path] = offset + nbytes
 
     def read(self, path: str, offset: int, nbytes: int) -> None:
         if offset + nbytes > self._sizes[path]:

@@ -28,7 +28,9 @@ __all__ = ["DataBlock"]
 class DataBlock:
     """A block of array data: always a byte count, optionally the bytes.
 
-    Real blocks hold a C-contiguous ndarray; ``nbytes`` always equals
+    Real blocks hold the ndarray they were given, strided or not --
+    typically a view of a client's chunk or of a file, so a piece
+    travels without being packed; ``nbytes`` always equals
     ``array.nbytes`` then.  Virtual blocks hold ``array=None``.
     """
 
@@ -38,17 +40,14 @@ class DataBlock:
     def __post_init__(self) -> None:
         if self.nbytes < 0:
             raise ValueError("nbytes must be >= 0")
-        if self.array is not None:
-            arr = np.ascontiguousarray(self.array)
-            object.__setattr__(self, "array", arr)
-            if arr.nbytes != self.nbytes:
-                raise ValueError(
-                    f"nbytes={self.nbytes} but array has {arr.nbytes} bytes"
-                )
+        if self.array is not None and self.array.nbytes != self.nbytes:
+            raise ValueError(
+                f"nbytes={self.nbytes} but array has {self.array.nbytes} bytes"
+            )
 
     @classmethod
     def real(cls, array: np.ndarray) -> "DataBlock":
-        return cls(array.nbytes, array)  # __post_init__ makes it contiguous
+        return cls(array.nbytes, array)
 
     @classmethod
     def virtual(cls, nbytes: int) -> "DataBlock":
@@ -67,16 +66,22 @@ class DataBlock:
         return self.array.tobytes()
 
     def to_buffer(self) -> memoryview:
-        """Zero-copy read-only byte view of a real block.
+        """Read-only byte view of a real block, in row-major order.
 
-        The view aliases :attr:`array` (which in turn may alias a
-        client's bound chunk or a store file) -- valid only while the
-        block's producer leaves that memory untouched, which holds for
-        the within-collective lifetimes the protocol creates.
+        Zero-copy for a C-contiguous array: the view aliases
+        :attr:`array` (which in turn may alias a client's bound chunk or
+        a store file) -- valid only while the block's producer leaves
+        that memory untouched, which holds for the within-collective
+        lifetimes the protocol creates.  A strided array is packed
+        first, and the pack is counted.
         """
-        if self.array is None:
+        arr = self.array
+        if arr is None:
             raise ValueError("virtual DataBlock has no bytes")
-        return memoryview(self.array).cast("B").toreadonly()
+        if not arr.flags.c_contiguous:
+            COUNTERS.bytes_copied += self.nbytes
+            arr = np.ascontiguousarray(arr)
+        return memoryview(arr).cast("B").toreadonly()
 
     def __repr__(self) -> str:
         kind = "real" if self.is_real else "virtual"

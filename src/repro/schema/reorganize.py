@@ -5,15 +5,17 @@ automatically reorganized whenever the in-memory schema and the on-disk
 schema differ" (paper, section 3).  Mechanically, reorganisation is
 nothing but region-shaped gather/scatter copies:
 
-- a **client** asked for sub-chunk piece *R* gathers ``R`` out of its
-  local chunk (``extract_region``), which is a strided read when *R*
-  does not span the chunk's trailing dimensions;
+- a **client** asked for sub-chunk piece *R* answers with the view of
+  ``R`` in its local chunk, a strided view when *R* does not span the
+  chunk's trailing dimensions; nothing is packed;
 - a **server** assembling a sub-chunk scatters each received piece into
-  its sub-chunk buffer (``inject_region``), producing the chunk in
-  traditional (row-major) order;
-- the reverse happens on reads.
+  its sub-chunk buffer (``inject_region``) -- the file's reserved
+  extent -- producing the chunk in traditional (row-major) order;
+- the reverse happens on reads: the server sends views of the file's
+  sub-chunk and the client scatters them into its chunk.
 
-All functions operate on C-contiguous NumPy arrays holding a chunk in
+``inject_region`` is therefore the one copy a piece's bytes make on
+either path.  All functions operate on NumPy arrays holding a chunk in
 row-major order, with the chunk's global origin given separately, so
 the same code serves memory chunks, disk chunks and sub-chunk buffers.
 The protocol's hot path passes a piece row's precomputed local slices
@@ -76,14 +78,20 @@ def inject_region(
     chunk: np.ndarray, origin: Optional[Sequence[int]], region: Region,
     data: np.ndarray, *, slices: Optional[Slices] = None,
 ) -> None:
-    """Scatter ``data`` (shaped like ``region``, or flat) into ``chunk``
-    at the position of global ``region``; ``slices`` as for
-    :func:`extract_region`."""
+    """Scatter ``data`` (shaped like ``region``, or flat and
+    C-contiguous) into ``chunk`` at the position of global ``region``;
+    ``slices`` as for :func:`extract_region`.  Strided ``data`` must
+    have the region's shape: reshaping it would be a second, uncounted
+    copy."""
     if slices is None:
         slices = _local_slices(region, origin, chunk.shape)
     view = chunk[slices]
     data = np.asarray(data)
     if data.shape != view.shape:
+        if not data.flags.c_contiguous:
+            raise ValueError(
+                f"strided data of shape {data.shape} does not match "
+                f"region shape {view.shape}")
         data = data.reshape(view.shape)
     view[...] = data
     COUNTERS.bytes_copied += view.nbytes

@@ -93,7 +93,7 @@ SUITES = {
     ),
     "real_roundtrip_2mb": (
         lambda: _real_roundtrip((64, 64, 64)),
-        _counters(247, 71, 6291829, (2, 2), (1, 1), 8),
+        _counters(247, 71, 4194677, (2, 2), (1, 1), 8),
     ),
     "fig4_virtual": (
         lambda: _fig_sweep("fig4"),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core import Array, ArrayLayout, PandaConfig, PandaRuntime
+from repro.core.plan import dataset_file
 from repro.faults import (
     BACKOFF,
     MAX_BACKOFF,
@@ -180,6 +181,53 @@ def test_midop_crash_write_recovers_onto_survivors():
         fs = rt.filesystem(a.survivor_index)
         assert fs.exists(a.file_name)
         assert fs.size(a.file_name) == a.nbytes
+
+
+#: four 2-row sub-chunks per server for make_array's 8x24 disk chunks
+SUBCHUNK = 2 * 24 * 8
+
+
+def test_failed_commit_leaves_every_file_at_its_committed_size():
+    """Every disk request fails: the gathered sub-chunks sit in
+    reservations that are never committed, so no server's file grows
+    and none of those bytes can be read."""
+    rt = make_runtime(FaultSpec(seed=1, disk_fault_rate=1.0),
+                      sub_chunk_bytes=SUBCHUNK)
+    arr = make_array()
+    data = {"a": distribute(make_global_array(SHAPE), arr.memory_schema)}
+    with pytest.raises(FaultRecoveryError, match="after 8 retries"):
+        rt.run(write_array_app([arr], "ds", data))
+    for index in range(rt.n_io):
+        store = rt.filesystem(index).store
+        path = dataset_file("ds", index)
+        assert store.size(path) == 0 and store.read_all(path) == b""
+        with pytest.raises(ValueError, match="read past EOF"):
+            store.read(path, 0, 1)
+
+
+def test_crash_mid_gather_leaves_whole_committed_subchunks():
+    """A crash between a sub-chunk's reservation and its commit: the
+    crashed server's file keeps exactly the sub-chunks it committed,
+    and the run recovers bit-exact onto the survivors."""
+    arr = make_array()
+
+    def gathers(rt):
+        # stamped when a gather ends, before its commit
+        return [rec for rec in rt.trace.records if rec.kind == "srv_gather"
+                and rec.source == "server1" and rec["op_id"] == 0]
+
+    clean = make_runtime(FaultSpec(seed=1), sub_chunk_bytes=SUBCHUNK)
+    roundtrip(clean, arr)
+    seq1 = gathers(clean)[1]
+    t = seq1.time - seq1["service"] / 2
+    rt = make_runtime(FaultSpec(seed=1, crashes=((1, t),)),
+                      sub_chunk_bytes=SUBCHUNK)
+    r = roundtrip(rt, arr)
+    assert r.counters["server_crashes"] == 1
+    assert r.counters["recoveries"] == 1
+    assert [rec["seq"] for rec in gathers(rt)] == [0]
+    size = rt.filesystem(1).size(dataset_file("ds", 1))
+    assert size == SUBCHUNK  # seq 0 committed, seq 1's gather cut short
 
 
 def test_upfront_crash_write_recovers_onto_survivors():

@@ -233,6 +233,45 @@ def test_open_modes():
     assert sim.run_process(proc(sim)) == 12
 
 
+@pytest.mark.parametrize("real", [True, False])
+def test_reserve_commit_appends_like_write(real):
+    """A reserved and committed append costs and leaves what a write of
+    the same bytes does; the reservation is unreadable until the commit
+    and must sit at EOF."""
+    data = np.arange(64, dtype=np.uint8)
+    ends = {}
+    for how in ("write", "commit"):
+        sim = Simulator()
+        fs = FileSystem(sim, NAS_SP2, real=real)
+
+        def proc(sim, fs=fs, how=how):
+            fh = fs.open("x", "w")
+            yield from fh.write(DataBlock.real(data[:8]) if real
+                                else DataBlock.virtual(8))
+            if how == "write":
+                yield from fh.write(DataBlock.real(data[8:]) if real
+                                    else DataBlock.virtual(56))
+                return sim.now
+            fh.seek(4)
+            with pytest.raises(ValueError, match="not at EOF"):
+                fh.reserve(56)
+            fh.seek(8)
+            tail = fh.reserve(56)
+            assert (tail is not None) == real
+            if real:
+                tail[:] = data[8:]
+                del tail
+            assert fs.size("x") == 8
+            yield from fh.commit(56)
+            return sim.now
+
+        ends[how] = sim.run_process(proc(sim))
+        assert fs.size("x") == 64
+        if real:
+            assert fs.read_all_bytes("x") == data.tobytes()
+    assert ends["write"] == ends["commit"]
+
+
 def test_write_to_readonly_handle():
     sim = Simulator()
     fs = FileSystem(sim, NAS_SP2)
@@ -247,6 +286,8 @@ def test_write_to_readonly_handle():
     gen = fh.write(DataBlock.real(np.zeros(4, dtype=np.uint8)))
     with pytest.raises(ValueError):
         next(gen)
+    with pytest.raises(ValueError):
+        fh.reserve(4)
 
 
 def test_closed_handle_rejected():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.counters import COUNTERS
 from repro.machine import MB, NAS_SP2, sp2
 from repro.mpi import CONTROL_MESSAGE_BYTES, DataBlock, Network
 from repro.mpi.message import MESSAGE_HEADER_BYTES
@@ -42,9 +43,24 @@ def test_datablock_validation():
 
 
 def test_datablock_makes_contiguous():
+    """A block keeps the strided view it is given -- a piece travels
+    unpacked -- and packs it into row-major bytes only for
+    ``to_buffer``."""
     arr = np.arange(16, dtype=np.int32).reshape(4, 4).T  # non-contiguous
     b = DataBlock.real(arr)
-    assert b.array.flags["C_CONTIGUOUS"]
+    assert b.array is arr and b.nbytes == 64
+    buf = b.to_buffer()
+    assert buf.readonly and bytes(buf) == np.ascontiguousarray(arr).tobytes()
+
+
+def test_datablock_to_buffer_counts_only_a_pack():
+    before = COUNTERS.bytes_copied
+    flat = np.arange(16, dtype=np.int32)
+    view = DataBlock.real(flat).to_buffer()
+    assert COUNTERS.bytes_copied == before
+    assert np.shares_memory(np.frombuffer(view, dtype=np.int32), flat)
+    DataBlock.real(flat.reshape(4, 4)[:, :2]).to_buffer()  # strided
+    assert COUNTERS.bytes_copied == before + 32
 
 
 # --- point to point -----------------------------------------------------------

@@ -1,7 +1,8 @@
 """Shadow-model property test for :class:`MemoryStore`.
 
 Random interleavings of ``create`` (truncating or not), ``write``
-(append, overwrite, past-EOF gap), ``read``, ``read_all``, ``size`` and
+(append, overwrite, past-EOF gap), an EOF reservation (filled, then
+committed or abandoned), ``read``, ``read_all``, ``size`` and
 ``delete`` over two paths must be byte-identical to a plain ``bytes``
 model.  Read views are held live across the later operations: every one
 of them must keep showing the bytes it showed when it was taken, and
@@ -32,6 +33,7 @@ def op_strategy():
         st.tuples(st.just("append"), path, nbytes, fill),
         st.tuples(st.just("overwrite"), path, pos, nbytes.filter(bool), fill),
         st.tuples(st.just("gap"), path, st.integers(1, 40), nbytes, fill),
+        st.tuples(st.just("reserve"), path, nbytes, fill, st.booleans()),
         st.tuples(st.just("read"), path, pos, pos),
         st.tuples(st.just("read_all"), path),
         st.tuples(st.just("delete"), path),
@@ -51,6 +53,12 @@ def _payload(nbytes: int, fill: int) -> bytes:
 @example(ops=[("read", "a", 0, 4), ("create", "a", True), ("append", "a", 8, 7)])
 @example(ops=[("read", "a", 0, 4), ("delete", "a"), ("create", "a", False),
               ("append", "a", 8, 7)])
+# ... and across a committed and an abandoned reservation
+@example(ops=[("read", "a", 0, 4), ("reserve", "a", 8, 7, True)])
+@example(ops=[("read", "a", 0, 4), ("create", "a", True),
+              ("reserve", "a", 8, 7, True)])
+@example(ops=[("read", "a", 0, 4), ("reserve", "a", 8, 7, False),
+              ("gap", "a", 3, 2, 9)])
 def test_store_matches_bytes_model_and_views_are_snapshots(ops):
     store = MemoryStore()
     model = {}
@@ -83,6 +91,19 @@ def test_store_matches_bytes_model_and_views_are_snapshots(ops):
             write(path, len(model[path]) * op[2] // 4, _payload(op[3], op[4]))
         elif kind == "gap":
             write(path, len(model[path]) + op[2], _payload(op[3], op[4]))
+        elif kind == "reserve":
+            # assemble bytes in the unreadable tail, then commit them or
+            # drop them on the floor: abandoned, they never show
+            size, data, commit = len(model[path]), _payload(op[2], op[3]), op[4]
+            with pytest.raises(ValueError):
+                store.reserve(path, size + 1, op[2])
+            tail = store.reserve(path, size, op[2])
+            assert not tail.readonly and len(tail) == op[2]
+            tail[:] = data
+            del tail
+            if commit:
+                store.commit(path, size, op[2])
+                model[path] += data
         elif kind == "read":
             size = len(model[path])
             lo, hi = sorted((size * op[2] // 4, size * op[3] // 4))
@@ -113,10 +134,12 @@ def test_store_matches_bytes_model_and_views_are_snapshots(ops):
 
 
 def test_truncating_rewrite_allocates_nothing_unless_a_view_pins_it():
-    """The "w" reopen of every timestep rewrite: each write is one copy
-    into the allocation the file already has -- no temporary, no
-    regrowth -- when the file is unobserved; a fresh buffer, and an
-    intact snapshot, when a read view is still held."""
+    """The "w" reopen of every timestep rewrite: each write, or each
+    reserve -> fill -> commit, is one copy into the allocation the file
+    already has -- no temporary, no regrowth -- when the file is
+    unobserved; a fresh buffer, and an intact snapshot, when a read
+    view is still held.  A reservation that outlived its commit would
+    pin the buffer and make the next one copy the whole file."""
     n = 1 << 16
     old, new = bytes([1]) * n, memoryview(bytes([2]) * n)
     store = MemoryStore()
@@ -130,6 +153,12 @@ def test_truncating_rewrite_allocates_nothing_unless_a_view_pins_it():
         assert store.size("f") == 0 and store.read_all("f") == b""
         for k in range(3):
             store.write("f", k * n, new, n)
+        store.create("f", truncate=True)
+        for k in range(3):
+            tail = store.reserve("f", k * n, n)
+            tail[:] = new
+            del tail
+            store.commit("f", k * n, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

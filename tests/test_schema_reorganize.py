@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.counters import COUNTERS
 from repro.schema import (
     DataSchema,
     Region,
@@ -50,6 +51,20 @@ def test_inject_accepts_flat_data():
     flat = np.arange(4, dtype=np.int32)
     inject_region(chunk, (0, 0), Region((0, 0), (2, 2)), flat)
     np.testing.assert_array_equal(chunk[0:2, 0:2], flat.reshape(2, 2))
+
+
+def test_inject_refuses_to_reshape_strided_data():
+    """Reshaping strided data would copy it behind the counter's back:
+    strided data must come in the region's shape, and then lands with
+    the one counted copy."""
+    chunk = np.zeros((4, 4), dtype=np.int32)
+    strided = np.arange(16, dtype=np.int32).reshape(4, 4)[:, :1]  # (4, 1)
+    with pytest.raises(ValueError, match="strided"):
+        inject_region(chunk, (0, 0), Region((0, 0), (1, 4)), strided)
+    before = COUNTERS.bytes_copied
+    inject_region(chunk, (0, 0), Region((0, 0), (4, 1)), strided)
+    np.testing.assert_array_equal(chunk[:, :1], strided)
+    assert COUNTERS.bytes_copied == before + strided.nbytes
 
 
 def test_extract_then_inject_is_identity():
