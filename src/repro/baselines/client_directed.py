@@ -38,9 +38,33 @@ from repro.baselines.common import BaselineResult, BaselineRuntime, Piece
 from repro.core.config import PandaConfig
 from repro.core.plan import build_server_plan, dataset_file
 from repro.core.protocol import CollectiveOp
-from repro.schema.regions import Region
+from repro.schema.regions import Region, runs_within
 
 __all__ = ["run_client_directed", "client_piece_schedule"]
+
+
+def _runs(op: CollectiveOp, n_servers: int, config: PandaConfig,
+          mesh_position: int) -> Iterator[tuple]:
+    """The runs one client pushes, in its own (array, chunk, sub-chunk)
+    order, a sub-chunk at a time: ``(server, array_index, file_offsets,
+    lo, hi, nbytes)`` for every intersection between the client's
+    memory chunks and every planned sub-chunk.  A strided piece of a
+    sub-chunk is written run by run, each run at the file offset of its
+    first element: ``file_offsets`` holds one per run, ``lo`` and
+    ``hi`` one row of global corners per run, and every run is
+    ``nbytes`` long."""
+    for s in range(n_servers):
+        for item in build_server_plan(op, s, n_servers, config).items:
+            spec = op.arrays[item.array_index]
+            overlap = item.region.intersect(
+                spec.memory_schema.chunk(mesh_position).region)
+            if overlap is None:
+                continue
+            offsets, elems = overlap.run_offsets(item.region)
+            lo, hi = item.region.run_corners(offsets, elems)
+            yield (s, item.array_index,
+                   item.file_offset + offsets * spec.itemsize, lo, hi,
+                   elems * spec.itemsize)
 
 
 def client_piece_schedule(
@@ -50,39 +74,13 @@ def client_piece_schedule(
     mesh_position: int,
 ) -> List[Tuple[int, int, Region, int, int]]:
     """What one client pushes, in its own (array, chunk, sub-chunk)
-    order: ``(server, file_offset, piece_region, nbytes, array_index)``
-    for every intersection between the client's memory chunks and every
-    planned sub-chunk."""
-    out = []
-    for s in range(n_servers):
-        plan = build_server_plan(op, s, n_servers, config)
-        for item in plan.items:
-            spec = op.arrays[item.array_index]
-            my_chunk = spec.memory_schema.chunk(mesh_position).region
-            overlap = item.region.intersect(my_chunk)
-            if overlap is None:
-                continue
-            # offset of the piece within the sub-chunk's file extent:
-            # pieces of a sub-chunk are disjoint regions; we write each
-            # at the offset of its first element within the sub-chunk's
-            # row-major order (correct whenever the piece is a prefix of
-            # rows -- guaranteed here because pieces span the sub-chunk's
-            # trailing dims wherever they are contiguous; for strided
-            # pieces each run is written separately below).
-            runs = list(overlap.iter_runs_within(item.region))
-            for start, elems in runs:
-                off = (item.file_offset
-                       + item.region.linear_offset_of(start) * spec.itemsize)
-                run_region = _run_region(start, elems, item.region)
-                out.append((s, off, run_region, elems * spec.itemsize,
-                            item.array_index))
-    return out
-
-
-def _run_region(start, elems, container: Region) -> Region:
-    off = container.linear_offset_of(start) + elems - 1
-    last = container.point_at_linear_offset(off)
-    return Region(start, tuple(c + 1 for c in last))
+    order: ``(server, file_offset, run_region, nbytes, array_index)``
+    for every run of every intersection between the client's memory
+    chunks and every planned sub-chunk."""
+    return [(s, off, Region(tuple(l), tuple(h)), nbytes, ai)
+            for s, ai, offsets, lo, hi, nbytes
+            in _runs(op, n_servers, config, mesh_position)
+            for off, l, h in zip(offsets.tolist(), lo.tolist(), hi.tolist())]
 
 
 def _pieces(rank: int, rt: BaselineRuntime, op: CollectiveOp,
@@ -90,16 +88,17 @@ def _pieces(rank: int, rt: BaselineRuntime, op: CollectiveOp,
             data: Optional[Dict[int, Dict[str, np.ndarray]]]
             ) -> Iterator[Piece]:
     """Exchange pieces of :func:`client_piece_schedule`, each held by its
-    region of the client's chunk in as many runs as that takes."""
-    for server, off, region, nbytes, ai in client_piece_schedule(
-            op, rt.n_io, config, rank):
+    run's region of the client's chunk in as many runs as that takes."""
+    for s, ai, offsets, lo, hi, nbytes in _runs(op, rt.n_io, config, rank):
         spec = op.arrays[ai]
         chunk = spec.memory_schema.chunk(rank).region
-        runs, _ = region.contiguous_runs_within(chunk)
-        view = None
-        if rt.real_payloads:
-            view = data[rank][spec.name][region.relative_to(chunk.lo).slices()]
-        yield server, off, nbytes, runs, view
+        c_lo, c_hi = np.array(chunk.lo), np.array(chunk.hi)
+        runs = runs_within(lo, hi, c_lo, c_hi).tolist()
+        local = data[rank][spec.name] if rt.real_payloads else None
+        for off, n, l, h in zip(offsets.tolist(), runs, (lo - c_lo).tolist(),
+                                (hi - c_lo).tolist()):
+            yield (s, off, nbytes, n,
+                   None if local is None else local[tuple(map(slice, l, h))])
 
 
 def run_client_directed(
@@ -123,6 +122,7 @@ def run_client_directed(
             f"memory mesh ({mesh_size}) must match compute nodes "
             f"({rt.n_compute})"
         )
+    rt.require_data(data)
     paths = [dataset_file(op.dataset, s) for s in range(rt.n_io)]
 
     def client(rank: int, rt: BaselineRuntime):

@@ -30,6 +30,7 @@ import numpy as np
 from repro.baselines.daemon import serve
 from repro.core.protocol import ArraySpec, Tags
 from repro.core.runtime import run_supervised
+from repro.counters import COUNTERS
 from repro.fs.cache import BufferCache
 from repro.fs.filesystem import FileSystem
 from repro.machine import MB, NAS_SP2, MachineSpec
@@ -39,7 +40,8 @@ from repro.schema.regions import Region
 from repro.sim import Simulator
 from repro.sim.trace import Trace
 
-__all__ = ["StripedLayout", "BaselineRuntime", "BaselineResult", "chunk_runs"]
+__all__ = ["StripedLayout", "BaselineRuntime", "BaselineResult", "chunk_runs",
+           "split_runs"]
 
 
 #: one piece of an exchange: ``(server, offset, nbytes, runs, view)``,
@@ -65,34 +67,33 @@ class StripedLayout:
         """Split ``[offset, offset+nbytes)`` at stripe boundaries.
         Returns ``(server, server_local_offset, nbytes)`` pieces in
         ascending global-offset order."""
-        if offset < 0 or offset + nbytes > self.total_bytes:
+        server, local, span, _ = self._split(offset, nbytes)
+        return list(zip(server.tolist(), local.tolist(), span.tolist()))
+
+    def pieces(self, offsets, nbytes: int,
+               buf: Optional[np.ndarray]) -> Iterator[Piece]:
+        """Exchange pieces of the file's runs ``[offsets[i], offsets[i] +
+        nbytes)``, each split at stripe boundaries, held in order by the
+        flat byte array ``buf`` (``None`` in virtual mode)."""
+        server, local, span, at = self._split(offsets, nbytes)
+        for s, l, n, a in zip(server.tolist(), local.tolist(), span.tolist(),
+                              at.tolist()):
+            yield s, l, n, 1, None if buf is None else buf[a:a + n]
+
+    def _split(self, offsets, nbytes: int):
+        """:func:`split_runs` at stripe boundaries, each piece's stripe
+        mapped to its server and the offset in that server's file."""
+        offsets = np.atleast_1d(np.asarray(offsets, dtype=np.int64))
+        bad = (offsets < 0) | (offsets + nbytes > self.total_bytes)
+        if bad.any():
+            offset = int(offsets[bad][0])
             raise ValueError(
                 f"range [{offset}, {offset + nbytes}) outside file of "
                 f"{self.total_bytes} bytes"
             )
-        out = []
-        pos = offset
-        end = offset + nbytes
-        while pos < end:
-            unit = pos // self.stripe_bytes
-            unit_end = (unit + 1) * self.stripe_bytes
-            span = min(end, unit_end) - pos
-            server = unit % self.n_servers
-            local = (unit // self.n_servers) * self.stripe_bytes + (
-                pos - unit * self.stripe_bytes
-            )
-            out.append((server, local, span))
-            pos += span
-        return out
-
-    def pieces(self, offset: int, nbytes: int, buf: Optional[np.ndarray],
-               at: int = 0) -> Iterator[Piece]:
-        """Exchange pieces of the file's bytes ``[offset, offset+nbytes)``
-        (:meth:`map`), held from byte ``at`` of the flat byte array
-        ``buf`` (``None`` in virtual mode)."""
-        for server, local, span in self.map(offset, nbytes):
-            yield server, local, span, 1, None if buf is None else buf[at:at + span]
-            at += span
+        unit, lo, span, at = split_runs(offsets, nbytes, self.stripe_bytes)
+        local = (unit // self.n_servers - unit) * self.stripe_bytes + lo
+        return unit % self.n_servers, local, span, at
 
     def server_bytes(self, server: int) -> int:
         """Total bytes held by ``server``."""
@@ -113,16 +114,32 @@ class StripedLayout:
                         local, span in self.map(0, self.total_bytes))
 
 
-def chunk_runs(spec: ArraySpec, rank: int) -> Iterator[Tuple[int, int, int]]:
-    """``(global_offset, elems, local_offset)`` for each contiguous run of
-    ``rank``'s memory chunk in the array's row-major order, ascending;
-    offsets count elements of the whole array and of the chunk."""
-    full = Region.from_shape(spec.shape)
+def split_runs(starts: np.ndarray, length: int, unit: int
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Split the runs ``[starts[i], starts[i] + length)`` at multiples
+    of ``unit``.  Returns, per piece in run order, the index of the
+    ``unit``-sized block it falls in, its start, its length and its
+    position in the runs laid end to end."""
+    starts = np.asarray(starts, dtype=np.int64)
+    if length <= 0:
+        starts = starts[:0]
+    first = starts // unit
+    count = (starts + (length - 1)) // unit - first + 1
+    run = np.repeat(np.arange(starts.size), count)
+    block = first[run] + np.arange(run.size) - np.repeat(np.cumsum(count) - count, count)
+    lo = np.maximum(starts[run], block * unit)
+    hi = np.minimum(starts[run] + length, (block + 1) * unit)
+    return block, lo, hi - lo, run * length + lo - starts[run]
+
+
+def chunk_runs(spec: ArraySpec, rank: int) -> Tuple[np.ndarray, int]:
+    """:meth:`~repro.schema.regions.Region.run_offsets` of ``rank``'s
+    memory chunk in the whole array: the element offset of each of its
+    contiguous runs in the array's row-major order, ascending, and the
+    run length.  Run ``i`` is the chunk's elements ``[i * length,
+    (i + 1) * length)``."""
     region = spec.memory_schema.chunk(rank).region
-    if region.empty:
-        return
-    for start, elems in region.iter_runs_within(full):
-        yield full.linear_offset_of(start), elems, region.linear_offset_of(start)
+    return region.run_offsets(Region.from_shape(spec.shape))
 
 
 @dataclass
@@ -229,8 +246,15 @@ class BaselineRuntime:
                                             nbytes, view)
             if kind == "read" and view is not None:
                 view[...] = reply.array.view(view.dtype).reshape(view.shape)
+                COUNTERS.bytes_copied += nbytes
 
     # -- execution ---------------------------------------------------------------
+    def require_data(self, data) -> None:
+        """Refuse a real-payload phase without bound local arrays up
+        front, before a client fails on them inside the run."""
+        if self.real_payloads and data is None:
+            raise ValueError("real payloads need bound local arrays (data)")
+
     def execute(self, kind: str, total_bytes: int, paths: Sequence[str],
                 client_fn: Callable[[int, "BaselineRuntime"], object]
                 ) -> BaselineResult:

@@ -43,7 +43,7 @@ def serve(comm: Communicator, fs: FileSystem, cache: Optional[BufferCache],
             continue
         offset, nbytes, block = msg.payload
         if msg.tag == Tags.DAEMON_WRITE:
-            data = block.to_bytes() if (block.is_real and fs.real) else None
+            data = block.to_buffer() if (block.is_real and fs.real) else None
             if cache is not None:
                 yield from cache.write(path, offset, data, nbytes)
             else:

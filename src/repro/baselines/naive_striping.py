@@ -48,9 +48,8 @@ def client_pieces(spec: ArraySpec, rank: int, layout: StripedLayout,
     """One client's exchange pieces, in its row-major traversal order:
     each run of its chunk split at stripe boundaries, held by the flat
     byte view ``local`` of the chunk (``None`` in virtual mode)."""
-    for goff, elems, loff in chunk_runs(spec, rank):
-        yield from layout.pieces(goff * spec.itemsize, elems * spec.itemsize,
-                                 local, loff * spec.itemsize)
+    offsets, elems = chunk_runs(spec, rank)
+    return layout.pieces(offsets * spec.itemsize, elems * spec.itemsize, local)
 
 
 def run_naive_striping(
@@ -65,8 +64,7 @@ def run_naive_striping(
     ``data`` maps rank -> local chunk ndarray (real mode).  For reads
     the chunks are filled in place.
     """
-    if kind == "read" and rt.real_payloads and data is None:
-        raise ValueError("read needs bound local arrays in real mode")
+    rt.require_data(data)
     layout = rt.layout(spec.nbytes)
 
     def client(rank: int, rt: BaselineRuntime):

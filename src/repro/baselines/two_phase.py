@@ -30,14 +30,15 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.common import BaselineResult, BaselineRuntime, chunk_runs
+from repro.baselines.common import (BaselineResult, BaselineRuntime,
+                                    chunk_runs, split_runs)
 from repro.core.protocol import ArraySpec, Tags
 
 __all__ = ["run_two_phase", "conforming_segment", "transfer_matrix"]
 
-#: one rank's chunk pieces, by the segment owner each falls to:
-#: ``(global_offset, elems, local_offset)``, in elements
-_Routes = Dict[int, List[Tuple[int, int, int]]]
+#: one rank's chunk pieces, by the segment owner each falls to: one
+#: ``(global_offset, elems, local_offset)`` row per piece, in elements
+_Routes = Dict[int, np.ndarray]
 
 
 def conforming_segment(total_elems: int, n_clients: int, rank: int) -> Tuple[int, int]:
@@ -55,15 +56,10 @@ def _routes(spec: ArraySpec, n_clients: int) -> List[_Routes]:
     seg = -(-int(np.prod(spec.shape)) // n_clients)
     routes = []
     for src in range(n_clients):
-        by_owner: _Routes = {}
-        for goff, elems, loff in chunk_runs(spec, src):
-            pos, end = goff, goff + elems
-            while pos < end:
-                j = pos // seg
-                span = min((j + 1) * seg, end) - pos
-                by_owner.setdefault(j, []).append((pos, span, loff + pos - goff))
-                pos += span
-        routes.append(by_owner)
+        owner, goff, elems, loff = split_runs(*chunk_runs(spec, src), seg)
+        owners, first = np.unique(owner, return_index=True)
+        rows = np.column_stack((goff, elems, loff))
+        routes.append(dict(zip(owners.tolist(), np.split(rows, first[1:]))))
     return routes
 
 
@@ -72,7 +68,7 @@ def transfer_matrix(spec: ArraySpec, n_clients: int) -> np.ndarray:
     mat = np.zeros((n_clients, n_clients), dtype=np.int64)
     for src, by_owner in enumerate(_routes(spec, n_clients)):
         for dst, pieces in by_owner.items():
-            mat[src, dst] = sum(p[1] for p in pieces) * spec.itemsize
+            mat[src, dst] = pieces[:, 1].sum() * spec.itemsize
     return mat
 
 
@@ -82,7 +78,7 @@ def _client(rank: int, rt: BaselineRuntime, spec: ArraySpec, kind: str,
     seg_lo, seg_hi = conforming_segment(int(np.prod(spec.shape)),
                                         rt.n_compute, rank)
     real = rt.real_payloads
-    local = data[rank].reshape(-1) if (real and data is not None) else None
+    local = data[rank].reshape(-1) if real else None
     buf = np.zeros(seg_hi - seg_lo, dtype=spec.np_dtype) if real else None
     stripes = rt.layout(spec.nbytes).pieces(
         seg_lo * spec.itemsize, (seg_hi - seg_lo) * spec.itemsize,
@@ -98,14 +94,14 @@ def _client(rank: int, rt: BaselineRuntime, spec: ArraySpec, kind: str,
     def send(to, pieces):
         """Pack ``pieces`` and send them to rank ``to`` -- or, to
         myself, copy them across."""
-        nbytes = sum(p[1] for p in pieces) * spec.itemsize
+        nbytes = int(pieces[:, 1].sum()) * spec.itemsize
         yield comm.copy_s(nbytes, len(pieces))
         if to != rank:
-            payload = ([np.ascontiguousarray(src[src_at(p)]) for p in pieces]
-                       if real else None)
+            payload = ([np.ascontiguousarray(src[src_at(p)])
+                        for p in pieces.tolist()] if real else None)
             yield from comm.send(to, Tags.PERMUTE, payload, nbytes=nbytes)
         elif real:
-            for p in pieces:
+            for p in pieces.tolist():
                 dst[dst_at(p)] = src[src_at(p)]
 
     def receive(senders, pieces_from):
@@ -116,7 +112,7 @@ def _client(rank: int, rt: BaselineRuntime, spec: ArraySpec, kind: str,
             pieces = pieces_from(msg.src)
             yield comm.copy_s(msg.nbytes, len(pieces))
             if real:
-                for p, piece in zip(pieces, msg.payload):
+                for p, piece in zip(pieces.tolist(), msg.payload):
                     dst[dst_at(p)] = piece
 
     mine = routes[rank]  # my chunk's pieces, by segment owner
@@ -149,6 +145,7 @@ def run_two_phase(
     """Run one two-phase write or read of ``spec`` on ``rt``.  Use a
     runtime with a large ``stripe_bytes`` (e.g. 1 MB) so its large-I/O
     phase issues large requests -- that is the method's whole point."""
+    rt.require_data(data)
     routes = _routes(spec, rt.n_compute)
     return rt.execute(
         kind, spec.nbytes, [f"{dataset}.striped"] * rt.n_io,

@@ -48,7 +48,7 @@ from repro.core.config import PandaConfig
 from repro.core.protocol import ArraySpec, CollectiveOp
 from repro.counters import COUNTERS
 from repro.memo import Memo
-from repro.schema.regions import Region
+from repro.schema.regions import Region, runs_within
 from repro.schema.split import split_row_major
 
 __all__ = [
@@ -225,8 +225,8 @@ def _piece_rows(spec: ArraySpec, subs: Sequence[Region],
     hi = np.array([s.hi for s in subs], dtype=np.int64)
     query, mesh, o_lo, o_hi, c_lo, c_hi = spec.memory_schema.overlaps(lo, hi)
     s_lo = lo[query]
-    runs_sub = _runs_within(o_lo, o_hi, s_lo, hi[query])
-    runs_chunk = _runs_within(o_lo, o_hi, c_lo, c_hi)
+    runs_sub = runs_within(o_lo, o_hi, s_lo, hi[query])
+    runs_chunk = runs_within(o_lo, o_hi, c_lo, c_hi)
     # every int of the rows comes out of one object array, so equal
     # coordinates, run counts and byte counts share one Python int
     n = lo.shape[1]
@@ -250,21 +250,6 @@ def _piece_rows(spec: ArraySpec, subs: Sequence[Region],
         out.append(tuple(rows[start:end]))
         start = end
     return out
-
-
-def _runs_within(lo: np.ndarray, hi: np.ndarray, c_lo: np.ndarray,
-                 c_hi: np.ndarray) -> np.ndarray:
-    """:meth:`Region.contiguous_runs_within` for whole arrays of boxes:
-    the run count of ``[lo, hi)`` in the row-major layout of its
-    container ``[c_lo, c_hi)``, row by row.  Dimension ``d`` multiplies
-    the count unless every dimension after it is spanned fully (the
-    fully spanned suffix and the first partial dimension before it
-    merge into single runs)."""
-    full = (lo == c_lo) & (hi == c_hi)
-    # suffix[:, d]: every dimension from d on is spanned fully
-    suffix = np.logical_and.accumulate(full[:, ::-1], axis=1)[:, ::-1]
-    extent = hi - lo
-    return np.where(suffix[:, 1:], 1, extent[:, :-1]).prod(axis=1)
 
 
 def _shared_ints(a: np.ndarray) -> np.ndarray:

@@ -138,6 +138,7 @@ class SequentialPanda:
             np.zeros(region.shape, dtype=meta.dtype)
             if self.fs.real else None
         )
+        origin = np.array(region.lo)
         t0 = self.sim.now
         reqs0 = self.fs.disk.requests
         bytes0 = self.fs.disk.bytes_read
@@ -149,15 +150,18 @@ class SequentialPanda:
                 if overlap is None:
                     continue
                 base = meta.chunk_offsets[chunk.index]
-                for start, elems in overlap.iter_runs_within(chunk.region):
-                    off = base + chunk.region.linear_offset_of(start) * itemsize
-                    fh.seek(off)
+                offsets, elems = overlap.run_offsets(chunk.region)
+                lo, hi = chunk.region.run_corners(offsets, elems)
+                # each run's corners, local to the working set
+                for off, l, h in zip(offsets.tolist(), (lo - origin).tolist(),
+                                     (hi - origin).tolist()):
+                    fh.seek(base + off * itemsize)
                     block = yield from fh.read(elems * itemsize)
                     if out is not None:
-                        run = np.frombuffer(block.to_bytes(), dtype=meta.dtype)
-                        run_region = Region(start, _run_end(start, elems,
-                                                            chunk.region))
-                        _scatter_run(out, region, run_region, run)
+                        # a run is a hyper-rectangle of the working set
+                        view = out[tuple(map(slice, l, h))]
+                        view[...] = np.frombuffer(
+                            block.to_bytes(), dtype=meta.dtype).reshape(view.shape)
             fh.close()
 
         self.sim.run_process(reader(self.sim))
@@ -175,25 +179,3 @@ class SequentialPanda:
 
     def schemas(self) -> Dict[str, DataSchema]:
         return {k: v.schema for k, v in self._catalog.items()}
-
-
-def _run_end(start: Tuple[int, ...], elems: int, container: Region
-             ) -> Tuple[int, ...]:
-    """Exclusive upper corner of a run of ``elems`` elements starting at
-    ``start`` in ``container``'s row-major order.  A run is a hyper-
-    rectangle whose first point is its min corner and whose last point
-    is its max corner."""
-    off = container.linear_offset_of(start) + elems - 1
-    last = container.point_at_linear_offset(off)
-    return tuple(c + 1 for c in last)
-
-
-def _scatter_run(out: np.ndarray, out_region: Region, run_region: Region,
-                 run: np.ndarray) -> None:
-    """Place a row-major run (which may span several rows of the
-    container) into the working-set buffer."""
-    # the run is contiguous in the *chunk*, and -- by the run property --
-    # also a hyper-rectangle spanning full trailing dims; express it as
-    # a region and inject
-    local = run_region.relative_to(out_region.lo)
-    out[local.slices()] = run.reshape(local.shape)

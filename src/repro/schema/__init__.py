@@ -30,11 +30,7 @@ from repro.schema.distribution import BLOCK, CYCLIC, NONE, Dist, parse_dist
 from repro.schema.layout import Mesh
 from repro.schema.regions import Region
 from repro.schema.split import split_row_major
-from repro.schema.reorganize import (
-    extract_region,
-    gather_into,
-    inject_region,
-)
+from repro.schema.reorganize import gather_into, inject_region
 
 __all__ = [
     "BLOCK",
@@ -45,7 +41,6 @@ __all__ = [
     "Mesh",
     "NONE",
     "Region",
-    "extract_region",
     "gather_into",
     "inject_region",
     "parse_dist",

@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
-__all__ = ["Region"]
+import numpy as np
+
+__all__ = ["Region", "runs_within"]
 
 
 @dataclass(frozen=True)
@@ -141,89 +143,64 @@ class Region:
         return tuple(slice(l, h) for l, h in zip(self.lo, self.hi))
 
     # -- row-major structure ---------------------------------------------------
-    def linear_offset_of(self, point: Sequence[int]) -> int:
-        """Row-major linear offset of ``point`` *within this region*."""
-        if not self.contains_point(point):
-            raise ValueError(f"{tuple(point)} outside region {self}")
-        off = 0
-        for (l, _h), p, extent in zip(zip(self.lo, self.hi), point, self.shape):
-            off = off * extent + (p - l)
-        return off
+    def run_offsets(self, container: "Region") -> Tuple[np.ndarray, int]:
+        """The contiguous runs of this region in the row-major
+        linearisation of ``container``: the linear offset of every run
+        start, ascending, as one int64 array, and the common run length
+        (``(empty, 0)`` for an empty region).  ``container`` must
+        contain ``self``.
 
-    def point_at_linear_offset(self, offset: int) -> Tuple[int, ...]:
-        """Inverse of :meth:`linear_offset_of`."""
-        if not 0 <= offset < self.size:
-            raise ValueError(f"offset {offset} outside region of size {self.size}")
-        coords = []
-        for extent in reversed(self.shape):
-            coords.append(offset % extent)
-            offset //= extent
-        return tuple(l + c for l, c in zip(self.lo, reversed(coords)))
+        The offsets are a broadcast sum of the container's strides over
+        the dimensions the runs step through (:func:`runs_within`) --
+        an MPI vector datatype.  Each run is contiguous in the container
+        *and* in a row-major array holding just this region, so run
+        ``i`` starts at element ``i * run_length`` of that array: a
+        client streams its runs without re-buffering.
+        """
+        lo, hi, c_lo, c_hi = self._corners_within(container)
+        if self.empty:
+            return np.zeros(0, dtype=np.int64), 0
+        strides = np.ones_like(lo)
+        strides[:-1] = np.cumprod((c_hi - c_lo)[:0:-1])[::-1]
+        offsets = np.array([(lo - c_lo) @ strides])
+        for d in np.flatnonzero(_steps(lo, hi, c_lo, c_hi)).tolist():
+            offsets = np.add.outer(offsets, np.arange(hi[d] - lo[d]) * strides[d]).ravel()
+        return offsets, self.size // offsets.size
+
+    def run_corners(self, offsets: np.ndarray,
+                    run_length: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``[lo, hi)`` corners, one row per run, of the runs of
+        ``run_length`` elements at ``offsets`` of this region's row-major
+        order (as :meth:`run_offsets` returns them with this region as
+        the container).  A run is a hyper-rectangle whose first point
+        is its min corner and whose last point is its max corner."""
+        offsets = np.asarray(offsets, dtype=np.int64)
+        first = np.unravel_index(offsets, self.shape)
+        last = np.unravel_index(offsets + (run_length - 1), self.shape)
+        origin = np.array(self.lo, dtype=np.int64)
+        return (np.stack(first, axis=-1) + origin,
+                np.stack(last, axis=-1) + origin + 1)
 
     def contiguous_runs_within(self, container: "Region") -> Tuple[int, int]:
-        """Decompose this region into contiguous runs of the row-major
-        linearisation of ``container``.
+        """``(n_runs, run_length)`` of :meth:`run_offsets`, with
+        ``n_runs * run_length == self.size``, without listing the runs:
+        the one-box case of :func:`runs_within`.  This is the cost
+        kernel for strided access: a client holding its chunk as a
+        row-major array services a sub-chunk request with ``n_runs``
+        memcpy calls of ``run_length`` elements each."""
+        lo, hi, c_lo, c_hi = self._corners_within(container)
+        if self.empty:
+            return 0, 0
+        n_runs = int(runs_within(lo, hi, c_lo, c_hi))
+        return n_runs, self.size // n_runs
 
-        Returns ``(n_runs, run_length)`` with ``n_runs * run_length ==
-        self.size``.  ``container`` must contain ``self``.
-
-        This is the cost kernel for strided access: a client holding its
-        chunk as a row-major array services a sub-chunk request with
-        ``n_runs`` memcpy calls of ``run_length`` elements each.
-        """
+    def _corners_within(self, container: "Region") -> np.ndarray:
+        """The rows ``lo, hi`` of this region and of ``container`` as
+        one int64 array, once ``container`` is checked to contain it."""
         if not container.contains(self):
             raise ValueError(f"{self} not inside container {container}")
-        if self.empty:
-            return (0, 0)
-        n = self.ndim
-        # count trailing dimensions that self spans fully in container
-        k = 0
-        for i in range(n - 1, -1, -1):
-            if self.lo[i] == container.lo[i] and self.hi[i] == container.hi[i]:
-                k += 1
-            else:
-                break
-        if k == n:
-            return (1, self.size)
-        # the first (from the right) partial dimension merges with the
-        # fully-spanned suffix into single runs
-        run = self.shape[n - 1 - k]
-        for i in range(n - k, n):
-            run *= container.shape[i]
-        runs = 1
-        for i in range(0, n - 1 - k):
-            runs *= self.shape[i]
-        return (runs, run)
-
-    def iter_runs_within(self, container: "Region") -> Iterator[Tuple[Tuple[int, ...], int]]:
-        """Enumerate the contiguous runs of this region in the row-major
-        linearisation of ``container``: yields ``(start_point,
-        run_elems)`` in ascending order.
-
-        Each run is simultaneously contiguous in the container *and* in
-        a row-major array holding just this region (the trailing
-        dimensions a run spans fully in the container are spanned fully
-        by the region too), which is what lets clients stream runs
-        without re-buffering.
-        """
-        n_runs, run_len = self.contiguous_runs_within(container)
-        if n_runs == 0:
-            return
-        # leading dims that vary across runs
-        lead = 0
-        acc = 1
-        for extent in self.shape:
-            if acc == n_runs:
-                break
-            acc *= extent
-            lead += 1
-        lead_region = Region(self.lo[:lead], self.hi[:lead]) if lead else None
-        if lead_region is None:
-            yield (self.lo, run_len)
-            return
-        tail = self.lo[lead:]
-        for lead_pt in lead_region.iter_points():
-            yield (lead_pt + tail, run_len)
+        return np.array((self.lo, self.hi, container.lo, container.hi),
+                        dtype=np.int64)
 
     def iter_points(self) -> Iterator[Tuple[int, ...]]:
         """Iterate all points in row-major order (small regions only --
@@ -247,3 +224,28 @@ class Region:
     def __repr__(self) -> str:
         spans = ",".join(f"{l}:{h}" for l, h in zip(self.lo, self.hi))
         return f"Region[{spans}]"
+
+
+def _steps(lo: np.ndarray, hi: np.ndarray, c_lo: np.ndarray,
+           c_hi: np.ndarray) -> np.ndarray:
+    """The run rule: which dimensions the runs of a box ``[lo, hi)`` in
+    the row-major layout of its container ``[c_lo, c_hi)`` step
+    through, for one box or a whole array of them (the last axis is
+    the dimension).  The suffix of dimensions the box spans fully and
+    the first partial dimension before it merge into single runs;
+    every dimension before that steps from run to run."""
+    full = (lo == c_lo) & (hi == c_hi)
+    # suffix[..., d]: every dimension from d on is spanned fully
+    suffix = np.logical_and.accumulate(full[..., ::-1], axis=-1)[..., ::-1]
+    steps = np.zeros_like(full)
+    steps[..., :-1] = ~suffix[..., 1:]
+    return steps
+
+
+def runs_within(lo: np.ndarray, hi: np.ndarray, c_lo: np.ndarray,
+                c_hi: np.ndarray) -> np.ndarray:
+    """The run count of every box ``[lo, hi)`` in the row-major layout
+    of its container ``[c_lo, c_hi)``, row by row: the batched form of
+    :meth:`Region.run_offsets`'s count, for whole piece tables."""
+    counts: np.ndarray = np.where(_steps(lo, hi, c_lo, c_hi), hi - lo, 1).prod(axis=-1)
+    return counts

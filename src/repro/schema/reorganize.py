@@ -32,7 +32,7 @@ import numpy as np
 from repro.counters import COUNTERS
 from repro.schema.regions import Region
 
-__all__ = ["extract_region", "inject_region", "gather_into"]
+__all__ = ["inject_region", "gather_into"]
 
 Slices = Tuple[slice, ...]
 
@@ -49,40 +49,17 @@ def _local_slices(region: Region, origin: Sequence[int], shape: Tuple[int, ...])
     return local.slices()
 
 
-def extract_region(
-    chunk: np.ndarray, origin: Optional[Sequence[int]], region: Region,
-    *, slices: Optional[Slices] = None,
-) -> np.ndarray:
-    """Gather global ``region`` out of ``chunk`` (whose global origin is
-    ``origin``) as a C-contiguous array of ``region.shape``.  When the
-    region's local ``slices`` in ``chunk`` are already known they are
-    used as they are, with no translation or bounds check, and
-    ``origin`` may be None.
-
-    Zero-copy fast path: when the slice is a single contiguous run of
-    the chunk (it spans the trailing dimensions), the returned array is
-    a *view aliasing* ``chunk`` -- no bytes move.  Callers must treat
-    the result as read-only or copy before mutating.  Strided regions
-    are gathered into a fresh buffer as before.
-    """
-    if slices is None:
-        slices = _local_slices(region, origin, chunk.shape)
-    view = chunk[slices]
-    if view.flags["C_CONTIGUOUS"]:
-        return view
-    COUNTERS.bytes_copied += view.nbytes
-    return np.ascontiguousarray(view)
-
-
 def inject_region(
     chunk: np.ndarray, origin: Optional[Sequence[int]], region: Region,
     data: np.ndarray, *, slices: Optional[Slices] = None,
 ) -> None:
     """Scatter ``data`` (shaped like ``region``, or flat and
-    C-contiguous) into ``chunk`` at the position of global ``region``;
-    ``slices`` as for :func:`extract_region`.  Strided ``data`` must
-    have the region's shape: reshaping it would be a second, uncounted
-    copy."""
+    C-contiguous) into ``chunk`` (whose global origin is ``origin``) at
+    the position of global ``region``.  When the region's local
+    ``slices`` in ``chunk`` are already known they are used as they
+    are, with no translation or bounds check, and ``origin`` may be
+    None.  Strided ``data`` must have the region's shape: reshaping it
+    would be a second, uncounted copy."""
     if slices is None:
         slices = _local_slices(region, origin, chunk.shape)
     view = chunk[slices]

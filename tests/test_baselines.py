@@ -3,17 +3,20 @@ movement, and the qualitative performance ordering."""
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.baselines import (
     BaselineRuntime,
     StripedLayout,
+    run_client_directed,
     run_naive_striping,
     run_traditional_caching,
     run_two_phase,
 )
+from repro.baselines.common import split_runs
 from repro.baselines.two_phase import conforming_segment, transfer_matrix
 from repro.core import Array, ArrayLayout
-from repro.core.protocol import Tags
+from repro.core.protocol import CollectiveOp, Tags
 from repro.core.runtime import RunAborted
 from repro.schema import BLOCK, NONE
 from repro.sim import Interrupt
@@ -53,6 +56,27 @@ def test_striped_layout_server_bytes_sum():
     for total in (999, 1000, 1001):
         lay = StripedLayout(total, 3, 100)
         assert sum(lay.server_bytes(s) for s in range(3)) == total
+
+
+def _split_loop(starts, length, unit):
+    """Reference for ``split_runs``: the runs walked one unit at a time."""
+    out = []
+    for i, start in enumerate(starts):
+        pos, end = start, start + length
+        while pos < end:
+            block = pos // unit
+            span = min(end, (block + 1) * unit) - pos
+            out.append((block, pos, span, i * length + pos - start))
+            pos += span
+    return out
+
+
+@given(st.lists(st.integers(0, 500), max_size=8), st.integers(0, 60),
+       st.integers(1, 40))
+def test_split_runs_matches_a_loop(starts, length, unit):
+    split = split_runs(np.array(starts, dtype=np.int64), length, unit)
+    assert list(zip(*(a.tolist() for a in split))) == \
+        _split_loop(starts, length, unit)
 
 
 def test_gather_bytes_reassembles():
@@ -110,6 +134,27 @@ def test_baseline_runtime_validation():
         run_naive_striping(rt, spec, "flush")
     with pytest.raises(ValueError):
         run_traditional_caching(rt, spec, "write")  # no cache configured
+
+
+@pytest.mark.parametrize("kind", ["write", "read"])
+@pytest.mark.parametrize("strategy", ["naive", "caching", "two-phase",
+                                      "client-directed"])
+def test_real_payloads_without_data_are_refused_up_front(strategy, kind):
+    """A real-payload run needs the clients' arrays: without them every
+    strategy refuses before its first event, rather than a client
+    failing on ``data[rank]`` inside the run."""
+    spec = spec_for()
+    rt = BaselineRuntime(8, 2, use_cache=strategy == "caching")
+    with pytest.raises(ValueError, match="bound local arrays"):
+        if strategy == "client-directed":
+            op = CollectiveOp(op_id=0, kind="write", dataset="cd",
+                              arrays=(spec,), client_ranks=tuple(range(8)))
+            run_client_directed(rt, op, kind)
+        else:
+            {"naive": run_naive_striping, "caching": run_traditional_caching,
+             "two-phase": run_two_phase}[strategy](rt, spec, kind)
+    assert rt.sim.now == 0.0
+    assert rt.network.messages_sent == 0
 
 
 def test_failed_baseline_client_surfaces_its_own_exception():

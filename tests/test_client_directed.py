@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import BaselineRuntime, run_client_directed
-from repro.baselines.client_directed import client_piece_schedule
+from repro.baselines.client_directed import _pieces, client_piece_schedule
 from repro.core import Array, ArrayLayout, BLOCK, NONE, PandaConfig, PandaRuntime
 from repro.core.plan import dataset_file
 from repro.core.protocol import CollectiveOp
@@ -77,6 +77,25 @@ def test_files_byte_identical_to_panda(disk_mesh, disk_dists):
         f = dataset_file("cd", s)
         assert (brt.servers[s].fs.read_all_bytes(f)
                 == prt.filesystem(s).read_all_bytes(f))
+
+
+def test_pieces_count_their_runs_in_the_clients_chunk():
+    """A run of a *,*,BLOCK sub-chunk spans rows that a BLOCK^3 client
+    chunk holds strided: the exchange charges its gather by the run's
+    own run count in the chunk."""
+    arr, op = make_op(disk_mesh=(4,), disk_dists=[NONE, NONE, BLOCK],
+                      sub_chunk=256)
+    config = PandaConfig(sub_chunk_bytes=256)
+    rt = BaselineRuntime(8, 4, real_payloads=False)
+    strided = 0
+    for pos in range(8):
+        chunk = arr.memory_schema.chunk(pos).region
+        runs = [piece[3] for piece in _pieces(pos, rt, op, config, None)]
+        assert runs == [region.contiguous_runs_within(chunk)[0]
+                        for _s, _off, region, _n, _ai
+                        in client_piece_schedule(op, 4, config, pos)]
+        strided += sum(r > 1 for r in runs)
+    assert strided > 0
 
 
 def test_read_roundtrip():

@@ -8,11 +8,20 @@ read's pieces are views of the file.  ``COUNTERS.bytes_copied`` counts
 every move, so the budget is checked here as an equality on 2 MB round
 trips.  A pass that creeps
 back into the write or read path then fails as a count, on any host,
-rather than as a timing.
+rather than as a timing.  The baselines that move a client's runs
+straight to the daemons (naive striping and traditional caching) are
+held to the same budget: the daemon hands the store a view of the
+request's payload, and the read reply lands in the client's chunk.
 """
 
 import numpy as np
+import pytest
 
+from repro.baselines import (
+    BaselineRuntime,
+    run_naive_striping,
+    run_traditional_caching,
+)
 from repro.core import (
     Array,
     ArrayLayout,
@@ -23,6 +32,7 @@ from repro.core import (
 )
 from repro.core.plan import build_server_plan
 from repro.core.protocol import CollectiveOp
+from repro.counters import COUNTERS
 from repro.workloads import (
     distribute,
     make_global_array,
@@ -90,3 +100,24 @@ def test_pieces_strided_on_both_sides_still_move_once():
     # the client's 32^3 chunk and in the 64x64x16 sub-chunk alike
     assert strided == (PAYLOAD, PAYLOAD)
     _assert_one_copy_per_byte(wrote, read, schema_file)
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["naive", "caching"])
+def test_baseline_write_and_read_move_each_byte_once(cached):
+    # write: request payload -> the daemon's file (the store's copy;
+    # the buffer cache keeps no bytes of its own); read: reply -> the
+    # client's chunk
+    mem = ArrayLayout("mem", (2, 2, 2))
+    spec = Array("a", SHAPE, np.float64, mem, [BLOCK] * 3).spec()
+    data = distribute(make_global_array(SHAPE), spec.memory_schema)
+    rt = BaselineRuntime(N_COMPUTE, N_IO, use_cache=cached)
+    run = run_traditional_caching if cached else run_naive_striping
+    back = {r: np.zeros_like(c) for r, c in data.items()}
+    copied = []
+    for kind, chunks in (("write", data), ("read", back)):
+        before = COUNTERS.bytes_copied
+        run(rt, spec, kind, chunks)
+        copied.append(COUNTERS.bytes_copied - before)
+    for r, c in data.items():
+        np.testing.assert_array_equal(back[r], c)
+    assert copied == [PAYLOAD, PAYLOAD]

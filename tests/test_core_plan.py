@@ -106,7 +106,8 @@ def test_subchunks_of_chunk_are_consecutive_row_major():
         items = [i for i in plan.items if i.chunk_index == chunk.index]
         linear = 0
         for i in items:
-            assert chunk.region.linear_offset_of(i.region.lo) == linear
+            # one run of the chunk, starting where the last one ended
+            assert i.region.run_offsets(chunk.region)[0].tolist() == [linear]
             linear += i.region.size
         assert linear == chunk.region.size
 

@@ -3,7 +3,8 @@
 These pin the invariants everything else relies on: regions intersect
 soundly, linearisation is a bijection, chunk enumeration partitions the
 array, sub-chunk splitting tiles chunks with consecutive row-major
-spans, and run analysis agrees with brute force.
+spans, and the run rule (``Region.run_offsets``) agrees with per-point
+enumeration and brute force.
 """
 
 import numpy as np
@@ -29,6 +30,27 @@ def regions_in(draw, shape):
     lo = tuple(draw(st.integers(0, s - 1)) for s in shape)
     hi = tuple(draw(st.integers(l + 1, s)) for l, s in zip(lo, shape))
     return Region(lo, hi)
+
+
+@st.composite
+def nested(draw):
+    """A container anywhere in a shape and a region inside it, which
+    may be empty and is the whole container a quarter of the time."""
+    container = draw(shapes.flatmap(regions_in))
+    if draw(st.integers(0, 3)) == 0:
+        return container, container
+    lo = tuple(draw(st.integers(l, h)) for l, h in zip(container.lo, container.hi))
+    hi = tuple(draw(st.integers(l, h)) for l, h in zip(lo, container.hi))
+    return container, Region(lo, hi)
+
+
+def linear(container, point):
+    """Row-major linear offset of ``point`` within ``container``: the
+    per-point oracle the run rule is checked against."""
+    off = 0
+    for l, h, p in zip(container.lo, container.hi, point):
+        off = off * (h - l) + (p - l)
+    return off
 
 
 @st.composite
@@ -75,12 +97,14 @@ def test_intersection_commutes(pair):
 
 @given(shapes.flatmap(lambda s: regions_in(s)))
 def test_linearisation_is_a_bijection(region):
-    seen = set()
+    # the one-point region at a point is one run, at the point's offset;
+    # the corners of one-element runs are the points, in order
+    lo, hi = region.run_corners(np.arange(region.size), 1)
     for i, point in enumerate(region.iter_points()):
-        assert region.linear_offset_of(point) == i
-        assert region.point_at_linear_offset(i) == point
-        seen.add(i)
-    assert len(seen) == region.size
+        one = Region(point, tuple(c + 1 for c in point))
+        assert one.run_offsets(region)[0].tolist() == [i]
+        assert tuple(lo[i]) == point and tuple(hi[i]) == one.hi
+    assert len(lo) == region.size
 
 
 @given(shapes.flatmap(lambda s: st.tuples(st.just(s), regions_in(s))))
@@ -92,7 +116,7 @@ def test_runs_match_brute_force(shape_region):
     # linearisation and count maximal runs
     mask = np.zeros(container.size, dtype=bool)
     for p in region.iter_points():
-        mask[container.linear_offset_of(p)] = True
+        mask[linear(container, p)] = True
     brute_runs = int(np.count_nonzero(np.diff(np.r_[0, mask.view(np.int8)]) == 1))
     assert runs == brute_runs
     assert runs * run_len == region.size
@@ -103,19 +127,27 @@ def test_runs_match_brute_force(shape_region):
         assert breaks == runs
 
 
-@given(shapes.flatmap(lambda s: st.tuples(st.just(s), regions_in(s))))
-def test_iter_runs_covers_region_in_order(shape_region):
-    shape, region = shape_region
-    container = Region.from_shape(shape)
-    covered = []
-    last_off = -1
-    for start, elems in region.iter_runs_within(container):
-        off = container.linear_offset_of(start)
-        assert off > last_off
-        last_off = off
-        covered.extend(range(off, off + elems))
-    expected = sorted(container.linear_offset_of(p) for p in region.iter_points())
-    assert covered == expected
+@given(nested())
+def test_iter_runs_covers_region_in_order(pair):
+    """``run_offsets`` against per-point enumeration: the runs, laid end
+    to end in ascending order, are exactly the region's points in the
+    container's row-major order, each run is maximal, and its corners
+    bound exactly the points it covers."""
+    container, region = pair
+    offsets, run_len = region.run_offsets(container)
+    assert offsets.dtype == np.int64
+    covered = [off + i for off in offsets.tolist() for i in range(run_len)]
+    assert covered == sorted(linear(container, p) for p in region.iter_points())
+    if region.empty:
+        assert (offsets.size, run_len) == (0, 0)
+        return
+    assert np.all(np.diff(offsets) > run_len)  # a gap between runs
+    assert region.contiguous_runs_within(container) == (offsets.size, run_len)
+    lo, hi = container.run_corners(offsets, run_len)
+    for off, l, h in zip(offsets.tolist(), lo.tolist(), hi.tolist()):
+        run = Region(tuple(l), tuple(h))
+        assert region.contains(run) and run.size == run_len
+        assert linear(container, run.lo) == off
 
 
 @given(shapes.flatmap(lambda s: regions_in(s)), st.integers(1, 30))
@@ -134,13 +166,12 @@ def test_split_tiles_exactly_with_bounded_pieces(region, max_elems):
 @given(shapes.flatmap(lambda s: regions_in(s)), st.integers(1, 30))
 def test_split_pieces_are_consecutive_single_runs(region, max_elems):
     pieces = split_row_major(region, max_elems)
-    linear = 0
+    start = 0
     for p in pieces:
-        assert region.linear_offset_of(p.lo) == linear
-        runs, _ = p.contiguous_runs_within(region)
-        assert runs == 1
-        linear += p.size
-    assert linear == region.size
+        offsets, run_len = p.run_offsets(region)
+        assert offsets.tolist() == [start] and run_len == p.size
+        start += p.size
+    assert start == region.size
 
 
 # --- schema properties -----------------------------------------------------------

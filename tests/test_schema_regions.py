@@ -1,5 +1,6 @@
 """Unit tests for Region geometry."""
 
+import numpy as np
 import pytest
 
 from repro.schema import Region
@@ -82,39 +83,47 @@ def test_slices():
     assert r.slices() == (slice(1, 3), slice(2, 5))
 
 
+def offset_in(container, point):
+    """The linear offset of ``point`` in ``container``: the one run of
+    the one-point region there."""
+    (off,), run_len = Region(point, tuple(p + 1 for p in point)).run_offsets(container)
+    assert run_len == 1
+    return off
+
+
 def test_linear_offset_row_major():
     r = Region((0, 0), (3, 4))
-    assert r.linear_offset_of((0, 0)) == 0
-    assert r.linear_offset_of((0, 3)) == 3
-    assert r.linear_offset_of((1, 0)) == 4
-    assert r.linear_offset_of((2, 3)) == 11
+    assert offset_in(r, (0, 0)) == 0
+    assert offset_in(r, (0, 3)) == 3
+    assert offset_in(r, (1, 0)) == 4
+    assert offset_in(r, (2, 3)) == 11
 
 
 def test_linear_offset_with_nonzero_origin():
     r = Region((10, 20), (13, 24))
-    assert r.linear_offset_of((10, 20)) == 0
-    assert r.linear_offset_of((11, 21)) == 5
+    assert offset_in(r, (10, 20)) == 0
+    assert offset_in(r, (11, 21)) == 5
 
 
 def test_linear_offset_outside_raises():
     r = Region((0,), (4,))
     with pytest.raises(ValueError):
-        r.linear_offset_of((4,))
+        offset_in(r, (4,))
 
 
 def test_point_at_linear_offset_inverse():
     r = Region((2, 3, 1), (5, 7, 4))
-    for off in range(r.size):
-        p = r.point_at_linear_offset(off)
-        assert r.linear_offset_of(p) == off
+    lo, hi = r.run_corners(np.arange(r.size), 1)
+    assert (hi - lo == 1).all()
+    assert [offset_in(r, tuple(p)) for p in lo.tolist()] == list(range(r.size))
 
 
 def test_point_at_linear_offset_bounds():
     r = Region((0,), (4,))
     with pytest.raises(ValueError):
-        r.point_at_linear_offset(4)
+        r.run_corners(np.array([4]), 1)
     with pytest.raises(ValueError):
-        r.point_at_linear_offset(-1)
+        r.run_corners(np.array([-1]), 1)
 
 
 def test_runs_full_container_is_one_run():
@@ -195,15 +204,16 @@ def test_iter_runs_merges_fully_spanned_suffix():
     container = Region((0, 0, 0), (4, 6, 8))
     region = Region((1, 0, 0), (3, 6, 8))  # full in dims 1 and 2
     assert region.contiguous_runs_within(container) == (1, 96)
-    assert list(region.iter_runs_within(container)) == [((1, 0, 0), 96)]
+    offsets, run_len = region.run_offsets(container)
+    assert (offsets.tolist(), run_len) == ([48], 96)
 
 
 def test_iter_runs_partial_middle_dim_start_points():
     container = Region((0, 0, 0), (4, 6, 8))
     region = Region((1, 2, 0), (3, 5, 8))  # partial middle, full last
-    runs = list(region.iter_runs_within(container))
+    offsets, run_len = region.run_offsets(container)
     # the fully-spanned last dim merges into one 3x8-element run per row
-    assert runs == [((1, 2, 0), 24), ((2, 2, 0), 24)]
-    offs = [container.linear_offset_of(p) for p, _ in runs]
-    assert offs == sorted(offs)
-    assert sum(n for _, n in runs) == region.size
+    assert (offsets.tolist(), run_len) == ([64, 112], 24)
+    lo, hi = container.run_corners(offsets, run_len)
+    assert lo.tolist() == [[1, 2, 0], [2, 2, 0]]
+    assert hi.tolist() == [[2, 5, 8], [3, 5, 8]]

@@ -7,7 +7,6 @@ from repro.counters import COUNTERS
 from repro.schema import (
     DataSchema,
     Region,
-    extract_region,
     gather_into,
     inject_region,
 )
@@ -18,32 +17,16 @@ def global_array(shape, dtype=np.int32):
     return np.arange(np.prod(shape), dtype=dtype).reshape(shape)
 
 
-def test_extract_region_from_origin_zero():
-    a = global_array((4, 4))
-    out = extract_region(a, (0, 0), Region((1, 1), (3, 3)))
-    np.testing.assert_array_equal(out, a[1:3, 1:3])
-    assert out.flags["C_CONTIGUOUS"]
-
-
-def test_extract_region_with_chunk_origin():
-    g = global_array((8, 8))
-    chunk = g[4:8, 0:4].copy()  # chunk at origin (4, 0)
-    out = extract_region(chunk, (4, 0), Region((5, 1), (7, 3)))
-    np.testing.assert_array_equal(out, g[5:7, 1:3])
-
-
-def test_extract_region_out_of_chunk_raises():
-    chunk = global_array((4, 4))
-    with pytest.raises(ValueError):
-        extract_region(chunk, (0, 0), Region((2, 2), (6, 6)))
-
-
 def test_inject_region_roundtrip():
     chunk = np.zeros((4, 4), dtype=np.int32)
     data = np.arange(4, dtype=np.int32).reshape(2, 2)
     inject_region(chunk, (10, 10), Region((11, 11), (13, 13)), data)
     np.testing.assert_array_equal(chunk[1:3, 1:3], data)
     assert chunk.sum() == data.sum()
+    # a region that does not fit in the chunk is refused, not clipped
+    with pytest.raises(ValueError, match="does not fit"):
+        inject_region(chunk, (10, 10), Region((12, 12), (16, 16)),
+                      np.zeros((4, 4), dtype=np.int32))
 
 
 def test_inject_accepts_flat_data():
@@ -70,7 +53,7 @@ def test_inject_refuses_to_reshape_strided_data():
 def test_extract_then_inject_is_identity():
     g = global_array((6, 7, 5))
     region = Region((1, 2, 0), (4, 6, 5))
-    piece = extract_region(g, (0, 0, 0), region)
+    piece = g[region.slices()]
     target = np.zeros_like(g)
     inject_region(target, (0, 0, 0), region, piece)
     np.testing.assert_array_equal(target[region.slices()], g[region.slices()])
@@ -107,5 +90,7 @@ def test_full_reorganisation_bbb_to_slabs():
 
 def test_dtype_preserved():
     g = global_array((4, 4), dtype=np.float64)
-    out = extract_region(g, (0, 0), Region((0, 0), (2, 2)))
+    out = np.zeros((2, 2), dtype=np.float64)
+    inject_region(out, (0, 0), Region((0, 0), (2, 2)), g[0:2, 0:2])
     assert out.dtype == np.float64
+    np.testing.assert_array_equal(out, g[0:2, 0:2])

@@ -9,7 +9,7 @@ def linear_spans(region, pieces):
     """(start, end) linear offsets of each piece within region."""
     spans = []
     for p in pieces:
-        start = region.linear_offset_of(p.lo)
+        start = int(p.run_offsets(region)[0][0])
         spans.append((start, start + p.size))
     return spans
 
