@@ -1,4 +1,5 @@
-"""The one driver of the scenario benches (``bench_scheduler.py``,
+"""The one driver of the gated benches: the paper's evaluation
+(``bench_paper.py``) and the scenario benches (``bench_scheduler.py``,
 ``bench_scale.py``, ``bench_soak.py``, ``bench_storm.py``).
 
 A bench supplies ``sweep(smoke)``, which runs its points and yields

@@ -17,60 +17,30 @@ Run:  python examples/baseline_comparison.py
 """
 
 
-from repro.baselines import (
-    BaselineRuntime,
-    run_naive_striping,
-    run_traditional_caching,
-    run_two_phase,
-)
-from repro.bench.harness import build_array, run_panda_point
+from repro.bench.harness import STRATEGIES, compare_strategies
 from repro.bench.report import format_rows
 from repro.machine import MB, NAS_SP2
 
 N_COMPUTE, N_IO = 8, 4
 SHAPE = (128, 128, 128)  # 16 MB of float64
+LABELS = {
+    "panda-natural": "Panda (natural chunking)",
+    "panda-traditional": "Panda (traditional order)",
+    "two-phase": "two-phase I/O",
+    "traditional-caching": "traditional caching (CFS)",
+    "naive-striping": "naive striping",
+}
 
 
 def main():
-    spec = build_array(SHAPE, N_COMPUTE, N_IO, "natural").spec()
-    rows = []
-
-    def add(name, write_thr, read_thr):
-        rows.append([
-            name,
-            f"{write_thr / MB:.2f}",
-            f"{read_thr / MB:.2f}",
-            f"{write_thr / (N_IO * NAS_SP2.fs_write_peak) * 100:.0f}%",
-        ])
-
-    p_nat_w = run_panda_point("write", N_COMPUTE, N_IO, SHAPE)
-    p_nat_r = run_panda_point("read", N_COMPUTE, N_IO, SHAPE)
-    add("Panda (natural chunking)", p_nat_w.aggregate, p_nat_r.aggregate)
-
-    p_trad_w = run_panda_point("write", N_COMPUTE, N_IO, SHAPE,
-                               disk_schema="traditional")
-    p_trad_r = run_panda_point("read", N_COMPUTE, N_IO, SHAPE,
-                               disk_schema="traditional")
-    add("Panda (traditional order)", p_trad_w.aggregate, p_trad_r.aggregate)
-
-    rt = BaselineRuntime(N_COMPUTE, N_IO, real_payloads=False,
-                         stripe_bytes=MB)
-    tp_w = run_two_phase(rt, spec, "write")
-    tp_r = run_two_phase(rt, spec, "read")
-    add("two-phase I/O", tp_w.throughput, tp_r.throughput)
-
-    rt = BaselineRuntime(N_COMPUTE, N_IO, real_payloads=False,
-                         use_cache=True, cache_bytes=8 * MB,
-                         stripe_bytes=64 * 1024)
-    tc_w = run_traditional_caching(rt, spec, "write")
-    tc_r = run_traditional_caching(rt, spec, "read")
-    add("traditional caching (CFS)", tc_w.throughput, tc_r.throughput)
-
-    rt = BaselineRuntime(N_COMPUTE, N_IO, real_payloads=False,
-                         stripe_bytes=64 * 1024)
-    nv_w = run_naive_striping(rt, spec, "write")
-    nv_r = run_naive_striping(rt, spec, "read")
-    add("naive striping", nv_w.throughput, nv_r.throughput)
+    thr = compare_strategies(N_COMPUTE, N_IO, SHAPE)
+    disk = N_IO * NAS_SP2.fs_write_peak
+    rows = [[
+        LABELS[name],
+        f"{thr[name]['write'] / MB:.2f}",
+        f"{thr[name]['read'] / MB:.2f}",
+        f"{thr[name]['write'] / disk * 100:.0f}%",
+    ] for name in STRATEGIES]
 
     print(f"16 MB array, {N_COMPUTE} compute nodes, {N_IO} I/O nodes, "
           "simulated NAS SP2\n")
@@ -80,7 +50,7 @@ def main():
     ))
     print(
         "\nthe disk subsystem tops out at "
-        f"{N_IO * NAS_SP2.fs_write_peak / MB:.1f} MB/s for writes; "
+        f"{disk / MB:.1f} MB/s for writes; "
         "server-directed I/O captures nearly all of it because every\n"
         "server issues only large, strictly sequential requests. "
         "Two-phase pays for its permutation and for cross-client seeks;\n"

@@ -21,8 +21,8 @@ What is lost without server direction:
 Under natural chunking each client's pieces are whole sub-chunks of its
 own chunks, so the *per-client* streams are sequential and the damage
 is limited to inter-client interleaving; under a reorganising schema
-the damage is much larger.  ``bench_server_direction_ablation.py``
-quantifies both.
+the damage is much larger.  The ``server_direction`` study of
+``benchmarks/bench_paper.py`` quantifies both.
 
 The written files are byte-identical to Panda's (verified by tests), so
 datasets written either way are interchangeable.

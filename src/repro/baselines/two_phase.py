@@ -33,6 +33,7 @@ import numpy as np
 from repro.baselines.common import (BaselineResult, BaselineRuntime,
                                     chunk_runs, split_runs)
 from repro.core.protocol import ArraySpec, Tags
+from repro.counters import COUNTERS
 
 __all__ = ["run_two_phase", "conforming_segment", "transfer_matrix"]
 
@@ -92,17 +93,18 @@ def _client(rank: int, rt: BaselineRuntime, spec: ArraySpec, kind: str,
                                     ((buf, seg), (local, chunk)))
 
     def send(to, pieces):
-        """Pack ``pieces`` and send them to rank ``to`` -- or, to
-        myself, copy them across."""
+        """Send ``pieces`` to rank ``to`` as views (each is a 1-D slice
+        of a contiguous buffer) -- or, to myself, copy them across."""
         nbytes = int(pieces[:, 1].sum()) * spec.itemsize
         yield comm.copy_s(nbytes, len(pieces))
         if to != rank:
-            payload = ([np.ascontiguousarray(src[src_at(p)])
-                        for p in pieces.tolist()] if real else None)
+            payload = ([src[src_at(p)] for p in pieces.tolist()]
+                       if real else None)
             yield from comm.send(to, Tags.PERMUTE, payload, nbytes=nbytes)
         elif real:
             for p in pieces.tolist():
                 dst[dst_at(p)] = src[src_at(p)]
+            COUNTERS.bytes_copied += nbytes
 
     def receive(senders, pieces_from):
         """Take one PERMUTE from each of ``senders`` and unpack it."""
@@ -114,6 +116,7 @@ def _client(rank: int, rt: BaselineRuntime, spec: ArraySpec, kind: str,
             if real:
                 for p, piece in zip(pieces.tolist(), msg.payload):
                     dst[dst_at(p)] = piece
+                COUNTERS.bytes_copied += int(pieces[:, 1].sum()) * spec.itemsize
 
     mine = routes[rank]  # my chunk's pieces, by segment owner
     # the other ranks whose segment my chunk overlaps, and those whose

@@ -10,6 +10,12 @@ Throughput definitions (paper, section 3):
 - *normalised throughput*: (aggregate / #ionodes) / peak, where peak is
   the measured AIX read or write peak for real-disk runs and the 34 MB/s
   MPI bandwidth for infinitely-fast-disk runs.
+
+The two studies with more than one front end are defined here too:
+Table 1's measurements (:func:`measure_table1`, for ``repro table1``
+and ``benchmarks/bench_paper.py``) and the five-strategy comparison
+(:func:`compare_strategies`, for ``repro compare``, the bench and
+``examples/baseline_comparison.py``).
 """
 
 from __future__ import annotations
@@ -19,16 +25,28 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.baselines import (
+    BaselineRuntime,
+    run_naive_striping,
+    run_traditional_caching,
+    run_two_phase,
+)
 from repro.core.api import Array, ArrayLayout
 from repro.core.config import PandaConfig
 from repro.core.runtime import PandaRuntime
 from repro.counters import COUNTERS
-from repro.machine import MB, NAS_SP2, MachineSpec
+from repro.fs import FileSystem
+from repro.machine import KB, MB, NAS_SP2, MachineSpec
+from repro.mpi import Network
+from repro.mpi.datatypes import DataBlock
+from repro.mpi.message import MESSAGE_HEADER_BYTES
 from repro.schema.distribution import BLOCK, NONE
+from repro.sim import Simulator
 from repro.workloads.apps import read_array_app, write_array_app
 from repro.workloads.arrays import mesh_for
 
-__all__ = ["PointResult", "run_panda_point", "run_traced_point", "run_figure"]
+__all__ = ["PointResult", "run_panda_point", "run_traced_point", "run_figure",
+           "fs_peak", "measure_table1", "STRATEGIES", "compare_strategies"]
 
 
 @dataclass(frozen=True)
@@ -194,3 +212,103 @@ def run_figure(exp, spec: MachineSpec = NAS_SP2,
             )
         grid[size_mb] = row
     return grid
+
+
+def fs_peak(write: bool, file_mb: int = 32, request: int = MB) -> float:
+    """The paper's AIX measurement: stream a ``file_mb`` file in
+    ``request``-byte requests (after an untimed first write), report
+    bytes/second."""
+    sim = Simulator()
+    fs = FileSystem(sim, NAS_SP2, real=False)
+    n_requests = file_mb * MB // request
+
+    def stream(sim, mode):
+        fh = fs.open("peak", mode)
+        for _ in range(n_requests):
+            if mode == "w":
+                yield from fh.write(DataBlock.virtual(request))
+            else:
+                yield from fh.read(request)
+        fh.close()
+
+    sim.run_process(stream(sim, "w"))
+    t0 = sim.now
+    sim.run_process(stream(sim, "w" if write else "r"))
+    return n_requests * request / (sim.now - t0)
+
+
+def _pingpong(nbytes: int) -> float:
+    """Seconds per one-way message of ``nbytes``, from ten round trips
+    between two ranks."""
+    sim = Simulator()
+    net = Network(sim, NAS_SP2, 2)
+
+    def ping(sim):
+        for _ in range(10):
+            yield from net.comm(0).send(1, tag=1, nbytes=nbytes)
+            yield from net.comm(0).recv(tag=2)
+
+    def pong(sim):
+        for _ in range(10):
+            yield from net.comm(1).recv(tag=1)
+            yield from net.comm(1).send(0, tag=2, nbytes=nbytes)
+
+    sim.spawn(ping(sim))
+    sim.spawn(pong(sim))
+    sim.run()
+    return sim.now / 20
+
+
+def measure_table1() -> Dict[str, float]:
+    """Table 1 on the simulated machine, in the units the paper prints:
+    the AIX read/write peaks measured the paper's way (1 MB requests on
+    a 32 MB file), MPI latency and bandwidth from ping-pongs, and the
+    machine constants the table lists beside them."""
+    latency = _pingpong(0)
+    return {
+        "aix_read_mbps": fs_peak(write=False) / MB,
+        "aix_write_mbps": fs_peak(write=True) / MB,
+        "mpi_latency_us": latency * 1e6,
+        "mpi_bandwidth_mbps":
+            (MB + MESSAGE_HEADER_BYTES) / (_pingpong(MB) - latency) / MB,
+        "disk_rate_mbps": NAS_SP2.disk_transfer_rate / MB,
+        "fs_block_kb": NAS_SP2.fs_block_size // KB,
+        "total_nodes": NAS_SP2.total_nodes,
+        "node_memory_mb": NAS_SP2.node_memory // MB,
+    }
+
+
+#: the paper's related-work comparison, in table order: Panda with both
+#: disk schemas, then each baseline with its runtime configuration --
+#: two-phase streams 1 MB stripes, the CFS-style cache holds 8 MB, and
+#: naive striping sends 64 KB stripes uncached.
+STRATEGIES = ("panda-natural", "panda-traditional", "two-phase",
+              "traditional-caching", "naive-striping")
+_BASELINES = (
+    ("two-phase", run_two_phase, dict(stripe_bytes=MB)),
+    ("traditional-caching", run_traditional_caching,
+     dict(use_cache=True, cache_bytes=8 * MB, stripe_bytes=64 * KB)),
+    ("naive-striping", run_naive_striping, dict(stripe_bytes=64 * KB)),
+)
+
+
+def compare_strategies(n_compute: int, n_io: int, shape: Tuple[int, ...],
+                       read: bool = True) -> Dict[str, Dict[str, float]]:
+    """Aggregate throughput (bytes/s) of every strategy in
+    :data:`STRATEGIES`: ``{strategy: {"write": ..., "read": ...}}``
+    (``"write"`` only when ``read`` is false).  Each baseline writes and
+    then reads back on one runtime; Panda's points come from
+    :func:`run_panda_point`."""
+    kinds = ("write", "read") if read else ("write",)
+    out: Dict[str, Dict[str, float]] = {
+        f"panda-{schema}": {
+            kind: run_panda_point(kind, n_compute, n_io, shape,
+                                  disk_schema=schema).aggregate
+            for kind in kinds}
+        for schema in ("natural", "traditional")
+    }
+    spec = build_array(shape, n_compute, n_io, "natural").spec()
+    for name, run, options in _BASELINES:
+        rt = BaselineRuntime(n_compute, n_io, real_payloads=False, **options)
+        out[name] = {kind: run(rt, spec, kind).throughput for kind in kinds}
+    return out

@@ -12,7 +12,23 @@ from typing import Dict, Iterable, Sequence
 
 from repro.bench.harness import PointResult
 
-__all__ = ["format_figure", "format_rows"]
+__all__ = ["format_figure", "format_rows", "format_table1"]
+
+#: Table 1's rows: the key in :func:`repro.bench.harness.measure_table1`,
+#: the paper's label, how the measured value prints, the paper's value.
+TABLE1_ROWS = (
+    ("aix_read_mbps", "Measured peak AIX read throughput", "{:.2f} MB/s",
+     "2.85 MB/s"),
+    ("aix_write_mbps", "Measured peak AIX write throughput", "{:.2f} MB/s",
+     "2.23 MB/s"),
+    ("mpi_latency_us", "Message passing latency", "{:.0f} us", "43 us"),
+    ("mpi_bandwidth_mbps", "Message passing bandwidth", "{:.1f} MB/s",
+     "34 MB/s"),
+    ("disk_rate_mbps", "Disk peak transfer rate", "{:.1f} MB/s", "3.0 MB/s"),
+    ("fs_block_kb", "Node file system block size", "{} KB", "4 KB"),
+    ("total_nodes", "Total nodes", "{}", "160"),
+    ("node_memory_mb", "Memory per node", "{} MB", "128 MB"),
+)
 
 
 def format_rows(rows: Iterable[Sequence[str]], header: Sequence[str]) -> str:
@@ -54,3 +70,12 @@ def format_figure(figure: str, title: str,
         format_rows(norm_rows, header),
     ]
     return "\n".join(out)
+
+
+def format_table1(measured: Dict[str, float]) -> str:
+    """Render :func:`~repro.bench.harness.measure_table1`'s values
+    against the paper's Table 1."""
+    rows = [[label, fmt.format(measured[key]), paper]
+            for key, label, fmt, paper in TABLE1_ROWS]
+    return ("table1: simulated machine vs the paper\n\n"
+            + format_rows(rows, ["characteristic", "measured", "paper"]))

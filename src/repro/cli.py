@@ -15,8 +15,8 @@ Usage::
     python -m repro sched --apps 4 --policy all \\
                                              # concurrent-op scheduler demo
 
-Everything prints the same tables the benchmark suite publishes to
-``benchmarks/results.txt``.
+``figures`` and ``table1`` print the same tables as
+``benchmarks/bench_paper.py``, from the same measurement definitions.
 """
 
 from __future__ import annotations
@@ -34,10 +34,15 @@ from repro.bench import (
     run_traced_point,
     shape_for_mb,
 )
-from repro.bench.harness import build_array
-from repro.bench.report import format_rows
+from repro.bench.harness import (
+    STRATEGIES,
+    build_array,
+    compare_strategies,
+    measure_table1,
+)
+from repro.bench.report import format_rows, format_table1
 from repro.core.costmodel import predict_arrays
-from repro.machine import MB, NAS_SP2, sp2
+from repro.machine import MB, sp2
 
 __all__ = ["main"]
 
@@ -59,63 +64,8 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def _measure_table1() -> List[List[str]]:
-    from repro.fs import FileSystem
-    from repro.mpi import Network
-    from repro.mpi.datatypes import DataBlock
-    from repro.sim import Simulator
-
-    def fs_peak(write: bool) -> float:
-        sim = Simulator()
-        fs = FileSystem(sim, NAS_SP2, real=False)
-
-        def stream(sim, mode):
-            fh = fs.open("peak", mode)
-            for _ in range(32):
-                if mode != "r":
-                    yield from fh.write(DataBlock.virtual(MB))
-                else:
-                    yield from fh.read(MB)
-            fh.close()
-
-        sim.run_process(stream(sim, "w"))
-        t0 = sim.now
-        sim.run_process(stream(sim, "w" if write else "r"))
-        return 32 * MB / (sim.now - t0)
-
-    def pingpong(nbytes: int) -> float:
-        sim = Simulator()
-        net = Network(sim, NAS_SP2, 2)
-
-        def a(sim):
-            yield from net.comm(0).send(1, tag=1, nbytes=nbytes)
-            yield from net.comm(0).recv(tag=2)
-
-        def b(sim):
-            yield from net.comm(1).recv(tag=1)
-            yield from net.comm(1).send(0, tag=2, nbytes=nbytes)
-
-        sim.spawn(a(sim))
-        sim.spawn(b(sim))
-        sim.run()
-        return sim.now / 2
-
-    lat = pingpong(0)
-    bw = MB / (pingpong(MB) - lat)
-    return [
-        ["Measured peak AIX read", f"{fs_peak(False) / MB:.2f} MB/s",
-         "2.85 MB/s"],
-        ["Measured peak AIX write", f"{fs_peak(True) / MB:.2f} MB/s",
-         "2.23 MB/s"],
-        ["Message passing latency", f"{lat * 1e6:.0f} us", "43 us"],
-        ["Message passing bandwidth", f"{bw / MB:.1f} MB/s", "34 MB/s"],
-    ]
-
-
 def cmd_table1(_args: argparse.Namespace) -> int:
-    print("table1: simulated machine vs the paper\n")
-    print(format_rows(_measure_table1(), ["characteristic", "measured",
-                                          "paper"]))
+    print(format_table1(measure_table1()))
     return 0
 
 
@@ -146,34 +96,22 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    from repro.baselines import (
-        BaselineRuntime,
-        run_naive_striping,
-        run_traditional_caching,
-        run_two_phase,
-    )
+#: ``repro compare``'s row labels, one per strategy of the comparison
+_STRATEGY_LABELS = {
+    "panda-natural": "Panda (natural)",
+    "panda-traditional": "Panda (traditional order)",
+    "two-phase": "two-phase",
+    "traditional-caching": "traditional caching",
+    "naive-striping": "naive striping",
+}
 
-    shape = shape_for_mb(args.size_mb)
+
+def cmd_compare(args: argparse.Namespace) -> int:
     n_cn, n_io = args.compute, args.io
-    spec = build_array(shape, n_cn, n_io, "natural").spec()
-    rows = []
-    p = run_panda_point("write", n_cn, n_io, shape)
-    rows.append(["Panda (natural)", f"{p.aggregate_mbps:.2f}"])
-    p = run_panda_point("write", n_cn, n_io, shape,
-                        disk_schema="traditional")
-    rows.append(["Panda (traditional order)", f"{p.aggregate_mbps:.2f}"])
-    rt = BaselineRuntime(n_cn, n_io, real_payloads=False, stripe_bytes=MB)
-    rows.append(["two-phase",
-                 f"{run_two_phase(rt, spec, 'write').throughput / MB:.2f}"])
-    rt = BaselineRuntime(n_cn, n_io, real_payloads=False, use_cache=True,
-                         cache_bytes=8 * MB, stripe_bytes=64 * 1024)
-    rows.append(["traditional caching",
-                 f"{run_traditional_caching(rt, spec, 'write').throughput / MB:.2f}"])
-    rt = BaselineRuntime(n_cn, n_io, real_payloads=False,
-                         stripe_bytes=64 * 1024)
-    rows.append(["naive striping",
-                 f"{run_naive_striping(rt, spec, 'write').throughput / MB:.2f}"])
+    thr = compare_strategies(n_cn, n_io, shape_for_mb(args.size_mb),
+                             read=False)
+    rows = [[_STRATEGY_LABELS[name], f"{thr[name]['write'] / MB:.2f}"]
+            for name in STRATEGIES]
     print(f"strategy comparison: {args.size_mb} MB write, "
           f"{n_cn} CN / {n_io} ION\n")
     print(format_rows(rows, ["strategy", "MB/s"]))

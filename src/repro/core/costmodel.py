@@ -22,7 +22,7 @@ The prediction is exact for single-stream effects and ignores only
 second-order contention (two servers fetching from the same client at
 the same instant), so it tracks the simulator within a few percent on
 balanced configurations -- which is validated by tests and the
-``bench_costmodel`` benchmark.  Its use is the paper's: pick a disk
+``costmodel`` study of ``benchmarks/bench_paper.py``.  Its use is the paper's: pick a disk
 schema for a given memory schema *before* paying for the I/O.
 """
 

@@ -2,8 +2,8 @@
 
 The paper's Panda serves one collective operation at a time: the master
 server takes the next REQUEST only after the previous op completed, so
-concurrent client groups queue head-of-line (see
-``benchmarks/bench_io_sharing.py``).  That is admission control with one
+concurrent client groups queue head-of-line (see the ``io_sharing``
+study of ``benchmarks/bench_paper.py``).  That is admission control with one
 in-flight slot, and it is how :mod:`repro.core.server` runs it: the one
 server loop under a fifo, one-slot discipline.  This module is the
 layer a production deployment needs once many applications share the

@@ -18,7 +18,8 @@ chunked layouts win over traditional row-major storage: a cubic working
 set intersects a few chunks almost wholly instead of slicing thousands
 of scattered rows.
 
-``benchmarks/bench_sequential_locality.py`` quantifies the claim.
+The ``locality`` study of ``benchmarks/bench_paper.py`` quantifies the
+claim.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.counters import COUNTERS
 from repro.fs.filesystem import FileSystem
 from repro.machine import NAS_SP2, MachineSpec
 from repro.mpi.datatypes import DataBlock
@@ -158,10 +160,12 @@ class SequentialPanda:
                     fh.seek(base + off * itemsize)
                     block = yield from fh.read(elems * itemsize)
                     if out is not None:
-                        # a run is a hyper-rectangle of the working set
+                        # a run is a hyper-rectangle of the working set;
+                        # the file's bytes land there once, from a view
                         view = out[tuple(map(slice, l, h))]
                         view[...] = np.frombuffer(
-                            block.to_bytes(), dtype=meta.dtype).reshape(view.shape)
+                            block.to_buffer(), dtype=meta.dtype).reshape(view.shape)
+                        COUNTERS.bytes_copied += view.nbytes
             fh.close()
 
         self.sim.run_process(reader(self.sim))

@@ -12,7 +12,12 @@ rather than as a timing.  The baselines that move a client's runs
 straight to the daemons (naive striping and traditional caching) are
 held to the same budget: the daemon hands the store a view of the
 request's payload, and the read reply lands in the client's chunk.
+Two-phase I/O adds its permutation, one more copy each way by design.
+The sequential reader copies each byte of a load once, from a view of
+the file into the working set.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +26,7 @@ from repro.baselines import (
     BaselineRuntime,
     run_naive_striping,
     run_traditional_caching,
+    run_two_phase,
 )
 from repro.core import (
     Array,
@@ -32,6 +38,7 @@ from repro.core import (
 )
 from repro.core.plan import build_server_plan
 from repro.core.protocol import CollectiveOp
+from repro.core.sequential import SequentialPanda, row_major_schema
 from repro.counters import COUNTERS
 from repro.workloads import (
     distribute,
@@ -102,16 +109,20 @@ def test_pieces_strided_on_both_sides_still_move_once():
     _assert_one_copy_per_byte(wrote, read, schema_file)
 
 
-@pytest.mark.parametrize("cached", [False, True], ids=["naive", "caching"])
-def test_baseline_write_and_read_move_each_byte_once(cached):
+@pytest.mark.parametrize("run, copies", [
+    (run_naive_striping, 1), (run_traditional_caching, 1), (run_two_phase, 2),
+], ids=["naive", "caching", "two-phase"])
+def test_baseline_write_and_read_move_each_byte_once(run, copies):
     # write: request payload -> the daemon's file (the store's copy;
     # the buffer cache keeps no bytes of its own); read: reply -> the
-    # client's chunk
+    # client's chunk.  Two-phase's permutation adds one copy each way:
+    # every byte is unpacked from a PERMUTE (sent as views) or copied
+    # across within its own rank
     mem = ArrayLayout("mem", (2, 2, 2))
     spec = Array("a", SHAPE, np.float64, mem, [BLOCK] * 3).spec()
     data = distribute(make_global_array(SHAPE), spec.memory_schema)
-    rt = BaselineRuntime(N_COMPUTE, N_IO, use_cache=cached)
-    run = run_traditional_caching if cached else run_naive_striping
+    rt = BaselineRuntime(N_COMPUTE, N_IO,
+                         use_cache=run is run_traditional_caching)
     back = {r: np.zeros_like(c) for r, c in data.items()}
     copied = []
     for kind, chunks in (("write", data), ("read", back)):
@@ -120,4 +131,23 @@ def test_baseline_write_and_read_move_each_byte_once(cached):
         copied.append(COUNTERS.bytes_copied - before)
     for r, c in data.items():
         np.testing.assert_array_equal(back[r], c)
-    assert copied == [PAYLOAD, PAYLOAD]
+    assert copied == [copies * PAYLOAD, copies * PAYLOAD]
+
+
+def test_sequential_load_copies_each_byte_once():
+    # a row-major file read whole is one run: its bytes go from a view
+    # of the file into the working set, so the load holds one payload
+    # of memory and copies it once
+    whole = make_global_array(SHAPE)
+    sp = SequentialPanda()
+    sp.store("a", whole, row_major_schema(SHAPE))
+    before = COUNTERS.bytes_copied
+    tracemalloc.start()
+    try:
+        out, _stats = sp.load("a")
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(out, whole)
+    assert COUNTERS.bytes_copied - before == PAYLOAD
+    assert peak < 1.5 * PAYLOAD
