@@ -200,10 +200,9 @@ GOLDEN_RENDER_SHA256 = (
     "7abf8e2c595dc16273452a6d03cab915647d1ffcf2168bcd39963f67bab89146")
 
 
-def test_attach_golden_render_is_pinned():
-    """The whole metrics snapshot of the golden roundtrip, not just its
-    family names: every occupancy last/max/mean, the dispatched-event
-    count and the final clock."""
+def _golden_roundtrip(watch=None):
+    """The traced 4x2 golden roundtrip; ``watch(runtime)`` is called
+    before it runs.  Returns the runtime."""
     import numpy as np
 
     from repro.core import BLOCK, Array, ArrayLayout, PandaRuntime
@@ -212,14 +211,61 @@ def test_attach_golden_render_is_pinned():
     memory = ArrayLayout("mem", (2, 2))
     a = Array("a", (64, 48), np.float64, memory, (BLOCK, BLOCK))
     rt = PandaRuntime(n_compute=4, n_io=2, real_payloads=False, trace=True)
-    registry = attach(rt)
+    if watch is not None:
+        watch(rt)
     rt.run(write_read_roundtrip_app([a], "golden"))
+    return rt
+
+
+def test_attach_golden_render_is_pinned():
+    """The whole metrics snapshot of the golden roundtrip, not just its
+    family names: every occupancy last/max/mean, the dispatched-event
+    count and the final clock."""
+    registry = MetricsRegistry()
+    _golden_roundtrip(lambda rt: attach(rt, registry))
     values = _rendered(registry)
     assert values["panda_sim_events_total"] == "143"
     assert float(values["panda_sim_now_seconds"]) == float.fromhex(
         "0x1.4f7895d6a8b6ep-2")
     text = registry.render()
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_RENDER_SHA256
+
+
+def _sharded_fault_stress():
+    from tests.test_sharding_faults import run_stress
+
+    return run_stress("fair")[0]
+
+
+#: sha256 of both trace views, ``json.dumps(to_chrome_trace(trace))``
+#: and ``observe_trace(trace, MetricsRegistry()).render()``, of two
+#: traced runs: the golden roundtrip, and the fair run of
+#: test_sharding_faults (sharded admission with a shard-master crash,
+#: so ``sched_*`` spans and the fault, retry and recovery records --
+#: kinds with no Chrome view -- are in the trace)
+TRACE_VIEW_SHA256 = {
+    "golden-roundtrip": (
+        _golden_roundtrip,
+        "0031a256536996708c7ad3526c1a477db9a8f37c3663d02f1c4ebe00ff578a37",
+        "ea92d3870242f8db9bd8aedeea7ed8db75e69e28bd1c6dd0e508b208b8d73706"),
+    "sharded-fault-stress": (
+        _sharded_fault_stress,
+        "6520ec8c917d2e668941cd7b2721372fd5af007dcad25451553c8830e8149b20",
+        "cbfe1caac7d459a7899571696c21837a8bd849f0ea7fe392b3e6f783ad9721ca"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(TRACE_VIEW_SHA256))
+def test_trace_views_are_pinned(run):
+    """Both views of a trace, byte for byte: every exported event (its
+    order, track, span and args, the metadata rows) and every
+    back-filled histogram and per-kind counter."""
+    make, chrome_sha, metrics_sha = TRACE_VIEW_SHA256[run]
+    trace = make().trace
+    chrome = json.dumps(to_chrome_trace(trace))
+    assert hashlib.sha256(chrome.encode()).hexdigest() == chrome_sha
+    text = observe_trace(trace, MetricsRegistry()).render()
+    assert hashlib.sha256(text.encode()).hexdigest() == metrics_sha
 
 
 def test_attach_requires_a_fresh_runtime():
