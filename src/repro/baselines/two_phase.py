@@ -112,11 +112,12 @@ def _client(rank: int, rt: BaselineRuntime, spec: ArraySpec, kind: str,
             msg = yield from comm.recv(tag=Tags.PERMUTE)
             yield comm.handle_s
             pieces = pieces_from(msg.src)
-            yield comm.copy_s(msg.nbytes, len(pieces))
+            nbytes = int(pieces[:, 1].sum()) * spec.itemsize
+            yield comm.copy_s(nbytes, len(pieces))
             if real:
                 for p, piece in zip(pieces.tolist(), msg.payload):
                     dst[dst_at(p)] = piece
-                COUNTERS.bytes_copied += int(pieces[:, 1].sum()) * spec.itemsize
+                COUNTERS.bytes_copied += nbytes
 
     mine = routes[rank]  # my chunk's pieces, by segment owner
     # the other ranks whose segment my chunk overlaps, and those whose

@@ -128,9 +128,9 @@ PINS = {
     ('caching', 'block3-to-blockxx'): ('0x1.b6357b52f6df0p+0', '0x1.dbc254f6be3f8p-1', FILES_0),
     ('caching', 'block3-to-xxblock'): ('0x1.b6357b52f6df0p+0', '0x1.dbc254f6be3f8p-1', FILES_0),
     ('caching', 'blockxx-to-blockxx'): ('0x1.b1cf4bfb9065fp+1', '0x1.a1192f4031fd4p-1', FILES_0),
-    ('two-phase', 'block3-to-blockxx'): ('0x1.f4d765ede5a34p+0', '0x1.f8a95c42b27e8p-2', FILES_1),
-    ('two-phase', 'block3-to-xxblock'): ('0x1.f4d765ede5a34p+0', '0x1.f8a95c42b27e8p-2', FILES_1),
-    ('two-phase', 'blockxx-to-blockxx'): ('0x1.f4c511ab20497p+0', '0x1.f86b3ab595c5cp-2', FILES_1),
+    ('two-phase', 'block3-to-blockxx'): ('0x1.f4d75bb074ff8p+0', '0x1.f8a9334cefef0p-2', FILES_1),
+    ('two-phase', 'block3-to-xxblock'): ('0x1.f4d75bb074ff8p+0', '0x1.f8a9334cefef0p-2', FILES_1),
+    ('two-phase', 'blockxx-to-blockxx'): ('0x1.f4c50e415012dp+0', '0x1.f86b2d0e54ebcp-2', FILES_1),
     ('client-directed', 'block3-to-blockxx'): ('0x1.d4e15c89b2817p+3', '0x1.78ff2137e7d0cp+1', FILES_2),
     ('client-directed', 'block3-to-xxblock'): ('0x1.7954cd29c8649p+1', '0x1.366d5b84e6d90p-1', FILES_3),
     ('client-directed', 'blockxx-to-blockxx'): ('0x1.90c2481e8dd04p+0', '0x1.940648dc1536cp-2', FILES_2),
