@@ -13,6 +13,10 @@ failures.  Simulated results are deterministic, so:
   ``/``), then appends the bench's property failures;
 - ``--update`` replaces exactly the points the run produced and keeps
   every other committed point where it was;
+- a full run (no ``--smoke``) also owns every top-level section it
+  produced: a committed key path inside one that the run did not
+  produce is stale, so ``--check`` fails naming it and ``--update``
+  drops it.  Sections the run produced nothing in are left alone;
 - ``--out PATH`` writes the fresh points (a CI artifact).
 """
 
@@ -39,6 +43,32 @@ def _put(doc: dict, path: KeyPath, point: dict) -> None:
     for key in path[:-1]:
         doc = doc.setdefault(key, {})
     doc[path[-1]] = point
+
+
+def _stale(committed: dict, fresh: dict,
+           produced: "set[KeyPath]") -> List[KeyPath]:
+    """Committed key paths, inside the top-level sections ``fresh``
+    has, that the run did not produce."""
+    out: List[KeyPath] = []
+
+    def walk(have: dict, got: dict, path: KeyPath) -> None:
+        for key, value in have.items():
+            sub = path + (key,)
+            if sub in produced:
+                continue
+            if key in got and isinstance(value, dict):
+                walk(value, got[key], sub)
+            else:
+                out.append(sub)
+
+    walk({k: v for k, v in committed.items() if k in fresh}, fresh, ())
+    return out
+
+
+def _drop(doc: dict, path: KeyPath) -> None:
+    for key in path[:-1]:
+        doc = doc[key]
+    del doc[path[-1]]
 
 
 def _write(path: pathlib.Path, doc: dict) -> None:
@@ -69,6 +99,8 @@ def main(argv: Optional[List[str]] = None, *, results: pathlib.Path,
     if args.out:
         _write(args.out, fresh)
     committed = json.loads(results.read_text()) if results.exists() else {}
+    stale = [] if args.smoke else _stale(
+        committed, fresh, {path for path, _ in points})
 
     if args.check:
         failures = []
@@ -82,6 +114,8 @@ def main(argv: Optional[List[str]] = None, *, results: pathlib.Path,
                                if point.get(k) != want.get(k))
                 failures.append(f"{where}: {', '.join(moved)} moved from "
                                 "committed (rerun --update if intentional)")
+        failures += [f"{'/'.join(path)}: committed point the run did not "
+                     "produce (rerun --update to drop it)" for path in stale]
         failures += properties(committed, fresh)
         for f in failures:
             print("FAIL:", f, file=sys.stderr)
@@ -92,6 +126,8 @@ def main(argv: Optional[List[str]] = None, *, results: pathlib.Path,
 
     if args.update:
         committed["description"] = description
+        for path in stale:
+            _drop(committed, path)
         for path, point in points:
             _put(committed, path, point)
         _write(results, committed)

@@ -131,3 +131,68 @@ def test_out_writes_exactly_the_fresh_points(tmp_path, extra):
         "smoke_drills": {"1": {"ok": True}}, "comparison": {"b": 1}}
     results = tmp_path / "BENCH_fake.json"
     assert json.loads(results.read_text()) == COMMITTED
+
+
+# -- a full run owns the sections it produced ---------------------------------
+
+#: BENCH_soak-shaped: ``smoke_drills`` is a section only smoke runs make
+FULL_COMMITTED = {**COMMITTED, "smoke_drills": {"1": {"ok": True}}}
+FULL = [(("depth_sweep", "100", "1"), {"makespan": 0.74}),
+        (("depth_sweep", "100", "4"), {"makespan": 0.101}),
+        (("depth_sweep", "100", "16"), {"makespan": 0.05}),
+        (("depth_sweep", "625", "1"), {"makespan": 3.0})]
+
+
+def _run_full(tmp_path, args, points):
+    results = tmp_path / "BENCH_fake.json"
+    if not results.exists():
+        results.write_text(json.dumps(FULL_COMMITTED, indent=1) + "\n")
+
+    def sweep(smoke):
+        assert not smoke
+        yield from points
+
+    rc = gate.main(list(args), results=results, doc="fake bench",
+                   description="old description", smoke_help="smoke",
+                   sweep=sweep, properties=lambda committed, fresh: [])
+    return rc, results
+
+
+def test_full_check_passes_when_every_point_is_produced(tmp_path, capsys):
+    rc, results = _run_full(tmp_path, ["--check"], FULL)
+    assert rc == 0, capsys.readouterr().err
+    before = results.read_text()
+    rc, _ = _run_full(tmp_path, ["--update"], FULL)
+    assert rc == 0
+    assert results.read_text() == before
+
+
+@pytest.mark.parametrize("produced, stale", [
+    (FULL[:2] + FULL[3:], "depth_sweep/100/16"),
+    (FULL[:3], "depth_sweep/625"),
+])
+def test_full_check_names_a_committed_point_the_run_did_not_produce(
+        tmp_path, capsys, produced, stale):
+    rc, _ = _run_full(tmp_path, ["--check"], produced)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"FAIL: {stale}: committed point the run did not produce" in err
+    assert err.count("FAIL") == 1
+
+
+def test_full_update_drops_stale_points_only_in_produced_sections(tmp_path):
+    """A renamed key path leaves no stale point behind; the section the
+    full run does not make (``smoke_drills``) and the description stay."""
+    renamed = FULL[:2] + [(("depth_sweep", "100", "64"), {"makespan": 0.02})]
+    rc, results = _run_full(tmp_path, ["--update"], renamed)
+    assert rc == 0
+    doc = json.loads(results.read_text())
+    assert doc == {
+        "description": "old description",
+        "depth_sweep": {"100": {"1": {"makespan": 0.74},
+                                "4": {"makespan": 0.101},
+                                "64": {"makespan": 0.02}}},
+        "smoke_drills": {"1": {"ok": True}},
+    }
+    rc, _ = _run_full(tmp_path, ["--check"], renamed)
+    assert rc == 0
