@@ -1,6 +1,6 @@
 """panda-lint: project-specific static analysis + race detection.
 
-Three passes, all specific to this repo's load-bearing invariant
+The passes, all specific to this repo's load-bearing invariant
 (bit-identical simulated timings over the Panda message protocol):
 
 - :mod:`repro.analysis.determinism` -- AST lints for nondeterminism
@@ -9,6 +9,8 @@ Three passes, all specific to this repo's load-bearing invariant
   engine's batched dispatch loop (PL007);
 - :mod:`repro.analysis.protocol_check` -- every send/recv site checked
   against the protocol table (PL101-PL104);
+- :mod:`repro.analysis.records_check` -- every trace emit site checked
+  against the record table (PL105);
 - :mod:`repro.analysis.race` -- dynamic schedule-perturbation detector
   for order-dependence the static passes cannot see.
 
@@ -67,10 +69,11 @@ def run_lint(root: Path) -> LintResult:
     ``[tool.panda-lint]`` allowlist."""
     from repro.analysis.determinism import lint_tree
     from repro.analysis.hotpath import check_engine
-    from repro.analysis.protocol_check import check_tree
+    from repro.analysis import protocol_check, records_check
 
     findings = lint_tree(root)
-    findings.extend(check_tree(root).findings)
+    findings.extend(protocol_check.check_tree(root).findings)
+    findings.extend(records_check.check_tree(root))
     findings.extend(check_engine(root))
     pyproject = root / "pyproject.toml"
     entries, problems = load_allowlist(pyproject)

@@ -51,6 +51,8 @@ RULES: Dict[str, str] = {
     "PL102": "protocol: receive site the MESSAGES table does not allow",
     "PL103": "protocol: dead row (never sent, or never taken)",
     "PL104": "protocol: potential deadlock cycle (mutually guarded tags)",
+    "PL105": "trace: emit site the RECORDS table does not describe, or a "
+             "row no site emits",
     # dynamic findings from panda-mc (repro.analysis.mc), reported per
     # explored schedule rather than per source line
     "PL200": "model check: error raised under a reordered schedule",

@@ -32,7 +32,7 @@ import types
 from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 
 from repro.analysis.findings import Finding
 
@@ -79,15 +79,16 @@ def parse_tags(source: str, rel_path: str) -> Dict[str, Tuple[int, int]]:
     return {}
 
 
-def _load_table(source: str, rel_path: str) -> tuple:
-    """``MESSAGES`` of the protocol module ``source``, run as a module."""
-    mod = types.ModuleType("_panda_protocol_under_check")
+def _load_table(source: str, rel_path: str, name: str) -> Any:
+    """The module-level table ``name`` of the module ``source``, run as
+    a module: the checked tree's own table, not the installed one."""
+    mod = types.ModuleType("_panda_table_under_check")
     sys.modules[mod.__name__] = mod
     try:
         exec(compile(source, rel_path, "exec"), mod.__dict__)
     finally:
         del sys.modules[mod.__name__]
-    return tuple(mod.MESSAGES)
+    return getattr(mod, name)
 
 
 def _tags_in(node: ast.AST) -> FrozenSet[str]:
@@ -177,7 +178,7 @@ def check_sources(protocol_source: str, protocol_path: str,
     tags = parse_tags(protocol_source, protocol_path)
     name_of = {value: name for name, (value, _line) in tags.items()}
     rows = {name_of.get(m.tag, str(m.tag)): m
-            for m in _load_table(protocol_source, protocol_path)}
+            for m in _load_table(protocol_source, protocol_path, "MESSAGES")}
     replies = {name_of.get(m.reply) for m in rows.values()}
     ends = {name: (m.sender.split(".")[0], m.receiver.split(".")[0])  # modules
             for name, m in rows.items()}

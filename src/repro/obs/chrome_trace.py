@@ -19,111 +19,27 @@ pid       process                      threads (tid)
 6         scheduler                    one per admitted op (admit_seq)
 ========  ===========================  =============================
 
-Span reconstruction: trace records carry their *completion* time plus
-a ``service`` duration, so a span is ``[time - service, time]``.  A
-network transfer occupies both the sender's out link and the
-receiver's in link, so it is drawn on both tracks.  Server/client
-operation phases (``srv_op_start`` .. ``srv_op_done``) are paired per
-``(source, op_id)`` into plan/io/sync spans.
+One pass over the trace draws each record as its kind's view in
+:data:`repro.obs.records.RECORDS` says; kinds with no view are not
+exported.  Op phase spans follow every other event, servers first.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from typing import Any, Dict, List, Optional
 
-from repro.sim.trace import Trace, TraceRecord
+from repro.obs.records import PHASE, RECORDS, span_start
+from repro.sim.trace import Trace
 
 __all__ = ["to_chrome_trace", "write_chrome_trace"]
 
-PID_CLIENTS = 1
-PID_SERVERS = 2
-PID_DISKS = 3
-PID_LINKS = 4
-PID_RUNTIME = 5
-PID_SCHED = 6
-
-_PROCESS_NAMES = {
-    PID_CLIENTS: "clients",
-    PID_SERVERS: "servers",
-    PID_DISKS: "disks",
-    PID_LINKS: "links",
-    PID_RUNTIME: "runtime",
-    PID_SCHED: "scheduler",
-}
-
-_NUM = re.compile(r"(\d+)")
-
-
-def _index_of(source: str) -> int:
-    """The trailing resource index in a source name ("server3" -> 3)."""
-    m = _NUM.search(source)
-    return int(m.group(1)) if m else 0
-
-
-def _us(t: float) -> float:
-    return t * 1e6
-
-
-class _Builder:
-    def __init__(self) -> None:
-        self.events: List[Dict[str, Any]] = []
-        self._threads: Dict[tuple, str] = {}
-
-    def thread(self, pid: int, tid: int, name: str) -> None:
-        self._threads.setdefault((pid, tid), name)
-
-    def span(self, name: str, cat: str, start: float, end: float,
-             pid: int, tid: int, **args: Any) -> None:
-        self.events.append({
-            "name": name, "cat": cat, "ph": "X",
-            "ts": _us(start), "dur": _us(max(end - start, 0.0)),
-            "pid": pid, "tid": tid, "args": args,
-        })
-
-    def instant(self, name: str, cat: str, t: float, pid: int, tid: int,
-                **args: Any) -> None:
-        self.events.append({
-            "name": name, "cat": cat, "ph": "i", "s": "t",
-            "ts": _us(t), "pid": pid, "tid": tid, "args": args,
-        })
-
-    def finish(self) -> List[Dict[str, Any]]:
-        meta: List[Dict[str, Any]] = []
-        for pid in sorted({p for p, _ in self._threads}):
-            meta.append({
-                "name": "process_name", "ph": "M", "pid": pid,
-                "args": {"name": _PROCESS_NAMES.get(pid, f"pid{pid}")},
-            })
-        for (pid, tid), name in sorted(self._threads.items()):
-            meta.append({
-                "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
-                "args": {"name": name},
-            })
-        return meta + self.events
-
-
-def _op_phase_spans(b: _Builder, records: List[TraceRecord], pid: int,
-                    marks: Dict[str, str]) -> None:
-    """Pair per-(source, op_id) phase marks into back-to-back spans.
-
-    ``marks`` maps record kind -> the phase *ending* at that record;
-    the first mark (mapped to "") opens the op."""
-    open_at: Dict[tuple, float] = {}
-    for rec in records:
-        phase = marks.get(rec.kind)
-        if phase is None:
-            continue
-        key = (rec.source, rec.detail.get("op_id"))
-        tid = _index_of(rec.source)
-        b.thread(pid, tid, rec.source)
-        if phase:
-            start = open_at.get(key)
-            if start is not None:
-                b.span(phase, "op", start, rec.time, pid, tid,
-                       op_id=key[1], source=rec.source)
-        open_at[key] = rec.time
+#: process rows, in pid order from 1
+PROCESSES = ("clients", "servers", "disks", "links", "runtime", "scheduler")
+_PID = {name: pid for pid, name in enumerate(PROCESSES, 1)}
+#: kind -> (pid, view) of every kind with a view
+_VIEWS = {kind: (_PID[row.view.process], row.view)
+          for kind, row in RECORDS.items() if row.view is not None}
 
 
 def to_chrome_trace(trace: Trace, t0: float = 0.0,
@@ -131,96 +47,48 @@ def to_chrome_trace(trace: Trace, t0: float = 0.0,
     """Convert ``trace`` to a Chrome trace-event dict (``json.dump``
     ready).  ``[t0, t_end]`` bounds which records are exported (by
     completion time); by default everything is."""
-    b = _Builder()
-    records = [
-        r for r in trace.records
-        if r.time >= t0 and (t_end is None or r.time <= t_end)
-    ]
-    for rec in records:
-        d = rec.detail
-        if rec.kind in ("disk_read", "disk_write"):
-            tid = _index_of(rec.source)
-            b.thread(PID_DISKS, tid, rec.source)
-            b.span(
-                rec.kind, "disk", rec.time - d.get("service", 0.0), rec.time,
-                PID_DISKS, tid, path=d.get("path"), offset=d.get("offset"),
-                nbytes=d.get("nbytes"), sequential=d.get("sequential"),
-                wait=d.get("wait"),
-            )
-        elif rec.kind == "net_xfer":
-            src, dst = d["src"], d["dst"]
-            start = rec.time - d.get("service", 0.0)
-            for tid, name in ((2 * src, f"out[{src}]"),
-                              (2 * dst + 1, f"in[{dst}]")):
-                b.thread(PID_LINKS, tid, name)
-                b.span(f"xfer {src}->{dst}", "net", start, rec.time,
-                       PID_LINKS, tid, src=src, dst=dst, tag=d.get("tag"),
-                       nbytes=d.get("nbytes"))
-        elif rec.kind in ("srv_gather", "srv_scatter"):
-            tid = _index_of(rec.source)
-            b.thread(PID_SERVERS, tid, rec.source)
-            b.span(
-                rec.kind.removeprefix("srv_"), "server",
-                rec.time - d.get("service", 0.0), rec.time,
-                PID_SERVERS, tid, op_id=d.get("op_id"), seq=d.get("seq"),
-                nbytes=d.get("nbytes"), pieces=d.get("pieces"),
-            )
-        elif rec.kind == "cli_serve":
-            tid = _index_of(rec.source)
-            b.thread(PID_CLIENTS, tid, rec.source)
-            b.span(
-                f"serve {d.get('kind')}", "client",
-                rec.time - d.get("service", 0.0), rec.time,
-                PID_CLIENTS, tid, op_id=d.get("op_id"),
-                nbytes=d.get("nbytes"),
-            )
-        elif rec.kind == "message":
-            tid = 2 * d["dst"] + 1
-            b.thread(PID_LINKS, tid, f"in[{d['dst']}]")
-            b.instant("deliver", "net", rec.time, PID_LINKS, tid,
-                      src=d["src"], dst=d["dst"], tag=d.get("tag"),
-                      nbytes=d.get("nbytes"))
-        elif rec.kind in ("fsync", "cache_flush"):
-            b.thread(PID_RUNTIME, 1, "filesystem")
-            b.instant(rec.kind, "fs", rec.time, PID_RUNTIME, 1,
-                      source=rec.source, **{
-                          k: v for k, v in d.items()
-                          if isinstance(v, (int, float, str, bool))
-                      })
-        elif rec.kind in ("run_start", "run_end"):
-            b.thread(PID_RUNTIME, 0, "run")
-            b.instant(rec.kind, "run", rec.time, PID_RUNTIME, 0, **d)
-        elif rec.kind == "sched_enqueue":
-            tid = d["admit_seq"]
-            b.thread(PID_SCHED, tid, f"op{tid} {d.get('dataset')}")
-            b.instant("enqueue", "sched", rec.time, PID_SCHED, tid,
-                      op_id=d.get("op_id"), dataset=d.get("dataset"),
-                      kind=d.get("kind"), qlen=d.get("qlen"))
-        elif rec.kind == "sched_admit":
-            tid = d["admit_seq"]
-            b.thread(PID_SCHED, tid, f"op{tid} {d.get('dataset')}")
-            b.span("queued", "sched", rec.time - d.get("wait", 0.0),
-                   rec.time, PID_SCHED, tid, op_id=d.get("op_id"),
-                   dataset=d.get("dataset"), in_flight=d.get("in_flight"))
-        elif rec.kind == "sched_done":
-            tid = d["admit_seq"]
-            b.thread(PID_SCHED, tid, f"op{tid} {d.get('dataset')}")
-            b.span("in-flight", "sched", rec.time - d.get("service", 0.0),
-                   rec.time, PID_SCHED, tid, op_id=d.get("op_id"),
-                   dataset=d.get("dataset"), moved=d.get("moved"),
-                   turnaround=d.get("turnaround"))
-
-    # server op phases: request->plan = "plan", plan->io = "io",
-    # io->done = "sync"
-    _op_phase_spans(b, records, PID_SERVERS, {
-        "srv_op_start": "", "srv_plan_ready": "plan",
-        "srv_io_done": "io", "srv_op_done": "sync",
-    })
-    # client op span: start -> done = the whole collective
-    _op_phase_spans(b, records, PID_CLIENTS, {
-        "cli_op_start": "", "cli_op_done": "collective",
-    })
-    return {"traceEvents": b.finish(), "displayTimeUnit": "ms"}
+    events: List[Dict[str, Any]] = []
+    phases: Dict[int, list] = {_PID["servers"]: [], _PID["clients"]: []}
+    threads: Dict[tuple, str] = {}
+    opened: Dict[tuple, float] = {}  # (source, op_id) -> its last mark
+    for time, source, kind, detail in trace.records:
+        if time < t0 or (t_end is not None and time > t_end) or kind not in _VIEWS:
+            continue
+        pid, view = _VIEWS[kind]
+        tracks = view.tracks(source, detail)
+        for tid, thread in tracks:
+            threads.setdefault((pid, tid), thread)
+        name = view.name if isinstance(view.name, str) else view.name(detail)
+        if view.span is None:
+            args = view.args(source, detail)
+            for tid, _ in tracks:
+                events.append({"name": name, "cat": view.cat, "ph": "i", "s": "t",
+                               "ts": time * 1e6, "pid": pid, "tid": tid, "args": args})
+            continue
+        out = events
+        if view.span == PHASE:
+            op = (source, detail.get("op_id"))
+            start = opened.get(op)
+            opened[op] = time
+            if not name or start is None:
+                continue
+            out = phases[pid]
+        else:
+            start = span_start(time, detail, view.span)
+        args = view.args(source, detail)
+        for tid, _ in tracks:
+            out.append({"name": name, "cat": view.cat, "ph": "X", "ts": start * 1e6,
+                        "dur": max(time - start, 0.0) * 1e6, "pid": pid, "tid": tid,
+                        "args": args})
+    meta: List[Dict[str, Any]] = [
+        {"name": "process_name", "ph": "M", "pid": pid,
+         "args": {"name": PROCESSES[pid - 1]}}
+        for pid in sorted({pid for pid, _ in threads})]
+    meta += [{"name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
+              "args": {"name": name}}
+             for (pid, tid), name in sorted(threads.items())]
+    return {"traceEvents": meta + events + phases[_PID["servers"]]
+            + phases[_PID["clients"]], "displayTimeUnit": "ms"}
 
 
 def write_chrome_trace(trace: Trace, path: str, t0: float = 0.0,

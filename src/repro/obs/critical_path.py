@@ -30,12 +30,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.records import RECORDS, span_start
 from repro.sim.trace import Trace
 
 __all__ = ["CriticalPathReport", "Segment", "analyze"]
 
 #: phase names, in wall-clock order
 PHASES = ("startup", "gather_scatter", "disk", "drain")
+#: kind -> span field of every record drawn on the disks' tracks
+_DISK_SPANS = {kind: row.view.span for kind, row in RECORDS.items()
+               if row.view is not None and row.view.process == "disks"}
 
 
 @dataclass(frozen=True)
@@ -109,42 +113,27 @@ class CriticalPathReport:
         return "\n".join(lines)
 
 
-def _disk_spans(trace: Trace, lo: float, hi: float) -> Dict[str, List[Tuple[float, float]]]:
-    """Per-disk service spans ``[start, end]`` clipped to ``[lo, hi]``.
-
-    Disk records carry their completion time and ``service``; the span
-    is reconstructed as ``[time - service, time]``.
-    """
-    spans: Dict[str, List[Tuple[float, float]]] = {}
-    for rec in trace.records:
-        if rec.kind not in ("disk_read", "disk_write"):
-            continue
-        start = rec.time - rec.detail.get("service", 0.0)
-        s, e = max(start, lo), min(rec.time, hi)
-        if e > s:
-            spans.setdefault(rec.source, []).append((s, e))
-    for lst in spans.values():
-        lst.sort()
-    return spans
-
-
 def analyze(trace: Optional[Trace], t0: float, t_end: float) -> CriticalPathReport:
     """Partition ``[t0, t_end]`` of ``trace`` into phases and pick the
     bottleneck.  Records outside the window are ignored, so a runtime
     run several times can analyze each run's own slice."""
     if t_end < t0:
         raise ValueError(f"empty window: t_end {t_end} < t0 {t0}")
-    in_window = (
-        [r for r in trace.records if t0 <= r.time <= t_end]
-        if trace is not None else []
-    )
-    plan_times = [r.time for r in in_window if r.kind == "srv_plan_ready"]
-    io_times = [r.time for r in in_window if r.kind == "srv_io_done"]
-    t_plan = max(plan_times) if plan_times else t0
-    t_io = max(io_times) if io_times else t_plan
+    in_window = ([r for r in trace.records if t0 <= r.time <= t_end]
+                 if trace is not None else [])
+    t_plan = max((r.time for r in in_window if r.kind == "srv_plan_ready"), default=t0)
+    t_io = max((r.time for r in in_window if r.kind == "srv_io_done"), default=t_plan)
     t_io = max(t_io, t_plan)  # a window with no I/O degenerates cleanly
 
-    spans = _disk_spans(trace, t_plan, t_io) if trace is not None else {}
+    # every disk's busy spans, clipped to the I/O window
+    spans: Dict[str, List[Tuple[float, float]]] = {}
+    for time, source, kind, detail in [r for r in in_window if r.kind in _DISK_SPANS]:
+        s = max(span_start(time, detail, _DISK_SPANS[kind]), t_plan)
+        e = min(time, t_io)
+        if e > s:
+            spans.setdefault(source, []).append((s, e))
+    for lst in spans.values():
+        lst.sort()
     disk_busy = {
         src: sum(e - s for s, e in lst) for src, lst in spans.items()
     }

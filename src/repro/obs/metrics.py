@@ -23,8 +23,9 @@ Metric kinds:
 :func:`attach` wires a full :class:`~repro.core.runtime.PandaRuntime`
 (disk arms, out/in links, mailboxes, the event loop); call
 :meth:`MetricsRegistry.render` after the run for the snapshot.
-:func:`observe_trace` back-fills service/wait histograms from a
-finished :class:`~repro.sim.trace.Trace`.
+:func:`observe_trace` back-fills the histograms each record kind's
+row of :data:`~repro.obs.records.RECORDS` names from a finished
+:class:`~repro.sim.trace.Trace`.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import itertools
 import math
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.obs.records import DURATION_BUCKETS, RECORDS
 from repro.sim.trace import Trace
 
 __all__ = [
@@ -46,18 +48,6 @@ __all__ = [
     "attach",
     "observe_trace",
 ]
-
-#: default histogram buckets for durations in simulated seconds
-DURATION_BUCKETS = (
-    1e-5, 1e-4, 1e-3, 5e-3, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0,
-)
-#: default histogram buckets for request sizes in bytes
-SIZE_BUCKETS = (
-    512, 4096, 32768, 65536, 262144, 1048576, 4194304, 16777216,
-)
-#: default histogram buckets for small counts (queue depths etc.)
-COUNT_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
-
 
 class Counter:
     """A monotonically increasing counter."""
@@ -292,31 +282,10 @@ def attach(runtime, registry: Optional[MetricsRegistry] = None) -> MetricsRegist
     return reg
 
 
-#: (trace kind, histogram name, detail key, buckets)
-_TRACE_HISTOGRAMS = (
-    ("disk_read", "panda_disk_service_seconds", "service", DURATION_BUCKETS),
-    ("disk_write", "panda_disk_service_seconds", "service", DURATION_BUCKETS),
-    ("disk_read", "panda_disk_wait_seconds", "wait", DURATION_BUCKETS),
-    ("disk_write", "panda_disk_wait_seconds", "wait", DURATION_BUCKETS),
-    ("disk_read", "panda_disk_request_bytes", "nbytes", SIZE_BUCKETS),
-    ("disk_write", "panda_disk_request_bytes", "nbytes", SIZE_BUCKETS),
-    ("net_xfer", "panda_net_xfer_bytes", "nbytes", SIZE_BUCKETS),
-    ("net_xfer", "panda_net_xfer_seconds", "service", DURATION_BUCKETS),
-    ("srv_gather", "panda_gather_seconds", "service", DURATION_BUCKETS),
-    ("srv_scatter", "panda_scatter_seconds", "service", DURATION_BUCKETS),
-    ("sched_enqueue", "panda_sched_queue_depth", "qlen", COUNT_BUCKETS),
-    ("sched_admit", "panda_sched_queue_wait_seconds", "wait",
-     DURATION_BUCKETS),
-    ("sched_done", "panda_sched_service_seconds", "service",
-     DURATION_BUCKETS),
-    ("sched_done", "panda_sched_turnaround_seconds", "turnaround",
-     DURATION_BUCKETS),
-)
-
-
 def observe_trace(trace: Trace, registry: Optional[MetricsRegistry] = None,
                   ) -> MetricsRegistry:
-    """Back-fill histograms (and per-kind counters) from a finished
+    """Back-fill per-kind counters, and the histograms each kind's
+    :data:`~repro.obs.records.RECORDS` row names, from a finished
     trace.
 
     Scheduler records from a sharded run (``SchedulerConfig.n_shards >
@@ -326,21 +295,16 @@ def observe_trace(trace: Trace, registry: Optional[MetricsRegistry] = None,
     historical label set.
     """
     reg = registry if registry is not None else MetricsRegistry()
-    rules: Dict[str, list] = {}
-    for kind, name, key, buckets in _TRACE_HISTOGRAMS:
-        rules.setdefault(kind, []).append((name, key, buckets))
-    for rec in trace.records:
-        reg.counter(
-            "panda_trace_records_total", "trace records by kind",
-            kind=rec.kind,
-        ).inc()
-        labels = {"op": rec.kind}
-        if "shard" in rec.detail:
-            labels["shard"] = str(rec.detail["shard"])
-        for name, key, buckets in rules.get(rec.kind, ()):
-            value = rec.detail.get(key)
+    for _time, _source, kind, detail in trace.records:
+        reg.counter("panda_trace_records_total", "trace records by kind", kind=kind).inc()
+        row = RECORDS.get(kind)
+        if row is None or not row.histograms:
+            continue
+        labels = {"op": kind}
+        if "shard" in detail:
+            labels["shard"] = str(detail["shard"])
+        for key, name, buckets in row.histograms:
+            value = detail.get(key)
             if value is not None:
-                reg.histogram(
-                    name, "", buckets=buckets, **labels,
-                ).observe(value)
+                reg.histogram(name, "", buckets=buckets, **labels).observe(value)
     return reg

@@ -14,23 +14,23 @@ sequential", "servers never message each other").
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, NamedTuple, Optional
 
 __all__ = ["Trace", "TraceRecord"]
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One traced occurrence."""
+class TraceRecord(NamedTuple):
+    """One traced occurrence; ``rec["key"]`` reads ``rec.detail``."""
 
     time: float
     source: str
     kind: str
-    detail: dict[str, Any] = field(default_factory=dict)
+    detail: dict[str, Any]
 
-    def __getitem__(self, key: str) -> Any:
-        return self.detail[key]
+    def __getitem__(self, key: Any) -> Any:
+        if isinstance(key, str):
+            return self.detail[key]
+        return tuple.__getitem__(self, key)
 
 
 class Trace:
@@ -55,16 +55,10 @@ class Trace:
         source: Optional[str] = None,
         source_prefix: Optional[str] = None,
     ) -> list[TraceRecord]:
-        out = []
-        for rec in self.records:
-            if kind is not None and rec.kind != kind:
-                continue
-            if source is not None and rec.source != source:
-                continue
-            if source_prefix is not None and not rec.source.startswith(source_prefix):
-                continue
-            out.append(rec)
-        return out
+        return [rec for rec in self.records
+                if (kind is None or rec.kind == kind)
+                and (source is None or rec.source == source)
+                and (source_prefix is None or rec.source.startswith(source_prefix))]
 
     def count(self, kind: str) -> int:
         return sum(1 for rec in self.records if rec.kind == kind)

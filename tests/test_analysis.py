@@ -541,6 +541,88 @@ class TestProtocolChecker:
         assert check_tree(REPO_ROOT).findings == []
 
 
+# -- trace record sites (PL105) ---------------------------------------------
+
+class TestRecordsChecker:
+    """PL105: every emit site against ``RECORDS``, on the real tree and
+    on mutants of it."""
+
+    FS = "src/repro/fs/filesystem.py"
+
+    def _findings(self, mutate=None, table=None):
+        from repro.analysis import records_check
+
+        sources = {p.relative_to(REPO_ROOT).as_posix(): p.read_text()
+                   for p in sorted((REPO_ROOT / "src/repro").rglob("*.py"))}
+        if mutate is not None:
+            mutate(sources)
+        if table is None:
+            table = (REPO_ROOT / records_check.DEFAULT_RECORDS).read_text()
+        return [f.format() for f in records_check.check_sources(
+            table, records_check.DEFAULT_RECORDS, sources)]
+
+    def _edit(self, old, new):
+        def mutate(sources):
+            assert old in sources[self.FS]
+            sources[self.FS] = sources[self.FS].replace(old, new)
+        return mutate
+
+    def test_real_tree_is_clean_and_every_row_has_a_site(self):
+        from repro.analysis import records_check
+        from repro.obs.records import RECORDS
+
+        assert len(RECORDS) == 32
+        assert self._findings() == []
+        assert records_check.check_tree(REPO_ROOT) == []
+
+    def test_renamed_kind_names_the_site_and_the_dead_row(self):
+        found = self._findings(self._edit('"fsync"', '"fsynced"'))
+        assert len(found) == 2
+        assert found[0].startswith("src/repro/fs/filesystem.py:204: PL105 "
+                                   "record fsynced is emitted here")
+        assert "it has no row in RECORDS" in found[0]
+        assert found[1].startswith("src/repro/obs/records.py:")
+        assert found[1].endswith("PL105 record fsync has no emit site")
+
+    def test_non_literal_kind_outside_a_wrapper(self):
+        found = self._findings(self._edit('"fsync"', "self.kind"))
+        assert found[0] == ("src/repro/fs/filesystem.py:204: PL105 the kind "
+                            "emitted here (in fsync) is not a literal")
+
+    def test_site_held_to_its_row_layer_and_fields(self):
+        found = self._findings(self._edit(
+            '"fsync", path=self.path', '"fsync", path=self.path, size=0'))
+        assert found == ["src/repro/fs/filesystem.py:204: PL105 record fsync "
+                         "is emitted here (in fsync) but its row lists no "
+                         "field size"]
+        moved = self._findings(lambda s: s.update(
+            {"src/repro/fs/journal.py": s.pop(self.FS)}))
+        assert moved == ["src/repro/fs/journal.py:204: PL105 record fsync is "
+                         "emitted here (in fsync) but its row's layer is "
+                         "fs.filesystem"]
+
+    def test_both_arms_of_a_conditional_are_sites(self):
+        disk = "src/repro/fs/disk.py"
+
+        def one_arm(sources):
+            sources[disk] = sources[disk].replace(
+                '"disk_write" if write else "disk_read"', '"disk_write"')
+        found = self._findings(one_arm)
+        assert len(found) == 1
+        assert found[0].endswith("PL105 record disk_read has no emit site")
+
+    def test_the_table_is_the_checked_trees_own(self):
+        from repro.analysis import records_check
+
+        table = (REPO_ROOT / records_check.DEFAULT_RECORDS).read_text()
+        assert '    "fsync": ' in table
+        found = self._findings(table=table.replace(
+            '    "fsync": ', '    "fsync_probe": Record("fs.filesystem", ("path",)),'
+            '\n    "fsync": '))
+        assert len(found) == 1
+        assert found[0].endswith("record fsync_probe has no emit site")
+
+
 # -- race detector -----------------------------------------------------------
 
 def _racy_toy():
