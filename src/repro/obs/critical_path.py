@@ -119,10 +119,14 @@ def analyze(trace: Optional[Trace], t0: float, t_end: float) -> CriticalPathRepo
     run several times can analyze each run's own slice."""
     if t_end < t0:
         raise ValueError(f"empty window: t_end {t_end} < t0 {t0}")
-    in_window = ([r for r in trace.records if t0 <= r.time <= t_end]
-                 if trace is not None else [])
-    t_plan = max((r.time for r in in_window if r.kind == "srv_plan_ready"), default=t0)
-    t_io = max((r.time for r in in_window if r.kind == "srv_io_done"), default=t_plan)
+    in_window = (
+        [r for r in trace.records if t0 <= r.time <= t_end]
+        if trace is not None else []
+    )
+    plan_times = [r.time for r in in_window if r.kind == "srv_plan_ready"]
+    io_times = [r.time for r in in_window if r.kind == "srv_io_done"]
+    t_plan = max(plan_times) if plan_times else t0
+    t_io = max(io_times) if io_times else t_plan
     t_io = max(t_io, t_plan)  # a window with no I/O degenerates cleanly
 
     # every disk's busy spans, clipped to the I/O window

@@ -55,10 +55,16 @@ class Trace:
         source: Optional[str] = None,
         source_prefix: Optional[str] = None,
     ) -> list[TraceRecord]:
-        return [rec for rec in self.records
-                if (kind is None or rec.kind == kind)
-                and (source is None or rec.source == source)
-                and (source_prefix is None or rec.source.startswith(source_prefix))]
+        out = []
+        for rec in self.records:
+            if kind is not None and rec.kind != kind:
+                continue
+            if source is not None and rec.source != source:
+                continue
+            if source_prefix is not None and not rec.source.startswith(source_prefix):
+                continue
+            out.append(rec)
+        return out
 
     def count(self, kind: str) -> int:
         return sum(1 for rec in self.records if rec.kind == kind)
