@@ -8,6 +8,8 @@ are small (the committed full hour lives in BENCH_soak.json, gated by
 ``bench_soak.py --check``); the properties are the same.
 """
 
+import hashlib
+
 import pytest
 
 from repro.core import PandaConfig, PandaRuntime, SchedulerConfig
@@ -53,6 +55,36 @@ def test_admission_wait_slo(drill):
     s = drill["summary"]
     assert s["wait_regression"] <= 2.0
     assert s["recovery_max"] <= 60.0
+
+
+def _hx(t):
+    return "-" if t is None else t.hex()
+
+
+def test_every_runs_admission_schedule_is_pinned(monkeypatch):
+    """Each of the drill's runs on its one runtime, pinned row by row:
+    dataset, arrival, admission and completion instants as float hex,
+    bytes moved, in admission order.  ``admit_seq`` is left out, so a
+    change to the numbering alone cannot move the pin, while any
+    change to when an op is admitted or served does.  The crash cycles
+    hold orphan rows: ops admitted by a shard master that then died,
+    and admitted again by the next live owner."""
+    runs = []
+    run_partitioned = PandaRuntime.run_partitioned
+
+    def spy(rt, *args, **kwargs):
+        result = run_partitioned(rt, *args, **kwargs)
+        runs.append("\n".join(
+            f"{r.dataset}:{_hx(r.arrived)}:{_hx(r.admitted)}:"
+            f"{_hx(r.completed)}:{r.moved}" for r in rt.sched_stats.ops))
+        return result
+
+    monkeypatch.setattr(PandaRuntime, "run_partitioned", spy)
+    run_soak_drill(**DRILL)
+    assert [r.count("\n") + 1 for r in runs] == [24, 24, 26, 36]
+    assert [hashlib.sha256(r.encode()).hexdigest()[:16] for r in runs] == [
+        "262dbcf74cf5b486", "0b1bb97a636df3e5", "f91c98c6576ab3d7",
+        "1889668b20bd291c"]
 
 
 def test_crash_plan_never_kills_the_root():
