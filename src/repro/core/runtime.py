@@ -426,6 +426,10 @@ class PandaRuntime:
         #: :class:`repro.obs.slo.SLOTracker`; replaced at the start of
         #: each run, empty under every other policy.
         self.slo_trackers: Dict[int, "SLOTracker"] = {}
+        #: first admission number of the next run: shard *s* issues
+        #: ``base + s, base + s + n_shards, ...``, so ``admit_seq`` is
+        #: unique for the runtime's lifetime, not just per run.
+        self.admit_base = 0
         self._client_state: Dict[int, dict] = {r: {} for r in range(n_compute)}
         #: optional :class:`repro.replay.capture.TraceRecorder`: when
         #: attached, run boundaries, binds and op arrivals are captured
@@ -661,6 +665,7 @@ class PandaRuntime:
         sched_cfg = self.config.scheduler
         self.sched_stats = None if sched_cfg is None else SchedStats(
             sched_cfg.policy, sched_cfg.n_shards)
+        servers: List[PandaServer] = []
         server_procs = []
         for i in range(self.n_io):
             # reboot semantics: messages queued for a node that died in
@@ -677,6 +682,7 @@ class PandaRuntime:
                 self, i, self.network.comm(self.server_rank(i)),
                 self.filesystems[i],
             )
+            servers.append(server)
             server_procs.append(self.sim.spawn(server.run(), name=f"server{i}"))
         for idx, t_abs in crashes_abs:
             self.sim.schedule_at(t_abs, self._crash_server, idx, server_procs)
@@ -704,7 +710,14 @@ class PandaRuntime:
                 )
                 clients[rank] = self.sim.spawn(app(ctx, *args, **kwargs),
                                                name=f"client{rank}")
-        run_supervised(self.sim, clients, server_procs, self._shutdown())
+        try:
+            run_supervised(self.sim, clients, server_procs, self._shutdown())
+        finally:
+            # the next run numbers on from the smallest multiple of
+            # n_shards above every admit_seq this run issued
+            self.admit_base = max(
+                (s.queue.next_seq - s.server_index for s in servers
+                 if s.queue is not None), default=self.admit_base)
         ops = self.oplog.finished()
         if self.trace is not None:
             self.trace.emit(self.sim.now, "runtime", "run_end",

@@ -49,9 +49,11 @@ owning the datasets a consistent-hash :class:`ShardMap` assigns to it.
 Clients route each REQUEST to the owning shard master; each shard
 master runs its own bounded :class:`AdmissionQueue` and SCHED broadcast
 group.  Admission sequence numbers interleave (shard *s* issues
-``s, s + n_shards, s + 2*n_shards, ...``) so ``admit_seq`` stays
-globally unique and doubles as the completion-routing key: the shard of
-an op is ``admit_seq % n_shards``.  Because the hash is per-dataset,
+``b + s, b + s + n_shards, ...`` from the run's base *b*, a multiple of
+``n_shards`` above every number an earlier run of the runtime issued)
+so ``admit_seq`` stays unique for the runtime's lifetime and doubles as
+the completion-routing key: the shard of an op is
+``admit_seq % n_shards``.  Because the hash is per-dataset,
 same-dataset ops always meet at the same shard, so the per-shard
 conflict check preserves the serial-equivalence invariant unchanged.
 Cross-shard fairness is the same priority-weighted DRR: every server
@@ -519,10 +521,11 @@ class AdmissionQueue:
     of its mailbox, which is where the backpressure actually lives.
 
     ``seq_start``/``seq_step`` interleave the sequence numbers of the
-    admission shards: shard *s* of *k* issues ``s, s + k, s + 2k, ...``
-    so ``admit_seq`` stays globally unique without coordination and
-    encodes its issuing shard as ``admit_seq % k``.  The single-master
-    default (0, 1) is the historical numbering, bit-for-bit.
+    admission shards: shard *s* of *k* issues ``b + s, b + s + k, ...``
+    from the run's base *b* (the runtime's ``admit_base``, a multiple of
+    *k*), so ``admit_seq`` stays unique without coordination and
+    encodes its issuing shard as ``admit_seq % k``.  ``next_seq`` is the
+    number the next push will issue.
 
     Internally the queue indexes arrivals by sequence number and by
     dataset, so one admission decision costs O(eligible-scan) instead
@@ -540,7 +543,7 @@ class AdmissionQueue:
         # dict preserves insertion order == ascending seq order
         self._q: Dict[int, _Arrival] = {}
         self._by_dataset: Dict[str, List[_Arrival]] = {}
-        self._next_seq = seq_start
+        self.next_seq = seq_start
         self._seq_step = seq_step
         self.peak = 0
 
@@ -559,8 +562,8 @@ class AdmissionQueue:
                 "server must stop draining REQUESTs while the queue is "
                 "full"
             )
-        entry = _Arrival(self._next_seq, op, estimate, now, demoted)
-        self._next_seq += self._seq_step
+        entry = _Arrival(self.next_seq, op, estimate, now, demoted)
+        self.next_seq += self._seq_step
         self._q[entry.seq] = entry
         self._by_dataset.setdefault(op.dataset, []).append(entry)
         if len(self._q) > self.peak:

@@ -179,6 +179,9 @@ class PandaServer:
         #: shard master only: admit_seq -> _OpCompletion for in-flight
         #: ops this shard admitted
         self._completions: Dict[int, _OpCompletion] = {}
+        #: shard master only: this shard's admission queue.  Set by
+        #: :meth:`run`.
+        self.queue: Optional[AdmissionQueue] = None
         # per-op accounting for the trace/results
         self.bytes_written = 0
         self.bytes_read = 0
@@ -277,8 +280,9 @@ class PandaServer:
             # interleaved numbering keeps admit_seq globally unique with
             # zero coordination and self-describing: the issuing shard
             # is admit_seq % n_shards
-            queue = AdmissionQueue(cfg.queue_limit, sched.policy,
-                                   seq_start=self._shard, seq_step=n_shards)
+            queue = self.queue = AdmissionQueue(
+                cfg.queue_limit, sched.policy,
+                seq_start=rt.admit_base + self._shard, seq_step=n_shards)
             if cfg.policy == "slo":
                 # per-shard tracker, deliberately un-gossiped: every
                 # demote/shed decision is local to this master's loop,

@@ -367,6 +367,49 @@ def test_counter_rejects_decrease():
         reg.gauge("x_total")
 
 
+def test_each_scheduled_run_draws_its_ops_on_their_own_tracks():
+    """``admit_seq`` is unique for the runtime's lifetime, not per run:
+    a runtime that runs twice under a scheduler exports the second
+    run's ops on new tracks under their own names, instead of drawing
+    them on the first run's tracks (a thread keeps its first-seen
+    name)."""
+    import numpy as np
+
+    from repro.core import (
+        Array,
+        ArrayGroup,
+        ArrayLayout,
+        BLOCK,
+        PandaConfig,
+        PandaRuntime,
+        SchedulerConfig,
+    )
+
+    arr = Array("a", (32,), np.float64, ArrayLayout("m", (2,)), [BLOCK])
+    ag = ArrayGroup("ag")
+    ag.include(arr)
+
+    def app(ctx, *names):
+        ctx.bind(arr)
+        for name in names:
+            yield from ag.write(ctx, name)
+
+    rt = PandaRuntime(
+        n_compute=2, n_io=2,
+        config=PandaConfig(scheduler=SchedulerConfig(policy="fifo")),
+        trace=True,
+    )
+    rt.run(app, "first", "second")
+    rt.run(app, "third", "fourth")
+    events = to_chrome_trace(rt.trace)["traceEvents"]
+    sched_pid = next(ev["pid"] for ev in events if ev["ph"] == "M"
+                     and ev["args"]["name"] == "scheduler")
+    tracks = sorted(ev["args"]["name"] for ev in events
+                    if ev["ph"] == "M" and ev["name"] == "thread_name"
+                    and ev["pid"] == sched_pid)
+    assert tracks == ["op0 first", "op1 second", "op2 third", "op3 fourth"]
+
+
 def test_sharded_sched_metrics_carry_shard_label():
     """A sharded run's scheduler records carry their admitting shard,
     and :func:`observe_trace` turns it into a ``shard`` label, so queue
