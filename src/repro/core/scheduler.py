@@ -187,21 +187,18 @@ class SchedOp:
     #: the lifetime of the runtime, so it disambiguates ops whose
     #: per-group ``op_id`` collide (two groups both start at op 0).
     admit_seq: int
-    priority: int
     #: cost-model elapsed-time estimate (the SJF key).
     estimate: float
+    #: DRR service weight fixed by the admitting master's policy at
+    #: admission time (the ``slo`` policy demotes over-budget tenants
+    #: to weight 1 and boosts healthy ones).
+    weight: int
     skip: Tuple[int, ...] = ()
     recoveries: Tuple["RecoveryAssignment", ...] = ()
     #: index of the shard master that admitted this op; completions
     #: (SERVER_DONE) route back to server rank ``shard``.  Always 0 in
     #: single-master mode.
     shard: int = 0
-    #: DRR service weight fixed by the admitting master's policy at
-    #: admission time (the ``slo`` policy demotes over-budget tenants
-    #: to weight 1 and boosts healthy ones).  0 means "derive from
-    #: priority" -- the historical behaviour of every other policy,
-    #: kept as the wire default so their payloads are unchanged.
-    weight: int = 0
 
 
 # -- dataset -> shard-master routing -----------------------------------------
@@ -311,10 +308,6 @@ class OpProgress:
             return seg.items[self.item_index].nbytes
         return 0
 
-    @property
-    def weight(self) -> int:
-        return self.sched.weight or max(1, self.sched.priority)
-
 
 # -- policies ----------------------------------------------------------------
 
@@ -331,9 +324,9 @@ class _Policy:
     #: eligible entry.
     admission_by_seq = True
 
-    def admission_key(self, entry: "_Arrival") -> tuple:
+    def admission_key(self, entry: "OpSchedRecord") -> tuple:
         """Sort key among *eligible* queued ops at admission time."""
-        return (entry.seq,)
+        return (entry.admit_seq,)
 
     def drr_weight(self, priority: int, demoted: bool) -> int:
         """The DRR service weight stamped into the SCHED payload at
@@ -373,8 +366,8 @@ class SJFPolicy(_Policy):
     name = "sjf"
     admission_by_seq = False
 
-    def admission_key(self, entry: "_Arrival") -> tuple:
-        return (entry.estimate, entry.seq)
+    def admission_key(self, entry: "OpSchedRecord") -> tuple:
+        return (entry.estimate, entry.admit_seq)
 
     def select(self, active: Dict[int, OpProgress]) -> OpProgress:
         return min(active.values(), key=lambda p: (p.sched.estimate,
@@ -408,7 +401,7 @@ class FairSharePolicy(_Policy):
             p = active[self._ring[0]]
             if p.deficit >= p.next_nbytes:
                 return p
-            p.deficit += DRR_QUANTUM * p.weight
+            p.deficit += DRR_QUANTUM * p.sched.weight
             self._ring.rotate(-1)
 
 
@@ -435,8 +428,8 @@ class SLOPolicy(FairSharePolicy):
     name = "slo"
     admission_by_seq = False
 
-    def admission_key(self, entry: "_Arrival") -> tuple:
-        return (1 if entry.demoted else 0, entry.seq)
+    def admission_key(self, entry: "OpSchedRecord") -> tuple:
+        return (1 if entry.demoted else 0, entry.admit_seq)
 
     def drr_weight(self, priority: int, demoted: bool) -> int:
         if demoted:
@@ -499,11 +492,15 @@ class ServerScheduler:
 
 # -- master-side admission ---------------------------------------------------
 
-@dataclass
-class _Arrival:
-    """One queued REQUEST awaiting admission."""
+@dataclass(eq=False, slots=True)
+class OpSchedRecord:
+    """One admitted op at its shard master, from its REQUEST's arrival
+    to its OP_DONE: built by :meth:`AdmissionQueue.push`, then filled in
+    place as the master admits, credits and completes the op.
+    Accounted disciplines file it in :attr:`SchedStats.records` at
+    enqueue; the paper discipline never does."""
 
-    seq: int
+    admit_seq: int
     op: "CollectiveOp"
     estimate: float
     arrived: float
@@ -511,6 +508,49 @@ class _Arrival:
     #: arrived.  Fixed at enqueue (deterministic: one decision at one
     #: instant in the shard master's loop) and never re-evaluated.
     demoted: bool = False
+    admitted: Optional[float] = None
+    completed: Optional[float] = None
+    #: bytes credited so far by the servers' SERVER_DONEs
+    credited: int = 0
+    #: in flight only (:meth:`finish` drops them, so a finished record
+    #: pins no plan or recovery tuple): the admission broadcast, the
+    #: servers that still owe a SERVER_DONE, and the relocations to
+    #: persist at commit
+    sched: Optional[SchedOp] = None
+    owed: Optional[Set[int]] = None
+    pending_reloc: Optional[Dict[int, Tuple["RecoveryAssignment", ...]]] = None
+
+    op_id = property(lambda self: self.op.op_id)
+    group = property(lambda self: self.op.client_ranks)
+    dataset = property(lambda self: self.op.dataset)
+    kind = property(lambda self: self.op.kind)
+    priority = property(lambda self: self.op.priority)
+
+    @property
+    def moved(self) -> int:
+        """Bytes the op moved, once its OP_DONE is sent.  An admission
+        that never completed (its shard master crashed; the op was
+        admitted again elsewhere) moved nothing."""
+        return 0 if self.completed is None else self.credited
+
+    def finish(self, now: float) -> None:
+        """Stamp the OP_DONE instant and drop the in-flight fields."""
+        self.completed = now
+        self.sched = self.owed = self.pending_reloc = None
+
+    @property
+    def queue_wait(self) -> float:
+        """Arrival at the master -> admission (SCHED broadcast)."""
+        if self.admitted is None:
+            raise ValueError(f"op {self.admit_seq} was never admitted")
+        return self.admitted - self.arrived
+
+    @property
+    def turnaround(self) -> float:
+        """Arrival at the master -> OP_DONE sent."""
+        if self.completed is None:
+            raise ValueError(f"op {self.admit_seq} never completed")
+        return self.completed - self.arrived
 
 
 class AdmissionQueue:
@@ -541,8 +581,8 @@ class AdmissionQueue:
         self.limit = limit
         self.policy = policy
         # dict preserves insertion order == ascending seq order
-        self._q: Dict[int, _Arrival] = {}
-        self._by_dataset: Dict[str, List[_Arrival]] = {}
+        self._q: Dict[int, OpSchedRecord] = {}
+        self._by_dataset: Dict[str, List[OpSchedRecord]] = {}
         self.next_seq = seq_start
         self._seq_step = seq_step
         self.peak = 0
@@ -555,22 +595,22 @@ class AdmissionQueue:
         return len(self._q) >= self.limit
 
     def push(self, op: "CollectiveOp", estimate: float,
-             now: float, demoted: bool = False) -> _Arrival:
+             now: float, demoted: bool = False) -> OpSchedRecord:
         if self.full:
             raise RuntimeError(
                 f"admission queue overflow (limit {self.limit}); the "
                 "server must stop draining REQUESTs while the queue is "
                 "full"
             )
-        entry = _Arrival(self.next_seq, op, estimate, now, demoted)
+        entry = OpSchedRecord(self.next_seq, op, estimate, now, demoted)
         self.next_seq += self._seq_step
-        self._q[entry.seq] = entry
+        self._q[entry.admit_seq] = entry
         self._by_dataset.setdefault(op.dataset, []).append(entry)
         if len(self._q) > self.peak:
             self.peak = len(self._q)
         return entry
 
-    def _earlier_conflict(self, entry: _Arrival) -> bool:
+    def _earlier_conflict(self, entry: OpSchedRecord) -> bool:
         """Does an earlier-arrived queued op on the same dataset
         conflict with ``entry``?  (Cross-dataset ops never conflict.)"""
         for other in self._by_dataset[entry.op.dataset]:
@@ -580,7 +620,8 @@ class AdmissionQueue:
                 return True
         return False
 
-    def admissible(self, in_flight: List["CollectiveOp"]) -> Optional[_Arrival]:
+    def admissible(self, in_flight: Iterable[OpSchedRecord]
+                   ) -> Optional[OpSchedRecord]:
         """The next arrival the policy may admit: conflict-free against
         every in-flight op and every *earlier-arrived* queued op (so
         same-dataset ops keep their arrival order -- the serial-
@@ -589,10 +630,10 @@ class AdmissionQueue:
         # on its dataset, a read blocks only writes
         write_block: Set[str] = set()
         read_block: Set[str] = set()
-        for op in in_flight:
-            (write_block if op.kind == "write" else read_block).add(op.dataset)
+        for r in in_flight:
+            (write_block if r.kind == "write" else read_block).add(r.dataset)
         first_hit = self.policy.admission_by_seq
-        best: Optional[_Arrival] = None
+        best: Optional[OpSchedRecord] = None
         best_key: Optional[tuple] = None
         for e in self._q.values():  # ascending seq
             ds = e.op.dataset
@@ -608,53 +649,23 @@ class AdmissionQueue:
                 best, best_key = e, key
         return best
 
-    def remove(self, entry: _Arrival) -> None:
-        del self._q[entry.seq]
+    def remove(self, entry: OpSchedRecord) -> None:
+        del self._q[entry.admit_seq]
         bucket = self._by_dataset[entry.op.dataset]
         bucket.remove(entry)
         if not bucket:
             del self._by_dataset[entry.op.dataset]
 
 
-# -- per-op metrics ----------------------------------------------------------
-
-@dataclass
-class OpSchedRecord:
-    """Queue-wait / turnaround bookkeeping for one scheduled op."""
-
-    admit_seq: int
-    op_id: int
-    group: Tuple[int, ...]
-    dataset: str
-    kind: str
-    priority: int
-    estimate: float
-    arrived: float
-    admitted: Optional[float] = None
-    completed: Optional[float] = None
-    moved: int = 0
-
-    @property
-    def queue_wait(self) -> float:
-        """Arrival at the master -> admission (SCHED broadcast)."""
-        if self.admitted is None:
-            raise ValueError(f"op {self.admit_seq} was never admitted")
-        return self.admitted - self.arrived
-
-    @property
-    def turnaround(self) -> float:
-        """Arrival at the master -> OP_DONE sent."""
-        if self.completed is None:
-            raise ValueError(f"op {self.admit_seq} never completed")
-        return self.completed - self.arrived
-
+# -- per-run metrics ---------------------------------------------------------
 
 @dataclass
 class SchedStats:
     """One run's scheduler observations, exposed on
     ``runtime.sched_stats``: created by the runtime for every scheduled
-    run, at any shard count.  Each shard master writes its records,
-    keyed by the globally unique ``admit_seq``, and its own peaks."""
+    run, at any shard count.  Each shard master files each op's
+    :class:`OpSchedRecord` at enqueue, keyed by ``admit_seq``, and its
+    own peaks."""
 
     policy: str
     n_shards: int = 1

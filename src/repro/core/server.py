@@ -138,7 +138,7 @@ class _Discipline:
     #: flight or executing.
     eager_requests: bool
     #: rule 3: admission is accounted -- a cost-model estimate per
-    #: REQUEST, ``SchedStats`` / ``OpSchedRecord`` bookkeeping,
+    #: REQUEST, each op's ``OpSchedRecord`` filed in ``SchedStats``,
     #: ``sched_*`` trace records, phase marks keyed by the globally
     #: unique ``admit_seq`` and ``srv_op_start`` stamped when the plan
     #: is formed.  The paper path keeps none of it: marks are keyed by
@@ -176,9 +176,9 @@ class PandaServer:
         #: ``slo`` policy, shard masters only: this shard's per-tenant
         #: latency bookkeeping.  Set by :meth:`run`.
         self._slo_tracker: Optional[SLOTracker] = None
-        #: shard master only: admit_seq -> _OpCompletion for in-flight
-        #: ops this shard admitted
-        self._completions: Dict[int, _OpCompletion] = {}
+        #: shard master only: admit_seq -> the record of each in-flight
+        #: op this shard admitted
+        self._completions: Dict[int, OpSchedRecord] = {}
         #: shard master only: this shard's admission queue.  Set by
         #: :meth:`run`.
         self.queue: Optional[AdmissionQueue] = None
@@ -692,22 +692,18 @@ class PandaServer:
             yield from self.comm.send(op.master_client, Tags.OP_REJECTED,
                                       rejection)
             return
-        if not self._discipline.accounted:  # rule 3: no cost walk, no record
+        if not self._discipline.accounted:  # rule 3: no cost walk, no filing
             queue.push(op, 0.0, now)
             return
         demoted = tracker is not None and tracker.exhausted(tenant, now)
         est = estimate_op(op, rt.n_io, self.comm.spec, rt.config)
-        entry = queue.push(op, est, now, demoted=demoted)
+        rec = queue.push(op, est, now, demoted=demoted)
         if demoted:
             tracker.note_demoted(tenant)
         stats = rt.sched_stats
-        stats.records[entry.seq] = OpSchedRecord(
-            admit_seq=entry.seq, op_id=op.op_id, group=op.client_ranks,
-            dataset=op.dataset, kind=op.kind, priority=op.priority,
-            estimate=est, arrived=now,
-        )
+        stats.records[rec.admit_seq] = rec
         stats.queue_peaks[self._shard] = queue.peak
-        self._sched_trace("sched_enqueue", admit_seq=entry.seq,
+        self._sched_trace("sched_enqueue", admit_seq=rec.admit_seq,
                           op_id=op.op_id, dataset=op.dataset, kind=op.kind,
                           qlen=len(queue), demoted=demoted)
 
@@ -716,22 +712,20 @@ class PandaServer:
         eligible queued op.  Returns False when none is eligible."""
         rt = self.runtime
         completions = self._completions
-        entry = queue.admissible([c.sched.op for c in completions.values()])
-        if entry is None:
+        rec = queue.admissible(completions.values())
+        if rec is None:
             return False
-        queue.remove(entry)
-        op = entry.op
+        queue.remove(rec)
+        op = rec.op
         rt.catalog_check(op)
         skip: Tuple[int, ...] = ()
         recoveries: Tuple[RecoveryAssignment, ...] = ()
         pending_reloc: Dict[int, Tuple[RecoveryAssignment, ...]] = {}
         if self._reliable:
             skip, recoveries, pending_reloc = self._fault_directives(op)
-        sop = SchedOp(op=op, admit_seq=entry.seq, priority=op.priority,
-                      estimate=entry.estimate, skip=skip,
-                      recoveries=recoveries, shard=self._shard,
-                      weight=queue.policy.drr_weight(op.priority,
-                                                     entry.demoted))
+        sop = SchedOp(op=op, admit_seq=rec.admit_seq, estimate=rec.estimate,
+                      weight=queue.policy.drr_weight(op.priority, rec.demoted),
+                      skip=skip, recoveries=recoveries, shard=self._shard)
         # a live server participates unless it is skip-listed with
         # no recovery assignment routed to it: a fully skipped
         # server has nothing to execute and must not be contacted
@@ -757,15 +751,15 @@ class PandaServer:
             participants = [i for i in rt.live_servers()
                             if i == self.server_index or i not in skip
                             or i in assigned]
-        comp = _OpCompletion(sop, participants, pending_reloc)
-        completions[entry.seq] = comp
+        rec.sched = sop
+        rec.owed = set(participants)
+        rec.pending_reloc = pending_reloc
+        rec.admitted = self.comm.sim.now
+        completions[rec.admit_seq] = rec
         if self._discipline.accounted:  # rule 3
-            stats = rt.sched_stats
-            rec = stats.records[entry.seq]
-            rec.admitted = self.comm.sim.now
-            peaks = stats.in_flight_peaks
+            peaks = rt.sched_stats.in_flight_peaks
             peaks[self._shard] = max(peaks[self._shard], len(completions))
-            self._sched_trace("sched_admit", admit_seq=entry.seq,
+            self._sched_trace("sched_admit", admit_seq=rec.admit_seq,
                               op_id=op.op_id, dataset=op.dataset,
                               wait=rec.queue_wait,
                               in_flight=len(completions))
@@ -779,7 +773,7 @@ class PandaServer:
         else:
             # this owner has no execution share; with an empty
             # participant set the op may already be completable
-            yield from self._sched_maybe_complete(entry.seq, comp)
+            yield from self._sched_maybe_complete(rec)
         return True
 
     def _sched_start(self, sop: SchedOp, sched: ServerScheduler):
@@ -857,47 +851,46 @@ class PandaServer:
     def _sched_credit(self, admit_seq: int, server_index: int, moved: int):
         """Shard master: record one server's completion of an op this
         shard admitted."""
-        comp = self._completions.get(admit_seq)
-        if comp is None:
+        rec = self._completions.get(admit_seq)
+        if rec is None:
             raise RuntimeError(
                 f"server {self.server_index}: completion for unknown "
                 f"scheduled op {admit_seq} from server {server_index}"
             )
-        comp.done.add(server_index)
-        comp.moved += moved
-        yield from self._sched_maybe_complete(admit_seq, comp)
+        rec.owed.discard(server_index)
+        rec.credited += moved
+        yield from self._sched_maybe_complete(rec)
 
-    def _sched_maybe_complete(self, admit_seq: int, comp: "_OpCompletion"):
+    def _sched_maybe_complete(self, rec: OpSchedRecord):
         """Shard master: when the last expected server has reported,
         commit the op and notify its master client."""
-        if not comp.expected <= comp.done:  # O(1) while any is owed
+        if rec.owed:
             return
         rt = self.runtime
-        op = comp.sched.op
-        del self._completions[admit_seq]
+        op = rec.op
+        sop = rec.sched
+        del self._completions[rec.admit_seq]
         if op.kind == "write":
             if self._reliable:
-                rt.record_relocations(op.dataset, comp.pending_reloc)
+                rt.record_relocations(op.dataset, rec.pending_reloc)
             rt.catalog_commit(op)
-        done = ServerDone(op.op_id, self.server_index, comp.moved,
-                          admit_seq=admit_seq)
+        done = ServerDone(op.op_id, self.server_index, rec.credited,
+                          admit_seq=rec.admit_seq)
         yield from self.comm.send(op.master_client, Tags.OP_DONE, done)
+        now = self.comm.sim.now
+        rec.finish(now)
         if self._discipline.accounted:  # rule 3
-            now = self.comm.sim.now
-            rec = rt.sched_stats.records[admit_seq]
-            rec.completed = now
-            rec.moved = comp.moved
             if self._slo_tracker is not None:
                 # samples arrive in this shard master's deterministic
                 # completion order; the tenant key is the op's master
                 # client
                 self._slo_tracker.record(op.master_client, rec.queue_wait,
                                          rec.turnaround, now)
-            self._sched_trace("sched_done", admit_seq=admit_seq,
+            self._sched_trace("sched_done", admit_seq=rec.admit_seq,
                               op_id=op.op_id, dataset=op.dataset,
-                              moved=comp.moved, service=now - rec.admitted,
+                              moved=rec.moved, service=now - rec.admitted,
                               turnaround=rec.turnaround)
-        self._mark_op("srv_op_done", comp.sched)
+        self._mark_op("srv_op_done", sop)
 
     def _sched_abort_orphans(self, sched: ServerScheduler) -> None:
         """Sharded fault mode: drop active work admitted by a shard
@@ -933,21 +926,20 @@ class PandaServer:
         declared dead -- a timeout alone proves nothing."""
         rt = self.runtime
         for admit_seq in sorted(self._completions):
-            comp = self._completions.get(admit_seq)
-            if comp is None:
+            rec = self._completions.get(admit_seq)
+            if rec is None:
                 continue
-            op = comp.sched.op
-            for k in sorted(rt.crashed_servers & comp.expected):
-                comp.expected.discard(k)
-                if k in comp.done:
-                    # finished before dying: its file is complete but
-                    # unreachable until the node is repaired (next run)
-                    continue
+            op = rec.op
+            # a server that finished before dying owes nothing: its
+            # file is complete but unreachable until the node is
+            # repaired (next run)
+            for k in sorted(rt.crashed_servers & rec.owed):
+                rec.owed.discard(k)
                 if op.kind == "read":
                     plan = build_server_plan(op, k, rt.n_io, rt.config)
-                    had_work = (plan.items and k not in comp.sched.skip) or \
+                    had_work = (plan.items and k not in rec.sched.skip) or \
                         any(a.survivor_index == k
-                            for a in comp.sched.recoveries)
+                            for a in rec.sched.recoveries)
                     if had_work:
                         raise FaultRecoveryError(
                             f"server {k} crashed while scattering dataset "
@@ -957,22 +949,6 @@ class PandaServer:
                     continue  # trivially empty share: nothing was lost
                 assignments = yield from self._recover_midop(op, k)
                 if assignments:
-                    comp.pending_reloc[k] = assignments
-            yield from self._sched_maybe_complete(admit_seq, comp)
+                    rec.pending_reloc[k] = assignments
+            yield from self._sched_maybe_complete(rec)
 
-
-class _OpCompletion:
-    """Master-side completion bookkeeping for one in-flight scheduled
-    op: which servers still owe a SERVER_DONE, bytes credited so far,
-    and relocations to persist at commit."""
-
-    __slots__ = ("sched", "expected", "done", "moved", "pending_reloc")
-
-    def __init__(self, sched: SchedOp, expected,
-                 pending_reloc: Dict[int, Tuple[RecoveryAssignment, ...]],
-                 ) -> None:
-        self.sched = sched
-        self.expected: Set[int] = set(expected)
-        self.done: Set[int] = set()
-        self.moved = 0
-        self.pending_reloc = dict(pending_reloc)

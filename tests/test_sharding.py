@@ -159,14 +159,14 @@ def test_admit_seq_striping_is_unique_and_recoverable():
     for s, q in enumerate(queues):
         for i in range(4):
             entry = _push(q, i)
-            assert entry.seq % n_shards == s
-            assert entry.seq not in seqs
-            seqs[entry.seq] = s
+            assert entry.admit_seq % n_shards == s
+            assert entry.admit_seq not in seqs
+            seqs[entry.admit_seq] = s
 
 
 def test_default_numbering_is_the_historical_one():
     q = AdmissionQueue(limit=8, policy="fifo")
-    assert [_push(q, i).seq for i in range(3)] == [0, 1, 2]
+    assert [_push(q, i).admit_seq for i in range(3)] == [0, 1, 2]
 
 
 # -- configuration validation ----------------------------------------------

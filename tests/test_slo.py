@@ -139,7 +139,7 @@ def test_slo_policy_demotion_key_and_weight():
     # demoted arrivals sort after every healthy arrival
     class E:
         def __init__(self, seq, demoted):
-            self.seq, self.demoted = seq, demoted
+            self.admit_seq, self.demoted = seq, demoted
     assert (policy.admission_key(E(10, False))
             < policy.admission_key(E(1, True)))
 
