@@ -37,10 +37,6 @@ class RunStats:
             return tuple(0.0 for _ in self.disk_busy)
         return tuple(b / self.sim_time for b in self.disk_busy)
 
-    @property
-    def total_disk_bytes(self) -> int:
-        return sum(self.disk_written) + sum(self.disk_read)
-
     def summary(self) -> str:
         util = ", ".join(f"{u:.0%}" for u in self.disk_utilization)
         seq = ", ".join(f"{s:.0%}" for s in self.sequential_fraction)

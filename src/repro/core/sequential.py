@@ -180,6 +180,3 @@ class SequentialPanda:
             return self._catalog[name]
         except KeyError:
             raise KeyError(f"no stored array named {name!r}") from None
-
-    def schemas(self) -> Dict[str, DataSchema]:
-        return {k: v.schema for k, v in self._catalog.items()}

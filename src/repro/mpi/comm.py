@@ -13,8 +13,6 @@ runs)`` for a gather/scatter copy.
 Blocking semantics follow the paper's implementation notes: ``send``
 returns when the transfer has left the node (the SP2's blocking MPI
 send), ``recv`` blocks until a matching message is in the mailbox.
-``isend`` returns immediately with a delivery event for the
-non-blocking variant the paper names as future work.
 """
 
 from __future__ import annotations
@@ -68,27 +66,6 @@ class Communicator:
         only add a hop to every resume of the transfer."""
         wire = CONTROL_MESSAGE_BYTES if nbytes is None else nbytes + MESSAGE_HEADER_BYTES
         return self.network.transfer(self.rank, dst, tag, payload, wire)
-
-    def isend(self, dst: int, tag: int, payload: Any = None, nbytes: Optional[int] = None) -> Event:
-        """Non-blocking send.  Returns an event that fires on delivery
-        at the destination."""
-        wire = CONTROL_MESSAGE_BYTES if nbytes is None else nbytes + MESSAGE_HEADER_BYTES
-        done = self.sim.event(name=f"isend {self.rank}->{dst}")
-        proc = self.sim.spawn(
-            self._isend_proc(dst, tag, payload, wire, done),
-            name=f"isend[{self.rank}->{dst}]",
-        )
-        # surface transfer errors through the returned event
-        proc.add_callback(lambda p: done.fail(p.exception) if p.exception else None)
-        return done
-
-    def _isend_proc(self, dst, tag, payload, wire, done: Event):
-        # static name: src/dst are recoverable from the Message
-        delivered = Event(self.sim, "delivery")
-        yield from self.network.transfer(self.rank, dst, tag, payload, wire,
-                                         delivered)
-        yield delivered
-        done.succeed(delivered.value)
 
     def recv(self, src: Optional[int] = None, tag: Optional[int] = None,
              tags: Optional[Iterable[int]] = None,
@@ -196,10 +173,6 @@ class Communicator:
         by refusing REQUESTs while its admission queue is full)."""
         pred = self._match_pred(src, tag, tags, match)
         return self.network.mailboxes[self.rank].try_get(pred)
-
-    def probe_pending(self) -> int:
-        """Number of undelivered messages in this rank's mailbox."""
-        return len(self.network.mailboxes[self.rank])
 
     # -- local costs ---------------------------------------------------------
     def compute(self, seconds: float):

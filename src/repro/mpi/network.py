@@ -11,19 +11,18 @@ One :class:`Network` owns, per rank, an *out* link and an *in* link
 4. releases both; the message is delivered to the mailbox
    ``latency`` later (propagation does not occupy links).
 
-A blocking send completes at step 4 (the local buffer is free); an
-``isend`` completion event fires at mailbox delivery.  The link hold
-is a yielded delay (see :mod:`repro.sim.engine`): the instant it ends
+A blocking send completes at step 4 (the local buffer is free).  The
+link hold is a yielded delay (see :mod:`repro.sim.engine`): the instant it ends
 is observed twice, by the link releases and by the sender's resume.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.machine import MachineSpec
 from repro.mpi.message import Message
-from repro.sim import Event, Resource, Simulator, Store
+from repro.sim import Resource, Simulator, Store
 from repro.sim.trace import Trace
 
 __all__ = ["Network"]
@@ -68,14 +67,10 @@ class Network:
         if not 0 <= rank < self.n_nodes:
             raise ValueError(f"rank {rank} out of range [0, {self.n_nodes})")
 
-    def transfer(self, src: int, dst: int, tag: int, payload: Any, nbytes: int,
-                 delivered: Optional[Event] = None):
+    def transfer(self, src: int, dst: int, tag: int, payload: Any, nbytes: int):
         """Process generator performing one transfer.  It completes when
         the sender is free (links released), which is what a blocking
-        send waits for.  ``delivered``, when given (``isend``), succeeds
-        with the :class:`~repro.mpi.message.Message` when it reaches the
-        destination mailbox; a dropped message never triggers it.
-        """
+        send waits for."""
         self._check_rank(src)
         self._check_rank(dst)
         if src == dst:
@@ -134,7 +129,7 @@ class Network:
                 return
         # one packed argument: queue entries carry a single arg slot, so
         # this avoids a trampoline allocation per message
-        packed = (src, dst, tag, payload, nbytes, delivered)
+        packed = (src, dst, tag, payload, nbytes)
         delay = self._latency + extra
         if delay > 0:
             sim._push(delay, self._deliver, packed)
@@ -142,7 +137,7 @@ class Network:
             sim._post(self._deliver, packed)
 
     def _deliver(self, packed: tuple) -> None:
-        src, dst, tag, payload, nbytes, delivered = packed
+        src, dst, tag, payload, nbytes = packed
         msg = Message(src, dst, tag, payload, nbytes, arrived_at=self.sim.now)
         self.deliveries += 1
         self.mailboxes[dst].put(msg)
@@ -156,8 +151,6 @@ class Network:
                 tag=tag,
                 nbytes=nbytes,
             )
-        if delivered is not None:
-            delivered.succeed(msg)
 
     def comm(self, rank: int) -> "Communicator":
         from repro.mpi.comm import Communicator

@@ -219,18 +219,6 @@ class Event:
             else:
                 cbs[token] = None
 
-    def discard_callback(self, cb: Callable[["Event"], None]) -> None:
-        """Unregister a pending callback by value (prefer
-        :meth:`discard_token` on hot paths).  No-op when the event has
-        already triggered (the callback list is consumed then) or the
-        callback was never registered."""
-        cbs = self.callbacks
-        if cbs is not None:
-            try:
-                self.discard_token(cbs.index(cb))
-            except ValueError:
-                pass
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "triggered" if self._triggered else "pending"
         label = f" {self.name!r}" if self.name else ""

@@ -66,14 +66,6 @@ class Resource:
     def in_use(self) -> int:
         return self._in_use
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
-    def busy_time(self) -> float:
-        """Total server-seconds of service delivered so far."""
-        return self._busy_time + self._in_use * (self.sim._now - self._last_change)
-
     def occupancy(self) -> tuple[int, float, float, int]:
         """``(in use, busy-time integral, last change, peak)``: the
         integral covers ``[0, last change]``."""

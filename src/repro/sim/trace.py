@@ -13,7 +13,6 @@ sequential", "servers never message each other").
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Any, Iterator, NamedTuple, Optional
 
 __all__ = ["Trace", "TraceRecord"]
@@ -68,9 +67,6 @@ class Trace:
 
     def count(self, kind: str) -> int:
         return sum(1 for rec in self.records if rec.kind == kind)
-
-    def counts_by_kind(self) -> Counter:
-        return Counter(rec.kind for rec in self.records)
 
     def total(self, kind: str, key: str) -> float:
         """Sum ``detail[key]`` over records of ``kind``."""

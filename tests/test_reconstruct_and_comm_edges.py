@@ -83,18 +83,6 @@ def test_reconstruct_multi_array_each():
 
 # --- comm corners -----------------------------------------------------------------
 
-def test_probe_pending_counts_undelivered():
-    sim = Simulator()
-    net = Network(sim, NAS_SP2, 2)
-
-    def sender(sim):
-        yield from net.comm(0).send(1, tag=0, payload="x")
-
-    sim.spawn(sender(sim))
-    sim.run()
-    assert net.comm(1).probe_pending() == 1
-
-
 def test_compute_zero_is_free():
     sim = Simulator()
     net = Network(sim, NAS_SP2, 1)

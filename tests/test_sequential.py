@@ -139,10 +139,3 @@ def test_store_shape_mismatch():
     sp = SequentialPanda()
     with pytest.raises(ValueError):
         sp.store("a", np.zeros((4, 4)), row_major_schema((8, 8)))
-
-
-def test_schemas_catalog():
-    sp = SequentialPanda(real=False)
-    s = cubic_schema((8, 8), 2)
-    sp.store("a", None, s)
-    assert sp.schemas() == {"a": s}

@@ -316,14 +316,3 @@ def test_allof_withdraws_pending_children_on_failure():
     sim.run()
     assert p.value == 1.0
     assert pending.callbacks == []
-
-
-def test_discard_callback_is_noop_after_trigger_and_when_absent():
-    sim = Simulator()
-    ev = sim.event()
-    cb = lambda e: None  # noqa: E731
-    ev.discard_callback(cb)  # never registered: no-op
-    ev.add_callback(cb)
-    ev.succeed(1)
-    ev.discard_callback(cb)  # already triggered: no-op
-    sim.run()

@@ -374,19 +374,6 @@ def test_discard_mid_list_callback():
     assert fired == ["a"]
 
 
-def test_discard_callback_by_identity_mid_list():
-    sim = Simulator()
-    ev = sim.event()
-    fired = []
-    cbs = [lambda e, i=i: fired.append(i) for i in range(3)]
-    for cb in cbs:
-        ev.add_callback(cb)
-    ev.discard_callback(cbs[1])
-    ev.succeed(None)
-    sim.run()
-    assert fired == [0, 2]
-
-
 # --- batched dispatch: order equivalence across run modes ---------------------
 
 

@@ -72,7 +72,6 @@ def test_busy_time_accounting():
     sim.spawn(proc(sim))
     sim.spawn(proc(sim))
     sim.run()
-    assert res.busy_time() == pytest.approx(6.0)
     assert res.occupancy() == (0, 6.0, 6.0, 1)
 
 
@@ -100,31 +99,6 @@ def test_store_occupancy_accounting():
     assert area / t_last == pytest.approx(0.5)  # 1 deep for 2 of 4 s
     assert depth == 0
     assert peak == 2
-
-
-def test_queue_length_visible_while_contended():
-    sim = Simulator()
-    res = Resource(sim, 1)
-    observed = []
-
-    def holder(sim):
-        yield res.acquire()
-        yield sim.timeout(5.0)
-        res.release()
-
-    def waiter(sim):
-        yield res.acquire()
-        res.release()
-
-    def observer(sim):
-        yield sim.timeout(1.0)
-        observed.append(res.queue_length)
-
-    sim.spawn(holder(sim))
-    sim.spawn(waiter(sim))
-    sim.spawn(observer(sim))
-    sim.run()
-    assert observed == [1]
 
 
 def test_store_fifo_without_predicate():

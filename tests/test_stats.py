@@ -61,4 +61,5 @@ def test_summary_renders():
 def test_total_disk_bytes():
     rt, arr = run_write()
     stats = utilization(rt)
-    assert stats.total_disk_bytes == arr.nbytes  # write only, no reads
+    assert sum(stats.disk_written) == arr.nbytes
+    assert sum(stats.disk_read) == 0  # write only, no reads

@@ -36,7 +36,6 @@ def test_select_by_source_and_prefix():
 def test_count_and_counts_by_kind():
     t = make_trace()
     assert t.count("disk_write") == 2
-    assert t.counts_by_kind()["message"] == 1
 
 
 def test_total_sums_detail_key():
