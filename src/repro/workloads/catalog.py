@@ -73,7 +73,8 @@ __all__ = [
 DATASET_SHAPE = (1024,)
 #: disk chunks per tenant dataset: eight 1 KB chunks, living on servers
 #: 0..7 (chunk *i* -> server ``i % n_io``), so the data plane stays
-#: constant while ``n_io`` and ``n_shards`` scale.
+#: constant while ``n_io`` and ``n_shards`` scale.  A storm checkpoint
+#: has as many, or one per element if it is smaller.
 N_DISK_CHUNKS = 8
 
 #: departures from the 1995 Table-1 constants for the many-tenant
@@ -360,6 +361,10 @@ def _build_slo_contention(p: SLOContentionParams) -> Built:
 # -- checkpoint-restart storm ----------------------------------------------
 
 
+#: a storm's admission queue bound, per shard master.
+_STORM_QUEUE_LIMIT = 32
+
+
 @dataclass(frozen=True)
 class StormParams:
     """One storm, fully determined (every field is a stimulus)."""
@@ -383,10 +388,7 @@ class StormParams:
     #: ``(1, 2, 8)`` mixes small and heavy checkpoints so size-aware
     #: policies actually reorder the herd).
     size_classes: tuple = (1,)
-    #: disk chunks per dataset (chunk i lives on server ``i % n_io``).
-    n_disk_chunks: int = 8
     max_in_flight: int = 4
-    queue_limit: int = 32
     #: shed retries before a tenant gives its checkpoint up.
     max_attempts: int = 5
     #: backoff after a shed, seconds (scaled by the attempt number).
@@ -441,7 +443,7 @@ def _arrivals(params: StormParams) -> List[List[float]]:
 def _build_storm(params: StormParams) -> Built:
     sched = SchedulerConfig(
         policy=params.policy, max_in_flight=params.max_in_flight,
-        queue_limit=params.queue_limit, n_shards=params.n_shards,
+        queue_limit=_STORM_QUEUE_LIMIT, n_shards=params.n_shards,
         slo=params.slo,
     )
     built = Built(PandaRuntime(
@@ -453,8 +455,7 @@ def _build_storm(params: StormParams) -> Built:
     ), rejections={i: 0 for i in range(params.n_tenants)})
     arrivals = _arrivals(params)
     mem = ArrayLayout("storm-mem", (1,))
-    disk = ArrayLayout("storm-disk", (min(params.n_disk_chunks,
-                                          params.elements),))
+    disk = ArrayLayout("storm-disk", (min(N_DISK_CHUNKS, params.elements),))
 
     def tenant_app(i: int) -> Callable:
         arr = Array(f"ckpt{i}", (_tenant_elements(params, i),), np.float64,
