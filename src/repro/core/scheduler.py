@@ -494,8 +494,8 @@ class ServerScheduler:
 
 @dataclass(eq=False, slots=True)
 class OpSchedRecord:
-    """One admitted op at its shard master, from its REQUEST's arrival
-    to its OP_DONE: built by :meth:`AdmissionQueue.push`, then filled in
+    """One op's admission at its shard master, from its REQUEST's
+    arrival to its OP_DONE: built by :meth:`AdmissionQueue.push`, then filled in
     place as the master admits, credits and completes the op.
     Accounted disciplines file it in :attr:`SchedStats.records` at
     enqueue; the paper discipline never does."""
