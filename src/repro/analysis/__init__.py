@@ -1,4 +1,5 @@
-"""panda-lint: project-specific static analysis + race detection.
+"""panda-lint and panda-mc: project-specific static analysis and
+schedule-space model checking.
 
 The passes, all specific to this repo's load-bearing invariant
 (bit-identical simulated timings over the Panda message protocol):
@@ -11,13 +12,16 @@ The passes, all specific to this repo's load-bearing invariant
   against the protocol table (PL101-PL104);
 - :mod:`repro.analysis.records_check` -- every trace emit site checked
   against the record table (PL105);
-- :mod:`repro.analysis.race` -- dynamic schedule-perturbation detector
-  for order-dependence the static passes cannot see.
+- :mod:`repro.analysis.mc` (with :mod:`repro.analysis.hb`) -- panda-mc,
+  the dynamic check for order-dependence the static passes cannot
+  see: every non-equivalent dispatch schedule, plus seeded random
+  walks (PL200-PL203).
 
 :func:`run_lint` composes the static passes with the
 ``pyproject.toml`` allowlist; the CLI
-(``python -m repro lint`` / ``python -m repro race``) is a thin shell
-around this module.  See DESIGN.md section 12 for the rule catalogue.
+(``python -m repro lint`` / ``python -m repro mc``) is a thin shell
+around this package.  See DESIGN.md sections 12 and 16 for the rule
+catalogue.
 """
 
 from __future__ import annotations

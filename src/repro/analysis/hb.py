@@ -1,5 +1,6 @@
 """Happens-before over engine dispatch: footprints, vector clocks, and
-the controlled scheduler that panda-mc drives.
+the controlled scheduler that panda-mc drives, exhaustively or as a
+seeded random walk.
 
 The engine's schedule space is the set of linearizations of each run's
 *dispatch frontier*: at every state, all queued entries carrying the
@@ -33,6 +34,7 @@ its dispatching step, per the section-9 equivalence argument.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
@@ -42,6 +44,7 @@ __all__ = [
     "ScheduleController",
     "SleepBlocked",
     "Step",
+    "WalkController",
     "canonical_trace",
     "concurrent",
     "footprint_key",
@@ -224,6 +227,22 @@ class ScheduleController:
                 self.sleep = {
                     z: zfp for z, zfp in self.sleep.items() if not (zfp & fp)
                 }
+
+
+class WalkController(ScheduleController):
+    """One seeded random walk: at every frontier with more than one
+    candidate, force a uniformly random one, drawn from a PRNG seeded
+    by ``seed``.  No sleep set, so it trusts no declared footprint;
+    seed *k* always takes the same schedule."""
+
+    def __init__(self, seed: int) -> None:
+        super().__init__()
+        self._rng = random.Random(f"perturb:{seed}")
+
+    def choose(self, t: float, frontier: List[Tuple[int, str]]) -> int:
+        if len(frontier) > 1:
+            self.forced.append(frontier[self._rng.randrange(len(frontier))][0])
+        return super().choose(t, frontier)
 
 
 # -- happens-before ------------------------------------------------------

@@ -19,7 +19,7 @@ attribute chains (``self._heap[0]``) are caught via their inner
 attribute load.
 
 ``_run_instrumented`` is deliberately not scanned: it is the slow twin
-(perturbation + dispatch logging) and trades per-event cost for
+(panda-mc's controlled dispatch) and trades per-event cost for
 observability by design.  ``step()`` is not scanned either -- the
 public single-step API pays its per-call lookups by nature; the drain
 loop exists precisely so ``run()`` does not go through it.

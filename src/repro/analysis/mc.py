@@ -1,14 +1,21 @@
-"""panda-mc: exhaustive schedule-space model checking.
+"""panda-mc: schedule-space model checking, exhaustive and sampled.
 
-Where the race detector (:mod:`repro.analysis.race`) *samples* N random
-perturbation seeds, this module *enumerates* the schedule space: it
-drives the engine's instrumented dispatch loop as a controlled
-scheduler (:class:`repro.analysis.hb.ScheduleController`) and performs
-a stateless depth-first search over every same-instant dispatch
-decision, pruned by sleep-set partial-order reduction so exactly one
-execution per Mazurkiewicz trace is completed (two interleavings that
-only swap adjacent *independent* dispatches are the same trace and
-provably produce the same result; see DESIGN.md section 16).
+No simulated result may depend on the dispatch order of same-instant,
+causally unordered events.  This module checks that in two modes over
+the same scenarios, both driving the engine's instrumented dispatch
+loop through a controller (:meth:`repro.sim.engine.Simulator.enable_controller`):
+
+- the **search** (:class:`repro.analysis.hb.ScheduleController`): a
+  stateless depth-first search over every same-instant dispatch
+  decision, pruned by sleep-set partial-order reduction so exactly one
+  execution per Mazurkiewicz trace is completed (two interleavings that
+  only swap adjacent *independent* dispatches are the same trace and
+  provably produce the same result; see DESIGN.md section 16);
+- the **walk** (:class:`repro.analysis.hb.WalkController`): N seeded
+  executions that each pick a uniformly random candidate at every
+  frontier, with no sleep set.  Reduction trusts the footprints events
+  declare (``sim.mc_note``); the walk trusts none, so shared state that
+  a callback forgot to declare can still show up as a divergence.
 
 Replay-from-prefix needs no snapshotting: the simulator is fully
 deterministic, so re-running the scenario while forcing the recorded
@@ -16,7 +23,7 @@ choices reproduces every frontier exactly -- the controller asserts
 this (:class:`repro.analysis.hb.ReplayDivergence`) instead of trusting
 it.
 
-At each complete execution the checker tests:
+At each complete execution, searched or walked, the checker tests:
 
 - **divergence** (finding ``PL201``): the scenario fingerprint differs
   from the baseline schedule's -- a real order-dependence.  The report
@@ -26,7 +33,7 @@ At each complete execution the checker tests:
 - **deadlock** (``PL202``): the engine raised its deadlock error --
   live processes but an empty queue -- under some schedule.
 - **orphan messages** (``PL203``): quiescence with messages still
-  queued in a mailbox under some schedule.
+  queued in a live rank's mailbox under some schedule (:func:`orphans`).
 
 Budgets make the search safe to run anywhere: exploration stops after
 ``max_schedules`` executions and reports ``complete=False`` (CLI exit
@@ -43,8 +50,10 @@ from repro.analysis.hb import (
     ReplayDivergence,
     ScheduleController,
     SleepBlocked,
+    WalkController,
 )
-from repro.analysis.race import fingerprint
+from repro.core.runtime import PandaRuntime
+from repro.replay.fingerprint import fingerprint
 from repro.sim.engine import SimulationError
 from repro.workloads.catalog import CATALOG, Spec, build
 
@@ -58,6 +67,7 @@ __all__ = [
     "explore",
     "mc_scenario",
     "mc_scenarios",
+    "orphans",
     "racy_fixture_scenario",
     "run_mc",
 ]
@@ -95,9 +105,11 @@ class MCFinding:
     #: for PL201: the two (label, footprint-keys) frontier candidates
     #: whose dispatch order the outcome depends on
     racing: Optional[Tuple[str, str]] = None
+    walk: int = 0  #: seed of the random walk that found it (0: the search)
 
     def describe(self) -> str:
-        head = f"{self.rule} {self.scenario} (schedule {self.schedule}): {self.message}"
+        run = f"walk {self.walk}" if self.walk else f"schedule {self.schedule}"
+        head = f"{self.rule} {self.scenario} ({run}): {self.message}"
         if self.racing is not None:
             head += (
                 f"\n    racing pair: {self.racing[0]}"
@@ -117,6 +129,7 @@ class ScenarioResult:
     errors: int = 0
     steps: int = 0  #: dispatches in the baseline execution
     decisions: int = 0  #: branch points in the baseline execution
+    walks: int = 0  #: seeded random walks taken after the search
     complete: bool = True  #: False when the budget stopped the search
     findings: List[MCFinding] = field(default_factory=list)
 
@@ -150,7 +163,7 @@ class MCReport:
             lines.append(
                 f"  {r.scenario}: {r.schedules} schedule(s) "
                 f"({state}; {r.sleep_blocked} pruned, {r.steps} events, "
-                f"{r.decisions} branch points), "
+                f"{r.decisions} branch points; {r.walks} walk(s)), "
                 f"{len(r.findings)} finding(s)"
             )
         head = (
@@ -183,6 +196,7 @@ class MCReport:
                     "errors": r.errors,
                     "steps": r.steps,
                     "decisions": r.decisions,
+                    "walks": r.walks,
                     "complete": r.complete,
                     "findings": [
                         {
@@ -191,6 +205,7 @@ class MCReport:
                             "schedule": f.schedule,
                             "message": f.message,
                             "racing": list(f.racing) if f.racing else None,
+                            "walk": f.walk,
                         }
                         for f in r.findings
                     ],
@@ -268,47 +283,65 @@ def explore(
     scenario: MCScenario,
     max_schedules: int = 20000,
     reduce: bool = True,
+    walks: int = 0,
 ) -> ScenarioResult:
-    """Enumerate the scenario's schedule space depth-first.
+    """Enumerate the scenario's schedule space depth-first, then take
+    ``walks`` seeded random walks (seeds ``1..walks``).
 
     With ``reduce=True`` (the default) sleep sets prune equivalent
     interleavings, completing exactly one execution per Mazurkiewicz
     trace; ``reduce=False`` is the brute-force mode the property tests
-    compare against."""
-    result = ScenarioResult(scenario=scenario.name)
+    compare against.  A walk (:class:`WalkController`) picks at random
+    at every frontier and uses no sleep set, so it trusts no declared
+    footprint; its findings carry its seed."""
+    name = scenario.name
+    result = ScenarioResult(scenario=name)
     findings = result.findings
+    executions = 0
+
+    def check(ctl: ScheduleController, outcome: Outcome, where: str,
+              walk: int = 0,
+              racing: Optional[Tuple[str, str]] = None) -> None:
+        """Count one finished execution and record what it found."""
+        if not walk:
+            result.schedules += 1
+        found: List[MCFinding] = []
+        if outcome.status == "deadlock":
+            result.deadlocks += 1
+            found.append(MCFinding(
+                "PL202", name, executions - 1,
+                outcome.error or "deadlock" + where, racing, walk))
+        elif outcome.status == "error":
+            result.errors += 1
+            found.append(MCFinding(
+                "PL200", name, executions - 1,
+                outcome.error or "error" + where, walk=walk))
+        else:
+            if outcome.orphans:
+                found.append(MCFinding(
+                    "PL203", name, executions - 1,
+                    f"{outcome.orphans} orphan message(s) queued at "
+                    "quiescence" + where, walk=walk))
+            if outcome.fingerprint != baseline_fp:
+                found.append(_divergence_finding(
+                    name, executions - 1, baseline_ctl, ctl,
+                    baseline_fp, outcome.fingerprint, walk))
+        findings.extend(found[:25 - len(findings)])
 
     # baseline: no forced choices, empty sleep -- the engine's normal
     # (time, seq) order
-    ctl = ScheduleController()
+    baseline_ctl = ctl = ScheduleController()
     outcome = scenario.run(ctl)
-    if outcome.status in ("deadlock", "error"):
-        # even the default schedule fails; report and stop
-        rule = "PL202" if outcome.status == "deadlock" else "PL200"
-        result.deadlocks += outcome.status == "deadlock"
-        result.errors += outcome.status == "error"
-        findings.append(
-            MCFinding(rule, scenario.name, 0, outcome.error or outcome.status)
-        )
-        result.schedules = 1
-        return result
-    assert outcome.status == "complete", "baseline cannot be sleep-blocked"
+    executions += 1
+    assert outcome.status != "sleep-blocked", "baseline cannot be sleep-blocked"
     baseline_fp = outcome.fingerprint
-    baseline_ctl = ctl
+    check(ctl, outcome, "")
+    if outcome.status != "complete":
+        return result  # even the default schedule fails; report and stop
     result.steps = len(ctl.steps)
     result.decisions = len(ctl.decisions)
-    result.schedules = 1
-    if outcome.orphans:
-        findings.append(
-            MCFinding(
-                "PL203", scenario.name, 0,
-                f"{outcome.orphans} orphan message(s) queued at quiescence",
-            )
-        )
 
     path = _nodes_from(ctl, 0)
-    executions = 1
-
     while True:
         # deepest node with an unexplored, awake sibling
         depth = -1
@@ -345,8 +378,7 @@ def explore(
         for j in range(depth):
             if ctl.decisions[j].frontier != path[j].frontier:
                 raise ReplayDivergence(
-                    f"{scenario.name}: frontier changed on replay at "
-                    f"decision {j}"
+                    f"{name}: frontier changed on replay at decision {j}"
                 )
         chosen_fp = frozenset()
         if depth < len(ctl.decisions):
@@ -365,51 +397,17 @@ def explore(
         if outcome.status == "sleep-blocked":
             result.sleep_blocked += 1
             continue
-        if outcome.status == "deadlock":
-            result.deadlocks += 1
-            result.schedules += 1
-            if len(findings) < 25:
-                findings.append(
-                    MCFinding(
-                        "PL202", scenario.name, executions - 1,
-                        outcome.error
-                        or "deadlock under a reordered schedule",
-                        racing=(
-                            f"{prev_chosen_label} (baseline path)",
-                            f"{node.chosen_label} (deadlocking path)",
-                        ),
-                    )
-                )
-            continue
-        if outcome.status == "error":
-            result.errors += 1
-            result.schedules += 1
-            if len(findings) < 25:
-                findings.append(
-                    MCFinding(
-                        "PL200", scenario.name, executions - 1,
-                        outcome.error or "error under a reordered schedule",
-                    )
-                )
-            continue
+        check(ctl, outcome, " under a reordered schedule", racing=(
+            f"{prev_chosen_label} (baseline path)",
+            f"{node.chosen_label} (deadlocking path)",
+        ))
 
-        result.schedules += 1
-        if outcome.orphans and len(findings) < 25:
-            findings.append(
-                MCFinding(
-                    "PL203", scenario.name, executions - 1,
-                    f"{outcome.orphans} orphan message(s) queued at "
-                    "quiescence under a reordered schedule",
-                )
-            )
-        if outcome.fingerprint != baseline_fp and len(findings) < 25:
-            findings.append(
-                _divergence_finding(
-                    scenario.name, executions - 1, baseline_ctl, ctl,
-                    baseline_fp, outcome.fingerprint,
-                )
-            )
-
+    for seed in range(1, walks + 1):
+        ctl = WalkController(seed)
+        outcome = scenario.run(ctl)
+        executions += 1
+        result.walks += 1
+        check(ctl, outcome, f" under walk {seed}", walk=seed)
     return result
 
 
@@ -420,6 +418,7 @@ def _divergence_finding(
     other: ScheduleController,
     base_fp: Optional[Tuple[str, ...]],
     other_fp: Optional[Tuple[str, ...]],
+    walk: int = 0,
 ) -> MCFinding:
     """Name the racing event pair: the baseline's and the diverging
     execution's choices at the first decision where their schedules
@@ -436,6 +435,7 @@ def _divergence_finding(
             "PL201", name, schedule,
             "fingerprint diverged but schedules agree on every branch "
             "point (hidden nondeterminism outside the dispatch order?)",
+            walk=walk,
         )
     a = base.decisions[split]
     b = other.decisions[split]
@@ -458,18 +458,27 @@ def _divergence_finding(
         f"result depends on dispatch order ({mism} fingerprint "
         f"field(s) differ); first diverging decision is #{split}",
         racing=(describe(base, a), describe(other, b)),
+        walk=walk,
     )
 
 
 # -- scenarios -----------------------------------------------------------------
 
-#: the exhaustive-check set: the race sweep's traffic shapes at
-#: configurations small enough to enumerate completely -- a write+read
-#: roundtrip, scheduled concurrent writes under each policy, and
-#: sharded admission.
+#: the checked set, in report order: five configurations small enough
+#: for a sub-second sweep (a write+read roundtrip, scheduled concurrent
+#: writes under three policies, sharded admission), then the protocol's
+#: full-size traffic shapes -- roundtrips over natural and reorganizing
+#: schemas, concurrent scheduled writes under every policy and sharded
+#: admission at 2 and 4 shards, SLO enforcement, and the fault paths
+#: (transient message and disk faults; fault decisions are per-site PRNG
+#: streams, so they must be order-blind too; a server crash).
 MC_SCENARIOS = (
     "mc-roundtrip", "mc-sched-fifo", "mc-sched-sjf", "mc-sched-fair",
     "mc-sharded-2",
+    "natural-roundtrip", "reorg-roundtrip",
+    "sched-fifo", "sched-sjf", "sched-fair", "sched-slo",
+    "sched-sharded-2", "sched-sharded-4", "slo-enforce",
+    "faulty-roundtrip", "crash-recovery",
 )
 
 
@@ -485,9 +494,19 @@ def _controlled(run: Callable[[], Outcome]) -> Outcome:
         return Outcome(kind, error=str(exc))
 
 
+def orphans(runtime: PandaRuntime) -> int:
+    """Messages still queued at quiescence, except in the mailboxes of
+    servers that crashed in the run: what reaches a dead server (the
+    supervisor's SHUTDOWN) waits there until the next run's mailbox
+    purge drops it, by design."""
+    dead = {runtime.server_rank(i) for i in runtime.crashed_servers}
+    return sum(len(mb) for rank, mb in enumerate(runtime.network.mailboxes)
+               if rank not in dead)
+
+
 def mc_scenario(name: str, spec: Spec) -> MCScenario:
     """A catalogue spec as a model-checker scenario: build it, install
-    the controller, run to quiescence, then count orphan messages."""
+    the controller, run to quiescence, then count :func:`orphans`."""
 
     def run(ctl: ScheduleController) -> Outcome:
         built = build(spec)
@@ -495,8 +514,8 @@ def mc_scenario(name: str, spec: Spec) -> MCScenario:
 
         def go() -> Outcome:
             fp = fingerprint(built, built.run())
-            orphans = sum(len(mb) for mb in built.runtime.network.mailboxes)
-            return Outcome("complete", fingerprint=fp, orphans=orphans)
+            return Outcome("complete", fingerprint=fp,
+                           orphans=orphans(built.runtime))
 
         return _controlled(go)
 
@@ -550,11 +569,11 @@ def run_mc(
     scenarios: Optional[Sequence[MCScenario]] = None,
     max_schedules: int = 20000,
     reduce: bool = True,
+    walks: int = 0,
 ) -> MCReport:
     """Explore every scenario and collect the report."""
     report = MCReport(budget=max_schedules)
     for scenario in scenarios if scenarios is not None else mc_scenarios():
-        report.results.append(
-            explore(scenario, max_schedules=max_schedules, reduce=reduce)
-        )
+        report.results.append(explore(
+            scenario, max_schedules=max_schedules, reduce=reduce, walks=walks))
     return report

@@ -11,7 +11,7 @@ Usage::
     python -m repro trace --figure fig3 --size-mb 16 \\
         --out panda-trace.json               # Perfetto trace + verdict
     python -m repro lint                     # panda-lint static analysis
-    python -m repro race --seeds 5           # schedule-perturbation sweep
+    python -m repro mc                       # schedule search + 5 walks
     python -m repro sched --apps 4 --policy all \\
                                              # concurrent-op scheduler demo
 
@@ -183,29 +183,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def cmd_race(args: argparse.Namespace) -> int:
-    """Schedule-perturbation race detector over the representative op
-    set; any divergence across seeds is a latent order-dependence."""
-    import json
-
-    from repro.analysis.race import detect, panda_scenarios
-
-    seeds = tuple(range(1, args.seeds + 1))
-    report = detect(panda_scenarios(with_faults=not args.no_faults),
-                    seeds=seeds)
-    if args.format == "json":
-        print(json.dumps({
-            "ok": report.ok,
-            "scenarios": report.scenarios,
-            "seeds": list(report.seeds),
-            "runs": report.runs,
-            "divergences": [d.describe() for d in report.divergences],
-        }, indent=1))
-    else:
-        print(report.summary())
-    return 0 if report.ok else 1
-
-
 def _unknown_scenario(wanted: List[str], known: List[str]) -> bool:
     """Name lookup for ``mc --scenario`` and ``replay record``."""
     unknown = sorted(set(wanted) - set(known))
@@ -216,11 +193,11 @@ def _unknown_scenario(wanted: List[str], known: List[str]) -> bool:
 
 
 def cmd_mc(args: argparse.Namespace) -> int:
-    """panda-mc: exhaustively enumerate every non-equivalent dispatch
-    schedule of the small-configuration scenario set and check each for
-    divergence, deadlock, and orphan messages.  Exit 0: clean and
-    exhaustive; 1: findings; 3: clean but the budget cut the search
-    short."""
+    """panda-mc: enumerate every non-equivalent dispatch schedule of
+    each scenario, then take ``--walks`` seeded random walks, and check
+    each execution for divergence, deadlock, and orphan messages.
+    Exit 0: clean and exhaustive; 1: findings; 3: clean but the budget
+    cut the search short."""
     import json
 
     from repro.analysis.mc import mc_scenarios, racy_fixture_scenario, run_mc
@@ -233,7 +210,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
             return 2
         scenarios = [s for s in scenarios if s.name in args.scenario]
     report = run_mc(scenarios, max_schedules=args.budget,
-                    reduce=not args.no_reduce)
+                    reduce=not args.no_reduce, walks=args.walks)
     if args.format == "json":
         print(json.dumps(report.as_dict(), indent=1))
     else:
@@ -464,23 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--format", choices=["text", "json"], default="text")
     p_lint.set_defaults(func=cmd_lint)
 
-    p_race = sub.add_parser(
-        "race",
-        help="schedule-perturbation race detector over representative "
-             "ops (exit 1 on any divergence)",
-    )
-    p_race.add_argument("--seeds", type=int, default=5,
-                        help="number of perturbation seeds (default 5)")
-    p_race.add_argument("--no-faults", action="store_true",
-                        help="skip the fault-mode scenarios")
-    p_race.add_argument("--format", choices=["text", "json"], default="text")
-    p_race.set_defaults(func=cmd_race)
-
     p_mc = sub.add_parser(
         "mc",
         help="panda-mc: exhaustive schedule-space model checking with "
-             "sleep-set partial-order reduction (exit 1 on any finding, "
-             "3 when the budget truncated the search)",
+             "sleep-set partial-order reduction, plus seeded random walks "
+             "(exit 1 on any finding, 3 when the budget truncated the "
+             "search)",
     )
     p_mc.add_argument("--scenario", action="append", metavar="NAME",
                       help="restrict to named scenario(s); repeatable")
@@ -489,9 +455,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--no-reduce", action="store_true",
                       help="brute-force every interleaving (no sleep-set "
                            "pruning); for validating the reducer")
+    p_mc.add_argument("--walks", type=int, default=5,
+                      help="seeded random walks per scenario, seeds 1..N, "
+                           "after the search (default 5)")
     p_mc.add_argument("--racy-fixture", action="store_true",
                       help="include the known-racy fixture (must yield a "
-                           "PL201 finding; for validating the checker)")
+                           "PL201 finding in both modes; for validating "
+                           "the checker)")
     p_mc.add_argument("--format", choices=["text", "json"], default="text")
     p_mc.set_defaults(func=cmd_mc)
 

@@ -331,8 +331,9 @@ class _Policy:
     def drr_weight(self, priority: int, demoted: bool) -> int:
         """The DRR service weight stamped into the SCHED payload at
         admission.  The base rule is the historical priority weight;
-        the SLO policy overrides it to demote over-budget tenants."""
-        return max(1, priority)
+        the SLO policy overrides it to demote over-budget tenants.
+        ``CollectiveOp`` already rejects a priority below 1."""
+        return priority
 
     def admitted(self, p: OpProgress) -> None:
         pass
@@ -434,7 +435,7 @@ class SLOPolicy(FairSharePolicy):
     def drr_weight(self, priority: int, demoted: bool) -> int:
         if demoted:
             return 1
-        return max(1, priority) * SLO_HEALTHY_BOOST
+        return priority * SLO_HEALTHY_BOOST
 
 
 def make_policy(config: SchedulerConfig) -> _Policy:

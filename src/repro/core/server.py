@@ -672,8 +672,8 @@ class PandaServer:
         immediate OP_REJECTED reply (the REQUEST never enters the
         queue); one merely over budget is enqueued demoted.  Both
         verdicts are fixed at this deterministic instant and never
-        re-evaluated, which is what keeps the policy race-detector
-        green."""
+        re-evaluated, which is what keeps the policy clean under
+        panda-mc."""
         rt = self.runtime
         now = self.comm.sim.now
         tracker = self._slo_tracker

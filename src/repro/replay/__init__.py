@@ -9,7 +9,7 @@ regression test.
 - :mod:`repro.replay.replayer` -- :func:`replay`, re-driving a fresh
   runtime from a trace alone and checking byte-exact fingerprints;
 - :mod:`repro.replay.fingerprint` -- the exact-result fingerprint
-  format, shared with the race detector;
+  format, shared with panda-mc;
 - :mod:`repro.replay.scenarios` -- which catalogue entries
   (:data:`repro.workloads.catalog.CATALOG`) make up the golden corpus,
   and the build-attach-run recording behind ``python -m repro replay

@@ -1,22 +1,23 @@
-"""Exact run fingerprints, shared by the race detector and the replayer.
+"""Exact run fingerprints, shared by panda-mc and the replayer.
 
 A fingerprint is a tuple of strings pinning everything the determinism
 contract promises: per-op timings as float hex (never decimal -- two
 different floats can print the same), admission-schedule records when a
 scheduler ran, and a sha256 digest over every client's stored bytes.
-The race detector compares fingerprints across perturbed dispatch
-orders; the replayer (:mod:`repro.replay.replayer`) compares a replayed
-run against the fingerprint its trace was captured with.  Both must
+panda-mc (:mod:`repro.analysis.mc`) compares fingerprints across
+dispatch orders; the replayer (:mod:`repro.replay.replayer`) compares
+a replayed run against the fingerprint its trace was captured with.  Both must
 agree on the format, which is why it lives here and nowhere else.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 __all__ = [
     "digest_stored",
+    "fingerprint",
     "op_strings",
     "sched_strings",
     "run_strings",
@@ -68,3 +69,19 @@ def run_strings(result, stats: Optional[object]) -> List[str]:
     schedule.  The stored-bytes digest is per *runtime* (state persists
     across runs) and is pinned separately."""
     return op_strings(result.ops) + sched_strings(stats)
+
+
+def fingerprint(built, result) -> Tuple[str, ...]:
+    """The exact result of one run of a catalogue scenario: op timings
+    and the admission schedule (:func:`run_strings`), the stored-bytes
+    digest, each client's observed rejection count, and the SLO
+    enforcement totals."""
+    rt = built.runtime
+    trackers = rt.slo_trackers.values()
+    return (
+        *run_strings(result, rt.sched_stats),
+        f"stored:{digest_stored(rt)}",
+        *(f"rejected[{i}]:{n}" for i, n in sorted(built.rejections.items())),
+        f"demoted:{sum(t.total_demoted for t in trackers)}",
+        f"shed:{sum(t.total_shed for t in trackers)}",
+    )

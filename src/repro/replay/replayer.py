@@ -22,8 +22,8 @@ captured Python objects survive), then replays each recorded run:
   instant, and the run's teardown stops the other ranks.
 
 After the last run the replayed fingerprints (per-op elapsed float-hex
-+ admission schedule + stored-bytes sha256, the same strings the race
-detector pins) are compared against the trace's ``expect`` section.
++ admission schedule + stored-bytes sha256, the same strings panda-mc
+pins) are compared against the trace's ``expect`` section.
 
 ``policy_override`` replays the same stimuli under a different
 scheduling policy (the differential-replay experiment: policy changes

@@ -48,9 +48,8 @@ see DESIGN.md section 9 for the argument):
   entry resumes its process the same way).
 
 Both correspond to dispatching the would-be entry immediately -- a
-choice the schedule-perturbation race detector
-(:mod:`repro.analysis.race`) explores and the golden determinism tests
-pin: simulated timings are bit-identical.
+choice panda-mc (:mod:`repro.analysis.mc`) explores and the golden
+determinism tests pin: simulated timings are bit-identical.
 
 The engine is single-threaded and re-entrant only through the event
 loop; callbacks must not call :meth:`Simulator.run`.
@@ -434,8 +433,8 @@ class Process(Event):
                         # waitable inline.  Equivalent to dispatching the
                         # zero-delay resume entry add_callback() would
                         # have queued as the immediately-next entry -- a
-                        # same-timestamp ordering choice the race
-                        # detector vets and the golden tests pin.
+                        # same-timestamp ordering choice panda-mc
+                        # vets and the golden tests pin.
                         target._defused = True
                         exc2 = target._exc
                         if exc2 is not None:
@@ -540,9 +539,9 @@ class Simulator:
 
     # -- controlled dispatch ---------------------------------------------
     def enable_controller(self, controller: Any) -> None:
-        """Hand same-instant dispatch decisions to ``controller``: the
-        panda-mc explorer (:mod:`repro.analysis.mc`), or the race
-        detector's dispatch log and perturber (:mod:`repro.analysis.race`).
+        """Hand same-instant dispatch decisions to ``controller``:
+        panda-mc's exhaustive search or seeded walk
+        (:mod:`repro.analysis.mc`).
 
         At every dispatch state the controller's ``choose(t, frontier)``
         is shown the full frontier of minimal-timestamp entries as

@@ -21,13 +21,12 @@ parameter dataclass plus one builder.
 :func:`build` turns a spec into a :class:`Built`: the runtime and its
 ``(app, ranks)`` assignments, constructed but not run (no simulated
 time passes).  Instrumentation belongs to the consumer, attached
-between build and run: the race detector enables the dispatch log and
-perturbation, the model checker its schedule controller, ``replay
-record`` a :class:`~repro.replay.TraceRecorder`, and each bench just
-runs the result and reduces it.
+between build and run: the model checker installs its schedule
+controller, ``replay record`` a :class:`~repro.replay.TraceRecorder`,
+and each bench just runs the result and reduces it.
 
 :data:`CATALOG` names every scenario a consumer runs by name; each
-consumer (race, mc, replay, the storm bench) picks its entries from it.
+consumer (mc, replay, the storm bench) picks its entries from it.
 """
 
 from __future__ import annotations
@@ -584,7 +583,7 @@ _CONTENDED_STORM = StormParams(
 )
 
 CATALOG: Dict[str, Spec] = {
-    # the race detector's representative op set: roundtrips over
+    # the model checker's full-size traffic shapes: roundtrips over
     # natural and reorganizing schemas, concurrent scheduled writes
     # under every policy and sharded admission, SLO enforcement, and
     # the fault paths
@@ -604,8 +603,8 @@ CATALOG: Dict[str, Spec] = {
         disk_fault_rate=0.02)),
     "crash-recovery": RoundtripParams(
         faults=FaultSpec(seed=42, crashes=((1, 0.004),))),
-    # the model checker's set: the same shapes, small enough to
-    # enumerate every schedule
+    # the model checker's small set: the same shapes, small enough for
+    # a sub-second exhaustive sweep
     "mc-roundtrip": RoundtripParams(shape=(8, 6)),
     **{f"mc-sched-{policy}": WriterGroupsParams(
         policy=policy, n_compute=4, n_io=1, max_in_flight=2, stagger=1e-3)

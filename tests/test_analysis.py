@@ -1,11 +1,12 @@
 """panda-lint: the determinism lints, the protocol checker, the
-allowlist/cache plumbing, and the schedule-perturbation race detector.
+allowlist/cache plumbing, and panda-mc's seeded walk as a race detector.
 
 Each determinism rule must fire on a known-bad fixture snippet (and
 stay quiet on the sanctioned pattern next to it); the protocol checker
 must flag a synthetic protocol with a dead tag, an unmatched send, an
-unmatched recv and a deadlock cycle; the race detector must catch a
-deliberately order-dependent toy handler and pass the real tree.
+unmatched recv and a deadlock cycle; the walk must catch a
+deliberately order-dependent toy handler that declares no footprint
+(which the reduced search misses) and pass the real tree.
 """
 
 import ast
@@ -26,7 +27,8 @@ from repro.analysis.findings import (
 from repro.analysis.protocol_check import (DEFAULT_PROTOCOL, DEFAULT_ROLES,
                                           _scan, check_sources, check_tree,
                                           parse_tags)
-from repro.analysis.race import DispatchLog, Scenario, detect, panda_scenarios
+from repro.analysis.hb import SleepBlocked
+from repro.analysis.mc import MCScenario, Outcome, explore, mc_scenarios
 from repro.sim.engine import Simulator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -623,11 +625,24 @@ class TestRecordsChecker:
         assert found[0].endswith("record fsync_probe has no emit site")
 
 
-# -- race detector -----------------------------------------------------------
+# -- race detector: the seeded walk -----------------------------------------
+
+def _toy(name, setup):
+    """A toy ``setup() -> (sim, finish)`` as a panda-mc scenario."""
+    def run(ctl):
+        sim, finish = setup()
+        sim.enable_controller(ctl)
+        try:
+            return Outcome("complete", fingerprint=finish())
+        except SleepBlocked:
+            return Outcome("sleep-blocked")
+    return MCScenario(name, run)
+
 
 def _racy_toy():
     """Two same-timestamp, causally-unordered, non-commutative updates:
-    the result depends on dispatch order -- a race by construction."""
+    the result depends on dispatch order -- a race by construction.
+    Neither callback declares its footprint (no ``sim.mc_note``)."""
     sim = Simulator()
     state = {"x": 1.0}
 
@@ -666,50 +681,56 @@ def _commutative_toy():
 
 class TestRaceDetector:
     def test_racy_toy_is_caught_with_diverging_pair(self):
-        report = detect([Scenario("racy-toy", _racy_toy)],
-                        seeds=(1, 2, 3, 4, 5))
-        assert not report.ok
-        d = report.divergences[0]
-        assert d.scenario == "racy-toy"
+        res = explore(_toy("racy-toy", _racy_toy), walks=5)
+        assert not res.ok
+        assert res.walks == 5
+        f = res.findings[0]
+        assert (f.rule, f.scenario) == ("PL201", "racy-toy")
+        assert f.walk > 0
         # the schedules split at the very first same-time pair
-        assert d.event_index == 0
-        assert d.baseline_event is not None
-        assert d.perturbed_event is not None
-        assert d.baseline_event != d.perturbed_event
-        assert "first diverging event pair" in d.describe()
+        assert "first diverging decision is #0" in f.message
+        assert f.racing is not None
+        first, second = f.racing
+        assert "double" in first and "add_three" in second
+        assert f"(walk {f.walk})" in f.describe()
+
+    def test_walk_catches_what_reduction_misses(self):
+        """Why the walk exists: reduction trusts declared footprints,
+        and the racy toy declares none, so the reduced search prunes
+        the second order as equivalent; the walk takes it anyway."""
+        reduced = explore(_toy("racy-toy", _racy_toy))
+        assert reduced.complete and reduced.ok
+        assert (reduced.schedules, reduced.sleep_blocked) == (1, 1)
+        walked = explore(_toy("racy-toy", _racy_toy), walks=5)
+        assert [f.walk for f in walked.findings] == [2, 3, 5]
 
     def test_order_insensitive_toy_passes(self):
-        report = detect([Scenario("commutative", _commutative_toy)],
-                        seeds=(1, 2, 3, 4, 5))
-        assert report.ok
-        assert report.runs == 5
-
-    def test_logged_baseline_equals_unlogged_run(self):
-        """A DispatchLog controller alone must not change dispatch
-        order: its choice is exactly the fast loop's (time, seq)
-        order."""
-        plain = Simulator()
-        vals = []
-        logged = Simulator()
-        log = DispatchLog()
-        logged.enable_controller(log)
-        lvals = []
-        for i in range(5):
-            plain.schedule(0.5, vals.append, i)
-            plain.schedule(0.5, vals.append, i + 10)
-            logged.schedule(0.5, lvals.append, i)
-            logged.schedule(0.5, lvals.append, i + 10)
-        plain.run()
-        logged.run()
-        assert vals == lvals
-        assert len(log.log) == 10
+        res = explore(_toy("commutative", _commutative_toy), walks=5)
+        assert res.ok
+        assert res.walks == 5
 
     def test_panda_scenarios_survive_perturbation(self):
-        """Representative ops (natural + reorganizing schema) are
-        schedule-independent; the full sweep incl. faults runs in CI
-        (python -m repro race)."""
-        report = detect(panda_scenarios(with_faults=False), seeds=(1, 2))
-        assert report.ok, report.summary()
+        """The fault-free catalogue scenarios are schedule-independent
+        under walks 1 and 2; the exhaustive search of all of them plus
+        the fault paths runs in CI (python -m repro mc)."""
+        faulty = ("faulty-roundtrip", "crash-recovery")
+        scenarios = [s for s in mc_scenarios()
+                     if not s.name.startswith("mc-") and s.name not in faulty]
+        assert len(scenarios) == 9
+        for scenario in scenarios:
+            # a budget of one leaves the baseline and the walks
+            res = explore(scenario, max_schedules=1, walks=2)
+            assert res.ok and res.walks == 2, res.findings
+
+    def test_cli_mc_walks(self, capsys):
+        from repro.cli import main
+
+        rc = main(["mc", "--walks", "2", "--scenario", "mc-sched-fifo",
+                   "--scenario", "natural-roundtrip"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.count("2 walk(s)") == 2
+        assert "all schedules bit-identical" in out
 
 
 # -- the composed lint + CLI --------------------------------------------------
@@ -738,14 +759,6 @@ class TestRunLint:
         rc = main(["lint", "--root", str(tmp_path)])
         assert rc == 2
         assert "pyproject" in capsys.readouterr().err
-
-    def test_cli_race_subcommand(self, capsys):
-        from repro.cli import main
-
-        rc = main(["race", "--seeds", "2", "--no-faults"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "all schedules agree" in out
 
 
 class TestHotPathRule:

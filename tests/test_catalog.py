@@ -1,7 +1,7 @@
 """The scenario catalogue (`repro.workloads.catalog`).
 
-Every named workload is built in one place; race, mc, replay and the
-storm bench select entries by name.  Pinned here: every entry builds
+Every named workload is built in one place; mc, replay and the storm
+bench select entries by name.  Pinned here: every entry builds
 without running, the consumers' scenario lists are views of the
 catalogue, the SLO enforcement scenario really enforces, and the storm
 reports a nearest-rank p99.
@@ -10,15 +10,13 @@ reports a nearest-rank p99.
 import pytest
 
 from repro.analysis.mc import MC_SCENARIOS, mc_scenarios
-from repro.analysis.race import FAULT_SCENARIOS, RACE_SCENARIOS, panda_scenarios
 from repro.bench.storm import CONTENDED_STORM, FULL_STORM
 from repro.obs.slo import quantile
 from repro.replay.scenarios import RECORDED, scenario_names
 from repro.workloads.catalog import CATALOG, StormParams, build
 from repro.workloads.storm import run_storm
 
-CONSUMED = (RACE_SCENARIOS + FAULT_SCENARIOS + MC_SCENARIOS + RECORDED
-            + ("contended-storm", "full-storm"))
+CONSUMED = MC_SCENARIOS + RECORDED + ("contended-storm", "full-storm")
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -41,11 +39,8 @@ def test_names_are_unique_and_all_consumed():
 
 
 def test_consumer_lists_are_views_of_the_catalogue():
-    assert [s.name for s in panda_scenarios()] == list(
-        RACE_SCENARIOS + FAULT_SCENARIOS)
-    assert [s.name for s in panda_scenarios(with_faults=False)] == list(
-        RACE_SCENARIOS)
     assert [s.name for s in mc_scenarios()] == list(MC_SCENARIOS)
+    assert len(MC_SCENARIOS) == 16
     assert scenario_names() == sorted(RECORDED)
     assert CONTENDED_STORM is CATALOG["contended-storm"]
     assert FULL_STORM is CATALOG["full-storm"]

@@ -1,10 +1,11 @@
-"""panda-mc: the controlled scheduler, the sleep-set explorer, and the
-happens-before machinery.
+"""panda-mc: the controlled scheduler, the sleep-set explorer, the
+seeded walk, and the happens-before machinery.
 
 The load-bearing claims each get a direct test: a simulator takes one
-dispatch controller (the explorer and the race detector's perturber
-would both own the dispatch order); the racy fixture must yield a PL201 naming the exact racing
-pair; an independent pair must collapse to one schedule under
+dispatch controller (the explorer and the walk would both own the
+dispatch order); the racy fixture must yield a PL201 naming the exact
+racing pair in both modes; only live ranks' leftover messages are
+orphans (PL203); an independent pair must collapse to one schedule under
 reduction but two under brute force; the real scenarios' schedule
 spaces are pinned (a regression here means the engine's branching
 structure changed -- re-measure, don't delete); and the property test
@@ -21,6 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.analysis.hb import (
     ScheduleController,
     SleepBlocked,
+    WalkController,
     canonical_trace,
     concurrent,
     footprint_key,
@@ -31,13 +33,15 @@ from repro.analysis.mc import (
     Outcome,
     explore,
     mc_scenario,
+    mc_scenarios,
+    orphans,
     racy_fixture_scenario,
     run_mc,
 )
-from repro.analysis.race import Perturber
+from repro.replay.fingerprint import fingerprint
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.resources import Store
-from repro.workloads.catalog import RoundtripParams
+from repro.workloads.catalog import CATALOG, RoundtripParams, build
 
 
 # -- engine-side hooks ------------------------------------------------------
@@ -45,14 +49,14 @@ from repro.workloads.catalog import RoundtripParams
 class TestControllerHooks:
     def test_second_controller_is_refused(self):
         sim = Simulator()
-        sim.enable_controller(Perturber(7))
+        sim.enable_controller(WalkController(7))
         with pytest.raises(SimulationError):
             sim.enable_controller(ScheduleController())
 
         sim2 = Simulator()
         sim2.enable_controller(ScheduleController())
         with pytest.raises(SimulationError):
-            sim2.enable_controller(Perturber(7))
+            sim2.enable_controller(WalkController(7))
 
     def test_mc_note_is_a_noop_without_a_controller(self):
         sim = Simulator()
@@ -222,6 +226,16 @@ class TestExplore:
         assert "writer_a" in pair and "writer_b" in pair
         assert "shared-list" in pair
 
+    def test_walks_alone_catch_the_racy_fixture(self):
+        # a budget of one leaves the baseline, then the walks
+        res = explore(racy_fixture_scenario(), max_schedules=1, walks=5)
+        assert not res.complete and res.walks == 5
+        assert res.findings and {f.rule for f in res.findings} == {"PL201"}
+        for finding in res.findings:
+            assert finding.walk > 0
+            pair = " / ".join(finding.racing)
+            assert "writer_a" in pair and "writer_b" in pair
+
     def test_budget_truncation_is_reported_not_silent(self):
         scenario, _ = _pair_scenario(shared=True)
         res = explore(scenario, max_schedules=1)
@@ -238,7 +252,7 @@ class TestRealScenarios:
     grouping) and re-measured, never waved through."""
 
     def test_full_sweep_is_exhaustive_and_clean(self):
-        report = run_mc()
+        report = run_mc([s for s in mc_scenarios() if s.name.startswith("mc-")])
         assert report.ok, report.summary()
         assert report.complete, report.summary()
         by_name = {r.scenario: r for r in report.results}
@@ -274,6 +288,36 @@ class TestRealScenarios:
         red = explore(tiny())
         assert red.complete and red.ok
         assert (red.schedules, red.sleep_blocked) == (1, 8)
+
+    def test_crashed_servers_mailbox_is_not_an_orphan(self):
+        # the supervisor's SHUTDOWN to the crashed server waits in its
+        # mailbox until the next run purges it; that is not a PL203
+        res = explore(mc_scenario("crash-recovery", CATALOG["crash-recovery"]))
+        assert res.complete and res.ok, [f.describe() for f in res.findings]
+        built = build(CATALOG["crash-recovery"])
+        built.run()
+        rt = built.runtime
+        assert rt.crashed_servers == {1}
+        assert len(rt.network.mailboxes[rt.server_rank(1)]) == 1
+        assert orphans(rt) == 0
+
+    def test_message_left_for_a_live_rank_is_an_orphan(self):
+        spec = RoundtripParams(shape=(4, 4), mem_mesh=(2, 1), n_io=1)
+
+        def run(ctl: ScheduleController) -> Outcome:
+            built = build(spec)
+            built.runtime.sim.enable_controller(ctl)
+            fp = fingerprint(built, built.run())
+            rt = built.runtime
+            assert not rt.crashed_servers
+            rt.network.mailboxes[rt.server_rank(0)].put("stray")
+            return Outcome("complete", fingerprint=fp, orphans=orphans(rt))
+
+        res = explore(MCScenario("stray", run), max_schedules=1, walks=1)
+        assert [(f.rule, f.walk) for f in res.findings] == [
+            ("PL203", 0), ("PL203", 1)]
+        assert res.findings[0].message == \
+            "1 orphan message(s) queued at quiescence"
 
 
 # -- property test: reduction vs brute-force ground truth -------------------

@@ -380,7 +380,7 @@ def test_discard_mid_list_callback():
 def test_dispatch_order_identical_across_run_modes():
     from hypothesis import given, settings, strategies as st
 
-    from repro.analysis.race import DispatchLog
+    from repro.analysis.hb import ScheduleController
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
@@ -411,7 +411,7 @@ def test_dispatch_order_identical_across_run_modes():
                 while sim.step():
                     pass
             else:  # controlled: run() routes through _run_instrumented
-                sim.enable_controller(DispatchLog())
+                sim.enable_controller(ScheduleController())
                 sim.run()
             return order
 
@@ -430,11 +430,7 @@ def test_yielded_delay_dispatches_like_timeout_across_run_modes():
     land mid-delay, so stale wakes are exercised."""
     from hypothesis import given, settings, strategies as st
 
-    from repro.analysis.race import DispatchLog
-
-    class SeqLog(DispatchLog):
-        def begin(self, t, seq, label):
-            self.log.append((t, seq))
+    from repro.analysis.hb import ScheduleController
 
     delays = st.sampled_from([0.0, 0.25, 0.5, 1.0])
 
@@ -480,10 +476,10 @@ def test_yielded_delay_dispatches_like_timeout_across_run_modes():
                     dispatch.append((e[0], e[1]))
                     sim.step()
             else:  # controlled: run() routes through _run_instrumented
-                ctl = SeqLog()
+                ctl = ScheduleController()
                 sim.enable_controller(ctl)
                 sim.run()
-                dispatch = ctl.log
+                dispatch = [(s.time, s.seq) for s in ctl.steps]
             return app, dispatch, (sim._seq, sim._heap_pushes, sim.now)
 
         ref_app, ref_log, ref_counts = execute("timeout", "step")
