@@ -215,7 +215,10 @@ class CollectiveOp:
         )
 
 
-@dataclass(frozen=True)
+# The per-piece payloads below are slotted and immutable by convention,
+# not frozen: frozen construction routes every field through
+# object.__setattr__, paid once per message (DESIGN.md section 9).
+@dataclass(slots=True)
 class FetchRequest:
     """Server asks a client for a logical piece of a sub-chunk (write
     path).  Regions are global, so the request is meaningful regardless
@@ -240,7 +243,7 @@ class FetchRequest:
         return self.row.region
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PieceData:
     """A region-shaped piece of array data in flight (both directions).
     ``row`` is the piece's piece-table row, as in :class:`FetchRequest`;
@@ -264,7 +267,7 @@ class PieceData:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PieceAck:
     """Fault mode: a client acknowledges one delivered PIECE (read
     path), echoing the piece's row so the server matches the ack to its
@@ -277,7 +280,7 @@ class PieceAck:
     subchunk_seq: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ServerDone:
     """A server reports completion of its share of an op.
 

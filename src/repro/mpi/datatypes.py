@@ -24,7 +24,7 @@ from repro.counters import COUNTERS
 __all__ = ["DataBlock"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DataBlock:
     """A block of array data: always a byte count, optionally the bytes.
 
@@ -32,6 +32,9 @@ class DataBlock:
     typically a view of a client's chunk or of a file, so a piece
     travels without being packed; ``nbytes`` always equals
     ``array.nbytes`` then.  Virtual blocks hold ``array=None``.
+
+    Slotted and immutable by convention, not frozen: one is built per
+    piece (DESIGN.md section 9).
     """
 
     nbytes: int

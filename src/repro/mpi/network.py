@@ -18,12 +18,15 @@ is observed twice, by the link releases and by the sender's resume.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.machine import MachineSpec
 from repro.mpi.message import Message
 from repro.sim import Resource, Simulator, Store
 from repro.sim.trace import Trace
+
+if TYPE_CHECKING:  # comm.py imports this module
+    from repro.mpi.comm import Communicator
 
 __all__ = ["Network"]
 

@@ -32,8 +32,10 @@ works for error handling.
 A process charges simulated time by yielding the delay itself, a
 ``float`` of seconds: ``yield 0.25`` is ``yield sim.timeout(0.25)``
 without the event object.  A positive delay is one heap entry that
-resumes the process directly; ``0.0`` continues inline; a negative or
-NaN delay raises :class:`ValueError` at the ``yield``.
+dispatches straight into :meth:`Process._resume`, carrying the wake
+token that tells a live delay from one an interrupt cut short; ``0.0``
+continues inline; a negative or NaN delay raises :class:`ValueError`
+at the ``yield``.
 
 Two throughput shortcuts deliberately *reorder* same-instant work
 while staying inside the engine's causal contract (an entry can run at
@@ -347,8 +349,9 @@ class Process(Event):
 
     #: ``_waiting_on`` is the pending :class:`Event`, or the wake token
     #: of a pending yielded delay (the ``int`` seq of its heap entry),
-    #: or ``None`` while the process runs.
-    __slots__ = ("_gen", "_waiting_on")
+    #: or ``None`` while the process runs.  ``_resume_cb`` is the bound
+    #: ``_resume``, made once instead of once per queued resume.
+    __slots__ = ("_gen", "_waiting_on", "_resume_cb")
 
     def __init__(self, sim: "Simulator", gen: ProcessGenerator, name: str = "") -> None:
         if not hasattr(gen, "send"):
@@ -363,7 +366,8 @@ class Process(Event):
         self._defused = False
         self._gen = gen
         self._waiting_on: Optional[object] = None
-        sim._post(self._resume, sim._init_sentinel)
+        self._resume_cb = self._resume
+        sim._post(self._resume_cb, sim._init_sentinel)
         sim._live_processes += 1
 
     @property
@@ -376,35 +380,35 @@ class Process(Event):
         if self._triggered:
             return
         target = _InterruptResume(self.sim, Interrupt(cause))
-        self.sim._post(self._resume, target)
+        self.sim._post(self._resume_cb, target)
 
-    def _wake(self, token: int) -> None:
-        """Dispatch of a yielded delay's heap entry.  ``token`` is the
-        entry's own seq, which ``_waiting_on`` holds while the delay is
-        pending; an :class:`Interrupt` clears it, so the wake of a delay
-        interrupted midway is stale even if the process has since
-        started another delay."""
-        if self._waiting_on is not token:
-            return  # stale: the delay was interrupted
-        self._waiting_on = None
-        self._resume(self.sim._init_sentinel)
-
-    def _resume(self, trigger: Event) -> None:
-        if self._triggered:
-            return  # interrupted-then-completed race: stale wakeup
-        if self._waiting_on is not None and trigger is not self._waiting_on:
-            if not isinstance(trigger, _InterruptResume):
-                return  # stale wakeup from an abandoned AnyOf branch
-        self._waiting_on = None
+    def _resume(self, trigger: Any) -> None:
+        """Run the generator to its next suspension.  ``trigger`` is the
+        :class:`Event` that fired, or -- the dispatch of a yielded
+        delay's heap entry -- that entry's wake token."""
         throw: Optional[BaseException] = None
         value: Any = None
-        if type(trigger) is _InterruptResume:
-            throw = trigger.interrupt
-        elif trigger._exc is not None:
-            trigger._defused = True
-            throw = trigger._exc
-        elif type(trigger) is not _InitialResume:
-            value = trigger._value
+        if type(trigger) is int:
+            # the token is the entry's own seq, which _waiting_on holds
+            # while the delay is pending; an Interrupt clears it, so the
+            # wake of a delay interrupted midway is stale even if the
+            # process has since started another delay
+            if self._waiting_on is not trigger:
+                return  # stale: the delay was interrupted
+        else:
+            if self._triggered:
+                return  # interrupted-then-completed race: stale wakeup
+            if self._waiting_on is not None and trigger is not self._waiting_on:
+                if not isinstance(trigger, _InterruptResume):
+                    return  # stale wakeup from an abandoned AnyOf branch
+            if type(trigger) is _InterruptResume:
+                throw = trigger.interrupt
+            elif trigger._exc is not None:
+                trigger._defused = True
+                throw = trigger._exc
+            elif type(trigger) is not _InitialResume:
+                value = trigger._value
+        self._waiting_on = None
         gen = self._gen
         send = gen.send
         sim = self.sim
@@ -444,14 +448,14 @@ class Process(Event):
                             value = target._value
                         continue
                     self._waiting_on = target
-                    target.add_callback(self._resume)
+                    target.add_callback(self._resume_cb)
                     return
                 if hasattr(target, "send"):
                     # yielding a bare generator spawns-and-joins it; the
                     # fresh process is never already triggered
                     child = Process(sim, target)
                     self._waiting_on = child
-                    child.add_callback(self._resume)
+                    child.add_callback(self._resume_cb)
                     return
                 if not isinstance(target, float):
                     # bad yield: throw the error back into the generator
@@ -469,7 +473,7 @@ class Process(Event):
             if target > 0.0:
                 token = sim._seq
                 self._waiting_on = token
-                sim._push(target, self._wake, token)
+                sim._push(target, self._resume_cb, token)
                 return
             throw = None
             value = None
@@ -485,10 +489,9 @@ class Process(Event):
 
 
 class _InitialResume(Event):
-    """Sentinel trigger used for the very first resume of a process and
-    for the wake of a yielded delay: both resume it with ``None``.  One
-    pre-triggered instance per simulator -- ``_resume`` only ever
-    type-checks it."""
+    """Sentinel trigger used for the very first resume of a process: it
+    resumes it with ``None``.  One pre-triggered instance per simulator
+    -- ``_resume`` only ever type-checks it."""
 
     __slots__ = ()
 

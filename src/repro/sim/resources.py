@@ -226,10 +226,6 @@ class Store:
             self._dispatch()
         return ev
 
-    def peek_all(self) -> list[Any]:
-        """Snapshot of queued items (for diagnostics)."""
-        return list(self._items)
-
     def try_get(self, predicate: Optional[Callable[[Any], bool]] = None) -> Any:
         """Synchronously pop and return the oldest matching item, or
         ``None`` when nothing matches.  Never blocks and never touches

@@ -42,6 +42,12 @@ def test_datablock_validation():
         DataBlock(5, np.zeros(10, dtype=np.uint8))
 
 
+def test_datablock_compares_by_value():
+    assert DataBlock.virtual(8) == DataBlock(8) != DataBlock.virtual(9)
+    arr = np.zeros(2, dtype=np.float64)
+    assert DataBlock.real(arr) == DataBlock(16, arr)
+
+
 def test_datablock_makes_contiguous():
     """A block keeps the strided view it is given -- a piece travels
     unpacked -- and packs it into row-major bytes only for

@@ -125,3 +125,34 @@ def test_baseline_rows_have_roles_of_their_own():
     assert listen_tags((DAEMON,), (BASELINE,)) == {
         Tags.DAEMON_WRITE, Tags.DAEMON_READ, Tags.DAEMON_FLUSH,
         Tags.DAEMON_SHUTDOWN}
+
+
+# -- the payloads -------------------------------------------------------------
+
+def _row(nbytes=32):
+    from repro.core.plan import PieceRow
+    from repro.schema.regions import Region
+    return PieceRow(0, Region((0,), (nbytes // 8,)), 1, 1, nbytes, None, None)
+
+
+def test_piece_data_rejects_a_block_of_the_wrong_size():
+    from repro.mpi.datatypes import DataBlock
+    with pytest.raises(ValueError, match="does not match"):
+        protocol.PieceData(1, 0, _row(32), DataBlock.virtual(24), 3)
+    protocol.PieceData(1, 0, _row(32), DataBlock.virtual(32), 3)
+
+
+def test_payloads_compare_by_value():
+    from repro.mpi.datatypes import DataBlock
+    row = _row()
+    assert protocol.FetchRequest(1, 0, row, 3) == \
+        protocol.FetchRequest(1, 0, _row(), 3) != \
+        protocol.FetchRequest(1, 0, row, 4)
+    assert protocol.PieceData(1, 0, row, DataBlock.virtual(32)) == \
+        protocol.PieceData(1, 0, row, DataBlock.virtual(32), -1) != \
+        protocol.PieceData(2, 0, row, DataBlock.virtual(32))
+    assert protocol.PieceAck(1, 0, row, 3) == protocol.PieceAck(1, 0, row, 3) \
+        != protocol.PieceAck(1, 1, row, 3)
+    assert protocol.ServerDone(1, 2, 64) == \
+        protocol.ServerDone(1, 2, 64, False, -1) != \
+        protocol.ServerDone(1, 2, 64, recovery=True)

@@ -241,7 +241,7 @@ def test_store_many_items_fifo_under_predicates():
         return evens
 
     assert sim.run_process(consumer(sim)) == [0, 2, 4, 6, 8]
-    assert st.peek_all() == [1, 3, 5, 7, 9]
+    assert list(st._items) == [1, 3, 5, 7, 9]
 
 
 def test_zero_capacity_run_of_processes_scales():

@@ -529,6 +529,72 @@ def test_interrupt_mid_delay_leaves_a_stale_wake():
                    ("interrupted", 14.0), ("woke", 19.0)]
 
 
+def test_stale_wake_after_interrupt_and_finish_is_ignored():
+    """The interrupted delay's entry dispatches after the process has
+    finished: it must neither resume the dead generator nor trigger the
+    process a second time."""
+    sim = Simulator()
+    joined = []
+
+    def sleeper(sim):
+        try:
+            yield 5.0
+        except Interrupt:
+            return ("interrupted", sim.now)
+        return "slept"
+
+    def interrupter(sim, target):
+        yield 1.0
+        target.interrupt()
+
+    def joiner(sim, target):
+        joined.append((yield target))
+
+    p = sim.spawn(sleeper(sim))
+    sim.spawn(interrupter(sim, p))
+    sim.spawn(joiner(sim, p))
+    assert sim.run() == 5.0  # the stale entry still dispatches at t=5
+    assert p.value == ("interrupted", 1.0)
+    assert joined == [("interrupted", 1.0)]
+    assert sim.dispatched == sim._seq
+
+
+def test_exception_right_after_a_woken_delay_reaches_the_joiner():
+    sim = Simulator()
+
+    def failing(sim):
+        yield 1.5
+        raise KeyError("after the wake")
+
+    def joiner(sim):
+        try:
+            yield sim.spawn(failing(sim))
+        except KeyError as exc:
+            return ("caught", sim.now, exc.args[0])
+
+    assert sim.run_process(joiner(sim)) == ("caught", 1.5, "after the wake")
+
+
+def test_float_subclass_delay_right_after_a_wake():
+    """A numpy.float64 charge yielded straight out of a wake is one heap
+    entry, exactly as the same plain float would be."""
+    np = pytest.importorskip("numpy")
+
+    def run(conv):
+        sim = Simulator()
+
+        def proc(sim):
+            yield 1.0
+            yield conv(0.5)
+            yield conv(0.0)
+            yield conv(0.25)
+            return sim.now
+
+        return sim.run_process(proc(sim)), sim._seq, sim._heap_pushes
+
+    assert run(np.float64) == run(float) == (1.75, 4, 3)
+
+
 @pytest.mark.parametrize("bad", [-1.0, float("nan"), -float("inf")])
 def test_negative_or_nan_yielded_delay_raises_valueerror(bad):
     sim = Simulator()

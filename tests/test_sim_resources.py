@@ -128,7 +128,7 @@ def test_store_predicate_takes_oldest_match():
         return (item, item2)
 
     assert sim.run_process(proc(sim)) == (("x", 1), ("x", 3))
-    assert st.peek_all() == [("y", 2)]
+    assert list(st._items) == [("y", 2)]
 
 
 def test_store_get_blocks_until_put():
@@ -207,7 +207,7 @@ def test_store_clear_drops_queued_items():
     st.put("stale-1")
     st.put("stale-2")
     assert st.clear() == 2
-    assert len(st) == 0 and st.peek_all() == []
+    assert len(st) == 0 and list(st._items) == []
     assert st.clear() == 0  # idempotent on an empty store
 
 
