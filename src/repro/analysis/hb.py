@@ -93,7 +93,7 @@ class Step:
     index: int  #: position in the executed schedule
     seq: int  #: engine sequence number of the dispatched entry
     time: float  #: simulated dispatch time
-    label: str  #: stable content label (Simulator._dispatch_label)
+    label: str  #: stable content label (Simulator._entry_label)
     parent: int  #: step index whose callback created this entry (-1: setup)
     footprint: FrozenSet[FootKey] = frozenset()
 

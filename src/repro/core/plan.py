@@ -130,15 +130,6 @@ class ServerPlan:
     def file_name(self) -> str:
         return dataset_file(self.op.dataset, self.server_index)
 
-    def chunks_assigned(self) -> List[Tuple[int, int]]:
-        """(array_index, chunk_index) pairs this server owns, in order."""
-        seen: List[Tuple[int, int]] = []
-        for item in self.items:
-            key = (item.array_index, item.chunk_index)
-            if not seen or seen[-1] != key:
-                seen.append(key)
-        return seen
-
 
 class _ShapePlans:
     """Everything the plan layer memoises about one op shape: the

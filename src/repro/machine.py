@@ -156,10 +156,6 @@ class MachineSpec:
         return n / self.fs_write_peak - n / self.disk_transfer_rate
 
     # --- derived helpers ------------------------------------------------
-    def message_time(self, nbytes: int) -> float:
-        """One-way time for a message of ``nbytes`` (latency + transfer)."""
-        return self.network_latency + nbytes / self.network_bandwidth
-
     def fs_time(self, nbytes: int, *, write: bool, sequential: bool = True) -> float:
         """Service time for one file-system request of ``nbytes``.
 
@@ -181,11 +177,6 @@ class MachineSpec:
         if not sequential:
             t += self.disk_seek_time
         return t
-
-    def fs_effective_throughput(self, request_bytes: int, *, write: bool) -> float:
-        """Effective file-system throughput at a given request size."""
-        t = self.fs_time(request_bytes, write=write)
-        return request_bytes / t if t > 0 else float("inf")
 
     def copy_time(self, nbytes: int, runs: int = 1) -> float:
         """Time to gather/scatter ``nbytes`` spread over ``runs``

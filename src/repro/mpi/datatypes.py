@@ -60,6 +60,17 @@ class DataBlock:
     def is_real(self) -> bool:
         return self.array is not None
 
+    def __eq__(self, other: object) -> bool:
+        """Value equality: the same size, and both virtual or both real
+        with equal arrays of one dtype and shape.  The arrays are
+        compared in place, so no byte is counted as copied."""
+        if not isinstance(other, DataBlock):
+            return NotImplemented
+        a, b = self.array, other.array
+        if a is None or b is None:
+            return a is b and self.nbytes == other.nbytes
+        return a.dtype == b.dtype and np.array_equal(a, b)
+
     def to_bytes(self) -> bytes:
         """Raw bytes of a real block (row-major).  This *copies*; prefer
         :meth:`to_buffer` when a read-only view suffices."""

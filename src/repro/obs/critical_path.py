@@ -53,10 +53,6 @@ class Segment:
     phase: str
     source: str = ""
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 @dataclass
 class CriticalPathReport:

@@ -249,22 +249,6 @@ class DataSchema:
         return (query[keep], chunk_id[keep], o_lo[keep], o_hi[keep],
                 c_lo[keep], c_hi[keep])
 
-    def owner_of_point(self, point: Sequence[int]) -> Chunk:
-        """The chunk containing ``point`` (computed directly, not by
-        search)."""
-        coords: List[int] = []
-        m = 0
-        for extent, dist, p in zip(self.shape, self.dists, point):
-            if not 0 <= p < extent:
-                raise ValueError(f"point {tuple(point)} outside array {self.shape}")
-            if dist.distributed:
-                parts = self.mesh.dims[m]
-                b = -(-extent // parts)
-                coords.append(p // b)
-                m += 1
-        idx = self.mesh.index_of(tuple(coords))
-        return self.chunk(idx)
-
     # -- descriptions -------------------------------------------------------
     def describe(self) -> dict:
         """A plain-data description (what travels in the collective
@@ -274,10 +258,6 @@ class DataSchema:
             "mesh": list(self.mesh.dims),
             "dists": [d.kind for d in self.dists],
         }
-
-    @classmethod
-    def from_description(cls, desc: dict) -> "DataSchema":
-        return cls.build(desc["shape"], desc["mesh"], desc["dists"])
 
     def __repr__(self) -> str:
         dd = ",".join(repr(d) for d in self.dists)

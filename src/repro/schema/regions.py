@@ -10,7 +10,7 @@ the *global* index space of an array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -121,9 +121,6 @@ class Region:
             for sl, ol, oh, sh in zip(self.lo, other.lo, other.hi, self.hi)
         )
 
-    def contains_point(self, point: Sequence[int]) -> bool:
-        return all(l <= p < h for l, p, h in zip(self.lo, point, self.hi))
-
     # -- coordinate transforms -----------------------------------------------
     def translate(self, offset: Sequence[int]) -> "Region":
         """Shift the region by ``offset`` (may be negative)."""
@@ -201,25 +198,6 @@ class Region:
             raise ValueError(f"{self} not inside container {container}")
         return np.array((self.lo, self.hi, container.lo, container.hi),
                         dtype=np.int64)
-
-    def iter_points(self) -> Iterator[Tuple[int, ...]]:
-        """Iterate all points in row-major order (small regions only --
-        used by tests)."""
-        if self.empty:
-            return
-        point = list(self.lo)
-        n = self.ndim
-        while True:
-            yield tuple(point)
-            i = n - 1
-            while i >= 0:
-                point[i] += 1
-                if point[i] < self.hi[i]:
-                    break
-                point[i] = self.lo[i]
-                i -= 1
-            if i < 0:
-                return
 
     def __repr__(self) -> str:
         spans = ",".join(f"{l}:{h}" for l, h in zip(self.lo, self.hi))

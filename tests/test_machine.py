@@ -17,30 +17,34 @@ def test_table1_constants():
     assert spec.node_memory == 128 * MB
 
 
+def throughput(nbytes, *, write):
+    return nbytes / NAS_SP2.fs_time(nbytes, write=write)
+
+
 def test_calibration_anchor_read():
     # at the 1 MB calibration request the model reproduces the measured
     # AIX read peak exactly
-    thr = NAS_SP2.fs_effective_throughput(MB, write=False)
+    thr = throughput(MB, write=False)
     assert thr == pytest.approx(2.85 * MB, rel=1e-9)
 
 
 def test_calibration_anchor_write():
-    thr = NAS_SP2.fs_effective_throughput(MB, write=True)
+    thr = throughput(MB, write=True)
     assert thr == pytest.approx(2.23 * MB, rel=1e-9)
 
 
 def test_small_requests_degrade():
     # the paper: AIX throughput declines for write sizes under 1 MB
-    big = NAS_SP2.fs_effective_throughput(MB, write=True)
-    half = NAS_SP2.fs_effective_throughput(MB // 2, write=True)
-    tiny = NAS_SP2.fs_effective_throughput(64 * KB, write=True)
+    big = throughput(MB, write=True)
+    half = throughput(MB // 2, write=True)
+    tiny = throughput(64 * KB, write=True)
     assert tiny < half < big
 
 
 def test_throughput_never_exceeds_raw_disk():
     for size in (MB, 4 * MB, 64 * MB):
         for write in (True, False):
-            thr = NAS_SP2.fs_effective_throughput(size, write=write)
+            thr = throughput(size, write=write)
             assert thr < NAS_SP2.disk_transfer_rate
 
 
@@ -58,17 +62,12 @@ def test_fast_disk_zeroes_fs_time():
 
 def test_fast_disk_preserves_network():
     fast = sp2(fast_disk=True)
-    assert fast.message_time(MB) == NAS_SP2.message_time(MB)
-
-
-def test_message_time_latency_plus_transfer():
-    t = NAS_SP2.message_time(MB)
-    assert t == pytest.approx(43e-6 + MB / (34 * MB))
+    assert fast.network_latency == NAS_SP2.network_latency
+    assert fast.network_bandwidth == NAS_SP2.network_bandwidth
 
 
 def test_message_time_small_message_is_latency_bound():
-    t = NAS_SP2.message_time(256)
-    assert t < 2 * NAS_SP2.network_latency
+    assert 256 / NAS_SP2.network_bandwidth < NAS_SP2.network_latency
 
 
 def test_copy_time_scales_with_runs():

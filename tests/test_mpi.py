@@ -46,6 +46,11 @@ def test_datablock_compares_by_value():
     assert DataBlock.virtual(8) == DataBlock(8) != DataBlock.virtual(9)
     arr = np.zeros(2, dtype=np.float64)
     assert DataBlock.real(arr) == DataBlock(16, arr)
+    assert DataBlock.real(np.arange(4.0)) == DataBlock.real(np.arange(4.0))
+    assert DataBlock.real(np.arange(4.0)) != DataBlock.real(np.arange(1.0, 5.0))
+    assert DataBlock.real(arr) != DataBlock.real(np.zeros(2, dtype=np.int64))
+    assert DataBlock.real(arr) != DataBlock.real(np.zeros((1, 2)))
+    assert DataBlock.real(arr) != DataBlock.virtual(16) != DataBlock.real(arr)
 
 
 def test_datablock_makes_contiguous():

@@ -148,21 +148,6 @@ def test_chunks_intersecting():
     assert hits[0][1] == Region((3, 3), (4, 4))
 
 
-def test_owner_of_point_matches_search():
-    s = DataSchema.build((10, 7), (3, 2), [BLOCK, BLOCK])
-    for p in [(0, 0), (9, 6), (4, 3), (3, 4)]:
-        direct = s.owner_of_point(p)
-        by_search = [c for c in s.chunks() if c.region.contains_point(p)]
-        assert len(by_search) == 1
-        assert direct.index == by_search[0].index
-
-
-def test_owner_of_point_out_of_range():
-    s = DataSchema.build((4,), (2,), [BLOCK])
-    with pytest.raises(ValueError):
-        s.owner_of_point((4,))
-
-
 def test_cyclic_rejected():
     with pytest.raises(NotImplementedError):
         DataSchema.build((8,), (2,), [CYCLIC])
@@ -178,8 +163,7 @@ def test_mesh_rank_must_match_block_count():
 def test_describe_roundtrip():
     s = DataSchema.build((8, 8, 8), (2, 4), [BLOCK, NONE, BLOCK])
     d = s.describe()
-    s2 = DataSchema.from_description(d)
-    assert s2 == s
+    assert DataSchema.build(d["shape"], d["mesh"], d["dists"]) == s
 
 
 def test_invalid_shape_rejected():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.schema import Region, split_row_major
+from tests.oracles import iter_points
 
 
 def linear_spans(region, pieces):
@@ -80,10 +81,10 @@ def test_pieces_tile_region_exactly():
     pieces = split_row_major(r, 10)
     points = set()
     for p in pieces:
-        for pt in p.iter_points():
+        for pt in iter_points(p):
             assert pt not in points, "overlap"
             points.add(pt)
-    assert points == set(r.iter_points())
+    assert points == set(iter_points(r))
 
 
 def test_1mb_subchunking_of_large_chunk():
