@@ -51,7 +51,6 @@ from repro.bench import (  # noqa: E402
     format_rows,
     run_figure,
     run_panda_point,
-    run_traced_point,
     shape_for_mb,
 )
 from repro.bench.harness import (  # noqa: E402
@@ -70,7 +69,7 @@ from repro.core.sequential import SequentialPanda, row_major_schema  # noqa: E40
 from repro.faults import FaultSpec  # noqa: E402
 from repro.machine import KB, MB, NAS_SP2, sp2  # noqa: E402
 from repro.schema import DataSchema, Region  # noqa: E402
-from repro.workloads import read_array_app, write_array_app  # noqa: E402
+from repro.workloads import write_array_app  # noqa: E402
 from repro.workloads.catalog import WriterGroupsParams, build  # noqa: E402
 
 DESCRIPTION = (
@@ -114,10 +113,13 @@ def approx(actual: float, expected: float, rel=None, abs=None) -> bool:
     return math.fabs(actual - expected) <= tol
 
 
-def message_count(runtime: PandaRuntime, tag: int, records=None) -> int:
-    records = runtime.trace.records if records is None else records
-    return sum(1 for m in records
-               if m.kind == "message" and m.detail["tag"] == tag)
+def message_count(point: PointResult, tag: int) -> int:
+    """Messages tagged ``tag`` in a traced point's timed run."""
+    run = point.run
+    t0 = run.runtime.sim.now - run.elapsed
+    return sum(1 for m in run.trace.records
+               if m.time >= t0 and m.kind == "message"
+               and m.detail["tag"] == tag)
 
 
 # -- Figures 3-9 ---------------------------------------------------------------
@@ -127,10 +129,10 @@ def figure(name: str, smoke: bool) -> dict:
     grid = run_figure(replace(exp, sizes_mb=(16,)) if smoke else exp)
     section = {str(mb): {str(n): panda(p) for n, p in row.items()}
                for mb, row in grid.items()}
-    _result, report = run_traced_point(
+    traced = run_panda_point(
         exp.kind, exp.n_compute, exp.ionodes[0], exp.shape(exp.sizes_mb[0]),
-        disk_schema=exp.disk_schema, fast_disk=exp.fast_disk)
-    section["verdict"] = {"line": report.verdict_line()}
+        disk_schema=exp.disk_schema, fast_disk=exp.fast_disk, trace=True)
+    section["verdict"] = {"line": traced.run.critical_path().verdict_line()}
     if not smoke:
         section.update(FIGURE_EXTRAS.get(name, dict)())
     return section
@@ -152,23 +154,19 @@ def fig5_extra() -> dict:
 
 def fig6_extra() -> dict:
     # one data message per sub-chunk piece, either direction
-    arr = build_array(shape_for_mb(16), 32, 4, "natural")
-    rt = PandaRuntime(n_compute=32, n_io=4, spec=sp2(fast_disk=True),
-                      real_payloads=False, trace=True)
-    rt.run(write_array_app([arr], "x"))
-    writes = message_count(rt, Tags.DATA)
-    before = len(rt.trace.records)
-    rt.run(read_array_app([arr], "x"))
-    reads = message_count(rt, Tags.PIECE, rt.trace.records[before:])
-    return {"messages": {"16": {"4": {"write_data": writes,
-                                      "read_piece": reads}}}}
+    def count(kind, tag):
+        return message_count(run_panda_point(
+            kind, 32, 4, shape_for_mb(16), fast_disk=True, trace=True), tag)
+
+    return {"messages": {"16": {"4": {
+        "write_data": count("write", Tags.DATA),
+        "read_piece": count("read", Tags.PIECE)}}}}
 
 
 def fetch_count(disk_schema: str) -> int:
-    arr = build_array(shape_for_mb(16), 32, 4, disk_schema)
-    rt = PandaRuntime(n_compute=32, n_io=4, real_payloads=False, trace=True)
-    rt.run(write_array_app([arr], "x"))
-    return message_count(rt, Tags.FETCH)
+    return message_count(run_panda_point(
+        "write", 32, 4, shape_for_mb(16), disk_schema=disk_schema,
+        trace=True), Tags.FETCH)
 
 
 def fig7_extra() -> dict:
@@ -272,15 +270,13 @@ def multiarray(_smoke: bool) -> dict:
             "write", 8, 4, shape, n_arrays=n_arrays,
             fast_disk=fast_disk).aggregate_mbps}
 
-    arrays = [build_array((64, 64, 64), 8, 4, "natural", name=f"a{i}")
-              for i in range(3)]
-    rt = PandaRuntime(n_compute=8, n_io=4, real_payloads=False, trace=True)
-    rt.run(write_array_app(arrays, "g"))
+    group = run_panda_point("write", 8, 4, (64, 64, 64), n_arrays=3,
+                            trace=True)
     return {
         # 3 x 64 MB group against one 64 MB array
         "one_array": mbps(1, (128, 256, 256)),
         "group_of_3": mbps(3, (128, 256, 256)),
-        "group_requests": {"REQUEST": message_count(rt, Tags.REQUEST)},
+        "group_requests": {"REQUEST": message_count(group, Tags.REQUEST)},
         # 2 MB against 4 KB chunks: MPI latency becomes the bottleneck
         "fast_disk_chunks": {"2MB": mbps(1, (128, 128, 128), True),
                              "4KB": mbps(1, (16, 16, 16), True)},

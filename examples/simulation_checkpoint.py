@@ -10,7 +10,10 @@ crash the computation restarts from it.
 
 (The paper's example uses 512^3 arrays on 64 processors; we scale the
 grid down so the example carries real bytes and verifies itself, while
-keeping every schema exactly as in Figure 2.)
+keeping every schema exactly as in Figure 2.  Figure 2's group also
+names a schema file, "simulation2.schema"; here each dataset's schema
+is written beside its data as ``{dataset}.schema``, e.g.
+``Sim2.t00000.schema``, so the group takes only its name.)
 
 Run:  python examples/simulation_checkpoint.py
 """
@@ -50,7 +53,7 @@ pressure = Array("pressure", pressure_size, np.float64,
 density = Array("density", density_size, np.float64,
                 memory, memory_dist, disk, disk_dist)
 
-simulation = ArrayGroup("Sim2", "simulation2.schema")
+simulation = ArrayGroup("Sim2")
 simulation.include(temperature)
 simulation.include(pressure)
 simulation.include(density)

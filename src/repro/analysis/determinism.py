@@ -475,9 +475,9 @@ def lint_file(path: Path, root: Path) -> List[Finding]:
     return lint_source(path.read_text(), rel)
 
 
-def lint_tree(root: Path, package: str = "src/repro") -> List[Finding]:
-    """Lint every ``.py`` file under ``root/package``."""
+def lint_tree(root: Path) -> List[Finding]:
+    """Lint every ``.py`` file under ``root/src/repro``."""
     out: List[Finding] = []
-    for path in sorted((root / package).rglob("*.py")):
+    for path in sorted((root / "src/repro").rglob("*.py")):
         out.extend(lint_file(path, root))
     return out

@@ -33,7 +33,7 @@ from repro.core.runtime import run_supervised
 from repro.counters import COUNTERS
 from repro.fs.cache import BufferCache
 from repro.fs.filesystem import FileSystem
-from repro.machine import MB, NAS_SP2, MachineSpec
+from repro.machine import MB, NAS_SP2
 from repro.mpi.datatypes import DataBlock
 from repro.mpi.network import Network
 from repro.schema.regions import Region
@@ -163,7 +163,7 @@ class _ServerState:
 
 
 class BaselineRuntime:
-    """Machine + I/O daemons for the baseline strategies.
+    """The NAS SP2 + I/O daemons for the baseline strategies.
 
     ``use_cache`` enables the per-I/O-node buffer cache (traditional
     caching); without it requests go straight to the disk model (naive
@@ -174,7 +174,6 @@ class BaselineRuntime:
         self,
         n_compute: int,
         n_io: int,
-        spec: MachineSpec = NAS_SP2,
         real_payloads: bool = True,
         use_cache: bool = False,
         cache_bytes: int = 8 * MB,
@@ -182,23 +181,22 @@ class BaselineRuntime:
         stripe_bytes: int = 64 * 1024,
         trace: bool = False,
     ) -> None:
-        spec.check_nodes(n_compute, n_io)
+        NAS_SP2.check_nodes(n_compute, n_io)
         self.n_compute = n_compute
         self.n_io = n_io
-        self.spec = spec
         self.real_payloads = real_payloads
         self.stripe_bytes = stripe_bytes
         self.trace = Trace() if trace else None
         self.sim = Simulator()
-        self.network = Network(self.sim, spec, n_compute + n_io, trace=self.trace)
+        self.network = Network(self.sim, NAS_SP2, n_compute + n_io, trace=self.trace)
         self.servers: List[_ServerState] = []
         for i in range(n_io):
-            fs = FileSystem(self.sim, spec, node=f"ionode{i}",
+            fs = FileSystem(self.sim, NAS_SP2, node=f"ionode{i}",
                             real=real_payloads, trace=self.trace)
             cache = None
             if use_cache:
                 cache = BufferCache(
-                    self.sim, spec, fs.disk, fs.store,
+                    self.sim, NAS_SP2, fs.disk, fs.store,
                     capacity_bytes=cache_bytes,
                     block_bytes=cache_block_bytes,
                     trace=self.trace, node=f"ionode{i}.cache",

@@ -14,14 +14,12 @@ EXPERIMENTS.md for the index).
 from repro.bench.experiments import (
     EXPERIMENTS,
     Experiment,
-    experiment,
     shape_for_mb,
 )
 from repro.bench.harness import (
     PointResult,
     run_figure,
     run_panda_point,
-    run_traced_point,
 )
 from repro.bench.report import format_figure, format_rows
 
@@ -29,11 +27,9 @@ __all__ = [
     "EXPERIMENTS",
     "Experiment",
     "PointResult",
-    "experiment",
     "format_figure",
     "format_rows",
     "run_figure",
     "run_panda_point",
-    "run_traced_point",
     "shape_for_mb",
 ]

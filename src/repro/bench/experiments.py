@@ -25,7 +25,7 @@ from typing import Dict, Tuple
 
 from repro.machine import MB
 
-__all__ = ["Experiment", "EXPERIMENTS", "experiment", "shape_for_mb"]
+__all__ = ["Experiment", "EXPERIMENTS", "shape_for_mb"]
 
 #: 3-D shapes of float64 arrays totalling the given MB.
 _SHAPES: Dict[int, Tuple[int, int, int]] = {
@@ -107,7 +107,3 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
     ]
 }
-
-
-def experiment(figure: str) -> Experiment:
-    return EXPERIMENTS[figure]

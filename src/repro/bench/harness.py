@@ -33,20 +33,20 @@ from repro.baselines import (
 )
 from repro.core.api import Array, ArrayLayout
 from repro.core.config import PandaConfig
-from repro.core.runtime import PandaRuntime
-from repro.counters import COUNTERS
+from repro.core.runtime import PandaRuntime, RunResult
 from repro.fs import FileSystem
-from repro.machine import KB, MB, NAS_SP2, MachineSpec
+from repro.machine import KB, MB, NAS_SP2
 from repro.mpi import Network
 from repro.mpi.datatypes import DataBlock
 from repro.mpi.message import MESSAGE_HEADER_BYTES
+from repro.obs.metrics import MetricsRegistry, attach
 from repro.schema.distribution import BLOCK, NONE
 from repro.sim import Simulator
 from repro.workloads.apps import read_array_app, write_array_app
 from repro.workloads.arrays import mesh_for
 
-__all__ = ["PointResult", "run_panda_point", "run_traced_point", "run_figure",
-           "fs_peak", "measure_table1", "STRATEGIES", "compare_strategies"]
+__all__ = ["PointResult", "run_panda_point", "run_figure", "fs_peak",
+           "measure_table1", "STRATEGIES", "compare_strategies"]
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,9 @@ class PointResult:
     #: other.  Excluded from equality: host observability, not a
     #: simulated result.
     counters: Dict[str, int] = field(default_factory=dict, compare=False)
+    #: the timed run of a traced point (its trace holds both runs)
+    run: Optional[RunResult] = field(default=None, compare=False,
+                                     repr=False)
 
     @property
     def aggregate(self) -> float:
@@ -77,15 +80,17 @@ class PointResult:
     def aggregate_mbps(self) -> float:
         return self.aggregate / MB
 
-    def peak(self, spec: MachineSpec = NAS_SP2) -> float:
+    def peak(self) -> float:
         """The paper's normalisation base for this point."""
         if self.fast_disk:
-            return spec.network_bandwidth
-        return spec.fs_read_peak if self.kind == "read" else spec.fs_write_peak
+            return NAS_SP2.network_bandwidth
+        if self.kind == "read":
+            return NAS_SP2.fs_read_peak
+        return NAS_SP2.fs_write_peak
 
-    def normalized(self, spec: MachineSpec = NAS_SP2) -> float:
+    def normalized(self) -> float:
         """Per-I/O-node throughput over the relevant peak."""
-        return (self.aggregate / self.n_io) / self.peak(spec)
+        return (self.aggregate / self.n_io) / self.peak()
 
 
 def build_array(
@@ -117,89 +122,46 @@ def run_panda_point(
     shape: Tuple[int, ...],
     disk_schema: str = "natural",
     fast_disk: bool = False,
-    spec: MachineSpec = NAS_SP2,
     config: Optional[PandaConfig] = None,
     n_arrays: int = 1,
+    trace: bool = False,
+    registry: Optional[MetricsRegistry] = None,
 ) -> PointResult:
     """Run one collective (virtual payloads) and return its metrics.
     ``n_arrays > 1`` writes/reads a group of identical arrays (the
-    paper's multiple-arrays experiments)."""
+    paper's multiple-arrays experiments).  ``trace`` records both runs
+    (the untimed first write too) and keeps the timed one's
+    :class:`~repro.core.runtime.RunResult` as the point's ``run``; a
+    ``registry`` collects resource-occupancy metrics over both."""
     if kind not in ("read", "write"):
         raise ValueError(f"bad kind {kind!r}")
-    machine = spec.evolve(fast_disk=fast_disk)
     arrays = [
         build_array(shape, n_compute, n_io, disk_schema, name=f"a{i}")
         for i in range(n_arrays)
     ]
     runtime = PandaRuntime(
-        n_compute=n_compute, n_io=n_io, spec=machine,
-        config=config or PandaConfig(), real_payloads=False,
+        n_compute=n_compute, n_io=n_io,
+        spec=NAS_SP2.evolve(fast_disk=fast_disk),
+        config=config or PandaConfig(), real_payloads=False, trace=trace,
     )
-    # reads must read something: write the dataset first (not timed)
+    if registry is not None:
+        attach(runtime, registry)
+    # reads must read something: write the dataset first (not timed);
+    # a write point re-writes it, keeping read and write points
+    # symmetric
     runtime.run(write_array_app(arrays, "bench"))
-    # counters are global and additive; delta against a snapshot taken
-    # here so the point reports exactly its own timed run, regardless of
-    # how many points ran before it in this process
-    before = COUNTERS.snapshot()
-    if kind == "write":
-        # re-write: the timed op (the first write also counts, but this
-        # keeps read and write points symmetric)
-        result = runtime.run(write_array_app(arrays, "bench"))
-    else:
-        result = runtime.run(read_array_app(arrays, "bench"))
-    after = COUNTERS.snapshot()
+    app = write_array_app if kind == "write" else read_array_app
+    result = runtime.run(app(arrays, "bench"))
     op = result.ops[-1]
     return PointResult(
         kind=kind, n_compute=n_compute, n_io=n_io,
         array_bytes=op.total_bytes, disk_schema=disk_schema,
         fast_disk=fast_disk, elapsed=op.elapsed, n_arrays=n_arrays,
-        counters={k: after[k] - before[k] for k in after},
+        counters=result.counters, run=result if trace else None,
     )
 
 
-def run_traced_point(
-    kind: str,
-    n_compute: int,
-    n_io: int,
-    shape: Tuple[int, ...],
-    disk_schema: str = "natural",
-    fast_disk: bool = False,
-    spec: MachineSpec = NAS_SP2,
-    config: Optional[PandaConfig] = None,
-    registry=None,
-):
-    """Run one collective like :func:`run_panda_point`, but traced and
-    analyzed: returns ``(RunResult, CriticalPathReport)`` for the
-    *timed* run (the read-priming write is traced too but excluded
-    from the analysis window).  Pass a
-    :class:`~repro.obs.metrics.MetricsRegistry` to also collect
-    resource-occupancy metrics over both runs."""
-    from repro.obs.critical_path import analyze
-    from repro.obs.metrics import attach
-
-    if kind not in ("read", "write"):
-        raise ValueError(f"bad kind {kind!r}")
-    machine = spec.evolve(fast_disk=fast_disk)
-    arrays = [build_array(shape, n_compute, n_io, disk_schema)]
-    runtime = PandaRuntime(
-        n_compute=n_compute, n_io=n_io, spec=machine,
-        config=config or PandaConfig(), real_payloads=False, trace=True,
-    )
-    if registry is not None:
-        attach(runtime, registry)
-    runtime.run(write_array_app(arrays, "bench"))
-    if kind == "write":
-        result = runtime.run(write_array_app(arrays, "bench"))
-    else:
-        result = runtime.run(read_array_app(arrays, "bench"))
-    t_end = runtime.sim.now
-    report = analyze(result.trace, t0=t_end - result.elapsed, t_end=t_end)
-    return result, report
-
-
-def run_figure(exp, spec: MachineSpec = NAS_SP2,
-               config: Optional[PandaConfig] = None
-               ) -> Dict[int, Dict[int, PointResult]]:
+def run_figure(exp) -> Dict[int, Dict[int, PointResult]]:
     """Run a whole figure's grid: {size_mb: {n_io: PointResult}}."""
     grid: Dict[int, Dict[int, PointResult]] = {}
     for size_mb in exp.sizes_mb:
@@ -208,7 +170,6 @@ def run_figure(exp, spec: MachineSpec = NAS_SP2,
             row[n_io] = run_panda_point(
                 exp.kind, exp.n_compute, n_io, exp.shape(size_mb),
                 disk_schema=exp.disk_schema, fast_disk=exp.fast_disk,
-                spec=spec, config=config,
             )
         grid[size_mb] = row
     return grid

@@ -46,7 +46,7 @@ identical output.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -83,6 +83,17 @@ WRITE_PHASE = 30.0
 RECOVERY_BUDGET = 120.0
 #: read-back poison: the verify phase must overwrite every element.
 _POISON = -1.0
+#: the drill's admission budget under the ``slo`` policy: a generous
+#: 60 s p99 turnaround, so the drill exercises the SLO *tracking* plane
+#: under faults without shedding load (enforcement is measured by
+#: :func:`run_slo_comparison`, where the contention is engineered).
+_BUDGET = SLOBudget(turnaround_p99=60.0)
+#: seconds between consecutive tenants' arrivals in each phase
+_STAGGER = 1e-3
+#: ops executing at once per shard
+_MAX_IN_FLIGHT = 8
+#: the fault injector's seed
+_SEED = 11
 
 
 def crash_at(n_tenants: int, stagger: float) -> float:
@@ -130,7 +141,6 @@ def _cycle_app(
     cycle: int,
     group: ArrayGroup,
     arr: Array,
-    stagger: float,
     cycle_span: float,
     verify_tail: bool,
     readback: Dict[int, np.ndarray],
@@ -153,15 +163,15 @@ def _cycle_app(
         data = tenant_pattern(i, cycle)
         buf = ctx.bind(arr, data.copy())
         if cycle > 0:
-            yield from pad_until(i * stagger)
+            yield from pad_until(i * _STAGGER)
             buf[:] = _POISON
             yield from group.read(ctx, f"d{i}")
             readback[i] = buf.copy()
             buf[:] = data
-        yield from pad_until(WRITE_PHASE + i * stagger)
+        yield from pad_until(WRITE_PHASE + i * _STAGGER)
         yield from group.write(ctx, f"d{i}")
         if verify_tail:
-            yield from pad_until(cycle_span - WRITE_PHASE + i * stagger)
+            yield from pad_until(cycle_span - WRITE_PHASE + i * _STAGGER)
             buf[:] = _POISON
             yield from group.read(ctx, f"d{i}")
             tail_readback[i] = buf.copy()
@@ -180,38 +190,25 @@ def run_soak_drill(
     n_shards: int = 4,
     cycles: int = 6,
     cycle_span: float = 300.0,
-    policy: str = "slo",
-    budget: Optional[SLOBudget] = None,
-    stagger: float = 1e-3,
-    max_in_flight: int = 8,
-    seed: int = 11,
 ) -> Dict[str, object]:
-    """Run the drill and return its metrics (every float rounded, so
-    the dict is JSON-stable and reruns compare exactly equal).
-
-    ``budget`` defaults to a generous 60 s p99 turnaround: the drill
-    exercises the SLO *tracking* plane under faults without shedding
-    load (enforcement is measured by :func:`run_slo_comparison`, where
-    the contention is engineered).
-    """
+    """Run the drill under the ``slo`` policy and return its metrics
+    (every float rounded, so the dict is JSON-stable and reruns compare
+    exactly equal)."""
     if cycles < 3:
         raise ValueError("a drill needs >= 3 cycles: baseline, crash, verify")
     group, arr = tenant_array()
     plan = crash_plan(n_io, n_shards, cycles)
-    if budget is None and policy == "slo":
-        budget = SLOBudget(turnaround_p99=60.0)
-
     sched = SchedulerConfig(
-        policy=policy,
-        max_in_flight=max_in_flight,
+        policy="slo",
+        max_in_flight=_MAX_IN_FLIGHT,
         queue_limit=2 * n_tenants + 2,
         n_shards=n_shards,
-        slo=budget if policy == "slo" else None,
+        slo=_BUDGET,
     )
     rt = PandaRuntime(
         n_compute=n_tenants, n_io=n_io,
         spec=scale_spec(n_tenants, n_io),
-        config=PandaConfig(scheduler=sched, faults=FaultSpec(seed=seed)),
+        config=PandaConfig(scheduler=sched, faults=FaultSpec(seed=_SEED)),
         real_payloads=True,
     )
 
@@ -224,7 +221,7 @@ def run_soak_drill(
     pre_waits: List[float] = []
     post_waits: List[float] = []
 
-    t_crash = crash_at(n_tenants, stagger)
+    t_crash = crash_at(n_tenants, _STAGGER)
     for c in range(cycles):
         victim = plan.get(c)
         rt.reschedule_crashes(
@@ -235,7 +232,7 @@ def run_soak_drill(
         tail_readback: Dict[int, np.ndarray] = {}
         assignments = [
             (
-                _cycle_app(i, c, group, arr, stagger, cycle_span,
+                _cycle_app(i, c, group, arr, cycle_span,
                            verify_tail, readback, tail_readback),
                 (i,),
             )
@@ -303,8 +300,8 @@ def run_soak_drill(
             "n_shards": n_shards,
             "cycles": cycles,
             "cycle_span": cycle_span,
-            "policy": policy,
-            "seed": seed,
+            "policy": "slo",
+            "seed": _SEED,
         },
         "cycles_detail": cycle_rows,
         "summary": {
@@ -329,35 +326,25 @@ def run_soak_drill(
 
 
 def run_slo_comparison(
-    n_small: int = 6,
-    n_heavy: int = 8,
-    small_ops: int = 6,
-    heavy_ops: int = 8,
-    n_io: int = 4,
-    budget_s: float = 1.2,
+    spec: SLOContentionParams = SLOContentionParams(),
 ) -> Dict[str, object]:
     """The enforcement experiment: one workload, two policies.
 
-    The workload is :class:`~repro.workloads.catalog.SLOContentionParams`
-    with these fields: heavy tenants stream 2 MB
-    writes back-to-back from t=0 -- enough offered load to keep every
-    execution slot and most of the admission queue busy -- and small
-    tenants arrive at t=9 s (by which time each heavy tenant has
-    completed ``min_history`` ops and, under ``slo``, stands demoted)
-    and issue 8 KB writes at a gentle cadence.  Under ``fifo``
-    the small ops queue behind the heavy backlog in arrival order and
-    their p99 turnaround blows the budget; under ``slo`` the demoted
-    heavy arrivals sort behind them and the healthy-tenant DRR boost
-    drains them first, so the small tenants -- the under-budget ones --
-    hold their budget.  Heavy ops pushed past the shed threshold are
-    rejected client-visibly and retried after a back-off, which is
-    exactly the operational contract DESIGN.md section 15 documents.
+    The workload is ``spec`` (its ``policy`` is replaced by each of the
+    two): heavy tenants stream 2 MB writes back-to-back from t=0 --
+    enough offered load to keep every execution slot and most of the
+    admission queue busy -- and small tenants arrive at t=9 s (by which
+    time each heavy tenant has completed ``min_history`` ops and, under
+    ``slo``, stands demoted) and issue 8 KB writes at a gentle cadence.
+    Under ``fifo`` the small ops queue behind the heavy backlog in
+    arrival order and their p99 turnaround blows the budget; under
+    ``slo`` the demoted heavy arrivals sort behind them and the
+    healthy-tenant DRR boost drains them first, so the small tenants --
+    the under-budget ones -- hold their budget. Heavy ops pushed past
+    the shed threshold are rejected client-visibly and retried after a
+    back-off, which is exactly the operational contract DESIGN.md
+    section 15 documents.
     """
-    spec = SLOContentionParams(
-        n_small=n_small, n_heavy=n_heavy, small_ops=small_ops,
-        heavy_ops=heavy_ops, n_io=n_io, budget_s=budget_s,
-    )
-
     def run(policy: str) -> Dict[str, object]:
         built = build(replace(spec, policy=policy))
         built.run()

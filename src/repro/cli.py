@@ -31,7 +31,6 @@ from repro.bench import (
     format_figure,
     run_figure,
     run_panda_point,
-    run_traced_point,
     shape_for_mb,
 )
 from repro.bench.harness import (
@@ -133,16 +132,16 @@ def cmd_trace(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     registry = MetricsRegistry()
-    result, report = run_traced_point(
+    result = run_panda_point(
         exp.kind, exp.n_compute, n_io, exp.shape(args.size_mb),
         disk_schema=exp.disk_schema, fast_disk=exp.fast_disk,
-        registry=registry,
-    )
+        trace=True, registry=registry,
+    ).run
     print(f"traced {exp.kind} of {args.size_mb} MB "
           f"({args.figure}: {exp.title}; {exp.n_compute} CN / {n_io} ION)\n")
     print(result.describe())
     print()
-    print(report.render())
+    print(result.critical_path().render())
     t_end = result.runtime.sim.now
     write_chrome_trace(result.trace, args.out,
                        t0=t_end - result.elapsed, t_end=t_end)

@@ -21,12 +21,17 @@ and the Python rendering (inside an SPMD application generator run by
     temperature = Array("temperature", (512, 512, 512), np.float64,
                         memory, (BLOCK, BLOCK, NONE),
                         disk,   (BLOCK, NONE, NONE))
-    simulation = ArrayGroup("Sim2", "simulation2.schema")
+    simulation = ArrayGroup("Sim2")
     simulation.include(temperature)
     ...
     yield from simulation.timestep(ctx)
     if i == 50:
         yield from simulation.checkpoint(ctx)
+
+The C++ group's second argument names its schema file; here every
+written dataset's schema goes to ``{dataset}.schema`` beside its data
+(:meth:`~repro.core.runtime.PandaRuntime.catalog_commit`), so the group
+takes only its name.
 
 Collective operations are *process helpers* (``yield from``) because
 application code runs as simulation processes; this is the one
@@ -165,9 +170,8 @@ class ArrayGroup:
     counters live in the client runtime so the SPMD illusion holds.
     """
 
-    def __init__(self, name: str, schema_file: Optional[str] = None) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.schema_file = schema_file or f"{name}.schema"
         self.arrays: List[Array] = []
 
     def include(self, array: Array) -> None:
@@ -188,8 +192,7 @@ class ArrayGroup:
         k = ctx.panda.next_counter(self.name, "timestep")
         dataset = f"{self.name}.t{k:05d}"
         result = yield from ctx.panda.collective(
-            "write", self.specs(), dataset, schema_file=self.schema_file
-        )
+            "write", self.specs(), dataset)
         return result
 
     def checkpoint(self, ctx):
@@ -199,8 +202,7 @@ class ArrayGroup:
         k = ctx.panda.next_counter(self.name, "checkpoint")
         dataset = f"{self.name}.ckpt{k % 2}"
         result = yield from ctx.panda.collective(
-            "write", self.specs(), dataset, schema_file=self.schema_file
-        )
+            "write", self.specs(), dataset)
         ctx.panda.note_checkpoint(self.name, dataset)
         return result
 
@@ -210,26 +212,21 @@ class ArrayGroup:
         if dataset is None:
             dataset = ctx.panda.latest_checkpoint(self.name)
         result = yield from ctx.panda.collective(
-            "read", self.specs(), dataset, schema_file=self.schema_file
-        )
+            "read", self.specs(), dataset)
         return result
 
     def write(self, ctx, dataset: Optional[str] = None, priority: int = 1):
         """Write the whole group to a named dataset.  ``priority`` is
         the op's fair-share weight under an inter-op scheduler."""
         result = yield from ctx.panda.collective(
-            "write", self.specs(), dataset or self.name,
-            schema_file=self.schema_file, priority=priority,
-        )
+            "write", self.specs(), dataset or self.name, priority=priority)
         return result
 
     def read(self, ctx, dataset: Optional[str] = None, priority: int = 1):
         """Read the whole group from a named dataset.  ``priority`` is
         the op's fair-share weight under an inter-op scheduler."""
         result = yield from ctx.panda.collective(
-            "read", self.specs(), dataset or self.name,
-            schema_file=self.schema_file, priority=priority,
-        )
+            "read", self.specs(), dataset or self.name, priority=priority)
         return result
 
     def __repr__(self) -> str:

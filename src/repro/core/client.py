@@ -193,7 +193,7 @@ class PandaClient:
 
     # -- the collective operation -------------------------------------------
     def collective(self, kind: str, specs: Tuple[ArraySpec, ...], dataset: str,
-                   schema_file: Optional[str] = None, priority: int = 1):
+                   priority: int = 1):
         """Process helper: one collective read or write.  Returns this
         rank's :class:`OpRecord` view (op_id, elapsed is finalised by
         the runtime's log).  ``priority`` is the op's fair-share weight
@@ -215,7 +215,7 @@ class PandaClient:
                         f"rank {self.rank}: array {spec.name!r} not bound "
                         f"before collective {kind}"
                     )
-        self.runtime.oplog.enter(self.rank, op, self.comm.sim.now, schema_file)
+        self.runtime.oplog.enter(self.rank, op, self.comm.sim.now)
         recorder = self.runtime.recorder
         if recorder is not None:
             # the op arrival is a stimulus: capture instant, descriptor

@@ -93,8 +93,7 @@ class OpLog:
     def _key(op: CollectiveOp) -> tuple:
         return (op.client_ranks, op.op_id)
 
-    def enter(self, rank: int, op: CollectiveOp, now: float,
-              schema_file: Optional[str]) -> None:
+    def enter(self, rank: int, op: CollectiveOp, now: float) -> None:
         rec = self.records.get(self._key(op))
         if rec is None:
             rec = OpRecord(
@@ -194,6 +193,15 @@ class RunResult:
     def total_bytes(self) -> int:
         return sum(o.total_bytes for o in self.ops)
 
+    def critical_path(self):
+        """The :class:`~repro.obs.critical_path.CriticalPathReport` of
+        this run's window, ``[now - elapsed, now]``; the run must be
+        traced and the runtime's latest."""
+        from repro.obs.critical_path import analyze
+
+        t_end = self.runtime.sim.now
+        return analyze(self.trace, t0=t_end - self.elapsed, t_end=t_end)
+
     def describe(self) -> str:
         """A human-readable run summary: per-op timings plus resource
         utilization (see :mod:`repro.bench.stats`)."""
@@ -217,11 +225,7 @@ class RunResult:
 
             lines.append(summarize_slo(self.runtime.slo_trackers))
         if self.trace is not None and self.elapsed > 0:
-            from repro.obs.critical_path import analyze
-
-            t_end = self.runtime.sim.now
-            report = analyze(self.trace, t0=t_end - self.elapsed, t_end=t_end)
-            lines.append(report.verdict_line())
+            lines.append(self.critical_path().verdict_line())
         if self.counters:
             c = self.counters
             plan = f"{c['plan_cache_hits']}/{c['plan_cache_hits'] + c['plan_cache_misses']}"
@@ -724,15 +728,14 @@ class PandaRuntime:
                             elapsed=self.sim.now - t0)
         counters_after = COUNTERS.snapshot()
         result = RunResult(
-            ops=[o for o in ops], elapsed=self.sim.now - t0,
+            # ops are cumulative across runs; report only this run's slice
+            ops=[o for o in ops if o.start >= t0], elapsed=self.sim.now - t0,
             trace=self.trace, runtime=self,
             counters={
                 k: counters_after[k] - counters_before[k]
                 for k in counters_after
             },
         )
-        # ops are cumulative across runs; report only this run's slice
-        result.ops = [o for o in ops if o.start >= t0]
         if self.recorder is not None:
             self.recorder.on_run_end(result, self.sched_stats)
         return result

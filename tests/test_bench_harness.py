@@ -6,7 +6,6 @@ from repro import memo
 from repro.bench import (
     EXPERIMENTS,
     PointResult,
-    experiment,
     format_figure,
     format_rows,
     run_figure,
@@ -24,11 +23,11 @@ def test_every_figure_defined():
 
 
 def test_experiment_grids_match_paper():
-    assert experiment("fig3").n_compute == 8
-    assert experiment("fig5").n_compute == 32
-    assert experiment("fig9").n_compute == 16
-    assert experiment("fig7").ionodes == (2, 4, 6, 8)
-    assert experiment("fig3").ionodes == (2, 4, 8)
+    assert EXPERIMENTS["fig3"].n_compute == 8
+    assert EXPERIMENTS["fig5"].n_compute == 32
+    assert EXPERIMENTS["fig9"].n_compute == 16
+    assert EXPERIMENTS["fig7"].ionodes == (2, 4, 6, 8)
+    assert EXPERIMENTS["fig3"].ionodes == (2, 4, 8)
     for e in EXPERIMENTS.values():
         assert e.sizes_mb == (16, 32, 64, 128, 256, 512)
 
@@ -45,10 +44,10 @@ def test_shape_for_unknown_size():
 
 
 def test_fast_disk_flags():
-    assert experiment("fig5").fast_disk
-    assert experiment("fig6").fast_disk
-    assert experiment("fig9").fast_disk
-    assert not experiment("fig3").fast_disk
+    assert EXPERIMENTS["fig5"].fast_disk
+    assert EXPERIMENTS["fig6"].fast_disk
+    assert EXPERIMENTS["fig9"].fast_disk
+    assert not EXPERIMENTS["fig3"].fast_disk
 
 
 # --- build_array ----------------------------------------------------------------
@@ -109,7 +108,7 @@ def test_multi_array_point_scales_bytes():
 
 
 def test_run_figure_tiny_grid():
-    exp = experiment("fig4")
+    exp = EXPERIMENTS["fig4"]
     # shrink: one size, two ionode counts, by constructing a stub
     from dataclasses import replace
     small = replace(exp, sizes_mb=(16,), ionodes=(2, 4))

@@ -73,17 +73,12 @@ def test_array_mesh_dist_mismatch_caught():
 
 
 def test_group_include_and_duplicate():
-    g = ArrayGroup("Sim2", "simulation2.schema")
+    g = ArrayGroup("Sim2")
     mem = ArrayLayout("mem", (2,))
     a = Array("t", (8,), 8, mem, [BLOCK])
     g.include(a)
     with pytest.raises(ValueError):
         g.include(Array("t", (8,), 8, mem, [BLOCK]))
-    assert g.schema_file == "simulation2.schema"
-
-
-def test_group_default_schema_file():
-    assert ArrayGroup("Sim").schema_file == "Sim.schema"
 
 
 def test_empty_group_specs_raise():
@@ -105,7 +100,7 @@ def test_paper_figure2_declarations():
     density = Array("density", (256, 256, 256), np.float64,
                     memory, memory_dist, disk, disk_dist)
 
-    simulation = ArrayGroup("Sim2", "simulation2.schema")
+    simulation = ArrayGroup("Sim2")
     simulation.include(temperature)
     simulation.include(pressure)
     simulation.include(density)

@@ -2,8 +2,8 @@
 
 Everything here runs seeded Figure-3-shaped workloads (read, natural
 chunking, real disk) through :func:`repro.bench.harness.
-run_traced_point`, so the assertions exercise the same paths the
-``python -m repro trace`` CLI uses.
+run_panda_point` with ``trace=True``, so the assertions exercise the
+same paths the ``python -m repro trace`` CLI uses.
 """
 
 import hashlib
@@ -12,7 +12,9 @@ import math
 
 import pytest
 
-from repro.bench.harness import run_traced_point
+from repro import memo
+from repro.bench import EXPERIMENTS
+from repro.bench.harness import run_panda_point
 from repro.bench.stats import utilization
 from repro.obs import analyze, observe_trace, to_chrome_trace, write_chrome_trace
 from repro.obs.critical_path import PHASES
@@ -23,11 +25,26 @@ from repro.obs.metrics import DURATION_BUCKETS, Histogram, MetricsRegistry, atta
 def fig3_point():
     """One traced Figure-3 point: 16 MB read, 8 CN / 2 ION, real disk."""
     registry = MetricsRegistry()
-    result, report = run_traced_point(
-        "read", 8, 2, (128, 128, 128), disk_schema="natural",
-        fast_disk=False, registry=registry,
-    )
-    return result, report, registry
+    result = run_panda_point("read", 8, 2, (128, 128, 128), trace=True,
+                             registry=registry).run
+    return result, result.critical_path(), registry
+
+
+@pytest.mark.parametrize("kind", ["read", "write"])
+def test_tracing_moves_no_simulated_time_or_counter(kind):
+    """A traced point is the untraced point, watched: the same elapsed
+    to the bit and the same host counters (cold memos for each)."""
+    points = []
+    for trace in (False, True):
+        memo.clear_all()
+        points.append(run_panda_point(kind, 8, 2, (64, 64, 64),
+                                      disk_schema="traditional",
+                                      trace=trace))
+    plain, traced = points
+    assert traced.elapsed.hex() == plain.elapsed.hex()
+    assert traced.counters == plain.counters
+    assert plain.run is None
+    assert traced.run.ops[-1].elapsed == traced.elapsed
 
 
 # -- Chrome trace export -----------------------------------------------------
@@ -153,9 +170,8 @@ def test_fig3_is_disk_bound_consistent_with_utilization(fig3_point):
 def test_fast_disk_run_is_not_disk_bound():
     """With infinitely fast disks (Figure 5 mode) the disk phase
     collapses and the verdict moves off disk-bound."""
-    _result, report = run_traced_point(
-        "read", 8, 2, (128, 128, 128), disk_schema="natural", fast_disk=True,
-    )
+    report = run_panda_point("read", 8, 2, (128, 128, 128), fast_disk=True,
+                             trace=True).run.critical_path()
     assert report.phases["disk"] == 0.0
     assert report.verdict in ("network-bound", "startup-bound")
 
@@ -237,13 +253,28 @@ def _sharded_fault_stress():
     return run_stress("fair")[0]
 
 
+def _fig3_16_2():
+    """``python -m repro trace``'s default point: fig3's 16 MB read on
+    its smallest I/O-node count, with a metrics registry attached."""
+    exp = EXPERIMENTS["fig3"]
+    return run_panda_point(
+        exp.kind, exp.n_compute, exp.ionodes[0], exp.shape(16),
+        disk_schema=exp.disk_schema, fast_disk=exp.fast_disk, trace=True,
+        registry=MetricsRegistry()).run
+
+
 #: sha256 of both trace views, ``json.dumps(to_chrome_trace(trace))``
-#: and ``observe_trace(trace, MetricsRegistry()).render()``, of two
-#: traced runs: the golden roundtrip, and the fair run of
+#: and ``observe_trace(trace, MetricsRegistry()).render()``, of three
+#: traced runs: the golden roundtrip; the fair run of
 #: test_sharding_faults (sharded admission with a shard-master crash,
 #: so ``sched_*`` spans and the fault, retry and recovery records --
-#: kinds with no Chrome view -- are in the trace)
+#: kinds with no Chrome view -- are in the trace); and the trace CLI's
+#: default figure point (its untimed write included)
 TRACE_VIEW_SHA256 = {
+    "fig3-16-2": (
+        _fig3_16_2,
+        "3a2c61bf6fbfdbab2fed09a9788a2183d92ae5bbba0c8b09e9c621f4ae66d0e3",
+        "56244a417d9ffdc13dbf734ae4c0cc289d8400caf1e1d6a96e8bdedefaac7d60"),
     "golden-roundtrip": (
         _golden_roundtrip,
         "0031a256536996708c7ad3526c1a477db9a8f37c3663d02f1c4ebe00ff578a37",

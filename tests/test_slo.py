@@ -25,6 +25,7 @@ from repro.core.scheduler import SLOPolicy, SLO_HEALTHY_BOOST, make_policy
 from repro.obs.slo import SLOBudget, SLOTracker, quantile, render_slo
 
 from repro.bench.soak import run_slo_comparison
+from repro.workloads.catalog import SLOContentionParams
 
 
 BUDGET = SLOBudget(turnaround_p99=1.0, min_history=3)
@@ -282,8 +283,8 @@ def test_shed_ops_are_captured_and_replay_to_the_same_rejection():
 
 
 def test_slo_summary_surfaces_in_describe_and_metrics():
-    out = run_slo_comparison(n_small=2, n_heavy=2, small_ops=2,
-                             heavy_ops=4)
+    out = run_slo_comparison(SLOContentionParams(
+        n_small=2, n_heavy=2, small_ops=2, heavy_ops=4))
     assert out["slo"]["small_ops"] == 4
     # render_slo emits per-tenant samples in Prometheus text shape
     tracker = SLOTracker(BUDGET, shard=0)
